@@ -13,9 +13,10 @@ and the offline router the left one.
 
 from __future__ import annotations
 
+from repro import api
 from repro.core.models import MulticastModel
 from repro.core.multistage import min_middle_switches_msw_dominant
-from repro.multistage.exhaustive import exact_minimal_m, is_blockable
+from repro.multistage.exhaustive import is_blockable
 from repro.multistage.offline import minimal_rearrangeable_m
 
 
@@ -23,7 +24,7 @@ def test_exact_thresholds_smallest_network(benchmark):
     """v(2, 2, m, 1), x = 1 -- the fully decided case."""
 
     def decide():
-        strict = exact_minimal_m(2, 2, 1, x=1, m_max=6)
+        strict = api.exact_m(2, 2, 1, x=1, m_max=6)
         rearrangeable, _ = minimal_rearrangeable_m(2, 2, 1, x=1, m_max=6)
         return strict, rearrangeable
 

@@ -1,21 +1,12 @@
 """Performance benchmark for the routing kernel, search and sweep engine.
 
-Thirteen sections, each asserting that the fast path computes *exactly*
+Eleven sections, each asserting that the fast path computes *exactly*
 what the slow path computes before reporting any speedup:
 
-* ``cover_kernel`` -- the bitmask cover search
-  (:func:`repro.multistage.routing.find_cover_bits`) against the
-  frozenset reference on randomized cover instances;
 * ``engine`` -- the shared admission kernel's per-setup hot path
   (:func:`repro.engine.kernel.probe_cover`, with its greedy full-reach
   short-circuit) against the unconditional reach-map + cover-search
   composition, identical covers asserted per instance;
-* ``routing_replay`` -- a pregenerated traffic trace replayed through
-  :class:`repro.multistage.network.ThreeStageNetwork` under each
-  routing kernel, isolating the connect/disconnect hot path from the
-  (kernel-independent) traffic generator;
-* ``end_to_end`` -- :func:`repro.api.sweep` on the n=4, r=4, k=2 grid
-  under each kernel, traffic generation included;
 * ``batched`` -- the lockstep batch engine
   (:mod:`repro.perf.batch`, the ``"batched"`` kernel) against the
   serial bitmask sweep on a B=64 replication grid, end to end through
@@ -38,6 +29,10 @@ what the slow path computes before reporting any speedup:
   (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
   against the serial bitmask sweep, pooled estimates and every
   ``(workload, m, seed)`` replication compared bit-for-bit;
+* ``topology`` -- every registered fabric model
+  (:mod:`repro.engine.fabrics`) replaying one shared stream, with
+  per-replication agreement across backends and the crossbar oracle
+  asserted (identity only);
 * ``exact_search`` -- the symmetry-canonicalized exhaustive model
   checker (:func:`repro.api.exact_m`) against the uncanonicalized
   reference search, asserting identical per-m verdicts and thresholds;
@@ -57,11 +52,14 @@ what the slow path computes before reporting any speedup:
   CPU, more workers than units), so the section never reports a pool
   slowdown; the resolved :class:`repro.perf.ExecutionPlan` is recorded
   and the bit-identity of the merged results asserted regardless;
-* ``obs`` -- the routing replay and end-to-end sweep with the
+* ``obs`` -- a serial routing replay and an end-to-end sweep with the
   :mod:`repro.obs` layer off (the default) and on, asserting
   bit-identical blocking counts either way and that the *disabled*
   hooks cost <= 2% of the replay (bounded by the measured per-guard
   cost times the hook-site count, and by the off-vs-off re-run).
+
+Absolute end-to-end timings of user workloads live in ``bench/``
+(``python3 bench/run.py``); the ratios here are divergence guards.
 
 Run as a script (``python benchmarks/bench_perf.py [--quick]``); writes
 ``BENCH_perf.json`` and exits nonzero if any fast path diverges from
@@ -86,12 +84,7 @@ from repro import api, obs
 from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import (
-    find_cover_bits,
-    find_cover_reference,
-    mask_of,
-    routing_kernel,
-)
+from repro.multistage.routing import find_cover_bits, mask_of, routing_kernel
 from repro.perf.batch import available_backends, resolve_backend, simulate_batch
 from repro.perf.sweeper import last_plan, resolve_jobs
 from repro.switching.generators import dynamic_traffic
@@ -121,67 +114,6 @@ def _best(fn, reps: int) -> tuple[float, object]:
         if was_enabled:
             gc.enable()
     return min(times), value
-
-
-# -- section 1: cover-search kernel -----------------------------------------
-
-
-def _cover_instances(count: int, labels: int, middles: int, seed: int):
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(count):
-        destinations = frozenset(rng.sample(range(labels), rng.randint(4, labels)))
-        coverable = {
-            j: frozenset(p for p in destinations if rng.random() < 0.55)
-            for j in range(middles)
-        }
-        instances.append((destinations, coverable, rng.randint(2, 4)))
-    return instances
-
-
-def bench_cover_kernel(quick: bool, reps: int) -> dict:
-    instances = _cover_instances(
-        count=100 if quick else 400, labels=24, middles=14, seed=7
-    )
-    masked = [
-        (mask_of(destinations), {j: mask_of(s) for j, s in coverable.items()}, x)
-        for destinations, coverable, x in instances
-    ]
-
-    def decode(cover_bits):
-        if cover_bits is None:
-            return None
-        out = {}
-        for j, bits in cover_bits.items():
-            modules = []
-            while bits:
-                low = bits & -bits
-                modules.append(low.bit_length() - 1)
-                bits ^= low
-            out[j] = modules
-        return out
-
-    def run_bits():
-        return [
-            decode(find_cover_bits(dest_mask, coverable, x))
-            for dest_mask, coverable, x in masked
-        ]
-
-    def run_reference():
-        return [
-            find_cover_reference(destinations, coverable, x)
-            for destinations, coverable, x in instances
-        ]
-
-    bitmask_s, bits_out = _best(run_bits, reps)
-    reference_s, reference_out = _best(run_reference, reps)
-    return {
-        "instances": len(instances),
-        "reference_s": reference_s,
-        "bitmask_s": bitmask_s,
-        "speedup": reference_s / bitmask_s,
-        "identical": bits_out == reference_out,
-    }
 
 
 # -- section: shared admission-engine kernels ---------------------------------
@@ -259,7 +191,7 @@ def bench_engine(quick: bool, reps: int) -> dict:
     }
 
 
-# -- section 2: routing replay ----------------------------------------------
+# -- shared workload: one serial network replaying a fixed trace -------------
 
 
 def _replay(events, n, r, m, k, x) -> int:
@@ -291,53 +223,11 @@ def _replay(events, n, r, m, k, x) -> int:
     return blocked
 
 
-def bench_routing_replay(quick: bool, reps: int) -> dict:
-    n, r, k, x = 4, 4, 2, 2
-    steps = 1000 if quick else 4000
-    events = list(
-        dynamic_traffic(MulticastModel.MSW, n * r, k, steps=steps, seed=0)
-    )
-    m_values = [2, 4, 6]
-    cells = []
-    reference_total = 0.0
-    bitmask_total = 0.0
-    identical = True
-    for m in m_values:
-        with routing_kernel("reference"):
-            reference_s, reference_blocked = _best(
-                lambda: _replay(events, n, r, m, k, x), reps
-            )
-        with routing_kernel("bitmask"):
-            bitmask_s, bitmask_blocked = _best(
-                lambda: _replay(events, n, r, m, k, x), reps
-            )
-        identical = identical and reference_blocked == bitmask_blocked
-        reference_total += reference_s
-        bitmask_total += bitmask_s
-        cells.append(
-            {
-                "m": m,
-                "reference_s": reference_s,
-                "bitmask_s": bitmask_s,
-                "speedup": reference_s / bitmask_s,
-                "blocked": bitmask_blocked,
-            }
-        )
-    return {
-        "config": {"n": n, "r": r, "k": k, "x": x, "steps": steps},
-        "cells": cells,
-        "reference_s": reference_total,
-        "bitmask_s": bitmask_total,
-        "speedup": reference_total / bitmask_total,
-        "identical": identical,
-    }
-
-
 # -- section: canonicalized exhaustive search --------------------------------
 
 
 def _exact_key(result) -> tuple:
-    """Verdict fingerprint of one exact_minimal_m scan (witness-agnostic)."""
+    """Verdict fingerprint of one exact-threshold scan (witness-agnostic)."""
     return (
         result.m_exact,
         tuple((per_m.m, per_m.blockable) for per_m in result.per_m),
@@ -532,7 +422,7 @@ def bench_obs(quick: bool, reps: int) -> dict:
     }
 
 
-# -- sections: end-to-end sweep, serial vs parallel --------------------------
+# -- the n=4, r=4, k=2 sweep grid shared by the parallel section ---------------
 
 
 def _grid_traffic(quick: bool) -> api.UniformConfig:
@@ -544,33 +434,6 @@ def _grid_traffic(quick: bool) -> api.UniformConfig:
 
 def _estimate_key(estimates) -> list[tuple[int, int, int]]:
     return [(e.m, e.attempts, e.blocked) for e in estimates]
-
-
-def bench_end_to_end(quick: bool, reps: int) -> dict:
-    m_values = [2, 5, 8, 11, 14]
-    traffic = _grid_traffic(quick)
-
-    def run(kernel):
-        return _estimate_key(
-            api.sweep(
-                4, 4, 2, m_values,
-                traffic=traffic,
-                search=api.SearchConfig(kernel=kernel),
-            )
-        )
-
-    reference_s, reference_out = _best(lambda: run("reference"), reps)
-    bitmask_s, bitmask_out = _best(lambda: run("bitmask"), reps)
-    return {
-        "config": {
-            "n": 4, "r": 4, "k": 2, "m_values": m_values,
-            "steps": traffic.steps, "seeds": traffic.seeds,
-        },
-        "reference_s": reference_s,
-        "bitmask_s": bitmask_s,
-        "speedup": reference_s / bitmask_s,
-        "identical": reference_out == bitmask_out,
-    }
 
 
 # -- section: lockstep batched Monte Carlo ------------------------------------
@@ -805,7 +668,7 @@ def bench_wide(quick: bool, reps: int) -> dict:
 
     # Identity: the serial simulator's ground truth, causes included.
     # The traffic does not depend on m, so one event list replays
-    # against every m cell (the routing_replay convention).
+    # against every m cell.
     id_steps = 250
     id_seed = 0
     events = list(
@@ -1305,10 +1168,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     }
     sections = [
-        ("cover_kernel", lambda: bench_cover_kernel(args.quick, reps)),
         ("engine", lambda: bench_engine(args.quick, reps)),
-        ("routing_replay", lambda: bench_routing_replay(args.quick, reps)),
-        ("end_to_end", lambda: bench_end_to_end(args.quick, reps)),
         ("batched", lambda: bench_batched(args.quick, reps)),
         ("fused", lambda: bench_fused(args.quick, reps)),
         ("wide", lambda: bench_wide(args.quick, reps)),

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Any
@@ -64,8 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "AdaptiveInfo",
     "BlockingEstimate",
-    "blocking_probability",
-    "blocking_vs_m",
 ]
 
 
@@ -512,7 +509,7 @@ def _run_batched_cells(
     return results
 
 
-def _blocking_probability_impl(
+def _blocking_estimate(
     n: int,
     r: int,
     m: int,
@@ -617,42 +614,15 @@ def _blocking_probability_impl(
     )
 
 
-def blocking_probability(
-    n: int, r: int, m: int, k: int, **kwargs: Any
-) -> BlockingEstimate:
-    """Deprecated kwargs entry point; use :func:`repro.api.blocking`.
-
-    Behaves exactly like the pre-``repro.api`` function (same kwargs,
-    same pooled numbers), so existing callers and golden values are
-    unaffected; it just warns.
-    """
-    warnings.warn(
-        "blocking_probability(**kwargs) is deprecated; use repro.api."
-        "blocking(n, r, m, k, traffic=UniformConfig(...), "
-        "execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _blocking_probability_impl(n, r, m, k, **kwargs)
-
-
-def _adversary_seeds(
-    m: int, count: int, traffic_key: str | None = None
-) -> list[int]:
+def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
     """The deterministic adversary-seed schedule for one ``m`` point.
 
-    With a ``traffic_key`` (the new default through :mod:`repro.api`),
-    the schedule is derived from the *whole* configuration, so two
-    sweeps with equal ``m`` but different topology/model/traffic get
-    independent adversary streams.  ``traffic_key=None`` reproduces the
-    legacy ``m``-only derivation (kept for the deprecated
-    :func:`blocking_vs_m` shim so golden adversarial values never
-    shift).
+    Derived from the *whole* configuration (``traffic_key``, see
+    :func:`_adversary_traffic_key`) as well as ``m``, so two sweeps with
+    equal ``m`` but different topology/model/x get independent
+    adversary streams.
     """
-    if traffic_key is None:
-        rng = random.Random(m)
-    else:
-        rng = random.Random(f"{traffic_key}|m={m}")
+    rng = random.Random(f"{traffic_key}|m={m}")
     return [rng.randrange(10**9) for _ in range(count)]
 
 
@@ -670,7 +640,7 @@ def _adversary_traffic_key(
     )
 
 
-def _blocking_vs_m_impl(
+def _blocking_curve(
     n: int,
     r: int,
     k: int,
@@ -688,7 +658,6 @@ def _blocking_vs_m_impl(
     cache: "ResultCache | None" = None,
     executor: str = "process",
     debug_checks: bool | None = None,
-    legacy_adversary_seeds: bool = False,
     batch: int | None = None,
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
@@ -733,11 +702,7 @@ def _blocking_vs_m_impl(
             "(the adversary constructs three-stage worst-case states); "
             f"got fabric {fabric!r}"
         )
-    traffic_key = (
-        None
-        if legacy_adversary_seeds
-        else _adversary_traffic_key(n, r, k, construction, model, x)
-    )
+    traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
     with ParallelSweeper(jobs, executor=executor) as sweeper:
         if get_routing_kernel() == "batched":
             by_cell = _run_batched_cells(
@@ -877,26 +842,3 @@ def _blocking_vs_m_impl(
         )
     meta = ResultMeta.capture(sweeper.last_plan, workload=workload)
     return [replace(estimate, meta=meta) for estimate in estimates]
-
-
-def blocking_vs_m(
-    n: int, r: int, k: int, m_values: list[int], **kwargs: Any
-) -> list[BlockingEstimate]:
-    """Deprecated kwargs entry point; use :func:`repro.api.sweep`.
-
-    Behaves exactly like the pre-``repro.api`` function -- including
-    the legacy ``m``-only adversary-seed schedule, so golden
-    adversarial curves stay reproducible; it just warns.  The typed
-    facade derives adversary seeds from the whole configuration (the
-    fixed behavior) -- see :func:`repro.api.sweep`.
-    """
-    warnings.warn(
-        "blocking_vs_m(**kwargs) is deprecated; use repro.api.sweep"
-        "(n, r, k, m_values, traffic=UniformConfig(...), "
-        "execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _blocking_vs_m_impl(
-        n, r, k, m_values, legacy_adversary_seeds=True, **kwargs
-    )

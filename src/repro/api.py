@@ -1,10 +1,7 @@
 """Typed public facade over the analysis entry points.
 
-The entry points grown by the perf work --
-``blocking_probability``, ``blocking_vs_m``, ``exact_minimal_m`` --
-each sprouted their own kwargs (``jobs``, ``cache``, ``kernel``,
-``canonicalize``, ``debug_checks``).  This module replaces that kwarg
-sprawl with frozen config dataclasses grouped by concern:
+Every run is described by frozen config dataclasses grouped by
+concern:
 
 * the :class:`repro.workloads.WorkloadConfig` family -- what traffic to
   offer.  :class:`UniformConfig` is the uniform member (the legacy
@@ -24,13 +21,9 @@ and three verbs that consume them:
 * :func:`exact_m` -- the exhaustive exact nonblocking threshold.
 
 Every result carries the shared :class:`repro.obs.meta.ResultMeta`
-provenance envelope, which now records the workload that produced the
-numbers.  The legacy kwargs signatures -- and the legacy
-:class:`TrafficConfig` name, now a deprecated alias of
-:class:`UniformConfig` -- still work bit-identically but emit
-``DeprecationWarning``.  One behavioral fix ships only here: adversary
-seeds derive from the whole configuration, not just ``m`` (the legacy
-shims keep the old ``m``-only schedule so golden values never shift).
+provenance envelope, which records the workload that produced the
+numbers.  Adversary seeds derive from the whole configuration, not
+just ``m``.
 
 Typical use::
 
@@ -47,19 +40,18 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.analysis.montecarlo import (
     BlockingEstimate,
-    _blocking_probability_impl,
-    _blocking_vs_m_impl,
+    _blocking_curve,
+    _blocking_estimate,
 )
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import fabric_names, get_fabric
-from repro.multistage.exhaustive import ExactMinimal, _exact_minimal_m_impl
+from repro.multistage.exhaustive import ExactMinimal, _exact_threshold
 from repro.multistage.routing import routing_kernel
 from repro.perf.adaptive import PrecisionConfig, adaptive_sweep
 from repro.perf.cache import ResultCache
@@ -86,7 +78,6 @@ __all__ = [
     "PrecisionConfig",
     "SearchConfig",
     "TraceConfig",
-    "TrafficConfig",
     "UniformConfig",
     "WorkloadConfig",
     "blocking",
@@ -99,48 +90,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrafficConfig(UniformConfig):
-    """Deprecated alias of :class:`repro.workloads.UniformConfig`.
-
-    The pre-workload-library name of the uniform traffic config.  It
-    *is* a ``UniformConfig`` (same fields, same defaults, bit-identical
-    streams and cache keys), so every existing call keeps its numbers;
-    constructing it just warns.  New code should use
-    :class:`UniformConfig` -- or any other member of the
-    :class:`repro.workloads.WorkloadConfig` family.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "repro.api.TrafficConfig is deprecated; use repro.api."
-            "UniformConfig (or any repro.workloads config: HotspotConfig, "
-            "HeavyTailFanoutConfig, PoissonErlangConfig, TraceConfig, ...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
-
-
 def _as_workload(traffic: WorkloadConfig) -> WorkloadConfig:
-    """Validate and normalize the ``traffic`` argument.
-
-    The deprecated :class:`TrafficConfig` shim (which already warned at
-    construction) is normalized to a plain :class:`UniformConfig`, so
-    downstream work units and provenance never mention the legacy type.
-    """
+    """Validate the ``traffic`` argument."""
     if not isinstance(traffic, WorkloadConfig):
         raise TypeError(
             "traffic must be a repro.workloads config (UniformConfig, "
             f"HotspotConfig, ...), got {type(traffic).__name__}"
-        )
-    if type(traffic) is TrafficConfig:
-        return UniformConfig(
-            steps=traffic.steps,
-            seeds=traffic.seeds,
-            max_fanout=traffic.max_fanout,
-            adversarial=traffic.adversarial,
-            adversary_seeds=traffic.adversary_seeds,
         )
     return traffic
 
@@ -230,10 +185,10 @@ class SearchConfig:
     """How to search: kernel choice and self-verification.
 
     Attributes:
-        kernel: cover-search kernel -- ``"bitmask"``, ``"batched"``
+        kernel: routing kernel -- ``"bitmask"`` or ``"batched"``
             (bitmask routing plus the lockstep Monte-Carlo engine of
-            :mod:`repro.perf.batch`) or ``"reference"``; None (default)
-            keeps the process's active kernel.
+            :mod:`repro.perf.batch`); None (default) keeps the
+            process's active kernel.
         canonicalize: dedup exhaustive-search states by canonical
             signature (identical verdicts, far fewer states).
         debug_checks: re-verify network invariants after every
@@ -319,8 +274,6 @@ def blocking(
 ) -> BlockingEstimate:
     """Blocking probability of ``v(n, r, m, k)`` under dynamic traffic.
 
-    The typed replacement for ``blocking_probability``; numbers are
-    bit-identical to the legacy call with the same parameters.
     ``traffic`` accepts any :mod:`repro.workloads` config -- the
     uniform default reproduces the historical generator, the others
     reshape the offered traffic while keeping every kernel/backend
@@ -345,7 +298,7 @@ def blocking(
             search, default_steps=2000, fabric=fabric_name,
         )[0]
     with search.applied():
-        return _blocking_probability_impl(
+        return _blocking_estimate(
             n, r, m, k,
             construction=construction,
             model=model,
@@ -380,15 +333,13 @@ def sweep(
 ) -> list[BlockingEstimate]:
     """The blocking-probability-vs-``m`` curve (implied figure X3).
 
-    The typed replacement for ``blocking_vs_m``; ``traffic`` accepts
-    any :mod:`repro.workloads` config (see :func:`blocking`).  One
-    behavioral fix over the legacy call: with ``traffic.adversarial``,
-    the adversary-seed schedule is derived from the whole configuration
-    (topology, construction, model, x) instead of from ``m`` alone, so
-    two sweeps sharing an ``m`` value no longer reuse identical
-    adversary streams.  The deprecated ``blocking_vs_m`` keeps the old
-    schedule for reproducibility of golden values.  Adversarial probing
-    is only meaningful for uniform traffic and is rejected otherwise.
+    ``traffic`` accepts any :mod:`repro.workloads` config (see
+    :func:`blocking`).  With ``traffic.adversarial``, the adversary-seed
+    schedule is derived from the whole configuration (topology,
+    construction, model, x) as well as ``m``, so two sweeps sharing an
+    ``m`` value never reuse identical adversary streams.  Adversarial
+    probing is only meaningful for uniform traffic and is rejected
+    otherwise.
 
     With ``execution.precision`` set, every curve point samples until
     its Wilson interval meets the precision target instead of running
@@ -407,7 +358,7 @@ def sweep(
             execution, search, default_steps=1500, fabric=fabric_name,
         )
     with search.applied():
-        return _blocking_vs_m_impl(
+        return _blocking_curve(
             n, r, k, m_values,
             construction=construction,
             model=model,
@@ -442,13 +393,9 @@ def exact_m(
     execution: ExecConfig = ExecConfig(),
     search: SearchConfig = SearchConfig(),
 ) -> ExactMinimal:
-    """The exact minimal nonblocking ``m`` by exhaustive model checking.
-
-    The typed replacement for ``exact_minimal_m``; verdicts are
-    identical to the legacy call with the same parameters.
-    """
+    """The exact minimal nonblocking ``m`` by exhaustive model checking."""
     with search.applied():
-        return _exact_minimal_m_impl(
+        return _exact_threshold(
             n, r, k,
             construction=construction,
             model=model,

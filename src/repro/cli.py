@@ -509,13 +509,17 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
         title="Routing kernels x batch state backends",
     )
     override = os.environ.get(BACKEND_ENV, "").strip()
+    try:
+        resolved = resolve_backend("auto", m_max=1, r=1, k=1)
+    except ValueError as exc:
+        # The diagnostic must survive the very setting it exists to show.
+        resolved = f"error: {exc}"
     lines = [
         table,
         "backend status:",
         *(f"  {backend}: {status[backend]}" for backend in backends),
         f"active routing kernel: {get_routing_kernel()}",
-        f"auto backend resolves to: "
-        f"{resolve_backend('auto', m_max=1, r=1, k=1)}",
+        f"auto backend resolves to: {resolved}",
         f"{BACKEND_ENV}={override}" if override else f"{BACKEND_ENV}: (unset)",
         f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS}) int64 "
         f"words per mask (multi-word above {NUMPY_WORD_BITS}; e.g. "
@@ -779,12 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         type=_kernel,
         default=None,
-        metavar="{reference,bitmask,batched}",
+        metavar="{bitmask,batched}",
         help="simulation kernel: 'bitmask' (default) runs cells one at a "
         "time on the int-mask cover search, 'batched' replays each "
         "seed's traffic against every m in lockstep (same numbers, "
-        "fastest), 'reference' is the frozenset oracle; results are "
-        "bit-identical across all three",
+        "fastest); results are bit-identical across both",
     )
     p.add_argument(
         "--batch",
@@ -857,9 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         type=_kernel,
         default=None,
-        metavar="{reference,bitmask,batched}",
+        metavar="{bitmask,batched}",
         help="simulation kernel (see 'wdm-repro blocking --help'); "
-        "bit-identical across all three",
+        "bit-identical across both",
     )
     p.add_argument(
         "--backend",

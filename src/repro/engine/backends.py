@@ -126,7 +126,6 @@ def register_backend(
     *,
     missing: Callable[[], str | None] = _always,
     max_plane_width: int | None = None,
-    word_gated: bool = False,
 ) -> None:
     """Register an additional fabric-state backend (the plug-in seam).
 
@@ -137,13 +136,9 @@ def register_backend(
     probe (None = usable, else the reason shown by ``wdm-repro
     kernels``); ``max_plane_width`` caps the plane width (int64 words
     per mask) the backend handles, None meaning unlimited.
-    ``word_gated=True`` is the legacy spelling of
-    ``max_plane_width=1`` (single-word masks only).
     """
     if name in ("auto",) + BACKENDS:
         raise ValueError(f"backend name {name!r} is reserved")
-    if word_gated and max_plane_width is None:
-        max_plane_width = 1
     _SPECS[name] = BackendSpec(
         factory=factory, missing=missing, max_plane_width=max_plane_width
     )
@@ -205,10 +200,15 @@ def resolve_backend(backend: str = "auto", *, m_max: int, r: int, k: int) -> str
     see EXPERIMENTS.md P4/P6).  Asking for a backend explicitly --
     directly or through the environment override -- raises if its
     requirements are missing or the geometry's plane width exceeds the
-    backend's ``max_plane_width`` capability.
+    backend's ``max_plane_width`` capability; when the request came
+    from the environment variable, the error names it.
     """
+    via_env = ""
     if backend == "auto":
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "auto"
+        override = os.environ.get(BACKEND_ENV, "").strip().lower()
+        if override and override != "auto":
+            backend = override
+            via_env = f" (set by {BACKEND_ENV}; unset it or pick another)"
     if backend == "auto":
         if _SPECS["numba"].available():
             return "numba"
@@ -222,19 +222,20 @@ def resolve_backend(backend: str = "auto", *, m_max: int, r: int, k: int) -> str
             if sp.available()
         )
         raise ValueError(
-            f"unknown batch backend {backend!r}; choose from {choices} "
-            f"(max plane widths: {widths})"
+            f"unknown batch backend {backend!r}{via_env}; choose from "
+            f"{choices} (max plane widths: {widths})"
         )
     reason = spec.missing()
     if reason is not None:
         raise ValueError(
-            f"batch backend {backend!r} requested but {reason}"
+            f"batch backend {backend!r} requested but {reason}{via_env}"
         )
     width = plane_width(m_max, r, k)
     if not spec.supports_width(width):
         assert spec.max_plane_width is not None
         raise ValueError(
             plane_width_error(backend, m_max, r, k, spec.max_plane_width)
+            + via_env
         )
     return backend
 

@@ -9,8 +9,8 @@ only when *no* cover of size <= ``x`` exists.
 
 This module is the bottom of the engine -- pure functions over ints,
 no repro imports -- and is re-exported unchanged through
-:mod:`repro.multistage.routing`, whose frozenset reference kernel the
-equivalence tests pin it against (bit-identical covers: candidate
+:mod:`repro.multistage.routing`.  The equivalence tests pin it against
+a test-only frozenset oracle (bit-identical covers: candidate
 ordering, greedy tie-breaking, DFS expansion order and the final
 destination->switch assignment).
 """

@@ -34,11 +34,12 @@ masks wider than one int64 word -- so the per-event
 :class:`~repro.engine.state.FabricState` protocol still works on it;
 the batch driver simply prefers the whole-stream
 :meth:`FusedState.replay_ops` entry point when a state offers one.
-Single-word fabrics run the historical scalar kernel unchanged; wider
-fabrics run :func:`_replay_loop_mw`, the word-looped variant of the
-same program (same decisions, same jit/interpreted duality).
-Bit-identity with the python backend -- per-replication counts *and*
-``classify_block`` cause dicts -- is asserted by
+There is one kernel, :func:`_replay_loop`, and it is word-generic:
+every mask is a row of ``W`` int64 words, and single-word fabrics are
+simply the ``W == 1`` case (their planes are passed as ``[..., 1]``
+views of the unchanged single-word arrays).  Bit-identity with the
+python backend -- per-replication counts *and* ``classify_block``
+cause dicts -- is asserted by
 ``tests/engine/test_fused.py``, the three-way suites in
 ``tests/perf/test_batch.py`` and the ``fused``/``wide`` sections of
 ``bench_perf.py``.
@@ -136,14 +137,9 @@ def fused_mode() -> str:
 # rather than SWAR tricks on purpose: multiply-based popcount overflows
 # int64 (wrapping under numba, promoting under CPython), which would
 # break the compiled-vs-interpreted bit-identity this module guarantees.
-
-
-def _popcount(v: int) -> int:
-    c = 0
-    while v:
-        v &= v - 1
-        c += 1
-    return c
+# Masks are rows of little-endian words (trailing axis, W =
+# ceil(bits / WORD_BITS) per mask family); every mask op is a short
+# loop over words.
 
 
 def _low_index(v: int) -> int:
@@ -156,383 +152,12 @@ def _low_index(v: int) -> int:
     return idx
 
 
-def _find_cover(  # noqa: PLR0912 - mirrors find_cover_bits exactly
-    dest: int,
-    x: int,
-    ncov: int,
-    cov_j: Any,
-    cov_reach: Any,
-    cover_j: Any,
-    cover_mask: Any,
-    use_j: Any,
-    use_reach: Any,
-    use_cnt: Any,
-    unc: Any,
-    pos: Any,
-    picked_j: Any,
-    picked_reach: Any,
-    top: Any,
-) -> int:
-    """Lemma-4 cover selection on the scratch arrays; returns cover size.
-
-    Bit-for-bit the decision procedure of
-    :func:`repro.engine.cover.find_cover_bits` on candidates already in
-    ascending-``j`` order: max-coverage greedy with first-candidate tie
-    breaking, then the exact depth-first search with the top-``rem``
-    coverage bound, then first-picked-wins destination assignment.
-    Returns 0 when no cover of size <= ``x`` exists.
-    """
-    # -- greedy (ties broken by candidate order = ascending j) --
-    uncovered = dest
-    n_chosen = 0
-    while uncovered != 0 and n_chosen < x:
-        best = -1
-        best_gain = 0
-        best_count = 0
-        for c in range(ncov):
-            taken = False
-            for t in range(n_chosen):
-                if cover_j[t] == cov_j[c]:
-                    taken = True
-                    break
-            if taken:
-                continue
-            gain = cov_reach[c] & uncovered
-            cnt = _popcount(gain)
-            if cnt > best_count:
-                best = c
-                best_gain = gain
-                best_count = cnt
-        if best < 0:
-            break
-        cover_j[n_chosen] = cov_j[best]
-        cover_mask[n_chosen] = best_gain
-        n_chosen += 1
-        uncovered &= ~best_gain
-    if uncovered == 0:
-        return n_chosen
-
-    # -- exact search: stable sort candidates by descending coverage --
-    n_use = 0
-    for c in range(ncov):
-        cnt = _popcount(cov_reach[c])
-        ins = n_use
-        while ins > 0 and use_cnt[ins - 1] < cnt:
-            use_j[ins] = use_j[ins - 1]
-            use_reach[ins] = use_reach[ins - 1]
-            use_cnt[ins] = use_cnt[ins - 1]
-            ins -= 1
-        use_j[ins] = cov_j[c]
-        use_reach[ins] = cov_reach[c]
-        use_cnt[ins] = cnt
-        n_use += 1
-
-    # -- iterative depth-first search with the coverage bound --
-    unc[0] = dest
-    pos[0] = 0
-    depth = 0
-    n_picked = -1
-    entering = True
-    while True:
-        if entering:
-            u = unc[depth]
-            if u == 0:
-                n_picked = depth
-                break
-            ok = False
-            if depth < x:
-                rem = x - depth
-                for t in range(rem):
-                    top[t] = 0
-                for i in range(pos[depth], n_use):
-                    cnt = _popcount(use_reach[i] & u)
-                    mni = 0
-                    for t in range(1, rem):
-                        if top[t] < top[mni]:
-                            mni = t
-                    if cnt > top[mni]:
-                        top[mni] = cnt
-                bound = 0
-                for t in range(rem):
-                    bound += top[t]
-                ok = bound >= _popcount(u)
-            if ok:
-                entering = False
-            else:
-                depth -= 1
-                if depth < 0:
-                    break
-                pos[depth] += 1
-                entering = False
-        else:
-            u = unc[depth]
-            i = pos[depth]
-            descended = False
-            while i < n_use:
-                gain = use_reach[i] & u
-                if gain != 0:
-                    picked_j[depth] = use_j[i]
-                    picked_reach[depth] = use_reach[i]
-                    pos[depth] = i
-                    unc[depth + 1] = u & ~gain
-                    pos[depth + 1] = i + 1
-                    depth += 1
-                    entering = True
-                    descended = True
-                    break
-                i += 1
-            if not descended:
-                depth -= 1
-                if depth < 0:
-                    break
-                pos[depth] += 1
-    if n_picked < 0:
-        return 0
-
-    # -- assign each destination to the first picked switch covering it --
-    for t in range(n_picked):
-        cover_mask[t] = 0
-    rem_dest = dest
-    while rem_dest:
-        lowp = rem_dest & -rem_dest
-        rem_dest ^= lowp
-        for t in range(n_picked):
-            if picked_reach[t] & lowp:
-                cover_mask[t] |= lowp
-                break
-    n_cover = 0
-    for t in range(n_picked):
-        if cover_mask[t] != 0:
-            cover_j[n_cover] = picked_j[t]
-            cover_mask[n_cover] = cover_mask[t]
-            n_cover += 1
-    return n_cover
-
-
-def _replay_loop(  # noqa: PLR0912, PLR0915 - the fused hot loop
-    op_tag: Any,
-    op_slot: Any,
-    op_g: Any,
-    op_sw: Any,
-    op_dest: Any,
-    all_masks: Any,
-    msw_dominant: bool,
-    model_msw: bool,
-    x: int,
-    k_full: int,
-    m_max: int,
-    static_unreach: Any,
-    in_busy: Any,
-    out_busy: Any,
-    in_wave: Any,
-    in_full: Any,
-    out_wave: Any,
-    out_full: Any,
-    conn_n: Any,
-    br_j: Any,
-    br_mask: Any,
-    br_inw: Any,
-    br_outw: Any,
-    dropped: Any,
-    want_kinds: bool,
-    want_causes: bool,
-    blocked_ct: Any,
-    releases_ct: Any,
-    kind_counts: Any,
-    n_causes: Any,
-    cause_op: Any,
-    cause_blocked: Any,
-    cause_avail: Any,
-    cause_reach: Any,
-) -> int:
-    """The fused event loop -- every replay decision, no Python dispatch.
-
-    One pass over the lowered stream, advancing all ``B`` replications
-    per event exactly like :func:`repro.perf.batch._replay` does
-    through the per-event protocol: first-stage availability, the
-    ``probe_cover`` full-reach short-circuit, :func:`_find_cover`,
-    first-fit wavelength assignment on admit, branch-exact release on
-    teardown, and ``classify_kind`` cause codes (indices into
-    ``BLOCK_KINDS``) for blocked setups.  With ``want_causes`` it also
-    records the per-block evidence masks the Python wrapper turns into
-    ``block_cause`` dicts after the loop.
-    """
-    n_ops = op_tag.shape[0]
-    batch = all_masks.shape[0]
-    # Scratch for the per-setup cover selection (reused across events).
-    cov_j = _np.zeros(m_max, _np.int64)
-    cov_reach = _np.zeros(m_max, _np.int64)
-    cover_j = _np.zeros(x + 1, _np.int64)
-    cover_mask = _np.zeros(x + 1, _np.int64)
-    use_j = _np.zeros(m_max, _np.int64)
-    use_reach = _np.zeros(m_max, _np.int64)
-    use_cnt = _np.zeros(m_max, _np.int64)
-    unc = _np.zeros(x + 2, _np.int64)
-    pos = _np.zeros(x + 2, _np.int64)
-    picked_j = _np.zeros(x + 1, _np.int64)
-    picked_reach = _np.zeros(x + 1, _np.int64)
-    top = _np.zeros(x + 1, _np.int64)
-    attempts = 0
-    for i in range(n_ops):
-        tag = op_tag[i]
-        slot = op_slot[i]
-        g = op_g[i]
-        sw = op_sw[i]
-        dest = op_dest[i]
-        if tag == 1:
-            attempts += 1
-            for b in range(batch):
-                if msw_dominant:
-                    blocked_mask = in_busy[b, g, sw]
-                else:
-                    blocked_mask = in_full[b, g]
-                avail = all_masks[b] & ~blocked_mask
-                # probe_cover's ascending scan with the full-reach
-                # short-circuit; cov_* accumulates the reach map.
-                ncov = 0
-                full_j = -1
-                scan = avail
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    j = _low_index(low)
-                    if msw_dominant or model_msw:
-                        blk = out_busy[b, j, sw]
-                    else:
-                        blk = out_full[b, j]
-                    reach = dest & ~blk
-                    if reach == dest:
-                        full_j = j
-                        break
-                    if reach != 0:
-                        cov_j[ncov] = j
-                        cov_reach[ncov] = reach
-                        ncov += 1
-                if full_j >= 0:
-                    cover_j[0] = full_j
-                    cover_mask[0] = dest
-                    n_cover = 1
-                elif ncov > 0:
-                    n_cover = _find_cover(
-                        dest, x, ncov, cov_j, cov_reach, cover_j,
-                        cover_mask, use_j, use_reach, use_cnt, unc, pos,
-                        picked_j, picked_reach, top,
-                    )
-                else:
-                    n_cover = 0
-                if n_cover == 0:
-                    blocked_ct[b] += 1
-                    dropped[b, slot] = True
-                    if want_kinds:
-                        if avail == 0:
-                            kind = 0 if msw_dominant else 1
-                        elif dest & static_unreach[b, sw]:
-                            # awg_no_path: structural, checked before
-                            # full_middles (mirrors classify_kind).
-                            kind = 4
-                        else:
-                            union = 0
-                            for c in range(ncov):
-                                union |= cov_reach[c]
-                            kind = 2 if dest & ~union else 3
-                        kind_counts[b, kind] += 1
-                        if want_causes:
-                            ci = n_causes[b]
-                            cause_op[b, ci] = i
-                            cause_blocked[b, ci] = blocked_mask
-                            cause_avail[b, ci] = avail
-                            for c in range(ncov):
-                                cause_reach[b, ci, cov_j[c]] = cov_reach[c]
-                            n_causes[b] = ci + 1
-                    continue
-                # Commit ascending j, like allocate's sorted(cover).
-                for a in range(1, n_cover):
-                    jj = cover_j[a]
-                    mm = cover_mask[a]
-                    t = a
-                    while t > 0 and cover_j[t - 1] > jj:
-                        cover_j[t] = cover_j[t - 1]
-                        cover_mask[t] = cover_mask[t - 1]
-                        t -= 1
-                    cover_j[t] = jj
-                    cover_mask[t] = mm
-                conn_n[b, slot] = n_cover
-                for t in range(n_cover):
-                    j = cover_j[t]
-                    assigned = cover_mask[t]
-                    br_j[b, slot, t] = j
-                    br_mask[b, slot, t] = assigned
-                    if msw_dominant:
-                        in_busy[b, g, sw] |= 1 << j
-                        out_busy[b, j, sw] |= assigned
-                        continue
-                    waves = in_wave[b, g, j]
-                    in_w = _low_index(k_full & ~waves)
-                    waves |= 1 << in_w
-                    in_wave[b, g, j] = waves
-                    if waves == k_full:
-                        in_full[b, g] |= 1 << j
-                    br_inw[b, slot, t] = in_w
-                    rem = assigned
-                    while rem:
-                        lowp = rem & -rem
-                        rem ^= lowp
-                        p = _low_index(lowp)
-                        fiber = out_wave[b, j, p]
-                        if model_msw:
-                            out_w = sw
-                        else:
-                            out_w = _low_index(k_full & ~fiber)
-                        fiber |= 1 << out_w
-                        out_wave[b, j, p] = fiber
-                        if fiber == k_full:
-                            out_full[b, j] |= 1 << p
-                        out_busy[b, j, out_w] |= 1 << p
-                        br_outw[b, slot, t, p] = out_w
-        else:
-            for b in range(batch):
-                if dropped[b, slot]:
-                    dropped[b, slot] = False
-                    continue
-                nbr = conn_n[b, slot]
-                for t in range(nbr):
-                    j = br_j[b, slot, t]
-                    if msw_dominant:
-                        in_busy[b, g, sw] &= ~(1 << j)
-                        out_busy[b, j, sw] &= ~br_mask[b, slot, t]
-                        continue
-                    if in_wave[b, g, j] == k_full:
-                        in_full[b, g] &= ~(1 << j)
-                    in_wave[b, g, j] &= ~(1 << br_inw[b, slot, t])
-                    rem = br_mask[b, slot, t]
-                    while rem:
-                        lowp = rem & -rem
-                        rem ^= lowp
-                        p = _low_index(lowp)
-                        out_w = br_outw[b, slot, t, p]
-                        if out_wave[b, j, p] == k_full:
-                            out_full[b, j] &= ~(1 << p)
-                        out_wave[b, j, p] &= ~(1 << out_w)
-                        out_busy[b, j, out_w] &= ~(1 << p)
-                releases_ct[b] += 1
-    return attempts
-
-
-# -- the multi-word kernel ---------------------------------------------------
-#
-# The word-looped variant of the same program, for fabrics whose mask
-# families span W = ceil(bits / WORD_BITS) > 1 int64 words.  Masks are
-# rows of little-endian word arrays (trailing axis); every scalar mask
-# op above becomes a short loop over words.  Same nopython subset, same
-# jit/interpreted duality, same decisions -- the boundary property
-# tests pin the two kernels to each other at W = 1 geometries.
-
-#: usable bits per plane word inside the kernels (= planes.WORD_BITS,
+#: usable bits per plane word inside the kernel (= planes.WORD_BITS,
 #: spelled as a literal-backed global so numba folds it).
 _WB = WORD_BITS
 
 
-def _find_cover_mw(  # noqa: PLR0912 - mirrors _find_cover word-wise
+def _find_cover(  # noqa: PLR0912 - mirrors find_cover_bits exactly
     dest_w: Any,
     wr: int,
     x: int,
@@ -551,12 +176,15 @@ def _find_cover_mw(  # noqa: PLR0912 - mirrors _find_cover word-wise
     top: Any,
     uncov_w: Any,
 ) -> int:
-    """Multi-word Lemma-4 cover selection; same decisions as _find_cover.
+    """Lemma-4 cover selection on the scratch arrays; returns cover size.
 
-    ``dest_w`` and every reach/cover mask are ``wr``-word rows; the
-    greedy pass, the bounded depth-first search and the
-    first-picked-wins assignment follow the single-word kernel line for
-    line, with word loops in place of scalar mask ops.
+    Bit-for-bit the decision procedure of
+    :func:`repro.engine.cover.find_cover_bits` on candidates already in
+    ascending-``j`` order: max-coverage greedy with first-candidate tie
+    breaking, then the exact depth-first search with the top-``rem``
+    coverage bound, then first-picked-wins destination assignment.
+    ``dest_w`` and every reach/cover mask are ``wr``-word rows.
+    Returns 0 when no cover of size <= ``x`` exists.
     """
     # -- greedy (ties broken by candidate order = ascending j) --
     for wi in range(wr):
@@ -731,7 +359,7 @@ def _find_cover_mw(  # noqa: PLR0912 - mirrors _find_cover word-wise
     return n_cover
 
 
-def _replay_loop_mw(  # noqa: PLR0912, PLR0915 - the fused hot loop, word form
+def _replay_loop(  # noqa: PLR0912, PLR0915 - the fused hot loop
     op_tag: Any,
     op_slot: Any,
     op_g: Any,
@@ -770,12 +398,19 @@ def _replay_loop_mw(  # noqa: PLR0912, PLR0915 - the fused hot loop, word form
     cause_avail: Any,
     cause_reach: Any,
 ) -> int:
-    """The fused event loop over multi-word planes.
+    """The fused event loop -- every replay decision, no Python dispatch.
 
-    Identical decision sequence to :func:`_replay_loop`; masks are
-    ``w``-word rows (``op_dest`` is ``[events, wr]``, every bitplane
-    carries a trailing word axis, ``k_full`` is a ``wk``-word array)
-    and single mask ops become loops over words.
+    One pass over the lowered stream, advancing all ``B`` replications
+    per event exactly like :func:`repro.perf.batch._replay` does
+    through the per-event protocol: first-stage availability, the
+    ``probe_cover`` full-reach short-circuit, :func:`_find_cover`,
+    first-fit wavelength assignment on admit, branch-exact release on
+    teardown, and ``classify_kind`` cause codes (indices into
+    ``BLOCK_KINDS``) for blocked setups.  With ``want_causes`` it also
+    records the per-block evidence words the Python wrapper turns into
+    ``block_cause`` dicts after the loop.  Masks are word rows
+    (``op_dest`` is ``[events, wr]``, every bitplane carries a trailing
+    word axis, ``k_full`` is a ``wk``-word array).
     """
     n_ops = op_tag.shape[0]
     batch = all_masks.shape[0]
@@ -853,7 +488,7 @@ def _replay_loop_mw(  # noqa: PLR0912, PLR0915 - the fused hot loop, word form
                         cover_mask[0, wi] = dest_w[wi]
                     n_cover = 1
                 elif ncov > 0:
-                    n_cover = _find_cover_mw(
+                    n_cover = _find_cover(
                         dest_w, wr, x, ncov, cov_j, cov_reach, cover_j,
                         cover_mask, use_j, use_reach, use_cnt, unc, pos,
                         picked_j, picked_reach, top, uncov_w,
@@ -1018,25 +653,20 @@ def _replay_loop_mw(  # noqa: PLR0912, PLR0915 - the fused hot loop, word form
     return attempts
 
 
-#: the interpreted kernel entry points (always the plain functions).
+#: the interpreted kernel entry point (always the plain function).
 _PY_KERNEL: Callable[..., int] = _replay_loop
 _JIT_KERNEL: Callable[..., int] | None = None
-_PY_KERNEL_MW: Callable[..., int] = _replay_loop_mw
-_JIT_KERNEL_MW: Callable[..., int] | None = None
 
 if NUMBA_AVAILABLE:
     # Rebind the helpers to their compiled dispatchers *before* the
-    # loops compile (numba resolves the globals at first call), then
-    # jit the loops themselves.  Compilation is lazy and ``cache=True``
+    # loop compiles (numba resolves the globals at first call), then
+    # jit the loop itself.  Compilation is lazy and ``cache=True``
     # persists the machine code across processes, so a pool of batch
     # workers pays the compile once per host, not once per worker.
     _jit = _njit(cache=True, nogil=True)
-    _popcount = _jit(_popcount)
     _low_index = _jit(_low_index)
     _find_cover = _jit(_find_cover)
-    _find_cover_mw = _jit(_find_cover_mw)
     _JIT_KERNEL = _jit(_replay_loop)
-    _JIT_KERNEL_MW = _jit(_replay_loop_mw)
 
 
 def _kernel() -> Callable[..., int]:
@@ -1044,13 +674,6 @@ def _kernel() -> Callable[..., int]:
     if _JIT_KERNEL is not None and not _force_interpreted():
         return _JIT_KERNEL
     return _PY_KERNEL
-
-
-def _kernel_mw() -> Callable[..., int]:
-    """The multi-word replay loop in the active mode."""
-    if _JIT_KERNEL_MW is not None and not _force_interpreted():
-        return _JIT_KERNEL_MW
-    return _PY_KERNEL_MW
 
 
 # -- results and the state wrapper -------------------------------------------
@@ -1084,105 +707,20 @@ class FusedState(NumpyState):
     still works at any plane width); the batch driver prefers
     :meth:`replay_ops`, which runs the fused kernel over the whole
     lowered stream and leaves the bitplanes in exactly the
-    end-of-replay state the per-event path would.  Multi-word fabrics
-    dispatch to the word-looped kernel (:func:`_replay_loop_mw`).
+    end-of-replay state the per-event path would.  One word-generic
+    kernel serves every plane width: single-word planes are handed to
+    it as ``[..., 1]`` views, so its writes land in the unchanged
+    ``W == 1`` arrays.
     """
+
+    def _words(self, plane: Any) -> Any:
+        """``plane`` with its trailing word axis (a view when ``W == 1``)."""
+        return plane if self._multiword else plane[..., None]
 
     def replay_ops(
         self, lowered: LoweredOps, want_kinds: bool, want_causes: bool
     ) -> FusedReplay:
         """Replay one lowered stream across every replication at once."""
-        if self._multiword:
-            return self._replay_ops_mw(lowered, want_kinds, want_causes)
-        head = self.geometries[0]
-        batch = self.batch
-        r, k, x = head.r, head.k, self.x
-        m_max = max(geo.m for geo in self.geometries)
-        n_slots = max(lowered.n_slots, 1)
-        # failed_mask never changes mid-replay, so it folds into the
-        # availability mask once instead of per event in the kernel.
-        all_masks = _np.asarray(self.all_masks, dtype=_np.int64) & ~self.failed_mask
-        dummy3 = _np.zeros((1, 1, 1), dtype=_np.int64)
-        dummy2 = _np.zeros((1, 1), dtype=_np.int64)
-        if self.msw_dominant:
-            in_busy = self._in_busy
-            in_wave = out_wave = dummy3
-            in_full = out_full = dummy2
-            br_inw = _np.zeros((1, 1, 1), dtype=_np.int64)
-            br_outw = _np.zeros((1, 1, 1, 1), dtype=_np.int64)
-        else:
-            in_busy = dummy3
-            in_wave = self._in_wave
-            in_full = self._in_full
-            out_wave = self._out_wave
-            out_full = self._out_full
-            br_inw = _np.zeros((batch, n_slots, x), dtype=_np.int64)
-            br_outw = _np.zeros((batch, n_slots, x, r), dtype=_np.int64)
-        conn_n = _np.zeros((batch, n_slots), dtype=_np.int64)
-        br_j = _np.zeros((batch, n_slots, x), dtype=_np.int64)
-        br_mask = _np.zeros((batch, n_slots, x), dtype=_np.int64)
-        dropped = _np.zeros((batch, n_slots), dtype=_np.bool_)
-        blocked_ct = _np.zeros(batch, dtype=_np.int64)
-        releases_ct = _np.zeros(batch, dtype=_np.int64)
-        kind_counts = _np.zeros((batch, len(ALL_BLOCK_KINDS)), dtype=_np.int64)
-        # The fabric model's static per-wavelength unreachability, as a
-        # [batch, k] array the kernel can index (all zeros on the Clos).
-        static_unreach = _np.zeros((batch, k), dtype=_np.int64)
-        su = self.static_unreach_masks
-        if su is not None:
-            for b in range(batch):
-                for sw in range(k):
-                    static_unreach[b, sw] = su[b][sw]
-        n_causes = _np.zeros(batch, dtype=_np.int64)
-        if want_causes:
-            cap = max(lowered.n_setups, 1)
-            cause_op = _np.zeros((batch, cap), dtype=_np.int64)
-            cause_blocked = _np.zeros((batch, cap), dtype=_np.int64)
-            cause_avail = _np.zeros((batch, cap), dtype=_np.int64)
-            cause_reach = _np.zeros((batch, cap, m_max), dtype=_np.int64)
-        else:
-            cause_op = cause_blocked = cause_avail = dummy2
-            cause_reach = dummy3
-        attempts = _kernel()(
-            lowered.tag, lowered.slot, lowered.g, lowered.sw, lowered.dest,
-            all_masks, self.msw_dominant, self._model_msw, x,
-            self._k_full, m_max, static_unreach,
-            in_busy, self._out_busy, in_wave, in_full, out_wave, out_full,
-            conn_n, br_j, br_mask, br_inw, br_outw, dropped,
-            want_kinds, want_causes,
-            blocked_ct, releases_ct, kind_counts,
-            n_causes, cause_op, cause_blocked, cause_avail, cause_reach,
-        )
-        kind_dicts: list[dict[str, int]] = []
-        causes: list[list[dict[str, Any]]] = []
-        for b in range(batch):
-            kind_dicts.append(
-                {
-                    ALL_BLOCK_KINDS[kidx]: int(kind_counts[b, kidx])
-                    for kidx in range(len(ALL_BLOCK_KINDS))
-                    if kind_counts[b, kidx]
-                }
-            )
-            causes.append(
-                self._causes_for(
-                    lowered, b, int(n_causes[b]),
-                    cause_op, cause_blocked, cause_avail, cause_reach,
-                )
-                if want_causes
-                else []
-            )
-        return FusedReplay(
-            attempts=int(attempts),
-            blocked=[int(v) for v in blocked_ct],
-            releases=[int(v) for v in releases_ct],
-            kind_counts=kind_dicts,
-            causes=causes,
-        )
-
-    def _replay_ops_mw(
-        self, lowered: LoweredOps, want_kinds: bool, want_causes: bool
-    ) -> FusedReplay:
-        """Replay a lowered stream on the word-looped multi-word kernel."""
         head = self.geometries[0]
         batch = self.batch
         r, k, x = head.r, head.k, self.x
@@ -1195,11 +733,7 @@ class FusedState(NumpyState):
                 f"lowered stream carries r_words={got_words} dest columns; "
                 f"this state's plane layout needs {wr}"
             )
-        dest = (
-            lowered.dest
-            if wr > 1
-            else _np.asarray(lowered.dest).reshape(-1, 1)
-        )
+        dest = _np.asarray(lowered.dest).reshape(-1, wr)
         n_slots = max(lowered.n_slots, 1)
         # failed_mask never changes mid-replay, so it folds into the
         # availability words once instead of per event in the kernel.
@@ -1211,17 +745,17 @@ class FusedState(NumpyState):
         dummy3 = _np.zeros((1, 1, 1), dtype=_np.int64)
         dummy4 = _np.zeros((1, 1, 1, 1), dtype=_np.int64)
         if self.msw_dominant:
-            in_busy = self._in_busy
+            in_busy = self._words(self._in_busy)
             in_wave = out_wave = dummy4
             in_full = out_full = dummy3
             br_inw = _np.zeros((1, 1, 1), dtype=_np.int64)
             br_outw = _np.zeros((1, 1, 1, 1), dtype=_np.int64)
         else:
             in_busy = dummy4
-            in_wave = self._in_wave
-            in_full = self._in_full
-            out_wave = self._out_wave
-            out_full = self._out_full
+            in_wave = self._words(self._in_wave)
+            in_full = self._words(self._in_full)
+            out_wave = self._words(self._out_wave)
+            out_full = self._words(self._out_full)
             br_inw = _np.zeros((batch, n_slots, x), dtype=_np.int64)
             br_outw = _np.zeros((batch, n_slots, x, r), dtype=_np.int64)
         conn_n = _np.zeros((batch, n_slots), dtype=_np.int64)
@@ -1251,11 +785,12 @@ class FusedState(NumpyState):
             cause_op = _np.zeros((1, 1), dtype=_np.int64)
             cause_blocked = cause_avail = dummy3
             cause_reach = dummy4
-        attempts = _kernel_mw()(
+        attempts = _kernel()(
             lowered.tag, lowered.slot, lowered.g, lowered.sw, dest,
             all_masks, self.msw_dominant, self._model_msw, x,
             k_full, m_max, wm, wr, wk, static_unreach,
-            in_busy, self._out_busy, in_wave, in_full, out_wave, out_full,
+            in_busy, self._words(self._out_busy), in_wave, in_full,
+            out_wave, out_full,
             conn_n, br_j, br_mask, br_inw, br_outw, dropped,
             want_kinds, want_causes,
             blocked_ct, releases_ct, kind_counts,
@@ -1272,7 +807,7 @@ class FusedState(NumpyState):
                 }
             )
             causes.append(
-                self._causes_for_mw(
+                self._causes_for(
                     lowered, dest, b, int(n_causes[b]),
                     cause_op, cause_blocked, cause_avail, cause_reach,
                 )
@@ -1287,7 +822,7 @@ class FusedState(NumpyState):
             causes=causes,
         )
 
-    def _causes_for_mw(
+    def _causes_for(
         self,
         lowered: LoweredOps,
         dest: Any,
@@ -1298,7 +833,13 @@ class FusedState(NumpyState):
         cause_avail: Any,
         cause_reach: Any,
     ) -> list[dict[str, Any]]:
-        """Rebuild ``block_cause`` dicts from multi-word evidence rows."""
+        """Rebuild ``block_cause`` dicts from the kernel's evidence words.
+
+        The kernel records exactly the inputs ``probe_cover`` would have
+        handed :func:`repro.engine.kernel.block_cause` at that event, so
+        the dicts -- down to key order and per-destination lists -- are
+        the same objects the python backend produces.
+        """
         fabric = self.geometries[b].fabric
         su = self.static_unreach_masks
         out: list[dict[str, Any]] = []
@@ -1324,56 +865,6 @@ class FusedState(NumpyState):
                     available=avail,
                     coverable=cov,
                     dest_mask=join_words(dest[i]),
-                    msw_dominant=self.msw_dominant,
-                    failed_mask=self.failed_mask,
-                    fabric=None if fabric == "clos" else fabric,
-                    static_unreachable=0 if su is None else su[b][sw],
-                )
-            )
-        return out
-
-    def _causes_for(
-        self,
-        lowered: LoweredOps,
-        b: int,
-        count: int,
-        cause_op: Any,
-        cause_blocked: Any,
-        cause_avail: Any,
-        cause_reach: Any,
-    ) -> list[dict[str, Any]]:
-        """Rebuild ``block_cause`` dicts from the kernel's evidence masks.
-
-        The kernel records exactly the inputs ``probe_cover`` would have
-        handed :func:`repro.engine.kernel.block_cause` at that event, so
-        the dicts -- down to key order and per-destination lists -- are
-        the same objects the python backend produces.
-        """
-        fabric = self.geometries[b].fabric
-        su = self.static_unreach_masks
-        out: list[dict[str, Any]] = []
-        for ci in range(count):
-            i = int(cause_op[b, ci])
-            sw = int(lowered.sw[i])
-            avail = int(cause_avail[b, ci])
-            cov: dict[int, int] = {}
-            scan = avail
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                j = low.bit_length() - 1
-                reach = int(cause_reach[b, ci, j])
-                if reach:
-                    cov[j] = reach
-            out.append(
-                block_cause(
-                    x=self.x,
-                    input_module=int(lowered.g[i]),
-                    source_wavelength=sw,
-                    blocked_mask=int(cause_blocked[b, ci]),
-                    available=avail,
-                    coverable=cov,
-                    dest_mask=int(lowered.dest[i]),
                     msw_dominant=self.msw_dominant,
                     failed_mask=self.failed_mask,
                     fabric=None if fabric == "clos" else fabric,

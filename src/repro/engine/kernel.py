@@ -84,8 +84,8 @@ def reach_map(
 ) -> dict[int, int]:
     """Per available middle, the requested modules it can reach.
 
-    Keys iterate in ascending middle index (the reference kernel's
-    sorted candidate order); middles reaching nothing are omitted.
+    Keys iterate in ascending middle index (the cover search's sorted
+    candidate order); middles reaching nothing are omitted.
     """
     coverable: dict[int, int] = {}
     for j in iter_bits(available):

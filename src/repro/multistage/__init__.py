@@ -25,7 +25,6 @@ from repro.multistage.adversary import (
 from repro.multistage.exhaustive import (
     BlockableResult,
     ExactMinimal,
-    exact_minimal_m,
     is_blockable,
 )
 from repro.multistage.fabric_backed import FabricBackedThreeStage
@@ -45,7 +44,6 @@ from repro.multistage.routing import (
     CoverSearch,
     find_cover,
     find_cover_bits,
-    find_cover_reference,
     get_routing_kernel,
     iter_bits,
     mask_of,
@@ -74,11 +72,9 @@ __all__ = [
     "ThreeStageTopology",
     "best_recursive_design",
     "demonstrate_theorem1_gap",
-    "exact_minimal_m",
     "fig10_scenario",
     "find_cover",
     "find_cover_bits",
-    "find_cover_reference",
     "get_routing_kernel",
     "is_blockable",
     "iter_bits",

@@ -19,7 +19,7 @@ outright by model checking:
 
 :func:`is_blockable` performs a depth-first enumeration of routed
 configurations (deduplicated by resource signature) and reports the
-first blocking witness; :func:`exact_minimal_m` binary-scans ``m`` to
+first blocking witness; :func:`repro.api.exact_m` scans ``m`` upward to
 find the true threshold, which the benchmarks compare against the
 sufficient bounds.  Exponential, of course -- intended for ``N k <= 8``
 and small ``m``.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.core.models import Construction, MulticastModel
@@ -57,11 +57,11 @@ from repro.core.models import Construction, MulticastModel
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.perf.cache import ResultCache
 from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import get_routing_kernel, mask_of
+from repro.multistage.routing import mask_of
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.switching.requests import Endpoint, MulticastConnection
 
-__all__ = ["BlockableResult", "ExactMinimal", "exact_minimal_m", "is_blockable"]
+__all__ = ["BlockableResult", "ExactMinimal", "is_blockable"]
 
 
 @dataclass(frozen=True)
@@ -178,30 +178,17 @@ def _all_covers(
 ) -> list[dict[int, list[int]]]:
     """Every distinct <= x-middle split the adversary could have used."""
     g = net.topology.input_module_of(request.source.port)
-    module_destinations = net._module_destinations(request)
-    destinations = sorted(module_destinations)
-    required = net._required_out_wavelength(module_destinations)
-    if get_routing_kernel() == "reference":
-        coverable: dict[int, frozenset[int]] = net._coverable_sets(
-            g, request.source.wavelength, frozenset(destinations), required
-        )
-        options = []
-        for p in destinations:
-            admissible = [j for j, reach in coverable.items() if p in reach]
-            if not admissible:
-                return []
-            options.append(admissible)
-    else:
-        coverable_bits = net._coverable_bits(
-            g, request.source.wavelength, mask_of(destinations)
-        )
-        options = []
-        for p in destinations:
-            bit = 1 << p
-            admissible = [j for j, reach in coverable_bits.items() if reach & bit]
-            if not admissible:
-                return []
-            options.append(admissible)
+    destinations = sorted(net._module_destinations(request))
+    coverable_bits = net._coverable_bits(
+        g, request.source.wavelength, mask_of(destinations)
+    )
+    options = []
+    for p in destinations:
+        bit = 1 << p
+        admissible = [j for j, reach in coverable_bits.items() if reach & bit]
+        if not admissible:
+            return []
+        options.append(admissible)
     covers: set[tuple[tuple[int, tuple[int, ...]], ...]] = set()
     results = []
     for assignment in product(*options):
@@ -407,7 +394,7 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _exact_minimal_m_impl(
+def _exact_threshold(
     n: int,
     r: int,
     k: int,
@@ -510,22 +497,3 @@ def _exact_minimal_m_impl(
         construction=construction, model=model, x=x,
         m_exact=None, per_m=tuple(results),
     )
-
-
-def exact_minimal_m(n: int, r: int, k: int, **kwargs: Any) -> ExactMinimal:
-    """Deprecated kwargs entry point; use :func:`repro.api.exact_m`.
-
-    Behaves exactly like the pre-``repro.api`` function (same kwargs,
-    same results), so existing callers and golden values are
-    unaffected; it just warns.  See :func:`repro.api.exact_m` for the
-    typed-config replacement.
-    """
-    import warnings
-
-    warnings.warn(
-        "exact_minimal_m(**kwargs) is deprecated; use repro.api.exact_m"
-        "(n, r, k, search=SearchConfig(...), execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _exact_minimal_m_impl(n, r, k, **kwargs)

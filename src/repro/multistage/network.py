@@ -38,7 +38,7 @@ Wavelength discipline
   convert -- exactly the distinction Fig. 10 illustrates.
 
 Routing uses the x-middle-switch strategy via
-:func:`repro.multistage.routing.find_cover`; a request raises
+:func:`repro.multistage.routing.find_cover_bits`; a request raises
 :class:`BlockedError` only when *no* set of at most ``x`` available
 middle switches can reach all requested output modules, so a network
 sized by Theorem 1/2 must never raise under legal traffic.
@@ -60,9 +60,7 @@ from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import block_cause, free_middles, reach_map
 from repro.multistage.routing import (
     CoverSearch,
-    find_cover,
     find_cover_bits,
-    get_routing_kernel,
     iter_bits,
     mask_of,
 )
@@ -596,10 +594,10 @@ class ThreeStageNetwork:
         return True
 
     def _validate_request(self, request: MulticastConnection) -> None:
-        if get_routing_kernel() != "reference" and self._fast_validate(request):
+        if self._fast_validate(request):
             return
-        # Slow path: reference kernel, or a request the fast path refused
-        # (re-checked here so the error text matches the legacy one).
+        # Slow path: a request the fast path refused, re-checked here so
+        # the error names what is wrong with it.
         try:
             check_connection(
                 request, self.model, self.topology.n_ports, self.topology.k
@@ -625,66 +623,7 @@ class ThreeStageNetwork:
             )
         return dict(by_module)
 
-    def _required_out_wavelength(
-        self, module_destinations: dict[int, list[Endpoint]]
-    ) -> dict[int, int | None]:
-        """Wavelength each middle->output fiber must carry (None = any free).
-
-        Pinned only when the output modules cannot convert, i.e. when
-        the network model is MSW (output stage is MSW): the fiber must
-        carry the destinations' wavelength.
-        """
-        required: dict[int, int | None] = {}
-        for module, destinations in module_destinations.items():
-            if self.model is MulticastModel.MSW:
-                required[module] = destinations[0].wavelength
-            else:
-                required[module] = None
-        return required
-
     # -- routing -----------------------------------------------------------
-
-    def _coverable_sets(
-        self,
-        input_module: int,
-        source_wavelength: int,
-        destinations: frozenset[int],
-        required: dict[int, int | None],
-    ) -> dict[int, frozenset[int]]:
-        """For each available middle switch, the destination modules it can reach."""
-        m = self.topology.m
-        k_full = self._k_full
-        in_wave = self._in_mid.wave[input_module]
-        coverable: dict[int, frozenset[int]] = {}
-        msw_dominant = self.construction is Construction.MSW_DOMINANT
-        for j in range(m):
-            if j in self._failed_middles:
-                continue
-            # First-stage fiber availability.
-            if msw_dominant:
-                if in_wave[j] >> source_wavelength & 1:
-                    continue
-            else:
-                if in_wave[j] == k_full:
-                    continue
-            reach = set()
-            out_wave = self._mid_out.wave[j]
-            for p in destinations:
-                if msw_dominant:
-                    # Middle module is MSW: the second-stage fiber carries
-                    # the source wavelength, full stop.
-                    if not out_wave[p] >> source_wavelength & 1:
-                        reach.add(p)
-                else:
-                    pinned = required[p]
-                    if pinned is not None:
-                        if not out_wave[p] >> pinned & 1:
-                            reach.add(p)
-                    elif out_wave[p] != k_full:
-                        reach.add(p)
-            if reach:
-                coverable[j] = frozenset(reach)
-        return coverable
 
     def _admission_rows(
         self, input_module: int, source_wavelength: int
@@ -722,11 +661,11 @@ class ThreeStageNetwork:
         source_wavelength: int,
         dest_mask: int,
     ) -> dict[int, int]:
-        """Bitmask form of :meth:`_coverable_sets`, served from the cache.
+        """Per available middle, the destination modules it can reach.
 
-        Delegates to the shared engine kernel: keys iterate in ascending
-        middle index, matching the sorted candidate order of the
-        reference path; values are bitmasks over output modules.
+        Served from the cache by the shared engine kernel: keys iterate
+        in ascending middle index (the cover search's candidate order);
+        values are bitmasks over output modules.
         """
         blocked, blockers = self._admission_rows(input_module, source_wavelength)
         available = free_middles(
@@ -745,34 +684,14 @@ class ThreeStageNetwork:
 
         Returns ``(input_module, module_destinations, required, cover)``
         without mutating any state; ``cover`` is None when the request
-        has no <= x-middle cover.  Dispatches to the active routing
-        kernel (bitmask cache by default, the frozenset reference path
-        under ``routing_kernel("reference")``).
+        has no <= x-middle cover.  ``required`` maps each destination
+        module to the wavelength its middle->output fiber must carry
+        (None = any free one): pinned only under the MSW endpoint
+        model, whose output modules cannot convert.
         """
-        if get_routing_kernel() == "reference":
-            g = self.topology.input_module_of(request.source.port)
-            module_destinations = self._module_destinations(request)
-            required = self._required_out_wavelength(module_destinations)
-            destinations = frozenset(module_destinations)
-            coverable = self._coverable_sets(
-                g, request.source.wavelength, destinations, required
-            )
-            if force_middles is not None:
-                cover = self._validated_forced_cover(
-                    force_middles, destinations, coverable
-                )
-            else:
-                cover = find_cover(
-                    destinations,
-                    coverable,
-                    self.x,
-                    stats=stats,
-                    preference=self._middle_preference(),
-                )
-            return g, module_destinations, required, cover
-        # Bitmask kernel: ports were range-checked at admission, so the
-        # module mapping inlines the ``port // n`` arithmetic instead of
-        # going through the re-validating topology accessors.
+        # Ports were range-checked at admission, so the module mapping
+        # inlines the ``port // n`` arithmetic instead of going through
+        # the re-validating topology accessors.
         n = self.topology.n
         g = request.source.port // n
         module_destinations = {}

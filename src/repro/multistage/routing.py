@@ -18,21 +18,17 @@ exactly:
    the simulator a faithful test of the theorems: they promise a cover
    *exists*, not that greedy finds it.
 
-Two interchangeable kernels implement the search:
+The search runs on int bitmasks (:func:`find_cover_bits`, ``1 << p``
+per output module), so set algebra is single-word
+``&``/``|``/``bit_count`` arithmetic; :func:`find_cover` is its
+label-set front end.  The tests pin it against a test-only frozenset
+oracle (candidate ordering, greedy tie-breaking, DFS expansion order
+and the final destination->switch assignment).
 
-* the **bitmask kernel** (:func:`find_cover_bits`, the default) encodes
-  destination sets as int bitmasks (``1 << p`` per output module) and
-  runs set algebra as single-word ``&``/``|``/``bit_count`` operations;
-* the **frozenset reference** (:func:`find_cover_reference`) is the
-  original pure-``frozenset`` implementation, kept verbatim as the
-  correctness oracle for the kernel-equivalence tests and the
-  ``bench_perf`` baseline.
-
-Both kernels produce *bit-identical* covers: candidate ordering, greedy
-tie-breaking, DFS expansion order and the final destination->switch
-assignment are defined identically.  :func:`set_routing_kernel` /
-:func:`routing_kernel` switch the active kernel process-wide (used by
-benchmarks; tests pin one explicitly).
+:func:`set_routing_kernel` / :func:`routing_kernel` pick how requests
+are replayed process-wide: ``"bitmask"`` routes one network at a time,
+``"batched"`` runs Monte-Carlo replications in lockstep through
+:mod:`repro.perf.batch`.  Both use the same cover search.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ __all__ = [
     "CoverSearch",
     "find_cover",
     "find_cover_bits",
-    "find_cover_reference",
     "get_routing_kernel",
     "iter_bits",
     "mask_of",
@@ -59,13 +54,13 @@ __all__ = [
     "set_routing_kernel",
 ]
 
-#: the process-wide active kernel: ``"bitmask"``, ``"batched"`` or
-#: ``"reference"``.  ``"batched"`` routes single requests exactly like
-#: ``"bitmask"`` (same cover search, same covers); it additionally makes
-#: the Monte-Carlo estimators run all replications in lockstep through
+#: the process-wide active kernel: ``"bitmask"`` or ``"batched"``.
+#: ``"batched"`` routes single requests exactly like ``"bitmask"`` (same
+#: cover search, same covers); it additionally makes the Monte-Carlo
+#: estimators run all replications in lockstep through
 #: :mod:`repro.perf.batch` instead of one network at a time.
 _ACTIVE_KERNEL = "bitmask"
-_KERNELS = ("bitmask", "batched", "reference")
+_KERNELS = ("bitmask", "batched")
 
 
 def get_routing_kernel() -> str:
@@ -95,125 +90,6 @@ def routing_kernel(name: str) -> Iterator[None]:
 # The bitmask kernel (mask_of, iter_bits, CoverSearch, find_cover_bits)
 # lives in repro.engine.cover -- the engine is the layer below this one
 # -- and is re-exported here unchanged for every existing caller.
-
-# -- frozenset reference kernel ---------------------------------------------
-
-
-def _greedy(
-    destinations: frozenset,
-    coverable: Mapping[int, frozenset],
-    candidates: Sequence[int],
-    max_switches: int,
-) -> dict[int, list] | None:
-    """Max-coverage greedy; ties broken by position in ``candidates``.
-
-    The caller controls the candidate order, which is how the selection
-    strategies (first-fit, least-loaded, packing, random) plug in
-    without touching the correctness-critical search.
-    """
-    uncovered = set(destinations)
-    chosen: dict[int, list] = {}
-    while uncovered and len(chosen) < max_switches:
-        best = None
-        best_gain: frozenset = frozenset()
-        for j in candidates:
-            if j in chosen:
-                continue
-            gain = coverable[j] & uncovered
-            if len(gain) > len(best_gain):
-                best, best_gain = j, frozenset(gain)
-        if best is None or not best_gain:
-            return None
-        chosen[best] = sorted(best_gain)
-        uncovered -= best_gain
-    return chosen if not uncovered else None
-
-
-def _exact(
-    destinations: frozenset,
-    coverable: Mapping[int, frozenset],
-    candidates: Sequence[int],
-    max_switches: int,
-    stats: CoverSearch,
-) -> dict[int, list] | None:
-    # Keep only useful candidates, largest coverage first (helps pruning).
-    useful = [j for j in candidates if coverable[j] & destinations]
-    useful.sort(key=lambda j: -len(coverable[j] & destinations))
-
-    def recurse(
-        uncovered: frozenset, start: int, picked: list[int]
-    ) -> list[int] | None:
-        stats.exact_nodes += 1
-        if not uncovered:
-            return picked
-        if len(picked) == max_switches:
-            return None
-        remaining_slots = max_switches - len(picked)
-        # Bound: even taking the largest remaining coverages can't finish.
-        best_possible = sum(
-            sorted(
-                (len(coverable[j] & uncovered) for j in useful[start:]),
-                reverse=True,
-            )[:remaining_slots]
-        )
-        if best_possible < len(uncovered):
-            return None
-        for index in range(start, len(useful)):
-            j = useful[index]
-            gain = coverable[j] & uncovered
-            if not gain:
-                continue
-            result = recurse(uncovered - gain, index + 1, [*picked, j])
-            if result is not None:
-                return result
-        return None
-
-    picked = recurse(destinations, 0, [])
-    if picked is None:
-        return None
-    # Assign each destination to the first picked switch that covers it.
-    cover: dict[int, list] = {j: [] for j in picked}
-    for p in sorted(destinations):
-        for j in picked:
-            if p in coverable[j]:
-                cover[j].append(p)
-                break
-    return {j: ps for j, ps in cover.items() if ps}
-
-
-def find_cover_reference(
-    destinations: frozenset | set,
-    coverable: Mapping[int, frozenset],
-    max_switches: int,
-    *,
-    stats: CoverSearch | None = None,
-    preference: Sequence[int] | None = None,
-) -> dict[int, list] | None:
-    """The original frozenset cover search (correctness oracle).
-
-    Same contract as :func:`find_cover`; kept as an independent
-    reference implementation that the bitmask kernel is tested against
-    and that ``benchmarks/bench_perf.py`` uses as its baseline.
-    """
-    destinations = frozenset(destinations)
-    if not destinations:
-        return {}
-    if max_switches < 1:
-        raise ValueError(f"max_switches must be >= 1, got {max_switches}")
-    stats = stats if stats is not None else CoverSearch()
-    candidates = sorted(coverable)
-    if preference is not None:
-        in_preference = [j for j in preference if j in coverable]
-        rest = [j for j in candidates if j not in set(in_preference)]
-        candidates = in_preference + rest
-    greedy = _greedy(destinations, coverable, candidates, max_switches)
-    if greedy is not None:
-        stats.greedy_hit = True
-        stats.cover = greedy
-        return greedy
-    exact = _exact(destinations, coverable, sorted(coverable), max_switches, stats)
-    stats.cover = exact
-    return exact
 
 
 # -- public entry point ------------------------------------------------------
@@ -246,22 +122,14 @@ def find_cover(
         ``{middle_switch: [assigned destinations]}`` or None if no cover
         of size <= ``max_switches`` exists (the request is blocked).
 
-    Dispatches to the active kernel (bitmask by default); both kernels
-    return bit-identical covers.
+    Labels map to bits in sorted order and the search runs on
+    :func:`find_cover_bits`.
     """
-    if _ACTIVE_KERNEL == "reference":
-        return find_cover_reference(
-            destinations,
-            coverable,
-            max_switches,
-            stats=stats,
-            preference=preference,
-        )
     destinations = frozenset(destinations)
     if not destinations:
         return {}
     # Map labels to bits in sorted order, so ascending-bit iteration in
-    # the kernel equals sorted-label iteration in the reference.
+    # the kernel equals sorted-label iteration.
     labels = sorted(destinations)
     index = {label: i for i, label in enumerate(labels)}
     dest_mask = (1 << len(labels)) - 1

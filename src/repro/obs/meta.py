@@ -41,7 +41,7 @@ class ResultMeta:
         code_version: :data:`repro.perf.cache.CODE_VERSION` at compute
             time -- the cache-compatibility generation of the numbers.
         kernel: the routing kernel id that produced them
-            (``"bitmask"`` / ``"reference"``).
+            (``"bitmask"`` / ``"batched"``).
         plan_json: canonical JSON of the
             :class:`~repro.perf.sweeper.ExecutionPlan` that ran the
             sweep, or None when no sweeper was involved.

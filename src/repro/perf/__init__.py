@@ -18,10 +18,9 @@ incremental and resumable (``--cache`` on the CLI).
 
 The third piece is the routing/simulation kernel selection of
 :mod:`repro.multistage.routing`: :func:`routing_kernel` /
-:func:`set_routing_kernel` pick between the bitmask cover search (the
-default), the frozenset reference implementation (the correctness
-oracle of the equivalence tests and the ``bench_perf`` baseline), and
-``"batched"`` -- bitmask routing plus the lockstep
+:func:`set_routing_kernel` pick between ``"bitmask"`` (the default:
+one network per replication) and ``"batched"`` -- bitmask routing
+plus the lockstep
 structure-of-arrays Monte-Carlo engine of :mod:`repro.perf.batch`,
 which compiles each seed's traffic stream once and replays it against
 every ``m`` value of a sweep in a single pass (common random numbers,

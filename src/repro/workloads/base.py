@@ -6,7 +6,7 @@ RNG stream into the :class:`repro.switching.generators.TrafficEvent`
 sequence that every consumer -- the serial simulator, the stream
 compiler behind the batched kernel, the adaptive round driver --
 already speaks.  Because the contract is the event stream (not the
-generator), a registered workload inherits all three routing kernels,
+generator), a registered workload inherits both routing kernels,
 every state backend, common random numbers across ``m``, antithetic
 pairing and the content-addressed caches without those layers knowing
 it exists.
@@ -14,8 +14,8 @@ it exists.
 Two invariants keep the existing golden values intact:
 
 * the base fields (``steps``/``seeds``/``max_fanout``/``adversarial``/
-  ``adversary_seeds``) are exactly the legacy ``TrafficConfig``
-  surface, so the uniform member of the family is a drop-in;
+  ``adversary_seeds``) are the uniform generator's original knobs, so
+  the uniform member of the family reproduces it exactly;
 * :meth:`WorkloadConfig.token` is the workload's cache/stream-key
   identity.  Uniform traffic returns ``None`` -- it contributes
   nothing, so keys, warm caches and adaptive schedules predating the

@@ -7,47 +7,51 @@ import math
 
 import pytest
 
-from repro.analysis.montecarlo import (
-    BlockingEstimate,
-    blocking_probability,
-    blocking_vs_m,
-)
+from repro import api
+from repro.analysis.montecarlo import BlockingEstimate
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import min_middle_switches_msw_dominant
+
+
+def blocking(n, r, m, k, *, steps, seeds, **kwargs):
+    return api.blocking(
+        n, r, m, k, traffic=api.UniformConfig(steps=steps, seeds=seeds), **kwargs
+    )
 
 
 class TestBlockingProbability:
     def test_zero_at_the_bound(self):
         m = min_middle_switches_msw_dominant(3, 3, 1, x=1)
-        estimate = blocking_probability(3, 3, m, 1, x=1, steps=600, seeds=(0, 1))
+        estimate = blocking(3, 3, m, 1, x=1, steps=600, seeds=(0, 1))
         assert estimate.blocked == 0
         assert estimate.attempts > 100
 
     def test_positive_when_starved(self):
-        estimate = blocking_probability(3, 3, 1, 1, x=1, steps=600, seeds=(0, 1))
+        estimate = blocking(3, 3, 1, 1, x=1, steps=600, seeds=(0, 1))
         assert estimate.probability > 0.0
 
     def test_probability_field(self):
-        estimate = blocking_probability(2, 2, 1, 1, x=1, steps=200, seeds=(0,))
+        estimate = blocking(2, 2, 1, 1, x=1, steps=200, seeds=(0,))
         assert 0.0 <= estimate.probability <= 1.0
 
     def test_deterministic_given_seeds(self):
-        a = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
-        b = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
+        a = blocking(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
+        b = blocking(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
         assert (a.attempts, a.blocked) == (b.attempts, b.blocked)
 
     def test_dropped_connections_do_not_poison_state(self):
         """After a blocked setup, the simulation must keep running and the
         totals must stay consistent."""
-        estimate = blocking_probability(2, 2, 1, 1, x=1, steps=800, seeds=(3,))
+        estimate = blocking(2, 2, 1, 1, x=1, steps=800, seeds=(3,))
         assert estimate.attempts >= estimate.blocked > 0
 
 
 class TestBlockingVsM:
     def test_monotone_trend_and_zero_tail(self):
         bound = min_middle_switches_msw_dominant(3, 3, 1, x=1)
-        estimates = blocking_vs_m(
-            3, 3, 1, list(range(1, bound + 1)), x=1, steps=500, seeds=(0, 1)
+        estimates = api.sweep(
+            3, 3, 1, list(range(1, bound + 1)), x=1,
+            traffic=api.UniformConfig(steps=500, seeds=(0, 1)),
         )
         probabilities = [estimate.probability for estimate in estimates]
         # Starved end blocks, provisioned end does not.
@@ -58,16 +62,11 @@ class TestBlockingVsM:
         assert sum(probabilities[:half]) >= sum(probabilities[half:])
 
     def test_adversarial_mode_marks_witnessed_points(self):
-        estimates = blocking_vs_m(
-            3,
-            3,
-            1,
-            [4],
-            x=1,
-            steps=200,
-            seeds=(0,),
-            adversarial=True,
-            adversary_seeds=30,
+        estimates = api.sweep(
+            3, 3, 1, [4], x=1,
+            traffic=api.UniformConfig(
+                steps=200, seeds=(0,), adversarial=True, adversary_seeds=30
+            ),
         )
         # At m=4 random traffic rarely blocks but the adversary finds a
         # witness (demonstrated in test_adversary); either way the field
@@ -76,16 +75,12 @@ class TestBlockingVsM:
         assert estimate.blocked in (0, 1) or estimate.blocked > 1
 
     def test_respects_configuration(self):
-        estimates = blocking_vs_m(
-            2,
-            2,
-            2,
-            [1, 4],
+        estimates = api.sweep(
+            2, 2, 2, [1, 4],
             model=MulticastModel.MAW,
             construction=Construction.MAW_DOMINANT,
             x=1,
-            steps=200,
-            seeds=(0,),
+            traffic=api.UniformConfig(steps=200, seeds=(0,)),
         )
         assert [e.m for e in estimates] == [1, 4]
         assert all(e.model is MulticastModel.MAW for e in estimates)

@@ -1,5 +1,5 @@
-"""Deprecation shims: the old kwargs signatures warn but keep working,
-and nothing reached through the new facade calls them."""
+"""Nothing reached through the facade or the CLI emits a
+``DeprecationWarning``."""
 
 from __future__ import annotations
 
@@ -8,51 +8,10 @@ import warnings
 import pytest
 
 from repro import api
-from repro.analysis.montecarlo import blocking_probability, blocking_vs_m
-from repro.multistage.exhaustive import exact_minimal_m
-
-
-class TestShimsWarn:
-    def test_blocking_probability_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.blocking"):
-            estimate = blocking_probability(2, 2, 2, 1, x=1, steps=50, seeds=(0,))
-        assert estimate.attempts > 0
-
-    def test_blocking_vs_m_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            estimates = blocking_vs_m(2, 2, 1, [1, 2], x=1, steps=50, seeds=(0,))
-        assert [e.m for e in estimates] == [1, 2]
-
-    def test_exact_minimal_m_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.exact_m"):
-            result = exact_minimal_m(2, 2, 1, x=1, m_max=5)
-        assert result.m_exact == 3
-
-    def test_warning_points_at_the_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            blocking_probability(2, 2, 2, 1, x=1, steps=20, seeds=(0,))
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-    def test_traffic_config_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.UniformConfig"):
-            legacy = api.TrafficConfig(steps=50, seeds=(0, 1))
-        estimate = api.blocking(2, 2, 2, 1, x=1, traffic=legacy)
-        fresh = api.blocking(2, 2, 2, 1, x=1,
-                             traffic=api.UniformConfig(steps=50, seeds=(0, 1)))
-        assert estimate == fresh
-
-    def test_traffic_config_warning_points_at_the_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.TrafficConfig(steps=20, seeds=(0,))
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
 
 
 class TestFacadeIsClean:
-    """The new entry points never route through the deprecated shims."""
+    """The entry points run clean with DeprecationWarning promoted to an error."""
 
     @pytest.mark.parametrize("call", [
         lambda: api.blocking(2, 2, 2, 1, x=1,

@@ -1,4 +1,11 @@
-"""The typed facade: equivalence with the legacy entry points."""
+"""The typed facade reproduces the legacy kwargs entry points.
+
+The pinned ``(m, attempts, blocked)`` triples and exact-search verdicts
+below are the numbers the pre-facade kwargs calls
+(``blocking_probability``, ``blocking_vs_m``, ``exact_minimal_m``)
+returned for the same parameters; the facade must keep them bit for
+bit.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +14,11 @@ import dataclasses
 import pytest
 
 from repro import api
-from repro.analysis.montecarlo import blocking_probability, blocking_vs_m
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.exhaustive import exact_minimal_m
 
 
 def strip_meta(estimate):
-    return (estimate.m, estimate.attempts, estimate.blocked, estimate.probability)
+    return (estimate.m, estimate.attempts, estimate.blocked)
 
 
 class TestFrozenConfigs:
@@ -33,7 +38,7 @@ class TestFrozenConfigs:
         from repro.multistage.routing import get_routing_kernel
 
         ambient = get_routing_kernel()
-        other = "reference" if ambient == "bitmask" else "bitmask"
+        other = "batched" if ambient == "bitmask" else "bitmask"
         with api.SearchConfig(kernel=other).applied():
             assert get_routing_kernel() == other
         assert get_routing_kernel() == ambient
@@ -45,55 +50,40 @@ class TestBlockingEquivalence:
     def test_matches_legacy_call_bit_for_bit(self):
         new = api.blocking(3, 3, 2, 1, x=1,
                            traffic=api.UniformConfig(steps=200, seeds=(0, 1)))
-        with pytest.warns(DeprecationWarning):
-            old = blocking_probability(3, 3, 2, 1, x=1, steps=200, seeds=(0, 1))
-        assert strip_meta(new) == strip_meta(old)
+        assert strip_meta(new) == (2, 205, 54)
 
     def test_default_steps_match_legacy_default(self):
         new = api.blocking(2, 2, 2, 1, x=1,
                            traffic=api.UniformConfig(seeds=(0,)))
-        with pytest.warns(DeprecationWarning):
-            old = blocking_probability(2, 2, 2, 1, x=1, seeds=(0,))
-        assert strip_meta(new) == strip_meta(old)
+        assert strip_meta(new) == (2, 1001, 47)
 
 
 class TestSweepEquivalence:
     def test_random_traffic_curve_matches_legacy(self):
         traffic = api.UniformConfig(steps=150, seeds=(0, 1))
         new = api.sweep(3, 3, 1, [1, 2, 3], x=1, traffic=traffic)
-        with pytest.warns(DeprecationWarning):
-            old = blocking_vs_m(3, 3, 1, [1, 2, 3], x=1, steps=150, seeds=(0, 1))
-        assert [strip_meta(e) for e in new] == [strip_meta(e) for e in old]
+        assert [strip_meta(e) for e in new] == [
+            (1, 154, 89), (2, 154, 37), (3, 154, 7)]
 
     def test_max_fanout_is_honored(self):
         capped = api.sweep(2, 2, 1, [2], x=1,
                            traffic=api.UniformConfig(
                                steps=150, seeds=(0,), max_fanout=1))
-        with pytest.warns(DeprecationWarning):
-            legacy = blocking_vs_m(2, 2, 1, [2], x=1, steps=150, seeds=(0,),
-                                   max_fanout=1)
-        assert strip_meta(capped[0]) == strip_meta(legacy[0])
+        assert strip_meta(capped[0]) == (2, 76, 4)
 
     def test_alternate_construction_and_model(self):
         traffic = api.UniformConfig(steps=100, seeds=(0,))
         new = api.sweep(2, 2, 2, [1, 2], construction=Construction.MAW_DOMINANT,
                         model=MulticastModel.MAW, x=1, traffic=traffic)
-        with pytest.warns(DeprecationWarning):
-            old = blocking_vs_m(2, 2, 2, [1, 2],
-                                construction=Construction.MAW_DOMINANT,
-                                model=MulticastModel.MAW, x=1,
-                                steps=100, seeds=(0,))
-        assert [strip_meta(e) for e in new] == [strip_meta(e) for e in old]
+        assert [strip_meta(e) for e in new] == [(1, 50, 15), (2, 50, 0)]
 
 
 class TestExactEquivalence:
     def test_verdicts_match_legacy(self):
         new = api.exact_m(2, 2, 1, x=1, m_max=5)
-        with pytest.warns(DeprecationWarning):
-            old = exact_minimal_m(2, 2, 1, x=1, m_max=5)
-        assert new.m_exact == old.m_exact == 3
-        assert [(p.m, p.blockable) for p in new.per_m] == [
-            (p.m, p.blockable) for p in old.per_m]
+        assert new.m_exact == 3
+        assert [(p.m, p.blockable, p.states_explored) for p in new.per_m] == [
+            (1, True, 2), (2, True, 11), (3, False, 356)]
 
     def test_uncanonicalized_search_config(self):
         reference = api.exact_m(2, 2, 1, x=1, m_max=4,

@@ -63,9 +63,9 @@ class TestAgainstModelChecker:
     @pytest.mark.parametrize("n,r", [(2, 2), (2, 3)])
     def test_exact_unicast_threshold_matches_clos(self, n, r):
         """The model checker independently recovers 2n-1."""
-        from repro.multistage.exhaustive import exact_minimal_m
+        from repro import api
 
-        result = exact_minimal_m(
+        result = api.exact_m(
             n, r, 1, x=1, m_max=6, state_budget=300_000, unicast_only=True
         )
         assert result.m_exact == clos_unicast_minimum(n)

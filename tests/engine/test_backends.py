@@ -116,9 +116,34 @@ class TestResolution:
         monkeypatch.setenv(FUSED_ENV, "1")
         assert resolve_backend("auto", m_max=4, r=2, k=1) == "python"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch backend"):
+    @pytest.mark.parametrize("override, message", [
+        ("bogus", "unknown batch backend 'bogus'"),
+        ("numba", "'numba' requested but numba is not installed"),
+    ])
+    def test_env_override_failure_names_the_variable(
+        self, monkeypatch, override, message
+    ):
+        from repro.engine import backends as mod
+
+        # Pin numba unavailable so the case holds on any host.
+        monkeypatch.setitem(
+            mod._SPECS, "numba",
+            mod.BackendSpec(
+                factory=FusedState, missing=lambda: "numba is not installed"
+            ),
+        )
+        monkeypatch.setenv(BACKEND_ENV, override)
+        with pytest.raises(ValueError) as err:
+            resolve_backend("auto", m_max=4, r=2, k=1)
+        assert message in str(err.value)
+        assert f"set by {BACKEND_ENV}" in str(err.value)
+
+    def test_unknown_backend_rejected(self, monkeypatch):
+        # An explicit request is not blamed on the environment variable.
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        with pytest.raises(ValueError, match="unknown batch backend") as err:
             resolve_backend("cuda", m_max=4, r=2, k=1)
+        assert BACKEND_ENV not in str(err.value)
 
     def test_unknown_error_lists_only_available_backends(self, monkeypatch):
         from repro.engine import backends as mod
@@ -264,17 +289,5 @@ class TestRegistry:
             assert backend_status()[name] == "unavailable (no GPU)"
             with pytest.raises(ValueError, match="requested but no GPU"):
                 resolve_backend(name, m_max=4, r=2, k=1)
-        finally:
-            del mod._SPECS[name]
-
-    def test_legacy_word_gated_flag_maps_to_width_one(self):
-        from repro.engine import backends as mod
-
-        name = "test-legacy"
-        register_backend(name, PythonState, word_gated=True)
-        try:
-            assert mod._SPECS[name].max_plane_width == 1
-            with pytest.raises(ValueError, match="at most 1 int64"):
-                resolve_backend(name, m_max=NUMPY_WORD_BITS + 1, r=2, k=1)
         finally:
             del mod._SPECS[name]

@@ -1,8 +1,10 @@
-"""The bitmask routing kernel must match the frozenset reference exactly.
+"""The bitmask routing kernel must match the frozenset oracle exactly.
 
-Every test compares the two kernels on the same inputs: the bitmask
-path is a performance optimisation, so any observable difference --
-cover composition, tie-breaking, blocking behaviour -- is a bug.
+Every test compares the runtime kernel with the test-only frozenset
+oracle (:mod:`tests.multistage.cover_oracle`) on the same inputs: the
+bitmask path is a performance optimisation, so any observable
+difference -- cover composition, tie-breaking, blocking behaviour -- is
+a bug.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.multistage.network import ThreeStageNetwork
 from repro.multistage.routing import (
     find_cover,
     find_cover_bits,
-    find_cover_reference,
     get_routing_kernel,
     iter_bits,
     mask_of,
@@ -26,6 +27,7 @@ from repro.multistage.routing import (
     set_routing_kernel,
 )
 from repro.switching.generators import dynamic_traffic
+from tests.multistage.cover_oracle import find_cover_reference, reference_cover
 
 
 class TestKernelSwitch:
@@ -33,19 +35,22 @@ class TestKernelSwitch:
         assert get_routing_kernel() == "bitmask"
 
     def test_context_manager_restores(self):
-        with routing_kernel("reference"):
-            assert get_routing_kernel() == "reference"
+        with routing_kernel("batched"):
+            assert get_routing_kernel() == "batched"
         assert get_routing_kernel() == "bitmask"
 
     def test_context_manager_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with routing_kernel("reference"):
+            with routing_kernel("batched"):
                 raise RuntimeError("boom")
         assert get_routing_kernel() == "bitmask"
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            set_routing_kernel("simd")
+        # The frozenset search is a test-only oracle, not a kernel.
+        for name in ("simd", "reference"):
+            with pytest.raises(ValueError, match=r"\('bitmask', 'batched'\)"):
+                set_routing_kernel(name)
+        assert get_routing_kernel() == "bitmask"
 
 
 class TestMaskPrimitives:
@@ -76,8 +81,7 @@ class TestFindCoverEquivalence:
         rng = random.Random(2024)
         for _ in range(300):
             destinations, coverable, max_switches = _random_instance(rng)
-            with routing_kernel("reference"):
-                expected = find_cover(destinations, coverable, max_switches)
+            expected = find_cover_reference(destinations, coverable, max_switches)
             got = find_cover(destinations, coverable, max_switches)
             assert got == expected, (destinations, coverable, max_switches)
 
@@ -100,8 +104,7 @@ class TestFindCoverEquivalence:
         destinations = frozenset(["a", "b", "c"])
         coverable = {0: frozenset(["a", "b"]), 1: frozenset(["c"])}
         cover = find_cover(destinations, coverable, 2)
-        with routing_kernel("reference"):
-            assert cover == find_cover(destinations, coverable, 2)
+        assert cover == find_cover_reference(destinations, coverable, 2)
 
 
 @settings(deadline=None, max_examples=15)
@@ -112,40 +115,25 @@ class TestFindCoverEquivalence:
     construction=st.sampled_from(list(Construction)),
 )
 def test_network_traffic_identical_under_both_kernels(seed, m, model, construction):
-    """Same traffic, same network, both kernels: identical accept/block
-    decisions and identical routed state."""
+    """Same traffic, both kernels: at every setup event the network's
+    bitmask cover (``probe_cover``, served from its incremental caches)
+    equals the frozenset oracle's cover, computed from a reach map read
+    off the ground-truth fiber masks."""
     n, r, k, x = 3, 3, 2, 2
-
-    def run():
-        net = ThreeStageNetwork(
-            n, r, m, k, construction=construction, model=model, x=x
-        )
-        outcomes = []
-        live = {}
-        dropped = set()
-        for event in dynamic_traffic(
-            model, n * r, k, steps=120, seed=seed
-        ):
-            if event.kind == "setup":
-                cid = net.try_connect(event.connection)
-                if cid is None:
-                    dropped.add(event.connection_id)
-                else:
-                    live[event.connection_id] = cid
-                outcomes.append(cid)
+    net = ThreeStageNetwork(n, r, m, k, construction=construction, model=model, x=x)
+    live = {}
+    dropped = set()
+    for event in dynamic_traffic(model, n * r, k, steps=120, seed=seed):
+        if event.kind == "setup":
+            request = event.connection
+            assert net.probe_cover(request) == reference_cover(net, request)
+            cid = net.try_connect(request)
+            if cid is None:
+                dropped.add(event.connection_id)
             else:
-                if event.connection_id in dropped:
-                    dropped.discard(event.connection_id)
-                    continue
-                net.disconnect(live.pop(event.connection_id))
-        branches = [
-            (cid, routed.input_module, routed.branches)
-            for cid, routed in sorted(net.active_connections.items())
-        ]
-        net.check_invariants()
-        return outcomes, branches
-
-    bits = run()
-    with routing_kernel("reference"):
-        reference = run()
-    assert bits == reference
+                live[event.connection_id] = cid
+        elif event.connection_id in dropped:
+            dropped.discard(event.connection_id)
+        else:
+            net.disconnect(live.pop(event.connection_id))
+    net.check_invariants()

@@ -106,8 +106,8 @@ class TestRearrangeableThreshold:
 
     def test_rearrangeable_never_exceeds_strict(self):
         """m_rearrangeable <= m_strict(exact) on the decided case."""
-        from repro.multistage.exhaustive import exact_minimal_m
+        from repro import api
 
         rearrangeable, _ = minimal_rearrangeable_m(2, 2, 1, x=1, m_max=6)
-        strict = exact_minimal_m(2, 2, 1, x=1, m_max=6).m_exact
+        strict = api.exact_m(2, 2, 1, x=1, m_max=6).m_exact
         assert rearrangeable <= strict

@@ -50,7 +50,7 @@ class TestResultMeta:
     def test_capture_records_version_and_kernel(self):
         meta = ResultMeta.capture()
         assert meta.code_version == CODE_VERSION
-        assert meta.kernel in ("bitmask", "reference")
+        assert meta.kernel in ("bitmask", "batched")
         assert meta.plan is None and meta.obs is None
 
     def test_capture_embeds_plan_and_obs_summary(self):

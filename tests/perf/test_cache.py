@@ -7,9 +7,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.analysis.montecarlo import blocking_probability, blocking_vs_m
+from repro import api, obs
+from repro.analysis.montecarlo import _blocking_curve
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.exhaustive import exact_minimal_m
 from repro.multistage.routing import routing_kernel
 from repro.perf.cache import CODE_VERSION, ResultCache
 
@@ -17,6 +17,13 @@ from repro.perf.cache import CODE_VERSION, ResultCache
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+def _counted(call):
+    """Run ``call`` with observability on: ``(result, counters)``."""
+    with obs.capture() as captured:
+        result = call()
+    return result, captured.metrics.snapshot()["counters"]
 
 
 def _hammer(directory, worker, writes, max_bytes):
@@ -86,16 +93,16 @@ class TestKeys:
     def test_kernel_id_separates_entries(self, cache):
         params = dict(n=2, r=2, m=3, k=1)
         assert cache.key("cell", params, kernel="bitmask") != cache.key(
-            "cell", params, kernel="reference"
+            "cell", params, kernel="batched"
         )
 
     def test_kernel_defaults_to_active_kernel(self, cache):
         params = dict(n=2, r=2, m=3, k=1)
         with routing_kernel("bitmask"):
             under_bitmask = cache.key("cell", params)
-        with routing_kernel("reference"):
-            under_reference = cache.key("cell", params)
-        assert under_bitmask != under_reference
+        with routing_kernel("batched"):
+            under_batched = cache.key("cell", params)
+        assert under_bitmask != under_batched
         with routing_kernel("bitmask"):
             assert cache.key("cell", params, kernel="bitmask") == under_bitmask
 
@@ -219,8 +226,10 @@ class TestBoundedGrowth:
     def test_bounded_sweep_stays_correct(self, tmp_path):
         config = dict(steps=120, seeds=(0, 1))
         cache = ResultCache(tmp_path, max_bytes=64)  # roughly one entry
-        bounded = blocking_vs_m(2, 2, 1, [1, 2, 3], cache=cache, **config)
-        nocache = blocking_vs_m(2, 2, 1, [1, 2, 3], **config)
+        # A size bound is a ResultCache setting, so this drives the sweep
+        # engine behind api.sweep directly with the bounded instance.
+        bounded = _blocking_curve(2, 2, 1, [1, 2, 3], cache=cache, **config)
+        nocache = _blocking_curve(2, 2, 1, [1, 2, 3], **config)
         assert bounded == nocache
         assert cache.stats.evictions > 0
         assert cache.total_bytes() <= 64
@@ -292,53 +301,81 @@ class TestConcurrentWriters:
 
 
 class TestSweepIntegration:
-    CONFIG = dict(steps=120, seeds=(0, 1))
+    TRAFFIC = api.UniformConfig(steps=120, seeds=(0, 1))
+
+    @staticmethod
+    def _cached(cache, jobs=1):
+        return api.ExecConfig(jobs=jobs, cache_dir=str(cache.directory))
 
     def test_blocking_probability_warm_equals_cold(self, cache):
-        cold = blocking_probability(2, 2, 2, 1, cache=cache, **self.CONFIG)
-        stored = cache.stats.stores
-        warm = blocking_probability(2, 2, 2, 1, cache=cache, **self.CONFIG)
-        nocache = blocking_probability(2, 2, 2, 1, **self.CONFIG)
+        def run(execution):
+            return api.blocking(
+                2, 2, 2, 1, traffic=self.TRAFFIC, execution=execution
+            )
+
+        cold, cold_counts = _counted(lambda: run(self._cached(cache)))
+        warm, warm_counts = _counted(lambda: run(self._cached(cache)))
+        nocache = run(api.ExecConfig())
         assert warm == cold == nocache
-        assert stored == len(self.CONFIG["seeds"])
-        assert cache.stats.hits == len(self.CONFIG["seeds"])
+        seeds = len(self.TRAFFIC.seeds)
+        assert cold_counts["cache.stores"] == seeds
+        assert warm_counts["cache.hits"] == seeds
 
     def test_blocking_vs_m_resumed_sweep(self, cache):
         m_values = [1, 2, 3]
-        full = blocking_vs_m(2, 2, 1, m_values, cache=cache, **self.CONFIG)
+
+        def run(execution):
+            return api.sweep(
+                2, 2, 1, m_values, traffic=self.TRAFFIC, execution=execution
+            )
+
+        full = run(self._cached(cache))
         # Simulate an interrupted sweep: drop a third of the entries.
         entries = sorted(cache.directory.glob("*.pkl"))
         for path in entries[:: 3]:
             path.unlink()
-        resumed = blocking_vs_m(2, 2, 1, m_values, cache=cache, **self.CONFIG)
-        nocache = blocking_vs_m(2, 2, 1, m_values, **self.CONFIG)
+        resumed = run(self._cached(cache))
+        nocache = run(api.ExecConfig())
         assert resumed == full == nocache
 
     def test_adversarial_curve_cached(self, cache):
-        m_values = [3, 4]
-        kwargs = dict(adversarial=True, adversary_seeds=3, **self.CONFIG)
-        cold = blocking_vs_m(2, 2, 1, m_values, cache=cache, **kwargs)
-        warm = blocking_vs_m(2, 2, 1, m_values, cache=cache, **kwargs)
+        traffic = api.UniformConfig(
+            steps=120, seeds=(0, 1), adversarial=True, adversary_seeds=3
+        )
+
+        def run():
+            return api.sweep(
+                2, 2, 1, [3, 4], traffic=traffic, execution=self._cached(cache)
+            )
+
+        cold = run()
+        warm = run()
         assert warm == cold
 
     def test_exact_minimal_m_cached(self, cache):
-        cold = exact_minimal_m(2, 2, 1, x=1, m_max=6, cache=cache)
-        stored = cache.stats.stores
-        warm = exact_minimal_m(2, 2, 1, x=1, m_max=6, cache=cache)
-        assert stored == 3  # m = 1, 2, 3 -- the scan stops at the threshold
+        def run():
+            return api.exact_m(
+                2, 2, 1, x=1, m_max=6, execution=self._cached(cache)
+            )
+
+        cold, cold_counts = _counted(run)
+        warm = run()
+        # m = 1, 2, 3 -- the scan stops at the threshold
+        assert cold_counts["cache.stores"] == 3
         assert warm.m_exact == cold.m_exact == 3
         assert [p.blockable for p in warm.per_m] == [
             p.blockable for p in cold.per_m
         ]
 
     def test_parallel_sweep_shares_the_cache(self, cache):
-        serial = blocking_vs_m(
-            2, 2, 1, [1, 2], jobs=1, cache=cache, **self.CONFIG
-        )
-        hits_before = cache.stats.hits
-        parallel = blocking_vs_m(
-            2, 2, 1, [1, 2], jobs=2, cache=cache, **self.CONFIG
-        )
+        def run(jobs):
+            return api.sweep(
+                2, 2, 1, [1, 2], traffic=self.TRAFFIC,
+                execution=self._cached(cache, jobs),
+            )
+
+        serial = run(1)
+        parallel, counts = _counted(lambda: run(2))
         assert parallel == serial
         # Every cell of the second run came from the cache.
-        assert cache.stats.hits - hits_before == 2 * len(self.CONFIG["seeds"])
+        assert counts["cache.hits"] == 2 * len(self.TRAFFIC.seeds)

@@ -27,10 +27,7 @@ def report(quick=True, **speedups):
 
 
 GUARDED = dict(
-    cover_kernel=3.0,
     engine=2.5,
-    routing_replay=1.5,
-    end_to_end=1.2,
     fused=4.0,
     wide=9.0,
     workloads=10.0,
@@ -61,16 +58,16 @@ class TestVerdicts:
         assert code == 0 and diff["ok"]
 
     def test_small_drop_tolerated(self, tmp_path):
-        fresh = report(**dict(GUARDED, cover_kernel=3.0 * 0.9))
+        fresh = report(**dict(GUARDED, engine=2.5 * 0.9))
         code, diff = run(tmp_path, report(**GUARDED), fresh)
         assert code == 0
-        assert diff["sections"]["cover_kernel"]["regressed"] is False
+        assert diff["sections"]["engine"]["regressed"] is False
 
     def test_large_drop_fails(self, tmp_path):
-        fresh = report(**dict(GUARDED, end_to_end=1.2 * 0.8))
+        fresh = report(**dict(GUARDED, workloads=10.0 * 0.8))
         code, diff = run(tmp_path, report(**GUARDED), fresh)
         assert code == 1
-        assert diff["regressions"] == ["end_to_end"]
+        assert diff["regressions"] == ["workloads"]
 
     def test_unguarded_drop_ignored(self, tmp_path):
         baseline = report(cache=500.0, **GUARDED)
@@ -80,12 +77,10 @@ class TestVerdicts:
         assert diff["sections"]["cache"]["guarded"] is False
 
     def test_missing_guarded_section_fails(self, tmp_path):
-        fresh = report(
-            **{k: v for k, v in GUARDED.items() if k != "routing_replay"}
-        )
+        fresh = report(**{k: v for k, v in GUARDED.items() if k != "wide"})
         code, diff = run(tmp_path, report(**GUARDED), fresh)
         assert code == 1
-        assert diff["missing_guarded_sections"] == ["routing_replay"]
+        assert diff["missing_guarded_sections"] == ["wide"]
 
     def test_new_section_without_baseline_passes(self, tmp_path):
         fresh = report(batched=18.0, **GUARDED)

@@ -77,7 +77,7 @@ class TestCommands:
 
     def test_blocking_kernel_flag_same_numbers(self, capsys):
         default = run_cli(capsys, *self.BLOCKING)
-        for kernel in ("reference", "bitmask", "batched"):
+        for kernel in ("bitmask", "batched"):
             out = run_cli(capsys, *self.BLOCKING, "--kernel", kernel)
             assert out == default
 
@@ -198,8 +198,9 @@ class TestTraceCommand:
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         out = run_cli(capsys, "kernels")
-        for kernel in ("reference", "bitmask", "batched"):
+        for kernel in ("bitmask", "batched"):
             assert kernel in out
+        assert "reference" not in out
         for backend in ("python", "numba", "numpy"):
             assert backend in out
         assert (
@@ -217,6 +218,36 @@ class TestTraceCommand:
         out = run_cli(capsys, "kernels")
         assert f"{BACKEND_ENV}=numpy" in out
         assert "auto backend resolves to: numpy" in out
+
+    @pytest.mark.parametrize("override, message", [
+        ("bogus", "unknown batch backend 'bogus'"),
+        ("numba", "'numba' requested but numba is not installed"),
+    ])
+    def test_kernels_survives_a_failing_env_override(
+        self, capsys, monkeypatch, override, message
+    ):
+        """The diagnostic prints the matrix, then the error on the
+        resolution line -- it must not crash on the setting it shows."""
+        from repro.engine import backends as mod
+        from repro.engine.backends import BACKEND_ENV
+
+        monkeypatch.setitem(
+            mod._SPECS, "numba",
+            mod.BackendSpec(
+                factory=mod._SPECS["numba"].factory,
+                missing=lambda: "numba is not installed",
+            ),
+        )
+        monkeypatch.setenv(BACKEND_ENV, override)
+        out = run_cli(capsys, "kernels")
+        assert "Routing kernels x batch state backends" in out
+        [line] = [
+            ln for ln in out.splitlines()
+            if ln.startswith("auto backend resolves to: ")
+        ]
+        assert "error: " in line and message in line
+        assert f"set by {BACKEND_ENV}" in line
+        assert f"{BACKEND_ENV}={override}" in out
 
     def test_kernels_shows_missing_backend_reason(self, capsys, monkeypatch):
         from repro.engine import backends as mod
@@ -271,8 +302,12 @@ class TestParser:
             parser.parse_args(["blocking", "--kernel", "bogus"])
         message = capsys.readouterr().err
         assert "unknown kernel 'bogus'" in message
-        for kernel in ("batched", "bitmask", "reference"):
-            assert kernel in message
+        assert "choose from batched, bitmask" in message
+        # The frozenset search is a test-only oracle, not a kernel.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["blocking", "--kernel", "reference"])
+        message = capsys.readouterr().err
+        assert "unknown kernel 'reference'; choose from batched, bitmask" in message
 
     def test_unknown_backend_rejected_listing_valid_ones(self, capsys):
         parser = build_parser()

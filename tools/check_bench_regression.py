@@ -6,12 +6,13 @@ baseline and fails (exit 1) when any guarded section's *speedup ratio*
 fell by more than the threshold (default 15%).
 
 The guarded metric is each section's ``speedup`` -- the ratio of the
-reference path's time to the fast path's time *measured in the same
-process on the same host*.  Unlike raw seconds, that ratio is largely
+slow path's time to the fast path's time *measured in the same process
+on the same host*.  Unlike raw seconds, that ratio is largely
 machine-independent, so a baseline recorded on one box is meaningful on
-a CI runner: if the bitmask kernel used to beat the reference 8x and
+a CI runner: if the batch engine used to beat the serial sweep 8x and
 now only manages 4x, something in the fast path got slower regardless
-of the hardware.
+of the hardware.  (Absolute end-to-end timings of user workloads are
+the job of ``bench/run.py``.)
 
 Writes a ``BENCH_diff.json`` report with per-section baseline/fresh
 speedups and relative deltas (all sections, guarded or not), suitable
@@ -36,7 +37,7 @@ from pathlib import Path
 #: sections (cache, parallel, obs, exact_search, batched over-guard)
 #: are reported in the diff but only the kernel-critical paths gate:
 #: a slow cache disk or an adaptive-executor fallback is environmental,
-#: a cover-kernel slowdown is a code regression.  A guarded section may
+#: an admission-kernel slowdown is a code regression.  A guarded section may
 #: opt out of one run by reporting ``"guard_exempt": true`` -- the
 #: ``fused`` section does this when numba is missing and its timing
 #: covers the interpreted stand-in kernel rather than the compiled one
@@ -48,10 +49,7 @@ from pathlib import Path
 #: the serial path wide fabrics were once gated onto) and ``adaptive``
 #: at 2.0 (the matched-precision event ratio).
 GUARDED_SECTIONS = (
-    "cover_kernel",
     "engine",
-    "routing_replay",
-    "end_to_end",
     "fused",
     "wide",
     "workloads",

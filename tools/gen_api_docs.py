@@ -52,7 +52,8 @@ state-level functions (`avail`, `coverable`, `admit`, `release`,
 `FabricState` has three interchangeable bitplane backends -- pure-Python
 ints, numpy int64 structure-of-arrays, and the fused `numba` backend
 (`repro.engine.fused`), which lowers the whole compiled stream to flat
-int64 arrays and replays it in one `@njit` kernel. Masks pack into
+int64 arrays and replays it in one word-generic `@njit` kernel (single-
+word fabrics are its `W == 1` case). Masks pack into
 `W = ceil(bits / NUMPY_WORD_BITS)` signed int64 words per the fabric's
 `PlaneLayout` (`repro.engine.planes`), so every built-in backend
 accepts fabrics of any width; the `W == 1` layout is byte-identical to
@@ -82,7 +83,8 @@ it off.
 
 ### Canonicalized exhaustive search
 
-`is_blockable` / `exact_minimal_m` default to `canonicalize=True`: the
+`is_blockable` and `repro.api.exact_m` default to canonicalization
+(`SearchConfig(canonicalize=True)`): the
 DFS transposition table keys on
 `ThreeStageNetwork.canonical_signature()` (invariant under
 middle-switch permutation, plus global wavelength relabeling for the
@@ -90,8 +92,17 @@ MSW model) and a monotone victim probe replaces the exhaustive
 per-request scan. Verdicts are identical to `canonicalize=False` (the
 reference search, kept for the property tests); `states_explored`
 counts symmetry classes and witnesses may differ but still `replay()`.
-`exact_minimal_m` also accepts `jobs` (parallel m-candidates) and
-`cache` (a `repro.perf.ResultCache`).
+`exact_m` also takes `ExecConfig(jobs=...)` (parallel m-candidates) and
+`ExecConfig(cache_dir=...)` (a `repro.perf.ResultCache`).
+
+### Routing kernels
+
+`set_routing_kernel` / `routing_kernel` choose between `"bitmask"` (the
+default; one network per replication) and `"batched"` (the lockstep
+engine of `repro.perf.batch`); both use the bitmask cover search. The
+frozenset cover search the bitmask kernel is pinned against lives in the
+test suite as an oracle (`tests/multistage/cover_oracle.py`), not in
+the runtime.
 """,
     "repro.perf": """\
 ### Executor selection
@@ -112,8 +123,8 @@ them down.
 
 `ResultCache(directory)` content-addresses each sweep cell by a
 SHA-256 digest of (namespace, `CODE_VERSION`, routing-kernel id,
-canonical-JSON parameters). `blocking_probability`, `blocking_vs_m`
-and `exact_minimal_m` accept `cache=`; work units carrying a
+canonical-JSON parameters). `repro.api` verbs take
+`ExecConfig(cache_dir=...)`; work units carrying a
 `cache_key` are looked up before execution and stored after, so
 interrupted or repeated sweeps recompute only missing cells. Writes
 are atomic (temp file + `os.replace`); entries that fail to unpickle
@@ -230,8 +241,7 @@ a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
 cap, adversarial probing on the base surface, model shape on each
 subclass), `ExecConfig` (jobs, executor kind, cache directory) and
 `SearchConfig` (routing kernel, canonicalization, debug checks).
-Results are bit-identical to the legacy entry points with the same
-parameters and carry a `repro.obs.meta.ResultMeta` provenance envelope
+Results carry a `repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
 identity) on `.meta`; the envelope and `BlockingEstimate` both
 round-trip through `to_json()`/`from_json()`.
@@ -240,8 +250,7 @@ round-trip through `to_json()`/`from_json()`.
 `UniformConfig` (the default), `HotspotConfig`,
 `HeavyTailFanoutConfig`, `PoissonErlangConfig`, `TraceConfig` -- and
 the estimators, kernels, caches and the adaptive driver treat them
-uniformly. `TrafficConfig` is a deprecated alias of `UniformConfig`
-(same fields, same numbers, plus a `DeprecationWarning`).
+uniformly.
 
 `SearchConfig(kernel="batched")` routes the Monte-Carlo estimators
 through the lockstep batch engine (`repro.perf.batch`) -- same numbers,
@@ -255,13 +264,9 @@ driver (`repro.perf.adaptive`): replication rounds continue until the
 Wilson interval meets the requested half-width.  Adversarial traffic
 has no precision-targeted mode and is rejected with a `ValueError`.
 
-The legacy kwargs signatures (`blocking_probability`, `blocking_vs_m`,
-`exact_minimal_m`) keep working but emit `DeprecationWarning`. One
-behavioral fix ships only in the facade: `sweep` derives adversary
-seeds from the whole traffic configuration instead of from `m` alone,
-so two sweeps sharing an `m` value no longer replay identical
-adversary streams; the deprecated `blocking_vs_m` keeps the old
-`m`-only schedule so golden values stay reproducible.
+With adversarial traffic, `sweep` derives adversary seeds from the
+whole traffic configuration as well as `m`, so two sweeps sharing an
+`m` value never replay identical adversary streams.
 """,
     "repro.obs": """\
 ### Zero cost when off
@@ -269,8 +274,8 @@ adversary streams; the deprecated `blocking_vs_m` keeps the old
 Every hot-path hook guards on `obs.enabled()` -- one module-level
 boolean read -- and the disabled hooks return before allocating
 anything (`tests/obs/test_overhead.py` asserts zero allocations;
-`benchmarks/bench_perf.py` bounds the obs-off overhead at <= 2% of the
-routing replay). Enable for a block with `obs.capture()`, which yields
+`benchmarks/bench_perf.py` bounds the obs-off overhead at <= 2% of a
+serial routing replay). Enable for a block with `obs.capture()`, which yields
 the metrics registry and optional `Tracer`.
 
 ### Tracing blocking causes
