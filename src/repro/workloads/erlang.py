@@ -9,7 +9,11 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.core.models import MulticastModel
-from repro.switching.generators import TrafficEvent, draw_connection
+from repro.switching.generators import (
+    FreeEndpoints,
+    TrafficEvent,
+    draw_connection,
+)
 from repro.workloads.base import WorkloadConfig, register_workload
 
 __all__ = ["PoissonErlangConfig"]
@@ -30,7 +34,10 @@ class PoissonErlangConfig(WorkloadConfig):
     source endpoint are lost without an event, exactly like the
     discrete generator's infeasible draws.  Connection shapes reuse the
     shared :func:`repro.switching.generators.draw_connection` draw
-    sequence, so feasibility (and hence replay legality) is inherited.
+    sequence over the same
+    :class:`~repro.switching.generators.FreeEndpoints` index as the
+    discrete generator, so feasibility (and hence replay legality) is
+    inherited.
 
     Attributes:
         offered_erlangs: offered load ``arrival rate x mean holding``
@@ -74,12 +81,7 @@ class PoissonErlangConfig(WorkloadConfig):
         arrival_rate = self.offered_erlangs / self.mean_holding
         departure_rate = 1.0 / self.mean_holding
 
-        free_inputs: set[int] = {
-            port * k + wavelength
-            for port in range(n_ports)
-            for wavelength in range(k)
-        }
-        free_outputs: set[int] = set(free_inputs)
+        free = FreeEndpoints(n_ports, k)
         active: dict[int, "TrafficEvent"] = {}
         departures: list[tuple[float, int]] = []
         now = 0.0
@@ -91,31 +93,18 @@ class PoissonErlangConfig(WorkloadConfig):
             # Scheduled departures before this arrival leave first.
             while departures and departures[0][0] <= now and emitted < steps:
                 _, connection_id = heapq.heappop(departures)
-                event = active.pop(connection_id)
-                connection = event.connection
-                free_inputs.add(
-                    connection.source.port * k + connection.source.wavelength
-                )
-                free_outputs.update(
-                    d.port * k + d.wavelength for d in connection.destinations
-                )
+                connection = active.pop(connection_id).connection
+                free.release(connection)
                 emitted += 1
                 yield TrafficEvent("teardown", connection, connection_id)
             if emitted >= steps:
                 return
-            connection = draw_connection(
-                rng, model, k, cap, free_inputs, free_outputs
-            )
+            connection = draw_connection(rng, model, free, cap)
             if connection is None:
                 if not active:
                     return  # degenerate fabric: nothing can ever connect
                 continue  # all sources busy: the offered call is lost
-            free_inputs.discard(
-                connection.source.port * k + connection.source.wavelength
-            )
-            free_outputs.difference_update(
-                d.port * k + d.wavelength for d in connection.destinations
-            )
+            free.take(connection)
             holding = rng.expovariate(departure_rate)
             heapq.heappush(departures, (now + holding, next_id))
             event = TrafficEvent("setup", connection, next_id)

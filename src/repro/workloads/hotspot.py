@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -71,13 +71,15 @@ class HotspotConfig(WorkloadConfig):
 
         def pick_ports(
             pick_rng: random.Random,
-            port_options: dict[int, list[int]],
+            eligible: Sequence[int],
             fanout: int,
         ) -> list[int]:
             # Weighted sampling without replacement by cumulative scan:
             # O(fanout * ports), deterministic, and exact for the tiny
-            # port counts of a fabric (no float-sum reordering).
-            ports = sorted(port_options)
+            # port counts of a fabric (no float-sum reordering).  The
+            # eligible list is the generator's live index: pop from a
+            # copy.
+            ports = list(eligible)
             weights = [weight_of[port] for port in ports]
             chosen: list[int] = []
             for _ in range(fanout):

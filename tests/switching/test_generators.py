@@ -5,9 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro.core.models import MulticastModel
-from repro.switching.generators import AssignmentGenerator, dynamic_traffic
-from repro.switching.requests import Endpoint, MulticastAssignment
+from repro.switching import generators
+from repro.switching.generators import (
+    AssignmentGenerator,
+    FreeEndpoints,
+    dynamic_traffic,
+)
+from repro.switching.requests import (
+    Endpoint,
+    MulticastAssignment,
+    MulticastConnection,
+)
 from repro.switching.validity import is_valid_assignment, is_valid_connection
+from repro.workloads import (
+    HotspotConfig,
+    PoissonErlangConfig,
+    UniformConfig,
+    erlang,
+)
+from repro.workloads.keys import stream_rng
 
 
 class TestAssignmentGenerator:
@@ -109,3 +125,109 @@ class TestDynamicTraffic:
                 live_sources[event.connection_id] = event.connection.source
             else:
                 del live_sources[event.connection_id]
+
+
+def _connection(source, *destinations):
+    return MulticastConnection(
+        Endpoint(*source), [Endpoint(*d) for d in destinations]
+    )
+
+
+class TestFreeEndpoints:
+    def test_starts_all_free(self):
+        free = FreeEndpoints(3, 2)
+        assert free.inputs == list(range(6))
+        assert free.ports_on == [[0, 1, 2], [0, 1, 2]]
+        assert free.waves_at == [[0, 1], [0, 1], [0, 1]]
+        assert free.ports_any == [0, 1, 2]
+
+    def test_take_then_release_restores_every_list(self):
+        free = FreeEndpoints(3, 2)
+        fresh = FreeEndpoints(3, 2)
+        connection = _connection((1, 1), (0, 1), (2, 0))
+        free.take(connection)
+        assert free.inputs == [0, 1, 2, 4, 5]
+        assert free.ports_on == [[0, 1], [1, 2]]
+        assert free.waves_at == [[0], [0, 1], [1]]
+        free.take(_connection((0, 0), (0, 0)))
+        assert free.ports_any == [1, 2]
+        free.release(_connection((0, 0), (0, 0)))
+        free.release(connection)
+        for name in FreeEndpoints.__slots__:
+            assert getattr(free, name) == getattr(fresh, name)
+
+    def test_double_take_and_double_release_are_rejected(self):
+        free = FreeEndpoints(3, 2)
+        connection = _connection((1, 1), (0, 1))
+        with pytest.raises(ValueError, match="already free"):
+            free.release(connection)
+        free.take(connection)
+        with pytest.raises(ValueError, match="not free"):
+            free.take(connection)
+
+
+def _recorded_indexes(monkeypatch):
+    """Every FreeEndpoints the generators build from now on."""
+    made = []
+
+    class Recording(FreeEndpoints):
+        __slots__ = ()
+
+        def __init__(self, n_ports, k):
+            super().__init__(n_ports, k)
+            made.append(self)
+
+    monkeypatch.setattr(generators, "FreeEndpoints", Recording)
+    monkeypatch.setattr(erlang, "FreeEndpoints", Recording)
+    return made
+
+
+class TestIndexMatchesPlainSets:
+    """The index's lists against sets the test updates from the events.
+
+    Long streams reach saturated and draining states the pinned
+    digests never see, and a ``pick_ports`` hook that mutates the live
+    list it is handed shows up as a list that no longer matches.
+    """
+
+    @pytest.mark.parametrize(
+        "config",
+        [UniformConfig(), HotspotConfig(zipf_s=1.5),
+         PoissonErlangConfig(offered_erlangs=6.0)],
+        ids=lambda c: c.workload,
+    )
+    @pytest.mark.parametrize("shape", [(9, 2, None), (12, 3, 2), (16, 1, None)])
+    def test_lists_equal_sorted_sets_after_every_event(
+        self, model, config, shape, monkeypatch
+    ):
+        n_ports, k, max_fanout = shape
+        made = _recorded_indexes(monkeypatch)
+        free_inputs = set(range(n_ports * k))
+        free_outputs = {(p, w) for p in range(n_ports) for w in range(k)}
+        events = 0
+        for event in config.events(
+            model, n_ports, k,
+            steps=2000, rng=stream_rng(5), max_fanout=max_fanout,
+        ):
+            connection = event.connection
+            source = connection.source.port * k + connection.source.wavelength
+            outputs = {(d.port, d.wavelength) for d in connection.destinations}
+            if event.kind == "setup":
+                free_inputs.remove(source)
+                free_outputs -= outputs
+            else:
+                free_inputs.add(source)
+                free_outputs |= outputs
+            (free,) = made
+            assert free.inputs == sorted(free_inputs)
+            assert free.ports_on == [
+                sorted(p for p, w in free_outputs if w == wavelength)
+                for wavelength in range(k)
+            ]
+            assert free.waves_at == [
+                sorted(w for p, w in free_outputs if p == port)
+                for port in range(n_ports)
+            ]
+            assert free.ports_any == sorted({p for p, _ in free_outputs})
+            events += 1
+        assert events == 2000
