@@ -58,7 +58,12 @@ class HeavyTailFanoutConfig(WorkloadConfig):
             # (1 - u) ** (-1/alpha) in [1, inf); the floor is the
             # discrete tail and draw_connection clamps to [1, cap].
             survival = 1.0 - pick_rng.random()
-            return min(cap, int(survival ** -inverse_alpha))
+            try:
+                return min(cap, int(survival ** -inverse_alpha))
+            except OverflowError:
+                # Small alpha: the power leaves float range, so the
+                # draw is far above any cap.
+                return cap
 
         return dynamic_traffic(
             model, n_ports, k,
