@@ -98,22 +98,35 @@ def _best(fn, reps: int) -> tuple[float, object]:
     inside one timed region -- on a microsecond-scale section with
     ``--quick``'s single rep that is enough to invert a ratio.
     """
-    value = fn()
-    times = []
+    return _best_interleaved((fn,), reps)[0]
+
+
+def _best_interleaved(fns, reps: int) -> list[tuple[float, object]]:
+    """:func:`_best` of several workloads, timed in turn in one loop.
+
+    Each rep runs every ``fn`` once (A, B, A, B, ...), so all sides
+    see the same host-speed phases; timing them one after the other
+    lets a speed flip between the two blocks move their ratio.
+    """
+    values = [fn() for fn in fns]
+    times: list[list[float]] = [[] for _ in fns]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(reps):
-            gc.collect()
-            start = time.perf_counter()
-            again = fn()
-            times.append(time.perf_counter() - start)
-            if again != value:
-                raise AssertionError("benchmark workload is not deterministic")
+            for fn, value, side in zip(fns, values, times):
+                gc.collect()
+                start = time.perf_counter()
+                again = fn()
+                side.append(time.perf_counter() - start)
+                if again != value:
+                    raise AssertionError(
+                        "benchmark workload is not deterministic"
+                    )
     finally:
         if was_enabled:
             gc.enable()
-    return min(times), value
+    return [(min(side), value) for side, value in zip(times, values)]
 
 
 # -- section: shared admission-engine kernels ---------------------------------
@@ -150,15 +163,17 @@ def bench_engine(quick: bool, reps: int) -> dict:
     instance before reporting the shortcut's win.
 
     The whole workload runs in single-digit milliseconds, so one noisy
-    rep (a scheduler preemption, a cache-cold first pass) can invert
-    the ratio outright; the section therefore floors its reps at 3
-    regardless of ``--quick`` and declares ``min_speedup`` 1.0 -- the
-    shortcut being *slower* than the composition it short-circuits is a
-    code regression whatever the baseline says.
+    rep (a scheduler preemption, a cache-cold first pass) or a
+    host-speed flip between the two sides can move the ratio past the
+    guard's threshold.  The sides are therefore timed interleaved, and
+    the section floors its reps at 60 regardless of ``--quick`` (under
+    a second).  It declares ``min_speedup`` 1.0 -- the shortcut being
+    *slower* than the composition it short-circuits is a code
+    regression whatever the baseline says.
     """
     from repro.engine.kernel import probe_cover, reach_map
 
-    reps = max(reps, 3)
+    reps = max(reps, 60)
     instances = _engine_instances(
         count=1500 if quick else 6000, middles=14, modules=18, seed=11
     )
@@ -178,8 +193,9 @@ def bench_engine(quick: bool, reps: int) -> dict:
             )
         return covers
 
-    probe_s, probe_out = _best(run_probe, reps)
-    split_s, split_out = _best(run_split, reps)
+    (probe_s, probe_out), (split_s, split_out) = _best_interleaved(
+        (run_probe, run_split), reps
+    )
     return {
         "instances": len(instances),
         "reps": reps,
