@@ -65,7 +65,7 @@ def _sample_request(
         Endpoint(p, w)
         for p in range(n_ports)
         for w in range(k)
-        if not net._input_used[p, w]
+        if not net._input_used >> (p * k + w) & 1
     ]
     if not free_inputs:
         return None
@@ -79,7 +79,7 @@ def _sample_request(
         allowed = list(range(k))
     per_port: dict[int, list[int]] = {}
     for p in range(n_ports):
-        free = [w for w in allowed if not net._output_used[p, w]]
+        free = [w for w in allowed if not net._output_used >> (p * k + w) & 1]
         if free:
             per_port[p] = free
     if not per_port:

@@ -12,8 +12,8 @@ Two API levels share one implementation:
 * **mask level** -- :func:`free_middles`, :func:`reach_map`,
   :func:`probe_cover`, :func:`classify_kind`, :func:`block_cause`
   operate on plain ints and blocker rows; this is what the hot paths
-  call (the network hands in its incremental caches, the batch driver
-  hands in backend views);
+  call on backend views (the network's B = 1 state and the batch
+  driver's lanes alike);
 * **state level** -- :func:`avail`, :func:`coverable`, :func:`admit`,
   :func:`release`, :func:`classify_block` operate on a
   :class:`~repro.engine.state.FabricState` and an

@@ -140,13 +140,13 @@ def _legal_requests(
         Endpoint(p, w)
         for p in range(n_ports)
         for w in range(k)
-        if not net._input_used[p, w]
+        if not net._input_used >> (p * k + w) & 1
     ]
     free_outputs = [
         Endpoint(p, w)
         for p in range(n_ports)
         for w in range(k)
-        if not net._output_used[p, w]
+        if not net._output_used >> (p * k + w) & 1
     ]
     requests: list[MulticastConnection] = []
     for source in free_inputs:
@@ -177,8 +177,11 @@ def _all_covers(
     net: ThreeStageNetwork, request: MulticastConnection
 ) -> list[dict[int, list[int]]]:
     """Every distinct <= x-middle split the adversary could have used."""
-    g = net.topology.input_module_of(request.source.port)
-    destinations = sorted(net._module_destinations(request))
+    topo = net.topology
+    g = topo.input_module_of(request.source.port)
+    destinations = sorted(
+        {topo.output_module_of(d.port) for d in request.destinations}
+    )
     coverable_bits = net._coverable_bits(
         g, request.source.wavelength, mask_of(destinations)
     )
@@ -229,7 +232,7 @@ def _first_blocked_request(
     output_used = net._output_used
     for port in range(n_ports):
         for w in range(k):
-            if input_used[port, w]:
+            if input_used >> (port * k + w) & 1:
                 continue
             source = Endpoint(port, w)
             if net.model is MulticastModel.MSW:
@@ -242,7 +245,7 @@ def _first_blocked_request(
                 per_port: dict[int, Endpoint] = {}
                 for dest_port in range(n_ports):
                     for v in allowed:
-                        if not output_used[dest_port, v]:
+                        if not output_used >> (dest_port * k + v) & 1:
                             per_port[dest_port] = Endpoint(dest_port, v)
                             break
                 if not per_port:

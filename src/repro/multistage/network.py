@@ -16,12 +16,16 @@ Modules themselves are multicast-capable nonblocking crossbars (the
 paper's assumption), so module-internal routing never blocks; all
 contention lives on the inter-stage fibers.
 
-The occupancy state is held as packed integer bitmasks -- one small int
-per fiber (bits = wavelengths) and one int per endpoint grid (bit =
-``port * k + wavelength``).  :class:`_WaveCube` and
-:class:`_EndpointGrid` give those masks the array-style ``[g, j, w]``
-indexing the tests and the exhaustive checker use, so the simulator has
-no third-party dependencies on its hot path.
+The fiber occupancy is one B = 1 :class:`repro.engine.state.PythonState`
+-- the same bitplanes the batched replay runs on, so the serial
+simulator is a batch of one.  Admission reads its ``setup_views``,
+``connect``/``disconnect`` commit and release through its
+``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is the
+engine's ``classify_block`` on it, and
+:meth:`ThreeStageNetwork.fiber_masks` reads it back per fiber.
+Endpoint usage is two plain int masks (bit ``port * k + wavelength``).  The network itself keeps only
+connection bookkeeping: the routed-connection ledger, selection and
+wavelength policies, forced covers, failure/repair and signatures.
 
 Wavelength discipline
 ---------------------
@@ -57,7 +61,8 @@ from repro.combinatorics.multiset import DestinationMultiset
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import is_nonblocking, valid_x_range
 from repro.engine.geometry import FabricGeometry
-from repro.engine.kernel import block_cause, free_middles, reach_map
+from repro.engine.kernel import AdmissionRequest, avail, classify_block, coverable
+from repro.engine.state import PythonState
 from repro.multistage.routing import (
     CoverSearch,
     find_cover_bits,
@@ -95,89 +100,9 @@ def _permute_wavelengths(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-class _WaveRow:
-    """One fiber's wavelength occupancy, viewed through :class:`_WaveCube`.
-
-    Supports the slice API the tests and checkers use on a numpy row:
-    ``row[w]`` / ``row.sum()`` / ``row.all()`` / iteration.
-    """
-
-    __slots__ = ("_row", "_b", "_k")
-
-    def __init__(self, row: list[int], b: int, k: int):
-        self._row = row
-        self._b = b
-        self._k = k
-
-    def sum(self) -> int:
-        return self._row[self._b].bit_count()
-
-    def all(self) -> bool:
-        return self._row[self._b] == (1 << self._k) - 1
-
-    def __getitem__(self, w: int) -> bool:
-        return bool(self._row[self._b] >> w & 1)
-
-    def __iter__(self):
-        mask = self._row[self._b]
-        return iter([bool(mask >> w & 1) for w in range(self._k)])
-
-
-class _WaveCube:
-    """``(A, B, k)`` boolean occupancy cube backed by per-fiber masks.
-
-    ``wave[a][b]`` is an int whose bit ``w`` says wavelength ``w`` is
-    busy on fiber ``(a, b)`` -- the ground-truth state.  Tuple indexing
-    (``cube[a, b, w]`` -> bool, ``cube[a, b]`` -> :class:`_WaveRow`)
-    keeps the external API of the numpy array it replaces.
-    """
-
-    __slots__ = ("wave", "shape")
-
-    def __init__(self, a: int, b: int, k: int):
-        self.wave: list[list[int]] = [[0] * b for _ in range(a)]
-        self.shape = (a, b, k)
-
-    def __getitem__(self, index):
-        if len(index) == 3:
-            a, b, w = index
-            return bool(self.wave[a][b] >> w & 1)
-        a, b = index
-        return _WaveRow(self.wave[a], b, self.shape[2])
-
-    def __setitem__(self, index, value) -> None:
-        a, b, w = index
-        if value:
-            self.wave[a][b] |= 1 << w
-        else:
-            self.wave[a][b] &= ~(1 << w)
-
-
-class _EndpointGrid:
-    """``(n_ports, k)`` endpoint-usage grid backed by a single int mask.
-
-    Bit ``port * k + wavelength`` says the endpoint channel is in use;
-    ``grid[port, w]`` tuple indexing keeps the array-style reads the
-    traffic generators and exhaustive checker rely on.
-    """
-
-    __slots__ = ("mask", "k")
-
-    def __init__(self, n_ports: int, k: int):
-        self.mask = 0
-        self.k = k
-
-    def __getitem__(self, index) -> bool:
-        port, w = index
-        return bool(self.mask >> (port * self.k + w) & 1)
-
-    def __setitem__(self, index, value) -> None:
-        port, w = index
-        bit = 1 << (port * self.k + w)
-        if value:
-            self.mask |= bit
-        else:
-            self.mask &= ~bit
+def _cover_lists(cover: dict[int, int]) -> dict[int, list[int]]:
+    """A bitmask cover as ``{middle: [output modules]}``."""
+    return {j: list(iter_bits(bits)) for j, bits in cover.items()}
 
 
 @dataclass(frozen=True)
@@ -263,7 +188,7 @@ class ThreeStageNetwork:
                 MSW-dominant construction, whose carriers are pinned.
             debug_checks: opt-in per-event self-verification -- when
                 True, :meth:`check_invariants` runs after every
-                ``connect``/``disconnect``, so any cache leak surfaces at
+                ``connect``/``disconnect``, so any state leak surfaces at
                 the exact event that caused it.  The scan is O(state), so
                 hot paths leave it off; None (the default) reads the
                 ``WDM_REPRO_DEBUG_CHECKS`` environment variable
@@ -299,28 +224,16 @@ class ThreeStageNetwork:
         import random as _random
 
         self._selection_rng = _random.Random(selection_seed)
-        # Ground-truth occupancy: per-fiber wavelength masks.
-        self._in_mid = _WaveCube(r, m, k)
-        self._mid_out = _WaveCube(m, r, k)
-        self._input_used = _EndpointGrid(self.topology.n_ports, k)
-        self._output_used = _EndpointGrid(self.topology.n_ports, k)
-        self._k_full = (1 << k) - 1
-        # Coverability cache: transposed/aggregated views of the wave
-        # masks, maintained incrementally by connect/disconnect so the
-        # cover search never rescans the cube.  check_invariants()
-        # cross-checks them against the ground truth.
-        self._in_mid_busy = [[0] * k for _ in range(r)]  # [g][w] -> mask over j
-        self._in_mid_count = [[0] * m for _ in range(r)]  # [g][j] -> busy count
-        self._in_mid_full = [0] * r  # [g] -> mask over j with count == k
-        # Transposed [w][j] so one wavelength's blocker row is a flat
-        # list the engine kernels index per middle.
-        self._mid_out_busy = [[0] * m for _ in range(k)]  # [w][j] -> mask over p
-        self._mid_out_count = [[0] * r for _ in range(m)]  # [j][p] -> busy count
-        self._mid_out_full = [0] * m  # [j] -> mask over p with count == k
-        self._failed_mask = 0
-        self._all_middles_mask = (1 << m) - 1
+        # The engine's carrier pick: None keeps its first-fit.
+        self._pick = None if wavelength_policy == "first_fit" else self._pick_wavelength
+        # The fiber occupancy (and the failed-middle mask) live in the
+        # engine state; endpoint usage is bit ``port * k + wavelength``.
+        self._state = PythonState((self.geometry,))
+        self._input_used = 0
+        self._output_used = 0
         self._active: dict[int, RoutedConnection] = {}
-        self._failed_middles: set[int] = set()
+        # The engine's undo branches per live connection id.
+        self._undo: dict[int, tuple] = {}
         self._next_id = 0
         self.setups = 0
         self.teardowns = 0
@@ -367,24 +280,54 @@ class ThreeStageNetwork:
             self.x,
         )
 
+    def _check_index(self, name: str, value: int, bound: int) -> None:
+        """Reject a middle/wavelength index outside ``[0, bound)``."""
+        if not 0 <= value < bound:
+            raise ValueError(f"{name} {value} outside [0, {bound})")
+
+    def fiber_masks(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The per-fiber wavelength masks ``(in_mid, mid_out)`` (a copy).
+
+        Bit ``w`` of ``in_mid[g][j]`` says wavelength ``w`` is busy on the
+        fiber from input module ``g`` to middle ``j``; bit ``w`` of
+        ``mid_out[j][p]``, on the fiber from middle ``j`` to output
+        module ``p`` -- the resources the paper's proofs count.
+        """
+        topo = self.topology
+        in_planes, out_planes = self._state.busy_planes()
+        in_mid = [[0] * topo.m for _ in range(topo.r)]
+        mid_out = [[0] * topo.r for _ in range(topo.m)]
+        for row, planes in zip(in_mid, in_planes):
+            for w, plane in enumerate(planes):
+                for j in iter_bits(plane):
+                    row[j] |= 1 << w
+        for w, plane in enumerate(out_planes):
+            for j, mask in enumerate(plane):
+                for p in iter_bits(mask):
+                    mid_out[j][p] |= 1 << w
+        return in_mid, mid_out
+
     def destination_multiset(self, middle: int) -> DestinationMultiset:
         """The paper's ``M_j`` for middle switch ``middle`` (eq. (2)).
 
         Multiplicity of output module ``p`` = busy wavelengths on the
         fiber ``middle -> p``.
         """
+        self._check_index("middle", middle, self.topology.m)
         return DestinationMultiset(
-            (mask.bit_count() for mask in self._mid_out.wave[middle]),
+            (mask.bit_count() for mask in self.fiber_masks()[1][middle]),
             self.topology.k,
         )
 
     def destination_set(self, middle: int, wavelength: int) -> frozenset[int]:
         """MSW-dominant per-wavelength destination set of a middle switch."""
-        return frozenset(iter_bits(self._mid_out_busy[wavelength][middle]))
+        return frozenset(iter_bits(self.destination_mask(middle, wavelength)))
 
     def destination_mask(self, middle: int, wavelength: int) -> int:
         """Bitmask form of :meth:`destination_set` (bit ``p`` = busy fiber)."""
-        return self._mid_out_busy[wavelength][middle]
+        self._check_index("middle", middle, self.topology.m)
+        self._check_index("wavelength", wavelength, self.topology.k)
+        return self._state.busy_planes()[1][wavelength][middle]
 
     def conversions_of(self, connection_id: int) -> int:
         """Wavelength conversions a live connection undergoes end to end.
@@ -424,12 +367,9 @@ class ThreeStageNetwork:
         """Fraction of busy wavelength channels per inter-stage gap."""
         topo = self.topology
         cells = topo.r * topo.m * topo.k
-        busy_in = sum(
-            mask.bit_count() for row in self._in_mid.wave for mask in row
-        )
-        busy_out = sum(
-            mask.bit_count() for row in self._mid_out.wave for mask in row
-        )
+        in_planes, out_planes = self._state.busy_planes()
+        busy_in = sum(plane.bit_count() for planes in in_planes for plane in planes)
+        busy_out = sum(mask.bit_count() for plane in out_planes for mask in plane)
         return {
             "input_to_middle": busy_in / cells,
             "middle_to_output": busy_out / cells,
@@ -438,12 +378,8 @@ class ThreeStageNetwork:
     def available_middles(self, source: Endpoint) -> list[int]:
         """Middle switches reachable from ``source``'s input module now."""
         g = self.topology.input_module_of(source.port)
-        if self.construction is Construction.MSW_DOMINANT:
-            blocked = self._in_mid_busy[g][source.wavelength]
-        else:
-            blocked = self._in_mid_full[g]
-        free = free_middles(self._all_middles_mask, blocked, self._failed_mask)
-        return list(iter_bits(free))
+        request = AdmissionRequest(g, source.wavelength, 0)
+        return list(iter_bits(avail(self._state, request)))
 
     # -- state signatures ---------------------------------------------------
 
@@ -459,18 +395,18 @@ class ThreeStageNetwork:
         ep_bytes = (self.topology.n_ports * k + 7) // 8
         parts = [
             mask.to_bytes(nbytes, "little")
-            for cube in (self._in_mid, self._mid_out)
-            for row in cube.wave
+            for rows in self.fiber_masks()
+            for row in rows
             for mask in row
         ]
-        parts.append(self._input_used.mask.to_bytes(ep_bytes, "little"))
-        parts.append(self._output_used.mask.to_bytes(ep_bytes, "little"))
+        parts.append(self._input_used.to_bytes(ep_bytes, "little"))
+        parts.append(self._output_used.to_bytes(ep_bytes, "little"))
         return b"".join(parts)
 
     def _permute_endpoint_mask(self, mask: int, perm: tuple[int, ...]) -> int:
         """Apply a wavelength relabeling to an endpoint-usage mask."""
         k = self.topology.k
-        k_full = self._k_full
+        k_full = self.geometry.k_full
         out = 0
         for port in range(self.topology.n_ports):
             sub = mask >> (port * k) & k_full
@@ -484,12 +420,13 @@ class ThreeStageNetwork:
         Middle switches are interchangeable resources: permuting their
         indices (together with their first- and second-stage fibers)
         maps reachable states to reachable states and blocked requests
-        to blocked requests.  The canonical form therefore serializes
-        each middle switch's column -- failure flag, incoming fibers,
-        outgoing fibers -- and sorts the per-middle keys, collapsing the
-        up-to-``m!`` symmetric images of a state onto one key.  Failed
-        middles get a distinct flag byte, so only like-status middles
-        ever trade places.
+        to blocked requests.  The canonical form therefore packs each
+        middle switch's column -- failure flag, then per wavelength its
+        incoming-fiber bits and outgoing-fiber mask, in fixed-width
+        fields read straight off the engine's per-wavelength planes --
+        and sorts the per-middle keys, collapsing the up-to-``m!``
+        symmetric images of a state onto one key.  The failure flag is
+        part of the key, so only like-status middles ever trade places.
 
         With ``wavelength_symmetry`` the signature is additionally
         minimized over the ``k!`` global wavelength relabelings (sound
@@ -499,7 +436,9 @@ class ThreeStageNetwork:
         """
         topo = self.topology
         m, r, k = topo.m, topo.r, topo.k
-        nbytes = (k + 7) // 8
+        in_planes, out_planes = self._state.busy_planes()
+        failed = self._state.failed_mask
+        width = (2 * r * k + 8) // 8  # flag bit + 2rk channel bits
         ep_bytes = (topo.n_ports * k + 7) // 8
         identity = tuple(range(k))
         if wavelength_symmetry and k > 1:
@@ -508,38 +447,23 @@ class ThreeStageNetwork:
             perms = (identity,)
         best: bytes | None = None
         for perm in perms:
-            if perm == identity:
-                in_wave = self._in_mid.wave
-                out_wave = self._mid_out.wave
-                in_used = self._input_used.mask
-                out_used = self._output_used.mask
-            else:
-                in_wave = [
-                    [_permute_wavelengths(mask, perm) for mask in row]
-                    for row in self._in_mid.wave
-                ]
-                out_wave = [
-                    [_permute_wavelengths(mask, perm) for mask in row]
-                    for row in self._mid_out.wave
-                ]
-                in_used = self._permute_endpoint_mask(
-                    self._input_used.mask, perm
-                )
-                out_used = self._permute_endpoint_mask(
-                    self._output_used.mask, perm
-                )
-            keys = sorted(
-                bytes([1 if j in self._failed_middles else 0])
-                + b"".join(
-                    in_wave[g][j].to_bytes(nbytes, "little") for g in range(r)
-                )
-                + b"".join(
-                    mask.to_bytes(nbytes, "little") for mask in out_wave[j]
-                )
-                for j in range(m)
-            )
+            # Relabeled wavelength i is old wavelength perm[i].
+            keys = []
+            for j in range(m):
+                key = failed >> j & 1
+                for planes in in_planes:
+                    for w in perm:
+                        key = key << 1 | planes[w] >> j & 1
+                for w in perm:
+                    key = key << r | out_planes[w][j]
+                keys.append(key)
+            keys.sort()
+            in_used, out_used = self._input_used, self._output_used
+            if perm != identity:
+                in_used = self._permute_endpoint_mask(in_used, perm)
+                out_used = self._permute_endpoint_mask(out_used, perm)
             candidate = (
-                b"".join(keys)
+                b"".join(key.to_bytes(width, "big") for key in keys)
                 + in_used.to_bytes(ep_bytes, "little")
                 + out_used.to_bytes(ep_bytes, "little")
             )
@@ -565,13 +489,13 @@ class ThreeStageNetwork:
         source_wavelength = source.wavelength
         if not (0 <= source.port < n_ports and 0 <= source_wavelength < k):
             return False
-        if self._input_used.mask >> (source.port * k + source_wavelength) & 1:
+        if self._input_used >> (source.port * k + source_wavelength) & 1:
             return False
         destinations = request.destinations
         if not destinations:
             return False
         model = self.model
-        output_used = self._output_used.mask
+        output_used = self._output_used
         ports_seen = 0
         first_wavelength = -1
         for destination in destinations:
@@ -604,56 +528,17 @@ class ThreeStageNetwork:
             )
         except ValidityError as exc:
             raise ValidityError(f"illegal request: {exc}") from exc
+        k = self.topology.k
         source = request.source
-        if self._input_used[source.port, source.wavelength]:
+        if self._input_used >> (source.port * k + source.wavelength) & 1:
             raise ValidityError(f"input endpoint {source} already in use")
         for destination in request.destinations:
-            if self._output_used[destination.port, destination.wavelength]:
+            if self._output_used >> (destination.port * k + destination.wavelength) & 1:
                 raise ValidityError(
                     f"output endpoint {destination} already in use"
                 )
 
-    def _module_destinations(
-        self, request: MulticastConnection
-    ) -> dict[int, list[Endpoint]]:
-        by_module: dict[int, list[Endpoint]] = defaultdict(list)
-        for destination in request.destinations:
-            by_module[self.topology.output_module_of(destination.port)].append(
-                destination
-            )
-        return dict(by_module)
-
     # -- routing -----------------------------------------------------------
-
-    def _admission_rows(
-        self, input_module: int, source_wavelength: int
-    ) -> tuple[int, list[int]]:
-        """The engine-kernel view of this state for one setup.
-
-        Returns ``(blocked, blockers)``: the first-stage blocked-middles
-        mask out of ``input_module`` and the per-middle second-stage
-        blocker row.  This pair is the *only* place the serial network
-        maps its incremental caches onto the per-model admission rule;
-        everything downstream (reachability, cover search, cause
-        classification) is :mod:`repro.engine.kernel`.
-
-        Under the MSW-dominant construction the source wavelength is
-        pinned end to end, so both rows are per-wavelength busy masks.
-        Under MAW-dominant the first stage blocks only on a *full*
-        fiber; the second stage pins the delivery wavelength to the
-        source's exactly when the endpoint model is MSW (validated
-        requests have all destination wavelengths equal to it), and
-        otherwise converts freely, blocking only on full fibers.
-        """
-        g = input_module
-        if self.construction is Construction.MSW_DOMINANT:
-            return (
-                self._in_mid_busy[g][source_wavelength],
-                self._mid_out_busy[source_wavelength],
-            )
-        if self.model is MulticastModel.MSW:
-            return self._in_mid_full[g], self._mid_out_busy[source_wavelength]
-        return self._in_mid_full[g], self._mid_out_full
 
     def _coverable_bits(
         self,
@@ -663,15 +548,14 @@ class ThreeStageNetwork:
     ) -> dict[int, int]:
         """Per available middle, the destination modules it can reach.
 
-        Served from the cache by the shared engine kernel: keys iterate
-        in ascending middle index (the cover search's candidate order);
-        values are bitmasks over output modules.
+        The engine kernel's ``coverable`` on this network's state: keys
+        iterate in ascending middle index (the cover search's candidate
+        order); values are bitmasks over output modules.
         """
-        blocked, blockers = self._admission_rows(input_module, source_wavelength)
-        available = free_middles(
-            self._all_middles_mask, blocked, self._failed_mask
+        return coverable(
+            self._state,
+            AdmissionRequest(input_module, source_wavelength, dest_mask),
         )
-        return reach_map(available, dest_mask, blockers)
 
     def _cover_for(
         self,
@@ -679,63 +563,38 @@ class ThreeStageNetwork:
         *,
         stats: CoverSearch | None = None,
         force_middles: dict[int, list[int]] | None = None,
-    ) -> tuple[int, dict[int, list[Endpoint]], dict[int, int | None], dict[int, list[int]] | None]:
+    ) -> tuple[int, dict[int, int] | None]:
         """Run the cover search for ``request`` against the current state.
 
-        Returns ``(input_module, module_destinations, required, cover)``
-        without mutating any state; ``cover`` is None when the request
-        has no <= x-middle cover.  ``required`` maps each destination
-        module to the wavelength its middle->output fiber must carry
-        (None = any free one): pinned only under the MSW endpoint
-        model, whose output modules cannot convert.
+        Returns ``(input_module, cover)`` without mutating any state;
+        ``cover`` maps each chosen middle to its bitmask of output
+        modules, or is None when the request has no <= x-middle cover.
         """
         # Ports were range-checked at admission, so the module mapping
         # inlines the ``port // n`` arithmetic instead of going through
         # the re-validating topology accessors.
         n = self.topology.n
         g = request.source.port // n
-        module_destinations = {}
+        dest_mask = 0
         for destination in request.destinations:
-            module_destinations.setdefault(destination.port // n, []).append(
-                destination
-            )
-        pin = self.model is MulticastModel.MSW
-        required = {
-            module: destinations[0].wavelength if pin else None
-            for module, destinations in module_destinations.items()
-        }
-        dest_mask = mask_of(module_destinations)
+            dest_mask |= 1 << (destination.port // n)
         coverable_bits = self._coverable_bits(
             g, request.source.wavelength, dest_mask
         )
         if force_middles is not None:
-            cover = self._validated_forced_cover(
-                force_middles,
-                frozenset(module_destinations),
-                {j: frozenset(iter_bits(bits)) for j, bits in coverable_bits.items()},
+            return g, self._validated_forced_cover(
+                force_middles, dest_mask, coverable_bits
             )
-            return g, module_destinations, required, cover
-        cover_bits = find_cover_bits(
+        cover = find_cover_bits(
             dest_mask,
             coverable_bits,
             self.x,
             stats=stats,
             preference=self._middle_preference(),
         )
-        if cover_bits is None:
-            cover = None
-        else:
-            cover = {}
-            for j, bits in cover_bits.items():
-                modules = []
-                while bits:
-                    low = bits & -bits
-                    modules.append(low.bit_length() - 1)
-                    bits ^= low
-                cover[j] = modules
         if stats is not None:
-            stats.cover = cover
-        return g, module_destinations, required, cover
+            stats.cover = None if cover is None else _cover_lists(cover)
+        return g, cover
 
     def probe_cover(
         self, request: MulticastConnection, *, stats: CoverSearch | None = None
@@ -746,10 +605,11 @@ class ThreeStageNetwork:
         request would block -- the primitive the exhaustive model checker
         probes reachable states with.
         """
-        return self._cover_for(request, stats=stats)[3]
+        cover = self._cover_for(request, stats=stats)[1]
+        return None if cover is None else _cover_lists(cover)
 
     def explain_block(self, request: MulticastConnection) -> dict:
-        """Reconstruct *why* ``request`` blocks, from the bitmask caches.
+        """Explain *why* ``request`` blocks: the engine's ``classify_block``.
 
         Read-only.  Classifies the failure into one of four kinds -- the
         contention modes the paper's constructions trade off:
@@ -777,61 +637,18 @@ class ThreeStageNetwork:
         request that actually blocks; on a routable request the kind
         degenerates to ``no_cover`` with full reachability evidence.
         """
-        g = self.topology.input_module_of(request.source.port)
-        source_wavelength = request.source.wavelength
-        dest_mask = mask_of(self._module_destinations(request))
-        blocked, blockers = self._admission_rows(g, source_wavelength)
-        available = free_middles(
-            self._all_middles_mask, blocked, self._failed_mask
+        topo = self.topology
+        dest_mask = mask_of(
+            topo.output_module_of(d.port) for d in request.destinations
         )
-        coverable = reach_map(available, dest_mask, blockers)
-        return block_cause(
-            x=self.x,
-            input_module=g,
-            source_wavelength=source_wavelength,
-            blocked_mask=blocked,
-            available=available,
-            coverable=coverable,
-            dest_mask=dest_mask,
-            msw_dominant=self.construction is Construction.MSW_DOMINANT,
-            failed_mask=self._failed_mask,
+        return classify_block(
+            self._state,
+            AdmissionRequest(
+                topo.input_module_of(request.source.port),
+                request.source.wavelength,
+                dest_mask,
+            ),
         )
-
-    def _mark_in_mid(self, g: int, j: int, wavelength: int, busy: bool) -> None:
-        """Set one first-stage link wavelength and keep the cache in sync."""
-        bit = 1 << j
-        counts = self._in_mid_count[g]
-        wave = self._in_mid.wave[g]
-        if busy:
-            wave[j] |= 1 << wavelength
-            self._in_mid_busy[g][wavelength] |= bit
-            counts[j] += 1
-            if counts[j] == self.topology.k:
-                self._in_mid_full[g] |= bit
-        else:
-            wave[j] &= ~(1 << wavelength)
-            self._in_mid_busy[g][wavelength] &= ~bit
-            if counts[j] == self.topology.k:
-                self._in_mid_full[g] &= ~bit
-            counts[j] -= 1
-
-    def _mark_mid_out(self, j: int, p: int, wavelength: int, busy: bool) -> None:
-        """Set one second-stage link wavelength and keep the cache in sync."""
-        bit = 1 << p
-        counts = self._mid_out_count[j]
-        wave = self._mid_out.wave[j]
-        if busy:
-            wave[p] |= 1 << wavelength
-            self._mid_out_busy[wavelength][j] |= bit
-            counts[p] += 1
-            if counts[p] == self.topology.k:
-                self._mid_out_full[j] |= bit
-        else:
-            wave[p] &= ~(1 << wavelength)
-            self._mid_out_busy[wavelength][j] &= ~bit
-            if counts[p] == self.topology.k:
-                self._mid_out_full[j] &= ~bit
-            counts[p] -= 1
 
     def connect(
         self,
@@ -864,7 +681,7 @@ class ThreeStageNetwork:
                 infeasible.
         """
         self._validate_request(request)
-        g, module_destinations, required, cover = self._cover_for(
+        g, cover = self._cover_for(
             request, stats=stats, force_middles=force_middles
         )
         if cover is None:
@@ -876,45 +693,22 @@ class ThreeStageNetwork:
                 "among the available middles"
             )
 
-        branches = []
-        msw_dominant = self.construction is Construction.MSW_DOMINANT
-        for j, modules in sorted(cover.items()):
-            if msw_dominant:
-                in_wavelength = request.source.wavelength
-            else:
-                in_wavelength = self._pick_wavelength(
-                    self._k_full & ~self._in_mid.wave[g][j]
-                )
-            self._mark_in_mid(g, j, in_wavelength, True)
-            deliveries = []
-            for p in modules:
-                pinned = required[p]
-                if msw_dominant:
-                    out_wavelength = request.source.wavelength
-                elif pinned is not None:
-                    out_wavelength = pinned
-                else:
-                    out_wavelength = self._pick_wavelength(
-                        self._k_full & ~self._mid_out.wave[j][p]
-                    )
-                self._mark_mid_out(j, p, out_wavelength, True)
-                deliveries.append((p, out_wavelength))
-            branches.append(
-                RoutedBranch(
-                    middle=j,
-                    in_wavelength=in_wavelength,
-                    deliveries=tuple(deliveries),
-                )
+        source = request.source
+        sw = source.wavelength
+        undo = self._state.allocate(0, g, sw, cover, self._pick)
+        if self._state.msw_dominant:
+            # The carrier is pinned to the source wavelength end to end.
+            branches = tuple(
+                RoutedBranch(j, sw, tuple([(p, sw) for p in iter_bits(assigned)]))
+                for j, assigned in undo
             )
+        else:
+            branches = tuple(RoutedBranch(*branch) for branch in undo)
 
         k = self.topology.k
-        self._input_used.mask |= 1 << (
-            request.source.port * k + request.source.wavelength
-        )
+        self._input_used |= 1 << (source.port * k + sw)
         for destination in request.destinations:
-            self._output_used.mask |= 1 << (
-                destination.port * k + destination.wavelength
-            )
+            self._output_used |= 1 << (destination.port * k + destination.wavelength)
 
         connection_id = self._next_id
         self._next_id += 1
@@ -922,9 +716,10 @@ class ThreeStageNetwork:
             connection_id=connection_id,
             request=request,
             input_module=g,
-            branches=tuple(branches),
+            branches=branches,
         )
         self._active[connection_id] = routed
+        self._undo[connection_id] = undo
         self.setups += 1
         if _obs.enabled():
             _obs.on_admit(self, routed, stats)
@@ -937,7 +732,7 @@ class ThreeStageNetwork:
     @property
     def failed_middles(self) -> frozenset[int]:
         """Middle switches currently marked failed."""
-        return frozenset(self._failed_middles)
+        return frozenset(iter_bits(self._state.failed_mask))
 
     def fail_middle(self, middle: int, *, drain: bool = False) -> list[MulticastConnection]:
         """Mark a middle switch failed; no new routes will use it.
@@ -962,10 +757,7 @@ class ThreeStageNetwork:
         zero blocking -- failed switches just count against the spare
         margin.
         """
-        if not 0 <= middle < self.topology.m:
-            raise ValueError(
-                f"middle {middle} outside [0, {self.topology.m})"
-            )
+        self._check_index("middle", middle, self.topology.m)
         victims = [
             cid
             for cid, routed in self._active.items()
@@ -980,31 +772,31 @@ class ThreeStageNetwork:
         for cid in victims:
             drained.append(self._active[cid].request)
             self.disconnect(cid)
-        self._failed_middles.add(middle)
-        self._failed_mask |= 1 << middle
+        self._state.failed_mask |= 1 << middle
         return drained
 
     def repair_middle(self, middle: int) -> None:
         """Return a failed middle switch to service."""
-        self._failed_middles.discard(middle)
-        self._failed_mask &= ~(1 << middle)
+        self._check_index("middle", middle, self.topology.m)
+        self._state.failed_mask &= ~(1 << middle)
 
     def wavelength_usage(self) -> list[int]:
         """Busy internal channels per wavelength index, network-wide."""
-        usage = [0] * self.topology.k
-        for cube in (self._in_mid, self._mid_out):
-            for row in cube.wave:
-                for mask in row:
-                    while mask:
-                        low = mask & -mask
-                        usage[low.bit_length() - 1] += 1
-                        mask ^= low
-        return usage
+        in_planes, out_planes = self._state.busy_planes()
+        return [
+            sum(planes[w].bit_count() for planes in in_planes)
+            + sum(mask.bit_count() for mask in out_planes[w])
+            for w in range(self.topology.k)
+        ]
 
     def _pick_wavelength(self, free_mask: int) -> int:
-        """Choose a carrier among the ``free_mask`` wavelengths per policy."""
-        if self.wavelength_policy == "first_fit" or free_mask & (free_mask - 1) == 0:
-            return (free_mask & -free_mask).bit_length() - 1
+        """Choose a carrier among the ``free_mask`` wavelengths per policy.
+
+        The engine's ``allocate`` pick hook for every policy but
+        first-fit (which the engine applies itself).
+        """
+        if free_mask & (free_mask - 1) == 0:
+            return free_mask.bit_length() - 1
         free = list(iter_bits(free_mask))
         if self.wavelength_policy == "random":
             return self._selection_rng.choice(free)
@@ -1014,13 +806,23 @@ class ThreeStageNetwork:
         # least_used
         return min(free, key=lambda w: (usage[w], w))
 
+    def _middle_loads(self) -> list[int]:
+        """Busy channels on each middle switch's fibers, from one state read."""
+        in_planes, out_planes = self._state.busy_planes()
+        loads = [0] * self.topology.m
+        for planes in in_planes:
+            for plane in planes:
+                for j in iter_bits(plane):
+                    loads[j] += 1
+        for plane in out_planes:
+            for j, mask in enumerate(plane):
+                loads[j] += mask.bit_count()
+        return loads
+
     def middle_load(self, middle: int) -> int:
         """Busy wavelength channels on a middle switch's fibers (both sides)."""
-        in_load = sum(
-            row[middle].bit_count() for row in self._in_mid.wave
-        )
-        out_load = sum(mask.bit_count() for mask in self._mid_out.wave[middle])
-        return in_load + out_load
+        self._check_index("middle", middle, self.topology.m)
+        return self._middle_loads()[middle]
 
     def _middle_preference(self) -> list[int] | None:
         """Candidate order implementing the selection strategy."""
@@ -1030,7 +832,7 @@ class ThreeStageNetwork:
         if self.selection == "random":
             self._selection_rng.shuffle(middles)
             return middles
-        loads = [self.middle_load(j) for j in middles]
+        loads = self._middle_loads()
         if self.selection == "least_loaded":
             return sorted(middles, key=lambda j: (loads[j], j))
         # most_loaded (packing)
@@ -1039,9 +841,9 @@ class ThreeStageNetwork:
     def _validated_forced_cover(
         self,
         force_middles: dict[int, list[int]],
-        destinations: frozenset[int],
-        coverable: dict[int, frozenset[int]],
-    ) -> dict[int, list[int]]:
+        dest_mask: int,
+        coverable: dict[int, int],
+    ) -> dict[int, int]:
         """Check a caller-chosen middle-switch split for feasibility."""
         if len(force_middles) > self.x:
             raise ValueError(
@@ -1051,18 +853,19 @@ class ThreeStageNetwork:
         for j, modules in force_middles.items():
             if j not in coverable:
                 raise ValueError(f"middle switch {j} is not available")
-            bad = set(modules) - coverable[j]
+            bad = set(modules) - set(iter_bits(coverable[j]))
             if bad:
                 raise ValueError(
                     f"middle switch {j} cannot reach output modules {sorted(bad)}"
                 )
             assigned.extend(modules)
-        if sorted(assigned) != sorted(destinations):
+        destinations = list(iter_bits(dest_mask))
+        if sorted(assigned) != destinations:
             raise ValueError(
                 f"forced split covers {sorted(assigned)}, request needs "
-                f"{sorted(destinations)}"
+                f"{destinations}"
             )
-        return {j: sorted(modules) for j, modules in force_middles.items()}
+        return {j: mask_of(modules) for j, modules in force_middles.items()}
 
     def try_connect(self, request: MulticastConnection) -> int | None:
         """Like :meth:`connect` but returns None instead of raising on block."""
@@ -1076,20 +879,14 @@ class ThreeStageNetwork:
         routed = self._active.pop(connection_id, None)
         if routed is None:
             raise KeyError(f"no active connection with id {connection_id}")
-        g = routed.input_module
-        for branch in routed.branches:
-            assert self._in_mid.wave[g][branch.middle] >> branch.in_wavelength & 1
-            self._mark_in_mid(g, branch.middle, branch.in_wavelength, False)
-            for p, out_wavelength in branch.deliveries:
-                assert self._mid_out.wave[branch.middle][p] >> out_wavelength & 1
-                self._mark_mid_out(branch.middle, p, out_wavelength, False)
-        k = self.topology.k
         source = routed.request.source
-        self._input_used.mask &= ~(
-            1 << (source.port * k + source.wavelength)
+        self._state.free(
+            0, routed.input_module, source.wavelength, self._undo.pop(connection_id)
         )
+        k = self.topology.k
+        self._input_used &= ~(1 << (source.port * k + source.wavelength))
         for destination in routed.request.destinations:
-            self._output_used.mask &= ~(
+            self._output_used &= ~(
                 1 << (destination.port * k + destination.wavelength)
             )
         self.teardowns += 1
@@ -1106,10 +903,14 @@ class ThreeStageNetwork:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the link state equals the sum of active connections.
+        """Verify the engine state equals the sum of active connections.
 
-        Used by the fuzz tests after every event: any leak or
-        double-booking in setup/teardown shows up immediately.
+        Rebuilds the per-fiber and endpoint masks from the connection
+        ledger and compares them with the live state, then checks every
+        ``setup_views(g, sw)`` -- the admission rows the kernels read --
+        against the rebuilt fibers.  Used by the fuzz tests after every
+        event: any leak or double-booking in setup/teardown shows up
+        immediately.
         """
         topo = self.topology
         r, m, k = topo.r, topo.m, topo.k
@@ -1138,42 +939,28 @@ class ThreeStageNetwork:
                         "two connections share a second-stage link wavelength"
                     )
                     out_wave[branch.middle][p] |= 1 << w
-        assert in_wave == self._in_mid.wave, "first-stage link state leak"
-        assert out_wave == self._mid_out.wave, "second-stage link state leak"
-        assert input_mask == self._input_used.mask, "input endpoint leak"
-        assert output_mask == self._output_used.mask, "output endpoint leak"
+        live_in, live_out = self.fiber_masks()
+        assert in_wave == live_in, "first-stage link state leak"
+        assert out_wave == live_out, "second-stage link state leak"
+        assert input_mask == self._input_used, "input endpoint leak"
+        assert output_mask == self._output_used, "output endpoint leak"
 
-        # The incremental coverability cache must mirror the wave masks.
+        k_full = self.geometry.k_full
+
+        def unusable(masks: list[int], sw: int, pinned: bool) -> int:
+            """Fibers that cannot carry ``sw``: busy on it, or full if free to convert."""
+            return mask_of(
+                i for i, mask in enumerate(masks)
+                if (mask >> sw & 1 if pinned else mask == k_full)
+            )
+
+        in_pinned = self._state.msw_dominant
+        out_pinned = in_pinned or self.model is MulticastModel.MSW
         for g in range(r):
-            row = self._in_mid.wave[g]
-            for w in range(k):
-                expected = mask_of(j for j in range(m) if row[j] >> w & 1)
-                assert self._in_mid_busy[g][w] == expected, (
-                    "in_mid busy-mask cache out of sync"
-                )
-            counts = [row[j].bit_count() for j in range(m)]
-            assert self._in_mid_count[g] == counts, (
-                "in_mid count cache out of sync"
-            )
-            expected_full = mask_of(j for j in range(m) if counts[j] == k)
-            assert self._in_mid_full[g] == expected_full, (
-                "in_mid full-mask cache out of sync"
-            )
-        for j in range(m):
-            row = self._mid_out.wave[j]
-            for w in range(k):
-                expected = mask_of(p for p in range(r) if row[p] >> w & 1)
-                assert self._mid_out_busy[w][j] == expected, (
-                    "mid_out busy-mask cache out of sync"
-                )
-            counts = [row[p].bit_count() for p in range(r)]
-            assert self._mid_out_count[j] == counts, (
-                "mid_out count cache out of sync"
-            )
-            expected_full = mask_of(p for p in range(r) if counts[p] == k)
-            assert self._mid_out_full[j] == expected_full, (
-                "mid_out full-mask cache out of sync"
-            )
-        assert self._failed_mask == mask_of(self._failed_middles), (
-            "failed-middle mask out of sync"
-        )
+            for sw in range(k):
+                blocked, blockers = self._state.setup_views(g, sw)
+                assert blocked[0] == unusable(
+                    in_wave[g], sw, in_pinned
+                ) and blockers[0] == [
+                    unusable(row, sw, out_pinned) for row in out_wave
+                ], "setup views out of sync with the link state"

@@ -9,8 +9,8 @@ per line (JSONL), so traces stream to disk or a pipe and are grep- and
 
 * ``admit`` -- the request plus the middle switches and wavelengths it
   was routed onto;
-* ``block`` -- the request plus its **cause**, reconstructed from the
-  network's bitmask caches by
+* ``block`` -- the request plus its **cause**, read off the network's
+  engine state by
   :meth:`~repro.multistage.network.ThreeStageNetwork.explain_block`:
   which middle switches the request could not enter
   (``first_stage_blocked_mask``), which destination modules no

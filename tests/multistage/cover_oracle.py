@@ -9,9 +9,9 @@ kernel against:
   candidate ordering, greedy tie-breaking, DFS expansion order and final
   destination->switch assignment as the bitmask kernel);
 * :func:`coverable_sets` -- each available middle switch's reachable
-  destination modules, recomputed from the network's ground-truth
-  per-fiber wavelength masks (``_in_mid.wave`` / ``_mid_out.wave``)
-  rather than from its incremental caches;
+  destination modules, recomputed from the network's raw per-fiber
+  wavelength masks (``fiber_masks()``) rather than from the engine's
+  setup views;
 * :func:`reference_cover` -- the two composed: the cover the network
   should pick for a request in its current state (default ``greedy``
   selection).
@@ -135,7 +135,7 @@ def find_cover_reference(
 def coverable_sets(net, request) -> dict[int, frozenset[int]]:
     """Per available middle switch, the destination modules it can reach.
 
-    Read straight off the ground-truth fiber masks: a middle is
+    Read straight off the raw per-fiber masks: a middle is
     available when its first-stage fiber from the source's input module
     can carry the connection (the source wavelength is free under the
     MSW-dominant construction; any wavelength is free under
@@ -154,7 +154,8 @@ def coverable_sets(net, request) -> dict[int, frozenset[int]]:
         required.setdefault(module, pinned)
     k_full = (1 << topo.k) - 1
     msw_dominant = net.construction is Construction.MSW_DOMINANT
-    in_wave = net._in_mid.wave[g]
+    in_mid, mid_out = net.fiber_masks()
+    in_wave = in_mid[g]
     coverable: dict[int, frozenset[int]] = {}
     for j in range(topo.m):
         if j in net.failed_middles:
@@ -164,7 +165,7 @@ def coverable_sets(net, request) -> dict[int, frozenset[int]]:
                 continue
         elif in_wave[j] == k_full:
             continue
-        out_wave = net._mid_out.wave[j]
+        out_wave = mid_out[j]
         reach = set()
         for p, pinned in required.items():
             if msw_dominant:

@@ -1,9 +1,11 @@
-"""The incremental coverability cache must always mirror the numpy state.
+"""The engine state must always equal the sum of the live connections.
 
-``ThreeStageNetwork`` keeps bitmask mirrors of link occupancy and
-endpoint usage so the routing hot path never rebuilds them per request;
-``check_invariants`` recomputes every mirror from the numpy ground
-truth.  These tests drive the cache through every mutation path --
+``ThreeStageNetwork`` keeps its fiber occupancy in one B = 1 engine
+``PythonState`` and its endpoint usage in two int masks, updated
+incrementally so the routing hot path never rebuilds them per request.
+``check_invariants`` rebuilds the fiber and endpoint masks from the
+connection ledger and compares them, and every admission view, with the
+live state.  These tests drive the state through every mutation path --
 connect, disconnect, middle failure with drain, repair, disconnect_all
 -- and cross-check after each step.
 """

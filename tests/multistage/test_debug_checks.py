@@ -34,6 +34,12 @@ class TestFlagResolution:
         assert ThreeStageNetwork(2, 2, 3, 1, debug_checks=False).debug_checks is False
 
 
+def leak_first_stage_channel(net: ThreeStageNetwork) -> None:
+    """Mark wavelength 0 busy on the fiber from input module 1 to middle 2
+    in the engine state, with no connection owning it."""
+    net._state.allocate(0, 1, 0, {2: 0})
+
+
 class TestCheckingBehaviour:
     def test_clean_traffic_passes_with_checks_on(self):
         net = ThreeStageNetwork(2, 2, 3, 1, debug_checks=True)
@@ -43,22 +49,21 @@ class TestCheckingBehaviour:
 
     def test_connect_catches_injected_corruption(self):
         net = ThreeStageNetwork(2, 2, 3, 1, debug_checks=True)
-        # Leak a first-stage channel no connection owns.
-        net._in_mid[1, 2, 0] = True
+        leak_first_stage_channel(net)
         with pytest.raises(AssertionError, match="link state"):
             net.connect(REQUEST)
 
     def test_disconnect_catches_injected_corruption(self):
         net = ThreeStageNetwork(2, 2, 3, 1, debug_checks=True)
         cid = net.connect(REQUEST)
-        net._output_used[3, 0] = True
-        with pytest.raises(AssertionError):
+        net._output_used |= 1 << 3  # output endpoint (3, 0), k = 1
+        with pytest.raises(AssertionError, match="output endpoint leak"):
             net.disconnect(cid)
 
     def test_corruption_ignored_with_checks_off(self):
         """The hot path must not pay for the scan -- no check, no raise."""
         net = ThreeStageNetwork(2, 2, 3, 1, debug_checks=False)
-        net._in_mid[1, 2, 0] = True
+        leak_first_stage_channel(net)
         net.connect(REQUEST)  # does not raise
         with pytest.raises(AssertionError):
             net.check_invariants()  # explicit calls always run

@@ -37,24 +37,30 @@ def loaded_network(seed: int) -> ThreeStageNetwork:
     return net
 
 
+def full_fibers(net: ThreeStageNetwork) -> list[list[bool]]:
+    """``[j][p]``: every wavelength busy on the fiber middle j -> module p."""
+    k_full = (1 << net.topology.k) - 1
+    return [[mask == k_full for mask in row] for row in net.fiber_masks()[1]]
+
+
 class TestMultisetMatchesLinkState:
     def test_multiplicities_equal_busy_wavelengths(self):
         net = loaded_network(seed=3)
+        mid_out = net.fiber_masks()[1]
         for j in range(net.topology.m):
             multiset = net.destination_multiset(j)
             for p in range(net.topology.r):
-                assert multiset.multiplicity(p) == int(
-                    net._mid_out[j, p].sum()
-                )
+                assert multiset.multiplicity(p) == mid_out[j][p].bit_count()
 
     def test_saturation_equals_full_link(self):
         net = loaded_network(seed=4)
+        full = full_fibers(net)
         for j in range(net.topology.m):
             multiset = net.destination_multiset(j)
             for p in multiset.saturated_elements():
-                assert net._mid_out[j, p].all()
+                assert full[j][p]
             for p in multiset.usable_elements():
-                assert not net._mid_out[j, p].all()
+                assert not full[j][p]
 
 
 class TestLemma4Predicate:
@@ -64,6 +70,7 @@ class TestLemma4Predicate:
         rng = random.Random(0)
         for seed in range(6):
             net = loaded_network(seed=seed)
+            full = full_fibers(net)
             r, m = net.topology.r, net.topology.m
             for _ in range(40):
                 x = rng.randint(1, 3)
@@ -78,10 +85,7 @@ class TestLemma4Predicate:
                 null = DestinationMultiset.intersect_all(multisets).is_null()
 
                 coverable = all(
-                    any(
-                        not net._mid_out[j, p].all()
-                        for j in middles
-                    )
+                    any(not full[j][p] for j in middles)
                     for p in destinations
                 )
                 assert null == coverable, (
@@ -93,13 +97,11 @@ class TestLemma4Predicate:
         """The paper's reading of eq. (3): the maximal connection through
         two middles equals the one through a switch with the min-multiset."""
         net = loaded_network(seed=9)
+        full = full_fibers(net)
         for j in range(net.topology.m - 1):
             a = net.destination_multiset(j)
             b = net.destination_multiset(j + 1)
             joint = a.intersect(b)
             for p in range(net.topology.r):
-                via_either = (
-                    not net._mid_out[j, p].all()
-                    or not net._mid_out[j + 1, p].all()
-                )
+                via_either = not full[j][p] or not full[j + 1][p]
                 assert (p in joint.usable_elements()) == via_either

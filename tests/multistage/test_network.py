@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.combinatorics.multiset import DestinationMultiset
@@ -222,3 +224,33 @@ class TestStats:
         net.connect(conn((0, 0), (2, 0)))
         assert net.link_utilization()["input_to_middle"] > 0.0
         assert net.link_utilization()["middle_to_output"] > 0.0
+
+
+#: (method, args, error) on a v(2, 2, 2, 3) network: every accessor
+#: that takes a middle or a wavelength rejects an index outside its range
+BAD_INDEX_CALLS = [
+    ("repair_middle", (-1,), "middle -1 outside [0, 2)"),
+    ("repair_middle", (7,), "middle 7 outside [0, 2)"),
+    ("fail_middle", (2,), "middle 2 outside [0, 2)"),
+    ("middle_load", (-1,), "middle -1 outside [0, 2)"),
+    ("middle_load", (5,), "middle 5 outside [0, 2)"),
+    ("destination_multiset", (-1,), "middle -1 outside [0, 2)"),
+    ("destination_multiset", (2,), "middle 2 outside [0, 2)"),
+    ("destination_set", (-1, 0), "middle -1 outside [0, 2)"),
+    ("destination_set", (0, 3), "wavelength 3 outside [0, 3)"),
+    ("destination_mask", (2, 0), "middle 2 outside [0, 2)"),
+    ("destination_mask", (0, -1), "wavelength -1 outside [0, 3)"),
+]
+
+
+class TestAccessorIndexChecks:
+    @pytest.mark.parametrize(
+        "method, args, message",
+        BAD_INDEX_CALLS,
+        ids=[f"{method}{args}" for method, args, _ in BAD_INDEX_CALLS],
+    )
+    def test_bad_index_rejected(self, method, args, message):
+        net = ThreeStageNetwork(2, 2, 2, 3, x=1)
+        net.connect(conn((0, 0), (2, 0)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(net, method)(*args)

@@ -2,8 +2,8 @@
 
 Each scenario drives the network into one of the four contention modes,
 asserts ``explain_block`` classifies it correctly, and re-derives the
-evidence masks from the numpy link arrays (the ground truth that
-``check_invariants`` holds the bitmask caches to).
+evidence masks from the raw per-fiber masks (``fiber_masks()``, which
+``check_invariants`` holds to the connection ledger).
 """
 
 from __future__ import annotations
@@ -23,24 +23,25 @@ def explain_blocked(net, request):
     """Assert ``request`` blocks, then return the reconstructed cause."""
     with pytest.raises(BlockedError):
         net.connect(request)
-    net.check_invariants()  # bitmask caches match the numpy ground truth
+    net.check_invariants()  # engine state matches the connection ledger
     assert net.probe_cover(request) is None
     cause = net.explain_block(request)
     return cause
 
 
 def first_stage_blocked_ground_truth(net, g, wavelength):
-    """Recompute the blocked-middles mask from the raw link array."""
+    """Recompute the blocked-middles mask from the raw per-fiber masks."""
+    in_wave = net.fiber_masks()[0][g]
     if net.construction is Construction.MSW_DOMINANT:
         return sum(
             1 << j
             for j in range(net.topology.m)
-            if net._in_mid[g, j, wavelength]
+            if in_wave[j] >> wavelength & 1
         )
     return sum(
         1 << j
         for j in range(net.topology.m)
-        if all(net._in_mid[g, j, w] for w in range(net.topology.k))
+        if all(in_wave[j] >> w & 1 for w in range(net.topology.k))
     )
 
 
@@ -92,8 +93,9 @@ class TestFullMiddles:
         # the needed wavelength on every middle (the raw ground truth).
         assert cause["unreachable_modules"] == [1]
         assert cause["per_destination"] == [[1, 0]]
+        mid_out = net.fiber_masks()[1]
         for j in range(2):
-            assert net._mid_out[j, 1, 0]
+            assert mid_out[j][1] & 1  # wavelength 0 busy
 
 
 class TestNoCover:

@@ -43,9 +43,11 @@ their wavelength-availability, converter-budget and Lemma-4 cover
 decisions through these kernels, so MSW/MSDW/MAW semantics and the
 blocking-cause taxonomy are stated exactly once. The mask-level
 functions (`free_middles`, `reach_map`, `probe_cover`, `classify_kind`,
-`block_cause`) are what the hot paths call with their own caches; the
+`block_cause`) are what the hot paths call on backend views; the
 state-level functions (`avail`, `coverable`, `admit`, `release`,
 `classify_block`) pair an `AdmissionRequest` with a `FabricState`.
+The serial network's occupancy is itself a B = 1 `PythonState`, so its
+`explain_block` is `classify_block` on that state.
 
 ### The backend seam
 
@@ -75,7 +77,7 @@ identity-test vehicle on machines without numba). The package ships
 `ThreeStageNetwork(..., debug_checks=True)` -- or setting the
 `WDM_REPRO_DEBUG_CHECKS` environment variable to `1`/`true`/`yes`/`on`
 -- re-runs `check_invariants()` after every `connect`/`disconnect`, so
-any incremental-cache leak surfaces at the exact event that caused it.
+any state leak surfaces at the exact event that caused it.
 Off by default: the scan is O(state) per event, far too slow for the
 Monte-Carlo hot paths. Explicit `check_invariants()` calls always run
 regardless of the flag; the fuzz tests enable it, the hot paths leave
@@ -281,8 +283,8 @@ the metrics registry and optional `Tracer`.
 ### Tracing blocking causes
 
 With a tracer active, every `connect`/`disconnect` emits one JSONL
-record; blocked requests carry a cause reconstructed from the
-network's bitmask caches by `ThreeStageNetwork.explain_block`:
+record; blocked requests carry the cause `ThreeStageNetwork.explain_block`
+reads off the network's engine state (`classify_block`):
 `saturated_wavelength`, `converter_exhaustion`, `full_middles` or
 `no_cover`, plus the evidence masks. The `summary` record's per-cause
 counts always sum to the blocked total -- the blocking-probability
