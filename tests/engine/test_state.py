@@ -1,0 +1,77 @@
+"""PythonState's read-only occupancy view and its carrier-pick hook."""
+
+from __future__ import annotations
+
+from repro.core.models import Construction, MulticastModel
+from repro.engine.geometry import FabricGeometry
+from repro.engine.state import PythonState
+
+#: idle ``busy_planes()`` of a v(2, 3, 2, 3) fabric: in[g][w], out[w][j]
+IDLE = ([[0] * 3 for _ in range(3)], [[0] * 2 for _ in range(3)])
+
+
+def state(construction: Construction, model: MulticastModel) -> PythonState:
+    return PythonState(
+        [
+            FabricGeometry(
+                n=2, r=3, k=3, m=2,
+                construction=construction, model=model, x=1,
+            )
+        ]
+    )
+
+
+class TestBusyPlanes:
+    def test_msw_dominant_planes_follow_allocate_and_free(self):
+        s = state(Construction.MSW_DOMINANT, MulticastModel.MSW)
+        undo = s.allocate(0, 1, 2, {0: 0b101})
+        in_planes, out_planes = s.busy_planes()
+        assert in_planes[1][2] == 0b01  # middle 0 on wavelength 2
+        assert out_planes[2][0] == 0b101  # modules 0 and 2
+        s.free(0, 1, 2, undo)
+        assert s.busy_planes() == IDLE
+
+    def test_maw_dominant_planes_follow_allocate_and_free(self):
+        s = state(Construction.MAW_DOMINANT, MulticastModel.MAW)
+        s.allocate(0, 0, 1, {1: 0b001})  # first-fit: wavelength 0 twice
+        undo = s.allocate(0, 0, 1, {1: 0b011})  # wavelength 1, then 1 and 0
+        assert undo == ((1, 1, ((0, 1), (1, 0))),)
+        in_planes, out_planes = s.busy_planes()
+        assert in_planes[0][:2] == [0b10, 0b10]
+        assert [plane[1] for plane in out_planes] == [0b011, 0b001, 0]
+        s.free(0, 0, 1, undo)
+        in_planes, out_planes = s.busy_planes()
+        assert in_planes[0][:2] == [0b10, 0]
+        assert [plane[1] for plane in out_planes] == [0b001, 0, 0]
+
+    def test_view_is_a_copy(self):
+        for construction in Construction:
+            s = state(construction, MulticastModel.MSW)
+            in_planes, out_planes = s.busy_planes()
+            in_planes[0][0] = out_planes[0][0] = 1
+            assert s.busy_planes() == IDLE
+
+
+class TestPickHook:
+    def test_in_fiber_first_then_deliveries_ascending_on_live_state(self):
+        s = state(Construction.MAW_DOMINANT, MulticastModel.MAW)
+        calls = []
+
+        def highest(free: int) -> int:
+            calls.append((free, s.busy_planes()[0][0][2]))
+            return free.bit_length() - 1
+
+        undo = s.allocate(0, 0, 0, {1: 0b110}, highest)
+        assert undo == ((1, 2, ((1, 2), (2, 2))),)
+        # The deliveries' picks already see the in-fiber carrier.
+        assert calls == [(0b111, 0), (0b111, 0b10), (0b111, 0b10)]
+        calls.clear()
+        s.allocate(0, 0, 0, {1: 0b010}, highest)
+        assert [free for free, _ in calls] == [0b011, 0b011]
+
+    def test_pinned_deliveries_skip_the_hook(self):
+        s = state(Construction.MAW_DOMINANT, MulticastModel.MSW)
+        calls = []
+        undo = s.allocate(0, 0, 1, {0: 0b011}, lambda free: calls.append(free) or 2)
+        assert undo == ((0, 2, ((0, 1), (1, 1))),)
+        assert calls == [0b111]
