@@ -49,12 +49,11 @@ from repro.core.models import (
 from repro.engine.fabrics import get_fabric
 from repro.multistage.adversary import search_blocking_state
 from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import get_routing_kernel
 from repro.obs.meta import ResultMeta
 from repro.perf.batch import simulate_batch
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.switching.generators import dynamic_traffic, stream_rng
-from repro.workloads.keys import key_fragment
+from repro.workloads.keys import key_fragment, require_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.perf.cache import ResultCache
@@ -134,6 +133,7 @@ def _traffic_key(
     max_fanout: int | None,
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
+    kernel: str = "bitmask",
 ) -> str:
     params = dict(
         n=n, r=r, m=m, k=k, construction=construction, model=model,
@@ -152,7 +152,7 @@ def _traffic_key(
     fabric_token = get_fabric(fabric).token()
     if fabric_token is not None:
         params["fabric"] = fabric_token
-    return cache.key("traffic_cell", params)
+    return cache.key("traffic_cell", params, kernel=kernel)
 
 
 def _adversary_key(
@@ -165,6 +165,7 @@ def _adversary_key(
     model: MulticastModel,
     x: int,
     seed: int,
+    kernel: str = "bitmask",
 ) -> str:
     return cache.key(
         "adversary_cell",
@@ -172,6 +173,7 @@ def _adversary_key(
             n=n, r=r, m=m, k=k, construction=construction, model=model,
             x=x, seed=seed,
         ),
+        kernel=kernel,
     )
 
 
@@ -457,11 +459,11 @@ def _run_batched_cells(
     ``batch`` caps replications per work unit; None packs each seed's
     whole ``m`` column into one unit.  Each unit's fabric state runs on
     ``backend`` as resolved by
-    :func:`repro.engine.backends.resolve_backend` (``"auto"`` honours
-    ``WDM_REPRO_BATCH_BACKEND``, then prefers the fused ``numba``
-    kernel when usable); every backend drives the same
-    :mod:`repro.engine` kernels, so results are bit-identical to this
-    serial loop -- which is why cache keys ignore the backend entirely.
+    :func:`repro.engine.backends.resolve_backend` (``"auto"`` prefers
+    the fused ``numba`` kernel when usable); every backend drives the
+    same :mod:`repro.engine` kernels, so results are bit-identical to
+    this serial loop -- which is why cache keys ignore the backend
+    entirely.
     """
     results: dict[tuple[int, int], tuple[int, int]] = {}
     keys: dict[tuple[int, int], str] = {}
@@ -471,7 +473,7 @@ def _run_batched_cells(
         if cache is not None:
             key = _traffic_key(
                 cache, n, r, m, k, construction, model, x, steps, seed,
-                max_fanout, workload, fabric,
+                max_fanout, workload, fabric, "batched",
             )
             keys[cell] = key
             hit, value = cache.lookup(key)
@@ -482,11 +484,10 @@ def _run_batched_cells(
     by_seed: dict[int, list[int]] = {}
     for m, seed in pending:
         by_seed.setdefault(seed, []).append(m)
-    chunk = None if batch is None else max(1, batch)
     units = []
     for seed in sorted(by_seed):
         ms = by_seed[seed]
-        size = len(ms) if chunk is None else chunk
+        size = len(ms) if batch is None else batch
         for start in range(0, len(ms), size):
             units.append(
                 WorkUnit(
@@ -507,111 +508,6 @@ def _run_batched_cells(
             if cache is not None:
                 cache.put(keys[cell], value)
     return results
-
-
-def _blocking_estimate(
-    n: int,
-    r: int,
-    m: int,
-    k: int,
-    *,
-    construction: Construction = Construction.MSW_DOMINANT,
-    model: MulticastModel = MulticastModel.MSW,
-    x: int = 1,
-    steps: int = 2000,
-    seeds: tuple[int, ...] = (0, 1, 2),
-    max_fanout: int | None = None,
-    jobs: int | str = 1,
-    cache: "ResultCache | None" = None,
-    executor: str = "process",
-    debug_checks: bool | None = None,
-    batch: int | None = None,
-    backend: str = "auto",
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
-) -> BlockingEstimate:
-    """Estimate blocking probability under random dynamic traffic.
-
-    Requests come from :func:`repro.switching.generators.dynamic_traffic`;
-    blocked setups are dropped (their endpoints stay free for later
-    requests, mirroring loss-mode optical switching).
-
-    Args:
-        n, r, m, k: topology.
-        construction, model, x: network configuration.
-        steps: traffic events per seed.
-        seeds: independent replications (results are pooled).  Each seed
-            owns one RNG stream end-to-end and runs a fresh network, so
-            the pooled estimate is deterministic for any ``jobs``.
-        max_fanout: cap on destinations per request.
-        jobs: worker processes for the per-seed sweep (1 = in-process,
-            ``"auto"`` = adapt to the host).
-        cache: optional per-cell result cache (incremental re-runs).
-        executor: worker pool kind, ``"process"`` or ``"thread"``.
-        debug_checks: per-event invariant checking inside each cell
-            (slow; result-identical, so cache keys ignore it).
-        batch: under ``routing_kernel("batched")``, the cap on lockstep
-            replications per work unit (None = one unit per seed);
-            ignored by the other kernels, never affects results.
-        backend: under ``routing_kernel("batched")``, the fabric-state
-            backend for the lockstep replay (``"auto"``, ``"python"``,
-            ``"numpy"``, ``"numba"`` or a registered name); ignored by
-            the other kernels, never affects results.
-        workload: a registered traffic model from
-            :mod:`repro.workloads` (None = uniform, the historical
-            behaviour); its identity joins every cell cache key.
-        fabric: the registered fabric model the traffic replays through
-            (:mod:`repro.engine.fabrics`; ``"clos"`` is the paper's
-            network and the bit-identical legacy path).  Its token
-            joins every non-Clos cell cache key.
-    """
-    with ParallelSweeper(jobs, executor=executor) as sweeper:
-        if get_routing_kernel() == "batched":
-            by_cell = _run_batched_cells(
-                sweeper, cache, [(m, seed) for seed in seeds],
-                n, r, k, construction, model, x, steps, max_fanout, batch,
-                backend, workload, fabric,
-            )
-            values = [by_cell[(m, seed)] for seed in seeds]
-        else:
-            results = sweeper.run(
-                (
-                    WorkUnit(
-                        unit_id=seed,
-                        fn=_traffic_cell,
-                        args=(
-                            n, r, m, k, construction, model, x, steps, seed,
-                            max_fanout, debug_checks, False, workload, fabric,
-                        ),
-                        cache_key=(
-                            None
-                            if cache is None
-                            else _traffic_key(
-                                cache, n, r, m, k, construction, model, x,
-                                steps, seed, max_fanout, workload, fabric,
-                            )
-                        ),
-                    )
-                    for seed in seeds
-                ),
-                cache=cache,
-            )
-            values = [result.value for result in results]
-        plan = sweeper.last_plan
-    attempts = sum(value[0] for value in values)
-    blocked = sum(value[1] for value in values)
-    return BlockingEstimate(
-        n=n,
-        r=r,
-        m=m,
-        k=k,
-        construction=construction,
-        model=model,
-        x=x,
-        attempts=attempts,
-        blocked=blocked,
-        meta=ResultMeta.capture(plan, workload=workload),
-    )
 
 
 def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
@@ -662,6 +558,7 @@ def _blocking_curve(
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
+    kernel: str = "bitmask",
 ) -> list[BlockingEstimate]:
     """The blocking-probability-vs-``m`` curve (implied figure X3).
 
@@ -683,13 +580,42 @@ def _blocking_curve(
     given :class:`~repro.perf.cache.ResultCache`, so re-runs only
     compute cells missing from the cache.
 
-    Under ``routing_kernel("batched")`` the traffic stage instead runs
-    each seed's whole ``m`` column in lockstep through
+    With ``kernel="batched"`` the traffic stage instead runs each
+    seed's whole ``m`` column in lockstep through
     :mod:`repro.perf.batch` (``batch`` caps replications per work unit,
-    ``backend`` picks the fabric-state backend) -- per-cell results,
-    cache entries and the adversarial stage are bit-identical to the
-    bitmask kernel's either way.
+    ``backend`` picks the fabric-state backend) -- per-cell results and
+    the adversarial stage are bit-identical to the ``"bitmask"``
+    kernel's either way.  ``kernel`` tags every cache address and the
+    results' ``meta``.  A single point is ``m_values=[m]``.
+
+    Args:
+        n, r, k, m_values: topology; each ``m`` may appear once.
+        construction, model, x: network configuration.
+        steps: traffic events per seed.
+        seeds: independent replications, pooled per ``m``; each seed
+            may appear once.  A seed owns one RNG stream end-to-end, so
+            the curve is deterministic for any ``jobs``.
+        max_fanout: cap on destinations per request.
+        adversarial, adversary_seeds: run the adversary, with this many
+            restarts, at every ``m`` where traffic saw no blocking.
+        jobs, executor: workers for the sweep (``"auto"`` adapts to the
+            host) and the pool kind, ``"process"`` or ``"thread"``.
+        cache: optional per-cell result cache (incremental re-runs).
+        debug_checks: per-event invariant checking inside each serial
+            cell (slow; result-identical, so cache keys ignore it).
+        batch, backend: with ``kernel="batched"``, the cap on lockstep
+            replications per work unit (None = one unit per seed) and
+            the fabric-state backend; never affect results.
+        workload: a registered traffic model from
+            :mod:`repro.workloads` (None = uniform); its identity joins
+            every non-uniform cell cache key.
+        fabric: the registered fabric model (:mod:`repro.engine.fabrics`;
+            ``"clos"`` is the paper's network); its token joins every
+            non-Clos cell cache key.
+        kernel: ``"bitmask"`` or ``"batched"``.
     """
+    require_distinct("m_values", m_values)
+    require_distinct("seeds", seeds)
     if adversarial and workload is not None and workload.token() is not None:
         raise ValueError(
             "adversarial probing is defined for uniform traffic only "
@@ -704,7 +630,7 @@ def _blocking_curve(
         )
     traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
     with ParallelSweeper(jobs, executor=executor) as sweeper:
-        if get_routing_kernel() == "batched":
+        if kernel == "batched":
             by_cell = _run_batched_cells(
                 sweeper, cache,
                 [(m, seed) for m in m_values for seed in seeds],
@@ -727,6 +653,7 @@ def _blocking_curve(
                             else _traffic_key(
                                 cache, n, r, m, k, construction, model, x,
                                 steps, seed, max_fanout, workload, fabric,
+                                kernel,
                             )
                         ),
                     )
@@ -754,7 +681,9 @@ def _blocking_curve(
                 )
             )
         if not adversarial:
-            meta = ResultMeta.capture(sweeper.last_plan, workload=workload)
+            meta = ResultMeta.capture(
+                sweeper.last_plan, kernel=kernel, workload=workload
+            )
             return [replace(estimate, meta=meta) for estimate in estimates]
 
         needs_adversary = [
@@ -775,7 +704,7 @@ def _blocking_curve(
                         if cache is None
                         else _adversary_key(
                             cache, n, r, estimate.m, k, construction,
-                            model, x, seed,
+                            model, x, seed, kernel,
                         )
                     )
                     if key is not None:
@@ -810,7 +739,7 @@ def _blocking_curve(
                         if cache is None
                         else _adversary_key(
                             cache, n, r, estimate.m, k, construction,
-                            model, x, seed,
+                            model, x, seed, kernel,
                         )
                     ),
                 )
@@ -840,5 +769,7 @@ def _blocking_curve(
             attempts=estimate.attempts + 1,
             blocked=1,
         )
-    meta = ResultMeta.capture(sweeper.last_plan, workload=workload)
+    meta = ResultMeta.capture(
+        sweeper.last_plan, kernel=kernel, workload=workload
+    )
     return [replace(estimate, meta=meta) for estimate in estimates]

@@ -143,13 +143,16 @@ def _exec_config(
     precision: api.PrecisionConfig | None = None,
 ) -> api.ExecConfig:
     """The execution config the flags ask for."""
-    return api.ExecConfig(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir if args.cache else None,
-        batch=getattr(args, "batch", None),
-        backend=getattr(args, "backend", "auto"),
-        precision=precision,
-    )
+    try:
+        return api.ExecConfig(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir if args.cache else None,
+            batch=getattr(args, "batch", None),
+            backend=getattr(args, "backend", "auto"),
+            precision=precision,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"wdm-repro: error: {exc}") from exc
 
 
 def _ci_cell(estimate: api.BlockingEstimate) -> str:
@@ -475,17 +478,14 @@ def _cmd_gap(args: argparse.Namespace) -> str:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> str:
-    import os
-
     from repro.engine.backends import (
-        BACKEND_ENV,
         NUMPY_WORD_BITS,
         available_backends,
         backend_status,
         resolve_backend,
     )
     from repro.engine.planes import PlaneLayout
-    from repro.multistage.routing import _KERNELS, get_routing_kernel
+    from repro.multistage.routing import _KERNELS
 
     available = set(available_backends())
     status = backend_status()
@@ -508,19 +508,12 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
         rows,
         title="Routing kernels x batch state backends",
     )
-    override = os.environ.get(BACKEND_ENV, "").strip()
-    try:
-        resolved = resolve_backend("auto", m_max=1, r=1, k=1)
-    except ValueError as exc:
-        # The diagnostic must survive the very setting it exists to show.
-        resolved = f"error: {exc}"
     lines = [
         table,
         "backend status:",
         *(f"  {backend}: {status[backend]}" for backend in backends),
-        f"active routing kernel: {get_routing_kernel()}",
-        f"auto backend resolves to: {resolved}",
-        f"{BACKEND_ENV}={override}" if override else f"{BACKEND_ENV}: (unset)",
+        "auto backend resolves to: "
+        + resolve_backend("auto", m_max=1, r=1, k=1),
         f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS}) int64 "
         f"words per mask (multi-word above {NUMPY_WORD_BITS}; e.g. "
         f"m=r=k=100 -> W="
@@ -782,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         type=_kernel,
-        default=None,
+        default="bitmask",
         metavar="{bitmask,batched}",
         help="simulation kernel: 'bitmask' (default) runs cells one at a "
         "time on the int-mask cover search, 'batched' replays each "
@@ -859,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         type=_kernel,
-        default=None,
+        default="bitmask",
         metavar="{bitmask,batched}",
         help="simulation kernel (see 'wdm-repro blocking --help'); "
         "bit-identical across both",
@@ -976,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="kernel x backend availability matrix (and active overrides)",
+        help="kernel x backend availability matrix",
     )
     p.set_defaults(func=_cmd_kernels)
 

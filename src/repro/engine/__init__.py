@@ -18,7 +18,6 @@ diagram.
 """
 
 from repro.engine.backends import (
-    BACKEND_ENV,
     BACKENDS,
     NUMPY_WORD_BITS,
     BackendSpec,
@@ -68,7 +67,6 @@ from repro.engine.state import FabricState, NumpyState, PythonState
 
 __all__ = [
     "ALL_BLOCK_KINDS",
-    "BACKEND_ENV",
     "BACKENDS",
     "BLOCK_KINDS",
     "CLOS",

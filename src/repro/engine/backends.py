@@ -3,11 +3,12 @@
 One place decides which :class:`~repro.engine.state.FabricState`
 implementation a replay runs on: every backend is a
 :class:`BackendSpec` (factory + availability probe + plane-width
-capability), :func:`resolve_backend` maps a request (``"auto"``, a
-concrete name, or the ``WDM_REPRO_BATCH_BACKEND`` environment
-override) to a registered backend, checking the geometry's plane width
-``W = ceil(bits / 62)`` against the backend's capability with one
+capability), :func:`resolve_backend` maps a request (``"auto"`` or a
+concrete name) to a registered backend, checking the geometry's plane
+width ``W = ceil(bits / 62)`` against the backend's capability with one
 uniform error message, and :func:`make_state` then instantiates it.
+The request is always an argument (``ExecConfig.backend``, the CLI's
+``--backend``).
 
 Three backends ship built in, all width-unlimited (masks wider than
 one int64 word get multi-word planes; see
@@ -32,7 +33,6 @@ kernels`` availability display.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -47,12 +47,12 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None  # type: ignore[assignment]
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "NUMPY_WORD_BITS",
     "BackendSpec",
     "available_backends",
     "backend_status",
+    "check_backend_name",
     "make_state",
     "plane_width",
     "plane_width_error",
@@ -60,8 +60,6 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: environment override for ``backend="auto"`` resolution.
-BACKEND_ENV = "WDM_REPRO_BATCH_BACKEND"
 #: the built-in state backends (``auto`` resolves to one of these).
 BACKENDS = ("python", "numpy", "numba")
 #: usable bits per int64 plane word -- masks wider than this span
@@ -189,53 +187,52 @@ def plane_width_error(
     )
 
 
+def check_backend_name(backend: str) -> None:
+    """Raise unless ``backend`` is ``"auto"`` or a registered name.
+
+    Registration, not availability: a registered backend whose
+    requirements are missing passes here and is refused by
+    :func:`resolve_backend` when a replay actually asks for it.
+    """
+    if backend == "auto" or backend in _SPECS:
+        return
+    choices = ("auto",) + available_backends()
+    widths = ", ".join(
+        f"{name}={_width_label(spec)}"
+        for name, spec in _SPECS.items()
+        if spec.available()
+    )
+    raise ValueError(
+        f"unknown batch backend {backend!r}; choose from {choices} "
+        f"(max plane widths: {widths})"
+    )
+
+
 def resolve_backend(backend: str = "auto", *, m_max: int, r: int, k: int) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    ``auto`` honours the ``WDM_REPRO_BATCH_BACKEND`` environment
-    variable, then prefers ``numba`` -- the fused whole-stream kernel
-    -- whenever it is importable (at any plane width, since the word
-    gate was lifted), falling back to ``python`` (the int-bitplane
-    replay, which beats the per-event numpy int64 backend on CPython;
-    see EXPERIMENTS.md P4/P6).  Asking for a backend explicitly --
-    directly or through the environment override -- raises if its
-    requirements are missing or the geometry's plane width exceeds the
-    backend's ``max_plane_width`` capability; when the request came
-    from the environment variable, the error names it.
+    ``auto`` prefers ``numba`` -- the fused whole-stream kernel --
+    whenever it is importable (at any plane width, since the word gate
+    was lifted), falling back to ``python`` (the int-bitplane replay,
+    which beats the per-event numpy int64 backend on CPython; see
+    EXPERIMENTS.md P4/P6).  Asking for a backend by name raises if it
+    is not registered, its requirements are missing, or the geometry's
+    plane width exceeds the backend's ``max_plane_width`` capability.
     """
-    via_env = ""
-    if backend == "auto":
-        override = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if override and override != "auto":
-            backend = override
-            via_env = f" (set by {BACKEND_ENV}; unset it or pick another)"
+    check_backend_name(backend)
     if backend == "auto":
         if _SPECS["numba"].available():
             return "numba"
         return "python"
-    spec = _SPECS.get(backend)
-    if spec is None:
-        choices = ("auto",) + available_backends()
-        widths = ", ".join(
-            f"{name}={_width_label(sp)}"
-            for name, sp in _SPECS.items()
-            if sp.available()
-        )
-        raise ValueError(
-            f"unknown batch backend {backend!r}{via_env}; choose from "
-            f"{choices} (max plane widths: {widths})"
-        )
+    spec = _SPECS[backend]
     reason = spec.missing()
     if reason is not None:
-        raise ValueError(
-            f"batch backend {backend!r} requested but {reason}{via_env}"
-        )
+        raise ValueError(f"batch backend {backend!r} requested but {reason}")
     width = plane_width(m_max, r, k)
     if not spec.supports_width(width):
         assert spec.max_plane_width is not None
         raise ValueError(
             plane_width_error(backend, m_max, r, k, spec.max_plane_width)
-            + via_env
         )
     return backend
 

@@ -44,11 +44,8 @@ from repro.multistage.routing import (
     CoverSearch,
     find_cover,
     find_cover_bits,
-    get_routing_kernel,
     iter_bits,
     mask_of,
-    routing_kernel,
-    set_routing_kernel,
 )
 from repro.multistage.serialization import dumps as artifact_dumps
 from repro.multistage.serialization import loads as artifact_loads
@@ -75,12 +72,9 @@ __all__ = [
     "fig10_scenario",
     "find_cover",
     "find_cover_bits",
-    "get_routing_kernel",
     "is_blockable",
     "iter_bits",
     "mask_of",
     "minimal_rearrangeable_m",
     "route_assignment",
-    "routing_kernel",
-    "set_routing_kernel",
 ]

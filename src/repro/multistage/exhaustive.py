@@ -411,6 +411,7 @@ def _exact_threshold(
     canonicalize: bool = True,
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
+    kernel: str = "bitmask",
 ) -> ExactMinimal:
     """Scan ``m`` upward for the true nonblocking threshold.
 
@@ -428,7 +429,9 @@ def _exact_threshold(
 
     With a :class:`repro.perf.cache.ResultCache`, each ``m`` cell is
     looked up before being model-checked and stored afterwards, making
-    repeated and interrupted scans incremental.
+    repeated and interrupted scans incremental.  ``kernel`` (the run's
+    routing kernel) tags those cache addresses; the search itself is
+    the same under every kernel.
     """
     if m_max is None:
         from repro.core.corrected import min_middle_switches_corrected
@@ -445,7 +448,8 @@ def _exact_threshold(
         if cache is None:
             return None
         return cache.key(
-            "is_blockable", dict(n=n, r=r, m=m, k=k, **cell_kwargs)
+            "is_blockable", dict(n=n, r=r, m=m, k=k, **cell_kwargs),
+            kernel=kernel,
         )
 
     if jobs == 1:

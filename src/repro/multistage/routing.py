@@ -25,16 +25,15 @@ label-set front end.  The tests pin it against a test-only frozenset
 oracle (candidate ordering, greedy tie-breaking, DFS expansion order
 and the final destination->switch assignment).
 
-:func:`set_routing_kernel` / :func:`routing_kernel` pick how requests
-are replayed process-wide: ``"bitmask"`` routes one network at a time,
-``"batched"`` runs Monte-Carlo replications in lockstep through
+The Monte-Carlo estimators take a ``kernel`` argument (one of
+``_KERNELS``): ``"bitmask"`` replays one network at a time,
+``"batched"`` runs replications in lockstep through
 :mod:`repro.perf.batch`.  Both use the same cover search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Mapping, Sequence
 
 from repro.engine.cover import (
     CoverSearch,
@@ -47,44 +46,15 @@ __all__ = [
     "CoverSearch",
     "find_cover",
     "find_cover_bits",
-    "get_routing_kernel",
     "iter_bits",
     "mask_of",
-    "routing_kernel",
-    "set_routing_kernel",
 ]
 
-#: the process-wide active kernel: ``"bitmask"`` or ``"batched"``.
-#: ``"batched"`` routes single requests exactly like ``"bitmask"`` (same
-#: cover search, same covers); it additionally makes the Monte-Carlo
-#: estimators run all replications in lockstep through
+#: the Monte-Carlo kernels.  ``"batched"`` routes single requests exactly
+#: like ``"bitmask"`` (same cover search, same covers); it additionally
+#: makes the estimators run all replications in lockstep through
 #: :mod:`repro.perf.batch` instead of one network at a time.
-_ACTIVE_KERNEL = "bitmask"
 _KERNELS = ("bitmask", "batched")
-
-
-def get_routing_kernel() -> str:
-    """Name of the active cover-search kernel."""
-    return _ACTIVE_KERNEL
-
-
-def set_routing_kernel(name: str) -> None:
-    """Select the cover-search kernel (one of ``_KERNELS``)."""
-    global _ACTIVE_KERNEL
-    if name not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; choose from {_KERNELS}")
-    _ACTIVE_KERNEL = name
-
-
-@contextmanager
-def routing_kernel(name: str) -> Iterator[None]:
-    """Context manager pinning the cover-search kernel."""
-    previous = _ACTIVE_KERNEL
-    set_routing_kernel(name)
-    try:
-        yield
-    finally:
-        set_routing_kernel(previous)
 
 
 # The bitmask kernel (mask_of, iter_bits, CoverSearch, find_cover_bits)

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.multistage.routing import get_routing_kernel
 from repro.perf.cache import CODE_VERSION
 
 __all__ = ["ResultMeta"]
@@ -69,14 +68,16 @@ class ResultMeta:
         cls,
         plan: Any = None,
         *,
+        kernel: str = "bitmask",
         obs_summary: dict[str, Any] | None = None,
         workload: Any = None,
     ) -> "ResultMeta":
-        """Snapshot the current process state into an envelope.
+        """Build the envelope of one run.
 
         Args:
             plan: an :class:`~repro.perf.sweeper.ExecutionPlan`, an
                 equivalent dict, or None.
+            kernel: the routing kernel the run used.
             obs_summary: an explicit observability summary; by default
                 the envelope captures :func:`repro.obs.summary` when
                 observability is enabled, nothing otherwise.
@@ -94,7 +95,7 @@ class ResultMeta:
         )
         return cls(
             code_version=CODE_VERSION,
-            kernel=get_routing_kernel(),
+            kernel=kernel,
             plan_json=_canonical(plan_dict) if plan_dict is not None else None,
             obs_json=_canonical(obs_summary) if obs_summary is not None else None,
             workload_json=(

@@ -16,11 +16,10 @@ results metadata).
 corrupted-entry recovery, making repeated and interrupted sweeps
 incremental and resumable (``--cache`` on the CLI).
 
-The third piece is the routing/simulation kernel selection of
-:mod:`repro.multistage.routing`: :func:`routing_kernel` /
-:func:`set_routing_kernel` pick between ``"bitmask"`` (the default:
-one network per replication) and ``"batched"`` -- bitmask routing
-plus the lockstep
+The third piece is the simulation kernel, an argument of every
+estimator (``SearchConfig.kernel`` on the :mod:`repro.api` facade):
+``"bitmask"`` (the default: one network per replication) or
+``"batched"`` -- bitmask routing plus the lockstep
 structure-of-arrays Monte-Carlo engine of :mod:`repro.perf.batch`,
 which compiles each seed's traffic stream once and replays it against
 every ``m`` value of a sweep in a single pass (common random numbers,
@@ -28,13 +27,7 @@ batch-per-process work units, per-replication bit-identity with the
 serial simulator).
 """
 
-from repro.multistage.routing import (
-    get_routing_kernel,
-    routing_kernel,
-    set_routing_kernel,
-)
 from repro.perf.batch import (
-    BACKEND_ENV,
     CellOutcome,
     available_backends,
     compile_stream,
@@ -54,7 +47,6 @@ from repro.perf.sweeper import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "CODE_VERSION",
     "CacheStats",
     "CellOutcome",
@@ -65,13 +57,10 @@ __all__ = [
     "WorkUnit",
     "available_backends",
     "compile_stream",
-    "get_routing_kernel",
     "last_plan",
     "replay_cell",
     "resolve_backend",
     "resolve_jobs",
-    "routing_kernel",
-    "set_routing_kernel",
     "simulate_batch",
     "sweep",
 ]

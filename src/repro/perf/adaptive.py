@@ -25,8 +25,8 @@ Three layers make the rounds cheap, low-variance and resumable:
   (:class:`repro.switching.generators.AntitheticRandom`), layered on
   the stream compiler so all kernels and backends inherit both;
 
-* **kernel reuse** -- rounds run through the existing cells: under
-  ``routing_kernel("batched")`` each round spec becomes one lockstep
+* **kernel reuse** -- rounds run through the existing cells: with
+  ``kernel="batched"`` each round spec becomes one lockstep
   :func:`repro.perf.batch.simulate_batch` unit covering every
   unconverged ``m`` (numba/numpy/python backends all apply), otherwise
   one :func:`~repro.analysis.montecarlo._traffic_cell` unit per
@@ -60,13 +60,13 @@ from repro.analysis.montecarlo import (
 )
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import get_fabric
-from repro.multistage.routing import get_routing_kernel
 from repro.obs.meta import ResultMeta
 from repro.perf.batch import simulate_batch
 from repro.perf.sweeper import ParallelSweeper, SweepResult, WorkUnit
 from repro.workloads.keys import (
     fabric_fragment,
     key_fragment,
+    require_distinct,
     schedule_rng,
     workload_fragment,
 )
@@ -79,7 +79,6 @@ __all__ = [
     "SCHEDULE_VERSION",
     "PrecisionConfig",
     "ReplicationSpec",
-    "adaptive_blocking",
     "adaptive_sweep",
     "round_specs",
     "stream_key",
@@ -263,6 +262,7 @@ def _round_key(
     precision: PrecisionConfig,
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
+    kernel: str = "bitmask",
 ) -> str:
     """Content address of one ``(cell, round)`` aggregate.
 
@@ -289,7 +289,7 @@ def _round_key(
     fabric_token = get_fabric(fabric).token()
     if fabric_token is not None:
         params["fabric"] = fabric_token
-    return cache.key("adaptive_round", params)
+    return cache.key("adaptive_round", params, kernel=kernel)
 
 
 class _AdaptiveDriver:
@@ -318,6 +318,7 @@ class _AdaptiveDriver:
         backend: str,
         workload: "WorkloadConfig | None" = None,
         fabric: str = "clos",
+        kernel: str = "bitmask",
     ):
         self.n, self.r, self.k = n, r, k
         self.m_values = list(m_values)
@@ -329,7 +330,8 @@ class _AdaptiveDriver:
         self.backend = backend
         self.workload = workload
         self.fabric = fabric
-        self.batched = get_routing_kernel() == "batched"
+        self.kernel = kernel
+        self.batched = kernel == "batched"
         self.key = stream_key(
             n, r, k, construction, model, x, steps, max_fanout, workload,
             fabric,
@@ -418,7 +420,7 @@ class _AdaptiveDriver:
                         self.cache, self.n, self.r, m, self.k,
                         self.construction, self.model, self.x, self.steps,
                         self.max_fanout, self.round_index, self.precision,
-                        self.workload, self.fabric,
+                        self.workload, self.fabric, self.kernel,
                     )
                     keys[m] = rkey
                     hit, value = self.cache.lookup(rkey)
@@ -509,6 +511,7 @@ def adaptive_sweep(
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
+    kernel: str = "bitmask",
 ) -> list[BlockingEstimate]:
     """The blocking-vs-``m`` curve at a target precision, not a budget.
 
@@ -526,58 +529,29 @@ def adaptive_sweep(
 
     ``jobs``/``executor`` parallelize each round through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
-    value); under ``routing_kernel("batched")`` the round's cells run
-    in lockstep through :func:`repro.perf.batch.simulate_batch` on
-    ``backend``.  ``batch`` is accepted for signature parity with the
-    fixed-budget path; round work units are already seed-granular, so
-    it has nothing left to slice.
+    value); with ``kernel="batched"`` the round's cells run in
+    lockstep through :func:`repro.perf.batch.simulate_batch` on
+    ``backend``.  ``kernel`` also tags every round's cache address and
+    the results' ``meta``.  ``batch`` is accepted for signature parity
+    with the fixed-budget path; round work units are already
+    seed-granular, so it has nothing left to slice.  Each ``m`` may
+    appear once in ``m_values``; a single point is ``[m]`` and shares
+    its warm rounds with the same cell of any wider sweep.
     """
     del batch  # rounds are already seed-granular work units
+    require_distinct("m_values", m_values)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if workload is not None:
         workload.validate_precision(precision, steps)
     driver = _AdaptiveDriver(
         n, r, k, list(m_values), construction, model, x, steps, max_fanout,
-        precision, cache, debug_checks, backend, workload, fabric,
+        precision, cache, debug_checks, backend, workload, fabric, kernel,
     )
     with ParallelSweeper(jobs, executor=executor) as sweeper:
         sweeper.run_adaptive(driver.next_units)
         plan = sweeper.last_plan
-    return driver.estimates(ResultMeta.capture(plan, workload=workload))
+    return driver.estimates(
+        ResultMeta.capture(plan, kernel=kernel, workload=workload)
+    )
 
-
-def adaptive_blocking(
-    n: int,
-    r: int,
-    m: int,
-    k: int,
-    *,
-    construction: Construction = Construction.MSW_DOMINANT,
-    model: MulticastModel = MulticastModel.MSW,
-    x: int = 1,
-    steps: int = 2000,
-    max_fanout: int | None = None,
-    precision: PrecisionConfig = PrecisionConfig(),
-    jobs: int | str = 1,
-    cache: "ResultCache | None" = None,
-    executor: str = "process",
-    debug_checks: bool | None = None,
-    batch: int | None = None,
-    backend: str = "auto",
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
-) -> BlockingEstimate:
-    """Blocking probability of one configuration at a target precision.
-
-    The single-cell form of :func:`adaptive_sweep` (same schedule, same
-    round cache addresses, so a sweep and a point query share warm
-    rounds when their traffic configurations match).
-    """
-    return adaptive_sweep(
-        n, r, k, [m],
-        construction=construction, model=model, x=x, steps=steps,
-        max_fanout=max_fanout, precision=precision, jobs=jobs, cache=cache,
-        executor=executor, debug_checks=debug_checks, batch=batch,
-        backend=backend, workload=workload, fabric=fabric,
-    )[0]

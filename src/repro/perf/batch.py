@@ -37,18 +37,19 @@ pair packing masks wider than
 planes per :class:`~repro.engine.planes.PlaneLayout`) live in
 :mod:`repro.engine.state` / :mod:`repro.engine.fused` behind the
 :mod:`repro.engine.backends` registry; ``auto`` prefers ``numba`` when
-importable (at any plane width), else ``python``, and
-``WDM_REPRO_BATCH_BACKEND`` overrides.  For the fused backend the
+importable (at any plane width), else ``python``; callers pick any
+other one by name.  For the fused backend the
 per-event loop is bypassed entirely: :func:`lower_stream` flattens the
 compiled stream to int64 arrays (dest masks become ``[events, W]``
 word columns when the module family is wider than one word) and
 :meth:`~repro.engine.fused.FusedState.replay_ops` executes the whole
 replay in one ``@njit`` kernel -- same decisions, bit-identical counts
 and causes.
-The engine is wired in as ``routing_kernel("batched")``: single-request
-routing is untouched (identical to ``bitmask``), but the Monte-Carlo
-estimators dispatch whole seed-batches here instead of one cell at a
-time.
+The engine is wired in as the ``"batched"`` kernel (the estimators'
+``kernel`` argument, ``SearchConfig.kernel`` on the facade):
+single-request routing is untouched (identical to ``bitmask``), but the
+Monte-Carlo estimators dispatch whole seed-batches here instead of one
+cell at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro import obs as _obs
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
 from repro.engine.backends import (
-    BACKEND_ENV,
     BACKENDS,
     available_backends,
     make_state,
@@ -84,7 +84,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None  # type: ignore[assignment]
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "CellOutcome",
     "LoweredStream",

@@ -9,9 +9,9 @@ SHA-256 digest of
 * a **namespace** (the cell function's identity),
 * the **code version** (:data:`CODE_VERSION`, bumped whenever cell
   semantics change -- a bump invalidates every prior entry),
-* the active **routing kernel** id (bitmask vs reference results are
-  bit-identical today, but keying them separately means a kernel whose
-  semantics drift can never serve stale entries), and
+* the **routing kernel** id the cell ran under (bitmask and batched
+  results are bit-identical today, but keying them separately means a
+  kernel whose semantics drift can never serve stale entries), and
 * the canonical JSON of the cell **parameters** (enums and tuples
   normalized, keys sorted).
 
@@ -61,7 +61,6 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from repro import obs as _obs
-from repro.multistage.routing import get_routing_kernel
 
 __all__ = ["CODE_VERSION", "CacheStats", "ResultCache"]
 
@@ -147,19 +146,18 @@ class ResultCache:
         namespace: str,
         params: Mapping[str, Any],
         *,
-        kernel: str | None = None,
+        kernel: str = "bitmask",
     ) -> str:
         """Content address of one cell: sha256 over namespace/version/kernel/params.
 
-        ``kernel`` defaults to the process's active routing kernel at
-        call time, so results computed under different kernels never
-        alias.
+        ``kernel`` is the routing kernel the cell runs under, so results
+        computed under different kernels never alias.
         """
         payload = _canonical_json(
             {
                 "namespace": namespace,
                 "code_version": self.code_version,
-                "kernel": kernel if kernel is not None else get_routing_kernel(),
+                "kernel": kernel,
                 "params": dict(params),
             }
         )

@@ -37,6 +37,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from repro.workloads.keys import require_distinct
+
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     import random
 
@@ -62,7 +64,8 @@ class WorkloadConfig:
         steps: traffic events per replication; None keeps the caller's
             default (2000 for ``blocking``, 1500 per ``sweep`` point --
             the legacy budget) or, for trace replay, the whole trace.
-        seeds: independent replications (pooled deterministically).
+        seeds: independent replications (pooled deterministically);
+            each seed may appear once.
         max_fanout: cap on destinations per request (None = fabric
             size).
         adversarial: in ``sweep``, also run the randomized adversary at
@@ -86,6 +89,7 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seeds, tuple):
             object.__setattr__(self, "seeds", tuple(self.seeds))
+        require_distinct("seeds", self.seeds)
 
     # -- the generator contract ---------------------------------------------
 

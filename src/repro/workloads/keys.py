@@ -17,6 +17,8 @@ consumers delegate:
   stream key (empty for uniform traffic: the compatibility anchor);
 * :func:`schedule_rng` -- the deterministic per-(key, round, stratum)
   RNG behind :func:`repro.perf.adaptive.round_specs`;
+* :func:`require_distinct` -- the check that no ``m`` or seed is
+  listed twice (cells are addressed by them);
 * :func:`stream_rng` -- re-exported from
   :mod:`repro.switching.generators`: the one constructor that maps a
   ``(seed, antithetic)`` pair to its replication stream.
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from collections.abc import Iterable
 from enum import Enum
 from typing import Any, Mapping
 
@@ -38,10 +42,26 @@ from repro.switching.generators import stream_rng
 __all__ = [
     "fabric_fragment",
     "key_fragment",
+    "require_distinct",
     "schedule_rng",
     "stream_rng",
     "workload_fragment",
 ]
+
+
+def require_distinct(name: str, values: Iterable[Any]) -> None:
+    """Raise naming every value listed more than once in ``values``.
+
+    Cells are addressed by ``(m, seed)``, so a repeated ``m`` or seed
+    names one cell twice; depending on the kernel the sweep would merge
+    it, count it twice or refuse it with an internal error.
+    """
+    repeated = sorted(v for v, count in Counter(values).items() if count > 1)
+    if repeated:
+        raise ValueError(
+            f"{name} repeats {', '.join(map(repr, repeated))}; "
+            "list each value once"
+        )
 
 
 def _render(value: Any) -> str:

@@ -1,0 +1,60 @@
+"""A repeated ``m`` or seed is refused up front, under every kernel.
+
+Cells are addressed by ``(m, seed)``, so a repeat names one cell twice,
+and unchecked each kernel would mishandle it its own way: the bitmask
+sweep fails inside the sweep engine, the fixed-budget batched kernel
+counts a repeated seed twice and returns a repeated ``m`` as two rows,
+and the adaptive batched kernel pools the repeated ``m``'s rounds into
+wrong totals.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import api
+from repro.analysis.montecarlo import _blocking_curve
+
+KERNELS = ("bitmask", "batched")
+FIXED = api.UniformConfig(steps=20, seeds=(0,))
+ADAPTIVE = api.ExecConfig(
+    precision=api.PrecisionConfig(half_width=0.05, max_rounds=3)
+)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestRepeatedM:
+    def test_fixed_budget(self, kernel):
+        with pytest.raises(ValueError, match="m_values repeats 2; list each"):
+            api.sweep(
+                3, 3, 1, [2, 2], traffic=FIXED,
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+    def test_adaptive(self, kernel):
+        with pytest.raises(ValueError, match="m_values repeats 2; list each"):
+            api.sweep(
+                3, 3, 1, [2, 2], traffic=api.UniformConfig(steps=40),
+                execution=ADAPTIVE, search=api.SearchConfig(kernel=kernel),
+            )
+
+    def test_every_repeat_is_named(self, kernel):
+        with pytest.raises(ValueError, match="m_values repeats 2, 3;"):
+            api.sweep(
+                3, 3, 1, [3, 2, 1, 2, 3], traffic=FIXED,
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+
+class TestRepeatedSeeds:
+    @pytest.mark.parametrize(
+        "config", [api.UniformConfig, api.HotspotConfig, api.PoissonErlangConfig]
+    )
+    def test_rejected_when_the_config_is_built(self, config):
+        with pytest.raises(ValueError, match="seeds repeats 0; list each"):
+            config(seeds=(0, 0))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rejected_by_the_curve(self, kernel):
+        with pytest.raises(ValueError, match="seeds repeats 0; list each"):
+            _blocking_curve(3, 3, 1, [2], steps=20, seeds=(0, 0), kernel=kernel)

@@ -1,4 +1,4 @@
-"""Backend registry: plane-width capabilities, overrides, the plug-in seam."""
+"""Backend registry: plane-width capabilities, resolution, the plug-in seam."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine.backends import (
-    BACKEND_ENV,
     BACKENDS,
     NUMPY_WORD_BITS,
     available_backends,
@@ -56,12 +55,6 @@ class TestPlaneWidth:
         assert resolve_backend("numpy", m_max=wide, r=2, k=1) == "numpy"
         assert resolve_backend("numpy", m_max=4, r=wide, k=wide) == "numpy"
 
-    def test_env_override_accepts_wide_planes(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        wide = NUMPY_WORD_BITS + 1
-        assert resolve_backend("auto", m_max=wide, r=2, k=1) == "numpy"
-
     def test_numba_accepts_wide_planes(self, monkeypatch):
         pytest.importorskip("numpy")
         monkeypatch.setenv(FUSED_ENV, "1")
@@ -85,7 +78,6 @@ class TestPlaneWidth:
 
 class TestResolution:
     def test_auto_defaults_to_python_without_numba(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.delenv(FUSED_ENV, raising=False)
         if "numba" in available_backends():
             pytest.skip("numba installed: auto legitimately prefers it")
@@ -93,57 +85,20 @@ class TestResolution:
 
     def test_auto_prefers_numba_when_available(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setenv(FUSED_ENV, "1")
         assert resolve_backend("auto", m_max=4, r=2, k=1) == "numba"
 
     def test_auto_keeps_numba_on_wide_planes(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setenv(FUSED_ENV, "1")
         assert (
             resolve_backend("auto", m_max=NUMPY_WORD_BITS + 1, r=2, k=1)
             == "numba"
         )
 
-    def test_env_override_honored(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend("auto", m_max=4, r=2, k=1) == "numpy"
-
-    def test_env_override_beats_numba_preference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        monkeypatch.setenv(FUSED_ENV, "1")
-        assert resolve_backend("auto", m_max=4, r=2, k=1) == "python"
-
-    @pytest.mark.parametrize("override, message", [
-        ("bogus", "unknown batch backend 'bogus'"),
-        ("numba", "'numba' requested but numba is not installed"),
-    ])
-    def test_env_override_failure_names_the_variable(
-        self, monkeypatch, override, message
-    ):
-        from repro.engine import backends as mod
-
-        # Pin numba unavailable so the case holds on any host.
-        monkeypatch.setitem(
-            mod._SPECS, "numba",
-            mod.BackendSpec(
-                factory=FusedState, missing=lambda: "numba is not installed"
-            ),
-        )
-        monkeypatch.setenv(BACKEND_ENV, override)
-        with pytest.raises(ValueError) as err:
-            resolve_backend("auto", m_max=4, r=2, k=1)
-        assert message in str(err.value)
-        assert f"set by {BACKEND_ENV}" in str(err.value)
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        # An explicit request is not blamed on the environment variable.
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        with pytest.raises(ValueError, match="unknown batch backend") as err:
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown batch backend 'cuda'"):
             resolve_backend("cuda", m_max=4, r=2, k=1)
-        assert BACKEND_ENV not in str(err.value)
 
     def test_unknown_error_lists_only_available_backends(self, monkeypatch):
         from repro.engine import backends as mod

@@ -1,10 +1,12 @@
 """Cross-layer property: the engine agrees with the serial network.
 
 This is the drift the ``repro.engine`` extraction exists to prevent:
-the engine's state-level ``admit``/``classify_block`` must make the
-same admission decisions *and* produce the same cause evidence
-(labels plus raw masks) as ``ThreeStageNetwork``'s incremental caches,
-for every model and both dominance variants, on randomized traffic.
+the engine's state-level ``admit``/``classify_block``, driven on a
+fresh state of each backend, must make the same admission decisions
+*and* produce the same cause evidence (labels plus raw masks) as
+``ThreeStageNetwork.try_connect``/``explain_block`` replaying the same
+traffic on its own state, for every model and both dominance variants,
+on randomized traffic.
 """
 
 from __future__ import annotations

@@ -15,42 +15,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import ThreeStageNetwork
 from repro.multistage.routing import (
     find_cover,
     find_cover_bits,
-    get_routing_kernel,
     iter_bits,
     mask_of,
-    routing_kernel,
-    set_routing_kernel,
 )
 from repro.switching.generators import dynamic_traffic
 from tests.multistage.cover_oracle import find_cover_reference, reference_cover
 
 
 class TestKernelSwitch:
+    """The kernel is a :class:`repro.api.SearchConfig` field, checked
+    when the config is built."""
+
     def test_default_is_bitmask(self):
-        assert get_routing_kernel() == "bitmask"
-
-    def test_context_manager_restores(self):
-        with routing_kernel("batched"):
-            assert get_routing_kernel() == "batched"
-        assert get_routing_kernel() == "bitmask"
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with routing_kernel("batched"):
-                raise RuntimeError("boom")
-        assert get_routing_kernel() == "bitmask"
+        assert api.SearchConfig().kernel == "bitmask"
 
     def test_unknown_kernel_rejected(self):
         # The frozenset search is a test-only oracle, not a kernel.
-        for name in ("simd", "reference"):
+        for name in ("simd", "reference", "bogus", None):
             with pytest.raises(ValueError, match=r"\('bitmask', 'batched'\)"):
-                set_routing_kernel(name)
-        assert get_routing_kernel() == "bitmask"
+                api.SearchConfig(kernel=name)
 
 
 class TestMaskPrimitives:

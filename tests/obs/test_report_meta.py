@@ -70,7 +70,7 @@ class TestResultMeta:
 
 
 class TestSharedEnvelopeOnResults:
-    def test_blocking_estimate_carries_and_round_trips_meta(self):
+    def test_blocking_carries_and_round_trips_meta(self):
         estimate = api.blocking(
             2, 2, 2, 1, x=1, traffic=api.UniformConfig(steps=60, seeds=(0,)))
         meta = estimate.meta

@@ -8,10 +8,8 @@ import pytest
 
 from repro.analysis.montecarlo import AdaptiveInfo, BlockingEstimate
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.routing import routing_kernel
 from repro.perf.adaptive import (
     PrecisionConfig,
-    adaptive_blocking,
     adaptive_sweep,
     round_specs,
     stream_key,
@@ -215,14 +213,15 @@ class TestAdaptiveSweep:
         impossible = PrecisionConfig(
             half_width=1e-6, min_rounds=1, max_rounds=2
         )
-        estimate = adaptive_blocking(3, 3, 2, 2, precision=impossible, **CONFIG)
+        [estimate] = adaptive_sweep(3, 3, 2, [2], precision=impossible, **CONFIG)
         assert estimate.adaptive.rounds == 2
         assert not estimate.adaptive.converged
 
     def test_batched_kernel_bit_identical_to_serial(self):
         serial = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
-        with routing_kernel("batched"):
-            batched = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
+        batched = adaptive_sweep(
+            3, 3, 2, [1, 2, 3], precision=QUICK, kernel="batched", **CONFIG
+        )
         assert _identity(batched) == _identity(serial)
 
     def test_parallel_bit_identical_to_serial(self):
@@ -236,13 +235,13 @@ class TestAdaptiveSweep:
         """Pooled estimates from split rounds equal the single-run pool:
         the same schedule drives both, so the cell of a sweep and a
         lone query are the same numbers."""
-        alone = adaptive_blocking(3, 3, 2, 2, steps=120, precision=QUICK)
+        [alone] = adaptive_sweep(3, 3, 2, [2], steps=120, precision=QUICK)
         swept = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
         cell = next(e for e in swept if e.m == 2)
         assert (alone.attempts, alone.blocked) == (cell.attempts, cell.blocked)
 
     def test_adaptive_info_round_trips_json(self):
-        estimate = adaptive_blocking(3, 3, 2, 2, precision=QUICK, **CONFIG)
+        [estimate] = adaptive_sweep(3, 3, 2, [2], precision=QUICK, **CONFIG)
         back = BlockingEstimate.from_json(estimate.to_json())
         assert back == estimate
         assert back.adaptive == estimate.adaptive

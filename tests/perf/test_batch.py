@@ -23,9 +23,7 @@ from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
 from repro.engine.fused import FUSED_ENV
 from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import routing_kernel
 from repro.perf.batch import (
-    BACKEND_ENV,
     available_backends,
     compile_stream,
     replay_cell,
@@ -245,17 +243,17 @@ class TestBackendResolution:
             # ... at any plane width, now that the word gate is lifted.
             assert resolve_backend("auto", m_max=100, r=4, k=2) == "numba"
 
-    def test_env_python_beats_numba_preference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+    def test_env_python_beats_numba_preference(self):
+        """An explicit ``python`` request wins over auto's numba pick."""
         with fused_interpreted():
-            assert resolve_backend("auto", m_max=8, r=4, k=2) == "python"
+            assert resolve_backend("python", m_max=8, r=4, k=2) == "python"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend("auto", m_max=8, r=4, k=2) == "python"
+    def test_env_override(self):
+        """Explicit requests resolve to themselves: the argument is the
+        only way to pick a backend."""
+        assert resolve_backend("python", m_max=8, r=4, k=2) == "python"
         if "numpy" in BACKENDS:
-            monkeypatch.setenv(BACKEND_ENV, "numpy")
-            assert resolve_backend("auto", m_max=8, r=4, k=2) == "numpy"
+            assert resolve_backend("numpy", m_max=8, r=4, k=2) == "numpy"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown batch backend"):

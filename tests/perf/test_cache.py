@@ -10,7 +10,6 @@ import pytest
 from repro import api, obs
 from repro.analysis.montecarlo import _blocking_curve
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.routing import routing_kernel
 from repro.perf.cache import CODE_VERSION, ResultCache
 
 
@@ -97,14 +96,13 @@ class TestKeys:
         )
 
     def test_kernel_defaults_to_active_kernel(self, cache):
+        """With no ``kernel`` argument a key is the default (bitmask)
+        kernel's; it never depends on what ran before."""
         params = dict(n=2, r=2, m=3, k=1)
-        with routing_kernel("bitmask"):
-            under_bitmask = cache.key("cell", params)
-        with routing_kernel("batched"):
-            under_batched = cache.key("cell", params)
-        assert under_bitmask != under_batched
-        with routing_kernel("bitmask"):
-            assert cache.key("cell", params, kernel="bitmask") == under_bitmask
+        under_batched = cache.key("cell", params, kernel="batched")
+        default = cache.key("cell", params)
+        assert default != under_batched
+        assert cache.key("cell", params, kernel="bitmask") == default
 
 
 class TestStorage:
