@@ -60,8 +60,10 @@ word fabrics are its `W == 1` case). Masks pack into
 `PlaneLayout` (`repro.engine.planes`), so every built-in backend
 accepts fabrics of any width; the `W == 1` layout is byte-identical to
 the historical single-word one. `resolve_backend` picks one (`auto`
-prefers `numba` when importable, else `python`;
-`WDM_REPRO_BATCH_BACKEND` overrides) and `make_state` instantiates it.
+prefers `numba` when importable, else `python`; any other is asked for
+by name through `ExecConfig(backend=...)` or `--backend`) and
+`make_state` instantiates it. `check_backend_name` is the
+registered-name check `ExecConfig` runs at construction.
 `register_backend(name, factory, missing=..., max_plane_width=...)`
 plugs in further backends -- registered names become valid `backend=`
 arguments everywhere without touching any consumer, and
@@ -99,9 +101,12 @@ counts symmetry classes and witnesses may differ but still `replay()`.
 
 ### Routing kernels
 
-`set_routing_kernel` / `routing_kernel` choose between `"bitmask"` (the
-default; one network per replication) and `"batched"` (the lockstep
-engine of `repro.perf.batch`); both use the bitmask cover search. The
+The kernel is a per-run argument, `SearchConfig(kernel=...)` on the
+`repro.api` facade (`--kernel` on the CLI): `"bitmask"` (the default;
+one network per replication) or `"batched"` (the lockstep engine of
+`repro.perf.batch`); both use the bitmask cover search and give the
+same numbers. Cache addresses and each result's `meta.kernel` record
+which one ran; there is no process-wide kernel setting. The
 frozenset cover search the bitmask kernel is pinned against lives in the
 test suite as an oracle (`tests/multistage/cover_oracle.py`), not in
 the runtime.
@@ -159,15 +164,16 @@ fabrics wider than `NUMPY_WORD_BITS` bits) live in `repro.engine.state` /
 are bit-identical to the serial simulator per replication, blocking
 causes included. For the fused backend, `lower_stream` flattens the
 compiled stream to int64 arrays and `FusedState.replay_ops` runs the
-entire event loop in one `@njit` kernel. Override with the
-`WDM_REPRO_BATCH_BACKEND` environment variable; `wdm-repro kernels`
+entire event loop in one `@njit` kernel. Pick a backend with
+`ExecConfig(backend=...)` (`--backend` on the CLI); `wdm-repro kernels`
 prints the availability matrix.
 """,
     "repro.perf.adaptive": """\
 ### Sequential stopping instead of fixed budgets
 
-`adaptive_sweep` / `adaptive_blocking` replace fixed replication
-counts with a precision target: each `(m, traffic)` cell runs rounds
+`adaptive_sweep` replaces fixed replication counts with a precision
+target (a single point is a one-element `m_values`): each
+`(m, traffic)` cell runs rounds
 of replications until the Wilson score interval on its
 `BlockingEstimate` is narrower than `PrecisionConfig.half_width`
 (absolute, or relative to the point estimate with
@@ -258,7 +264,12 @@ uniformly.
 through the lockstep batch engine (`repro.perf.batch`) -- same numbers,
 one compiled-stream replay per seed instead of one per `(m, seed)`
 cell; `ExecConfig(batch=B)` caps replications per work unit without
-affecting results.
+affecting results. `blocking` is the one-point `sweep`: at that `m` it
+returns the same estimate, cache addresses and `meta`.
+
+Configs check their values when they are built: an unknown kernel, an
+unregistered backend name, `batch < 1` or a repeated seed raises
+`ValueError` naming the value, and `sweep` refuses a repeated `m`.
 
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
 `sweep` from the fixed seed list to the adaptive sequential-stopping
