@@ -46,6 +46,20 @@ class TestFrozenConfigs:
         with pytest.raises(ValueError, match="unknown batch backend 'bogus'"):
             api.ExecConfig(backend="bogus")
 
+    def test_exec_config_rejects_backend_that_cannot_run(self, monkeypatch):
+        from repro.engine import fused
+
+        monkeypatch.setattr(
+            fused, "missing_requirement", lambda: "numba is not installed"
+        )
+        with pytest.raises(ValueError) as err:
+            api.ExecConfig(backend="numba")
+        message = str(err.value)
+        assert message.startswith(
+            "batch backend 'numba' requested but numba is not installed"
+        )
+        assert 'pip install -e ".[fused]"' in message
+
     @pytest.mark.parametrize("batch", [0, -1])
     def test_exec_config_rejects_batch_below_one(self, batch):
         with pytest.raises(ValueError, match=f"batch must be >= 1.*{batch}"):

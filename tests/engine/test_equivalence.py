@@ -2,7 +2,7 @@
 
 This is the drift the ``repro.engine`` extraction exists to prevent:
 the engine's state-level ``admit``/``classify_block``, driven on a
-fresh state of each backend, must make the same admission decisions
+fresh python state, must make the same admission decisions
 *and* produce the same cause evidence (labels plus raw masks) as
 ``ThreeStageNetwork.try_connect``/``explain_block`` replaying the same
 traffic on its own state, for every model and both dominance variants,
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.backends import available_backends, make_state
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import (
     AdmissionRequest,
@@ -27,6 +26,7 @@ from repro.engine.kernel import (
     classify_block,
     release,
 )
+from repro.engine.state import PythonState
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf.batch import compile_stream
 from repro.switching.generators import dynamic_traffic
@@ -46,16 +46,15 @@ def sizes(draw):
     return n, r, k, x, m, seed
 
 
-def engine_trace(n, r, k, m, construction, model, x, seed, backend="python"):
+def engine_trace(n, r, k, m, construction, model, x, seed):
     """Drive the compiled stream through the engine's state-level API."""
-    state = make_state(
+    state = PythonState(
         [
             FabricGeometry(
                 n=n, r=r, k=k, m=m,
                 construction=construction, model=model, x=x,
             )
-        ],
-        backend=backend,
+        ]
     )
     ops = compile_stream(model, n, r, k, STEPS, seed)
     live = {}
@@ -122,21 +121,3 @@ class TestEngineMatchesNetwork:
         # blocked request gets the same cause label and evidence masks.
         assert from_engine == from_network
 
-
-@pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
-)
-class TestBackendsAgree:
-    @settings(max_examples=8, deadline=None)
-    @given(config=sizes())
-    def test_numpy_state_matches_python_state(self, config):
-        n, r, k, x, m, seed = config
-        construction = Construction.MSW_DOMINANT
-        model = MulticastModel.MAW
-        python = engine_trace(
-            n, r, k, m, construction, model, x, seed, backend="python"
-        )
-        numpy = engine_trace(
-            n, r, k, m, construction, model, x, seed, backend="numpy"
-        )
-        assert python == numpy

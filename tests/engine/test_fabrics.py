@@ -10,8 +10,8 @@ Two families of guarantees live here:
 2. **Bit-identity pins** -- the Clos path *through* the fabric seam must
    be indistinguishable from the pre-seam engine: golden cache-key
    digests, the golden adaptive stream key and round schedules, golden
-   blocked counts, and the sha256 of the NumpyState bitplanes after a
-   full replay are all hardcoded from the pre-seam code.  A change to
+   blocked counts, and the sha256 of the fused state's int64 bitplanes
+   after a full replay are all hardcoded from the pre-seam code.  A change to
    any of these is a silent invalidation of every warm cache and golden
    value in the wild, which is exactly what the pins exist to catch.
 """
@@ -245,18 +245,18 @@ def test_clos_blocked_counts_unchanged():
 
 def test_clos_numpy_bitplanes_unchanged():
     np = pytest.importorskip("numpy", reason="bitplane pins read numpy planes")
-    from repro.engine.state import NumpyState
-    from repro.perf.batch import _replay, compile_stream
+    from repro.engine.fused import FusedState
+    from repro.perf.batch import compile_stream, lower_stream
 
     ops = compile_stream(MSW, 3, 3, 2, 300, 0)
     geometries = tuple(
         FabricGeometry(3, 3, 2, m, construction=C, model=MSW, x=1)
         for m in (1, 2, 3, 4, 6)
     )
-    state = NumpyState(geometries)
-    attempts, replications = _replay(ops, state, False, False)
-    assert attempts == 154
-    assert [rep.blocked for rep in replications] == [85, 39, 9, 1, 0]
+    state = FusedState(geometries)
+    replay = state.replay_ops(lower_stream(ops), False, False)
+    assert replay.attempts == 154
+    assert replay.blocked == [85, 39, 9, 1, 0]
     planes = {
         name: value
         for name, value in vars(state).items()
@@ -288,12 +288,25 @@ def test_awg_blocks_more_than_clos():
         assert blocked >= GOLDEN_BLOCKED[m]
 
 
-def test_awg_equals_clos_at_k1():
-    from repro.engine.backends import available_backends
+def replay_backends(monkeypatch):
+    """python, plus the fused kernel when numpy is installed.
 
+    Without numba the fused kernel runs interpreted (same program).
+    """
+    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
+
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return ("python",)
+    if not NUMBA_AVAILABLE:
+        monkeypatch.setenv(FUSED_ENV, "1")
+    return ("python", "numba")
+
+
+def test_awg_equals_clos_at_k1(monkeypatch):
     m_values = (1, 2, 3, 4)
-    backends = [b for b in ("python", "numpy") if b in available_backends()]
-    for backend in backends:
+    for backend in replay_backends(monkeypatch):
         clos = simulate_batch(
             3, 3, 1, C, MSW, 1, 300, None, 0, m_values, backend,
         )
@@ -321,38 +334,25 @@ def test_awg_no_path_cause_reported():
         assert cause["kind"] in get_fabric("awg_clos").block_kinds
 
 
-def test_awg_three_way_backend_agreement():
-    import os
-
-    pytest.importorskip("numpy", reason="numpy/numba backends under test")
-
-    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
+def test_awg_three_way_backend_agreement(monkeypatch):
+    pytest.importorskip("numpy", reason="the fused backend needs numpy")
 
     m_values = (1, 2, 3, 4, 6)
-    forced = not NUMBA_AVAILABLE
-    if forced:
-        os.environ[FUSED_ENV] = "1"
-    try:
-        runs = {
-            backend: simulate_batch(
-                3, 3, 2, C, MSW, 1, 300, None, 0, m_values, backend,
-                False, None, "awg_clos",
-            )
-            for backend in ("python", "numpy", "numba")
-        }
-    finally:
-        if forced:
-            del os.environ[FUSED_ENV]
-    assert runs["python"] == runs["numpy"] == runs["numba"]
+    runs = {
+        backend: simulate_batch(
+            3, 3, 2, C, MSW, 1, 300, None, 0, m_values, backend,
+            False, None, "awg_clos",
+        )
+        for backend in replay_backends(monkeypatch)
+    }
+    assert runs["python"] == runs["numba"]
 
 
 # -- the crossbar fast path --------------------------------------------------
 
 
-def test_crossbar_blocks_nothing():
-    from repro.engine.backends import available_backends
-
-    for backend in (b for b in ("python", "numpy") if b in available_backends()):
+def test_crossbar_blocks_nothing(monkeypatch):
+    for backend in replay_backends(monkeypatch):
         cells = simulate_batch(
             3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), backend,
             False, None, "crossbar",

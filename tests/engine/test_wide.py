@@ -1,20 +1,21 @@
 """Word-boundary suite: multi-word planes at and across 62 bits.
 
 The plane layout switches from one int64 word per mask to ``W =
-ceil(bits / 62)`` words exactly past 62, so this file pins the three
+ceil(bits / 62)`` words exactly past 62, so this file pins the two
 backends to each other *at* the boundary (61, 62), just across it (63,
 64) and well past it (100):
 
-* three-way agreement -- python/numpy/fused replay the same compiled
-  stream and must agree on counts, ``explain_block`` cause dicts *and*
-  the end-state occupancy bitplanes (extracted backend-agnostically as
-  Python ints);
+* two-way agreement -- the python per-event replay and the fused
+  kernel replay the same compiled stream and must agree on counts,
+  ``explain_block`` cause dicts *and* the end-state occupancy
+  bitplanes (extracted backend-agnostically as Python ints);
 * high-bit round-trips -- covers committed at middle/module/wavelength
-  indices on both sides of the word seam, asserting identical views
-  after every allocate and all-zero planes after the frees;
-* ``W == 1`` byte-identity -- single-word numpy arrays keep the
-  pre-multi-word layout bit for bit and *byte for byte* (same shapes,
-  same dtype, no trailing word axis) for a golden replay.
+  indices on both sides of the word seam, asserting the planes, views
+  and undo branches each cover implies after every allocate and
+  all-zero planes after the frees;
+* ``W == 1`` byte-identity -- the fused state's single-word arrays
+  keep the pre-multi-word layout bit for bit and *byte for byte* (same
+  shapes, same dtype, no trailing word axis) for a golden replay.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ np = pytest.importorskip("numpy")
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine.backends import make_state
-from repro.engine.fused import FUSED_ENV
+from repro.engine.fused import FUSED_ENV, FusedState
 from repro.engine.geometry import FabricGeometry
-from repro.engine.planes import WORD_BITS, combine_words
-from repro.engine.state import NumpyState, PythonState
+from repro.engine.planes import WORD_BITS, join_words
+from repro.engine.state import PythonState
 from repro.core.multistage import valid_x_range
-from repro.perf.batch import _replay, compile_stream
+from repro.perf.batch import _replay, compile_stream, lower_stream
 
 BOUNDARY = (61, 62, 63, 64, 100)
-BACKENDS = ("python", "numpy", "numba")
+BACKENDS = ("python", "numba")
 STEPS = 50
 
 
@@ -60,23 +61,29 @@ def fused_interpreted():
             os.environ[FUSED_ENV] = previous
 
 
+def _join_rows(node, depth):
+    """Join the innermost word lists of a nested ``tolist()`` into ints."""
+    if depth == 0:
+        return join_words(node)
+    return [_join_rows(item, depth - 1) for item in node]
+
+
 def canonical_planes(state) -> list[dict]:
     """Per-replication occupancy bitplanes as nested Python ints.
 
-    Backend-agnostic: numpy-family states (:class:`NumpyState` and the
-    fused subclass) join their word rows back into ints and drop the
-    padding rows above each replication's own ``m``; the python backend
-    transposes its view-oriented nesting into the same
-    ``[b][...]``-leading order.
+    Backend-agnostic: the fused state joins its int64 word rows back
+    into ints and drops the padding rows above each replication's own
+    ``m``; the python backend transposes its view-oriented nesting into
+    the same ``[b][...]``-leading order.
     """
     geos = state.geometries
-    if isinstance(state, NumpyState):
+    if not isinstance(state, PythonState):
 
         def grab(name):
             arr = getattr(state, name)
-            return (
-                combine_words(arr).tolist() if state._multiword else arr.tolist()
-            )
+            if not state._multiword:
+                return arr.tolist()
+            return _join_rows(arr.tolist(), arr.ndim - 1)
 
         out_busy = grab("_out_busy")
         if state.msw_dominant:
@@ -102,7 +109,6 @@ def canonical_planes(state) -> list[dict]:
             }
             for b in range(state.batch)
         ]
-    assert isinstance(state, PythonState)
     k = len(state._out_busy)
     if state.msw_dominant:
         r = len(state._in_busy)
@@ -172,7 +178,7 @@ def replay_all_backends(n, r, k, x, m_values, seed, construction, model):
 
 
 class TestBoundaryAgreement:
-    """python/numpy/fused three-way identity across the word seam."""
+    """python/fused two-way identity across the word seam."""
 
     @pytest.mark.parametrize("wide", BOUNDARY)
     @settings(max_examples=6, deadline=None)
@@ -195,7 +201,7 @@ class TestBoundaryAgreement:
         results = replay_all_backends(
             n, r, k, x, [m], seed, construction, model
         )
-        assert results["python"] == results["numpy"] == results["numba"]
+        assert results["python"] == results["numba"]
 
     def test_mixed_batch_straddles_the_seam(self):
         """One lockstep batch whose m column spans every boundary value."""
@@ -205,76 +211,73 @@ class TestBoundaryAgreement:
                 results = replay_all_backends(
                     n, r, k, x, list(BOUNDARY), seed, construction, model
                 )
-                assert (
-                    results["python"] == results["numpy"] == results["numba"]
-                )
+                assert results["python"] == results["numba"]
 
 
 class TestHighBitRoundTrip:
-    """Covers committed on both sides of the word seam, then undone."""
+    """Covers committed on both sides of the word seam, then undone.
+
+    The python backend's planes, setup views and undo branches are
+    checked after every allocate against what the covers imply: the
+    in-fiber carrier is first-fit (the source wavelength under
+    MSW-dominance) and every delivery rides the source wavelength when
+    the endpoint model pins it, else the first free one.
+    """
 
     MIDDLES = (0, WORD_BITS - 1, WORD_BITS, WORD_BITS + 1, 99)
     DEST_BITS = (0, WORD_BITS - 1, WORD_BITS, 69)
-
-    def states(self, construction, model):
-        geo = FabricGeometry(
-            n=3, r=70, k=63, m=100,
-            construction=construction, model=model, x=2,
-        )
-        with fused_interpreted():
-            return {
-                backend: make_state((geo,), backend) for backend in BACKENDS
-            }
-
-    def views_of(self, state):
-        return [
-            state.setup_views(g, sw) for g in (0, 2) for sw in (0, 61, 62)
-        ]
+    R, K, M = 70, 63, 100
 
     @pytest.mark.parametrize("construction", list(Construction))
     @pytest.mark.parametrize("model", list(MulticastModel))
     def test_allocate_free_identical_planes(self, construction, model):
+        geo = FabricGeometry(
+            n=3, r=self.R, k=self.K, m=self.M,
+            construction=construction, model=model, x=2,
+        )
+        state = PythonState((geo,))
         dest = sum(1 << p for p in self.DEST_BITS)
-        states = self.states(construction, model)
-        branches = {backend: [] for backend in states}
+        msw_dominant = construction is Construction.MSW_DOMINANT
+        pinned = msw_dominant or model is MulticastModel.MSW
+        in_w = 62 if msw_dominant else 0
+        out_w = 62 if pinned else 0
+        expected_in = [[0] * self.K for _ in range(self.R)]
+        expected_out = [[0] * self.M for _ in range(self.K)]
+        branches = []
         for j in self.MIDDLES:
-            for backend, state in states.items():
-                branches[backend].append(
-                    state.allocate(0, 1, 62, {j: dest})
-                )
-            planes = {
-                backend: canonical_planes(state)
-                for backend, state in states.items()
-            }
-            views = {
-                backend: self.views_of(state)
-                for backend, state in states.items()
-            }
-            assert planes["python"] == planes["numpy"] == planes["numba"]
-            assert views["python"] == views["numpy"] == views["numba"]
-            assert branches["python"][-1] == branches["numpy"][-1]
-            assert branches["python"][-1] == branches["numba"][-1]
-        for backend, state in states.items():
-            for done in reversed(branches[backend]):
-                state.free(0, 1, 62, done)
-        planes = {
-            backend: canonical_planes(state)
-            for backend, state in states.items()
-        }
-        assert planes["python"] == planes["numpy"] == planes["numba"]
+            branches.append(state.allocate(0, 1, 62, {j: dest}))
+            if msw_dominant:
+                assert branches[-1] == ((j, dest),)
+            else:
+                deliveries = tuple((p, out_w) for p in self.DEST_BITS)
+                assert branches[-1] == ((j, in_w, deliveries),)
+            expected_in[1][in_w] |= 1 << j
+            expected_out[out_w][j] = dest
+            assert state.busy_planes() == (expected_in, expected_out)
+            for g in (0, 2):
+                for sw in (0, 61, 62):
+                    blocked, blockers = state.setup_views(g, sw)
+                    assert list(blocked) == [0]
+                    rows = expected_out[sw] if pinned else [0] * self.M
+                    assert list(blockers[0]) == rows
+        for done in reversed(branches):
+            state.free(0, 1, 62, done)
+        empty_in = [[0] * self.K for _ in range(self.R)]
+        empty_out = [[0] * self.M for _ in range(self.K)]
+        assert state.busy_planes() == (empty_in, empty_out)
 
         def all_zero(node):
             if isinstance(node, list):
                 return all(all_zero(item) for item in node)
             return node == 0
 
-        for per_b in planes["python"]:
+        for per_b in canonical_planes(state):
             for plane in per_b.values():
                 assert all_zero(plane)
 
 
 class TestSingleWordLayout:
-    """``W == 1`` numpy arrays keep the pre-multi-word layout, byte for byte."""
+    """``W == 1`` fused arrays keep the pre-multi-word layout, byte for byte."""
 
     GOLDEN_SEED = 2024
 
@@ -295,9 +298,9 @@ class TestSingleWordLayout:
                     )
                     for m in m_values
                 )
-                state = make_state(geos, "numpy")
-                reference = make_state(geos, "python")
-                _replay(ops, state, False, False)
+                state = FusedState(geos)
+                state.replay_ops(lower_stream(ops), False, False)
+                reference = PythonState(geos)
                 _replay(ops, reference, False, False)
                 assert not state._multiword
 

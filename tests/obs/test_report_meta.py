@@ -28,6 +28,12 @@ class TestObsReport:
         assert report.trace["released"] == 1
         assert report.plan["executor"] == "serial"
 
+    def test_collect_without_a_plan_reports_none(self):
+        # A sweep that already ran in this process must not lend its
+        # plan to an unrelated report.
+        api.sweep(2, 2, 1, [2], traffic=api.UniformConfig(steps=20, seeds=(0,)))
+        assert ObsReport.collect().plan is None
+
     def test_json_round_trip(self):
         report = ObsReport(
             metrics={"counters": {"a": 1}, "timers": {}, "gauges": {}},

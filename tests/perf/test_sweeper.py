@@ -10,7 +10,6 @@ from repro.perf.sweeper import (
     ParallelSweeper,
     SweepResult,
     WorkUnit,
-    last_plan,
     resolve_jobs,
     sweep,
 )
@@ -110,7 +109,6 @@ class TestAdaptiveExecutor:
         assert plan.executor == "thread"
         assert plan.units == plan.dispatched == len(self.UNITS)
         assert plan.reason == ""
-        assert last_plan() == plan
 
     def test_single_cpu_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(sweeper_module, "_effective_cpus", lambda: 1)

@@ -194,17 +194,16 @@ class TestTraceCommand:
         assert "MAW" in out
 
     def test_kernels_matrix(self, capsys):
-        from repro.engine.backends import NUMPY_WORD_BITS, resolve_backend
+        from repro.engine.backends import resolve_backend
+        from repro.engine.planes import WORD_BITS
 
         out = run_cli(capsys, "kernels")
         for kernel in ("bitmask", "batched"):
             assert kernel in out
         assert "reference" not in out
-        for backend in ("python", "numba", "numpy"):
+        for backend in ("python", "numba"):
             assert backend in out
-        assert (
-            f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS})" in out
-        )
+        assert f"plane width: W = ceil(max(m, r, k) / {WORD_BITS})" in out
         # The kernel is a per-run argument: there is no process-wide
         # kernel to report.
         assert "active routing kernel" not in out
@@ -214,44 +213,20 @@ class TestTraceCommand:
         assert "python: available" in out
 
     def test_kernels_shows_missing_backend_reason(self, capsys, monkeypatch):
-        from repro.engine import backends as mod
+        from repro.engine import fused
 
-        monkeypatch.setitem(
-            mod._SPECS, "numba",
-            mod.BackendSpec(
-                factory=mod._SPECS["numba"].factory,
-                missing=lambda: "numba is not installed",
-            ),
+        monkeypatch.setattr(
+            fused, "missing_requirement", lambda: "numba is not installed"
         )
         out = run_cli(capsys, "kernels")
         assert "numba: unavailable (numba is not installed)" in out
 
     def test_kernels_shows_installed_backend_width(self, capsys, monkeypatch):
-        from repro.engine import backends as mod
+        from repro.engine import fused
 
-        monkeypatch.setitem(
-            mod._SPECS, "numba",
-            mod.BackendSpec(
-                factory=mod._SPECS["numba"].factory,
-                missing=lambda: None,
-            ),
-        )
+        monkeypatch.setattr(fused, "missing_requirement", lambda: None)
         out = run_cli(capsys, "kernels")
-        assert "numba: available (plane width: any)" in out
-
-    def test_kernels_shows_width_capped_backend(self, capsys, monkeypatch):
-        from repro.engine import backends as mod
-
-        monkeypatch.setitem(
-            mod._SPECS, "test-cuda",
-            mod.BackendSpec(
-                factory=mod._SPECS["numpy"].factory,
-                missing=lambda: None,
-                max_plane_width=1,
-            ),
-        )
-        out = run_cli(capsys, "kernels")
-        assert "test-cuda: available (max plane width: 1 word)" in out
+        assert "  numba: available" in out.splitlines()
 
 
 class TestParser:
@@ -288,6 +263,24 @@ class TestParser:
             main(["blocking", "--n", "2", "--r", "2", "--k", "1",
                   "--m-max", "2", "--kernel", "batched", "--batch", batch])
         assert f"batch must be >= 1 or None, got {batch}" in str(excinfo.value)
+
+    def test_unavailable_backend_is_a_one_line_error(self, monkeypatch):
+        from repro.engine import fused
+
+        monkeypatch.setattr(
+            fused, "missing_requirement", lambda: "numba is not installed"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["blocking", "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", "3", "--kernel", "batched",
+                  "--backend", "numba"])
+        message = str(excinfo.value)
+        assert message.startswith(
+            "wdm-repro: error: batch backend 'numba' requested but numba "
+            "is not installed"
+        )
+        assert 'pip install -e ".[fused]"' in message
+        assert "\n" not in message
 
     def test_backend_flag_accepts_known_names(self):
         parser = build_parser()
