@@ -147,11 +147,10 @@ class ExecConfig:
         backend: under ``kernel="batched"``, the fabric-state backend
             inside each work unit -- ``"auto"`` (default; prefers the
             fused ``numba`` kernel when usable, else ``python``),
-            ``"python"``, ``"numpy"``, ``"numba"`` or any name added
-            through :func:`repro.engine.backends.register_backend`.
-            Unregistered names are refused at construction.  Ignored
-            by the other kernels; all backends are bit-identical, see
-            ``wdm-repro kernels``.
+            ``"python"`` or ``"numba"``.  Unknown names, and a backend
+            whose requirements are missing here, are refused at
+            construction.  Ignored by the other kernels; both backends
+            are bit-identical, see ``wdm-repro kernels``.
         precision: switch :func:`blocking` and :func:`sweep` from the
             fixed ``traffic.seeds`` replication budget to the adaptive
             sequential-stopping engine

@@ -96,14 +96,13 @@ def _kernel(value: str) -> str:
 
 
 def _backend(value: str) -> str:
-    from repro.engine.backends import BACKENDS, available_backends
+    from repro.engine.backends import BACKENDS
 
     lowered = value.lower()
-    known = {"auto", *BACKENDS, *available_backends()}
+    known = ("auto", *BACKENDS)
     if lowered not in known:
         raise argparse.ArgumentTypeError(
-            f"unknown backend {value!r}; choose from "
-            + ", ".join(sorted(known))
+            f"unknown backend {value!r}; choose from " + ", ".join(known)
         )
     return lowered
 
@@ -479,12 +478,11 @@ def _cmd_gap(args: argparse.Namespace) -> str:
 
 def _cmd_kernels(args: argparse.Namespace) -> str:
     from repro.engine.backends import (
-        NUMPY_WORD_BITS,
         available_backends,
         backend_status,
         resolve_backend,
     )
-    from repro.engine.planes import PlaneLayout
+    from repro.engine.planes import WORD_BITS, PlaneLayout
     from repro.multistage.routing import _KERNELS
 
     available = set(available_backends())
@@ -514,8 +512,8 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
         *(f"  {backend}: {status[backend]}" for backend in backends),
         "auto backend resolves to: "
         + resolve_backend("auto", m_max=1, r=1, k=1),
-        f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS}) int64 "
-        f"words per mask (multi-word above {NUMPY_WORD_BITS}; e.g. "
+        f"plane width: W = ceil(max(m, r, k) / {WORD_BITS}) int64 "
+        f"words per mask (multi-word above {WORD_BITS}; e.g. "
         f"m=r=k=100 -> W="
         f"{PlaneLayout.for_fabric(100, 100, 100).width})",
     ]
@@ -523,9 +521,9 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
 
 
 def _cmd_fabrics(args: argparse.Namespace) -> str:
-    from repro.engine.backends import NUMPY_WORD_BITS, available_backends, backend_status
+    from repro.engine.backends import available_backends, backend_status
     from repro.engine.fabrics import fabric_status, get_fabric
-    from repro.engine.planes import PlaneLayout
+    from repro.engine.planes import WORD_BITS, PlaneLayout
 
     status = fabric_status()
     backend_avail = set(available_backends())
@@ -558,7 +556,7 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
         table,
         "fabric notes:",
         *(f"  {name}: {status[name]}" for name in status),
-        f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS}) int64 "
+        f"plane width: W = ceil(max(m, r, k) / {WORD_BITS}) int64 "
         f"words per mask, identical for every fabric (e.g. m=r=k=100 -> "
         f"W={PlaneLayout.for_fabric(100, 100, 100).width})",
         "select with --fabric NAME (blocking/sweep); 'clos' is the "
@@ -794,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=_backend,
         default="auto",
-        metavar="{auto,python,numpy,numba}",
+        metavar="{auto,python,numba}",
         help="with --kernel batched: fabric-state backend for the "
         "lockstep replay ('auto' prefers the fused numba kernel when "
         "usable, else python); bit-identical across backends -- see "
@@ -861,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=_backend,
         default="auto",
-        metavar="{auto,python,numpy,numba}",
+        metavar="{auto,python,numba}",
         help="with --kernel batched: fabric-state backend for the "
         "lockstep replay",
     )

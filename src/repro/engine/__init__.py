@@ -1,14 +1,14 @@
 """The admission engine -- per-model semantics stated exactly once.
 
 ``repro.engine`` is the bottom layer of the simulator stack: a frozen
-:class:`~repro.engine.geometry.FabricGeometry`, a
-:class:`~repro.engine.state.FabricState` protocol with interchangeable
-bitplane backends (pure-Python ints, numpy int64, the fused ``numba``
-whole-stream kernel of :mod:`repro.engine.fused`; more via
-:func:`~repro.engine.backends.register_backend`), the Lemma-4 cover
-search (:mod:`repro.engine.cover`), and the pure admission kernels of
-:mod:`repro.engine.kernel` (``avail``/``coverable``/``admit``/
-``release``/``classify_block`` plus their mask-level cores).
+:class:`~repro.engine.geometry.FabricGeometry`, the per-event
+:class:`~repro.engine.state.FabricState` protocol over pure-Python int
+bitplanes (:class:`~repro.engine.state.PythonState`), the fused
+``numba`` whole-stream kernel of :mod:`repro.engine.fused` (the other
+batch backend, chosen by :mod:`repro.engine.backends`), the Lemma-4
+cover search (:mod:`repro.engine.cover`), and the pure admission
+kernels of :mod:`repro.engine.kernel` (``avail``/``coverable``/
+``admit``/``release``/``classify_block`` plus their mask-level cores).
 
 The serial network, the lockstep batch engine, the exhaustive model
 checker and the adversary all route through this package, so the
@@ -19,14 +19,10 @@ diagram.
 
 from repro.engine.backends import (
     BACKENDS,
-    NUMPY_WORD_BITS,
-    BackendSpec,
     available_backends,
     backend_status,
     make_state,
     plane_width,
-    plane_width_error,
-    register_backend,
     resolve_backend,
 )
 from repro.engine.cover import CoverSearch, find_cover_bits, iter_bits, mask_of
@@ -63,7 +59,7 @@ from repro.engine.kernel import (
     reach_map,
     release,
 )
-from repro.engine.state import FabricState, NumpyState, PythonState
+from repro.engine.state import FabricState, PythonState
 
 __all__ = [
     "ALL_BLOCK_KINDS",
@@ -71,10 +67,8 @@ __all__ = [
     "BLOCK_KINDS",
     "CLOS",
     "FUSED_ENV",
-    "NUMPY_WORD_BITS",
     "WORD_BITS",
     "AdmissionRequest",
-    "BackendSpec",
     "CoverSearch",
     "EngineConnection",
     "FabricGeometry",
@@ -82,7 +76,6 @@ __all__ = [
     "FabricState",
     "FusedReplay",
     "FusedState",
-    "NumpyState",
     "PlaneLayout",
     "PythonState",
     "admit",
@@ -104,10 +97,8 @@ __all__ = [
     "make_state",
     "mask_of",
     "plane_width",
-    "plane_width_error",
     "probe_cover",
     "reach_map",
-    "register_backend",
     "register_fabric",
     "release",
     "resolve_backend",

@@ -272,7 +272,6 @@ def register_fabric(spec: FabricSpec) -> FabricSpec:
     The spec's name becomes a valid ``FabricGeometry(fabric=...)``
     value, a ``--fabric`` choice, a ``wdm-repro fabrics`` row and a
     cache-key token -- no consumer changes needed, mirroring
-    :func:`repro.engine.backends.register_backend` and
     :func:`repro.workloads.register_workload`.
     """
     if spec.name in _REGISTRY:

@@ -1,8 +1,8 @@
 """Multi-word bitplane layout -- masks wider than one int64 word.
 
-The structure-of-arrays backends pack every occupancy mask into signed
-int64 words of :data:`WORD_BITS` usable bits.  A fabric has three mask
-families, one per indexed dimension:
+The fused backend (:mod:`repro.engine.fused`) packs every occupancy
+mask into signed int64 words of :data:`WORD_BITS` usable bits.  A
+fabric has three mask families, one per indexed dimension:
 
 * **middle masks** (``m`` bits) -- first-stage blocked/full planes and
   availability masks;
@@ -14,12 +14,9 @@ families, one per indexed dimension:
 occupies (``W = ceil(bits / WORD_BITS)``); ``W == 1`` for every family
 is the historical single-word layout, kept bit-identical as the fast
 path.  The helpers here are the single source of the packing
-arithmetic: scalar :func:`split_mask` / :func:`join_words` for the
-per-event protocol boundary (where masks are plain Python ints), and
-the vectorized :func:`combine_words` / :func:`planes_and` /
-:func:`planes_or` / :func:`planes_andnot` / :func:`planes_popcount` /
-:func:`planes_lowest_bit` primitives the numpy state backend and the
-benches run over ``[..., W]`` word arrays.
+arithmetic between plain Python-int masks and word rows:
+:func:`split_mask` / :func:`join_words` for one mask and
+:func:`pack_masks` for a nested sequence of them.
 """
 
 from __future__ import annotations
@@ -36,14 +33,8 @@ __all__ = [
     "WORD_BITS",
     "WORD_MASK",
     "PlaneLayout",
-    "combine_words",
     "join_words",
     "pack_masks",
-    "planes_and",
-    "planes_andnot",
-    "planes_lowest_bit",
-    "planes_or",
-    "planes_popcount",
     "split_mask",
     "words_needed",
 ]
@@ -112,14 +103,6 @@ def join_words(words: Any) -> int:
     return value
 
 
-# -- vectorized word-plane primitives ----------------------------------------
-#
-# All of these operate on int64 arrays whose *last* axis is the word
-# axis (shape [..., W]); the word split is data-parallel, so plain
-# numpy elementwise ops already are the multi-word AND/OR/ANDNOT.  The
-# popcount / lowest-set-bit reductions fold the word axis back out.
-
-
 def pack_masks(values: Any, words: int) -> Any:
     """Pack a (nested) sequence of Python-int masks into ``[..., words]``."""
     if _np is None:  # pragma: no cover - callers are numpy-gated
@@ -133,78 +116,3 @@ def pack_masks(values: Any, words: int) -> Any:
         out[..., wi] = (shifted & WORD_MASK).astype(_np.int64)
     return out
 
-
-def combine_words(planes: Any) -> Any:
-    """Join ``[..., W]`` word arrays into an object array of Python ints.
-
-    The word-0 plane converts in one vectorized pass; higher words are
-    usually all zero (a nonzero high word means bit ``>= WORD_BITS`` is
-    set in that particular mask), so only the masks that actually spill
-    past one word pay the big-int join.  When most masks spill, the
-    dense one-object-pass-per-word form is cheaper than patching.
-    """
-    width = planes.shape[-1]
-    out = planes[..., 0].astype(object)
-    if width == 1:
-        return out
-    high = planes[..., 1:]
-    if not high.any():
-        return out
-    flat = planes.reshape(-1, width)
-    hot = _np.nonzero(high.reshape(-1, width - 1).any(axis=1))[0]
-    if hot.size * 4 > flat.shape[0]:
-        for wi in range(1, width):
-            out |= planes[..., wi].astype(object) << (WORD_BITS * wi)
-        return out
-    flat_out = out.reshape(-1)
-    for i in hot.tolist():
-        row = flat[i]
-        value = int(row[0])
-        for wi in range(1, width):
-            value |= int(row[wi]) << (WORD_BITS * wi)
-        flat_out[i] = value
-    return out
-
-
-def planes_and(a: Any, b: Any) -> Any:
-    """Word-wise AND of two ``[..., W]`` plane arrays."""
-    return a & b
-
-
-def planes_or(a: Any, b: Any) -> Any:
-    """Word-wise OR of two ``[..., W]`` plane arrays."""
-    return a | b
-
-
-def planes_andnot(a: Any, b: Any) -> Any:
-    """Word-wise AND-NOT (``a & ~b``) of two ``[..., W]`` plane arrays."""
-    return a & ~b
-
-
-def planes_popcount(planes: Any) -> Any:
-    """Per-mask popcount of a ``[..., W]`` plane array (word axis folded)."""
-    if _np is None:  # pragma: no cover - callers are numpy-gated
-        raise ValueError("planes_popcount requires numpy")
-    counts = _np.bitwise_count(planes.astype(_np.uint64))
-    return counts.sum(axis=-1).astype(_np.int64)
-
-
-def planes_lowest_bit(planes: Any) -> Any:
-    """Per-mask lowest set bit index of ``[..., W]`` planes (-1 when empty).
-
-    Bit indices count across the whole multi-word mask (word ``wi``
-    contributes ``wi * WORD_BITS + bit``), matching
-    :func:`~repro.engine.cover.iter_bits` numbering.
-    """
-    if _np is None:  # pragma: no cover - callers are numpy-gated
-        raise ValueError("planes_lowest_bit requires numpy")
-    words = planes.astype(_np.int64)
-    low = words & -words
-    # log2 of an isolated bit is exact in float64 up to 2**62.
-    idx = _np.where(
-        low > 0, _np.log2(low.astype(_np.float64)).astype(_np.int64), -1
-    )
-    offsets = _np.arange(words.shape[-1], dtype=_np.int64) * WORD_BITS
-    flat = _np.where(idx >= 0, idx + offsets, _np.iinfo(_np.int64).max)
-    best = flat.min(axis=-1)
-    return _np.where(best == _np.iinfo(_np.int64).max, -1, best)

@@ -1,4 +1,4 @@
-"""Interchangeable fabric-state backends behind one protocol.
+"""The per-event fabric-state protocol and its int-bitplane implementation.
 
 A :class:`FabricState` holds the occupancy bitplanes of ``B``
 replications of one fabric family (same ``n, r, k``, construction,
@@ -13,25 +13,16 @@ operations to the admission kernels:
 * :meth:`~FabricState.free` -- release a previously allocated branch
   tuple.
 
-Two backends implement it bit-identically:
-
-* :class:`PythonState` -- nested lists of unbounded ints (bitplanes);
-  no dependencies, and the fastest backend on CPython for paper-scale
-  networks;
-* :class:`NumpyState` -- the same masks packed into ``int64``
-  structure-of-arrays (one row per replication), which vectorizes the
-  per-event view extraction across the batch; mask families wider than
-  one signed word get a trailing word axis per the fabric's
-  :class:`~repro.engine.planes.PlaneLayout` (``W == 1`` keeps the
-  historical single-word layout bit for bit).
-
-The storage layouts are chosen so :meth:`~FabricState.setup_views` is
-(near) allocation-free: the python backend keeps the batch axis
-innermost on the blocked planes and outermost on the blocker rows, so
-both views are plain sub-list references; the numpy backend slices and
-``.tolist()``-s, which is one vectorized pass.  A future numba/CUDA
-backend plugs in through :func:`repro.engine.backends.register_backend`
-by conforming to this protocol.
+:class:`PythonState` implements it with nested lists of unbounded
+ints (bitplanes): no dependencies, any mask width, and the fastest
+per-event replay on CPython.  Its layout keeps the batch axis innermost
+on the blocked planes and outermost on the blocker rows, so
+:meth:`~FabricState.setup_views` returns plain sub-list references.
+The serial network is a batch of one on it.  The ``numba`` backend
+(:class:`repro.engine.fused.FusedState`) holds the same bitplanes as
+int64 arrays and replays a whole stream in one kernel instead of
+serving this protocol; it shares :func:`check_family` and
+:func:`static_masks` with this module.
 """
 
 from __future__ import annotations
@@ -41,20 +32,9 @@ from typing import Any, Protocol
 
 from repro.engine.cover import iter_bits
 from repro.engine.geometry import FabricGeometry
-from repro.engine.planes import (
-    WORD_BITS,
-    WORD_MASK,
-    PlaneLayout,
-    combine_words,
-    join_words,
-)
+from repro.engine.planes import PlaneLayout
 
-try:  # NumPy is optional everywhere in this repo.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None  # type: ignore[assignment]
-
-__all__ = ["FabricState", "NumpyState", "PythonState"]
+__all__ = ["FabricState", "PythonState", "check_family", "static_masks"]
 
 #: branch tuples -- ``(j, assigned_mask)`` per middle under the
 #: MSW-dominant construction, ``(j, in_wavelength, deliveries)`` with
@@ -63,7 +43,7 @@ Branches = tuple[tuple[Any, ...], ...]
 
 
 class FabricState(Protocol):
-    """Protocol every fabric-state backend conforms to."""
+    """The per-event state the admission kernels read and write."""
 
     geometries: tuple[FabricGeometry, ...]
     batch: int
@@ -103,7 +83,8 @@ class FabricState(Protocol):
         ...
 
 
-def _check_family(geometries: tuple[FabricGeometry, ...]) -> None:
+def check_family(geometries: tuple[FabricGeometry, ...]) -> None:
+    """Raise unless ``geometries`` is one non-empty fabric family."""
     if not geometries:
         raise ValueError("need at least one FabricGeometry")
     head = geometries[0]
@@ -115,7 +96,7 @@ def _check_family(geometries: tuple[FabricGeometry, ...]) -> None:
             )
 
 
-def _static_masks(
+def static_masks(
     geometries: tuple[FabricGeometry, ...],
 ) -> tuple[list[list[list[int]]], list[list[int]]] | None:
     """The fabric model's static blocker seed, or None for Clos-like fabrics.
@@ -151,34 +132,6 @@ def _static_masks(
     return blocks, unreach
 
 
-def _set_bit(row: Any, bit: int) -> None:
-    """Set one bit in a little-endian word row (1-D int64 view)."""
-    row[bit // WORD_BITS] |= 1 << (bit % WORD_BITS)
-
-
-def _clear_bit(row: Any, bit: int) -> None:
-    """Clear one bit in a little-endian word row (1-D int64 view)."""
-    row[bit // WORD_BITS] &= ~(1 << (bit % WORD_BITS))
-
-
-def _or_mask(row: Any, mask: int) -> None:
-    """OR a (possibly wide) Python-int mask into a word row."""
-    wi = 0
-    while mask:
-        row[wi] |= mask & WORD_MASK
-        mask >>= WORD_BITS
-        wi += 1
-
-
-def _andnot_mask(row: Any, mask: int) -> None:
-    """Clear a (possibly wide) Python-int mask's bits in a word row."""
-    wi = 0
-    while mask:
-        row[wi] &= ~(mask & WORD_MASK)
-        mask >>= WORD_BITS
-        wi += 1
-
-
 class PythonState:
     """Int-bitplane fabric state (the dependency-free backend).
 
@@ -202,7 +155,7 @@ class PythonState:
 
     def __init__(self, geometries: Iterable[FabricGeometry]):
         geos = tuple(geometries)
-        _check_family(geos)
+        check_family(geos)
         head = geos[0]
         self.geometries = geos
         self.batch = len(geos)
@@ -230,7 +183,7 @@ class PythonState:
             self._out_wave = [[[0] * r for _ in range(m)] for m in m_values]
             self._out_full = [[0] * m for m in m_values]
         self.static_unreach_masks: list[list[int]] | None = None
-        seed = _static_masks(geos)
+        seed = static_masks(geos)
         if seed is not None:
             blocks, self.static_unreach_masks = seed
             for b in range(batch):
@@ -355,221 +308,3 @@ class PythonState:
                 fiber[p] &= ~(1 << out_w)
                 self._out_busy[out_w][b][j] &= ~(1 << p)
 
-
-class NumpyState:
-    """Int64 structure-of-arrays fabric state (vectorized views).
-
-    Same event-level decisions as :class:`PythonState`, bit for bit;
-    the batch dimension is the leading axis of every array, so the
-    per-event views for *all* replications come out of one vectorized
-    slice + ``.tolist()`` (the cover search itself then runs per
-    replication on plain ints).  When any of ``m, r, k`` exceeds one
-    signed word (:data:`~repro.engine.planes.WORD_BITS` bits), the
-    affected planes carry a trailing little-endian word axis
-    (``[..., W]``) and the views combine words back into Python ints in
-    one vectorized pass per word; the ``W == 1`` layout is unchanged
-    from the single-word backend, bit for bit and byte for byte.
-    """
-
-    def __init__(self, geometries: Iterable[FabricGeometry]):
-        if _np is None:  # pragma: no cover - registry gates first
-            raise ValueError("NumpyState requires numpy")
-        geos = tuple(geometries)
-        _check_family(geos)
-        head = geos[0]
-        self.geometries = geos
-        self.batch = len(geos)
-        self.x = head.x
-        self.msw_dominant = head.msw_dominant
-        self.all_masks = [geo.all_middles_mask for geo in geos]
-        self.failed_mask = 0
-        self._model_msw = head.model_msw
-        self._k_full = head.k_full
-        r, k, batch = head.r, head.k, self.batch
-        m_max = max(geo.m for geo in geos)
-        layout = PlaneLayout.for_fabric(m_max, r, k)
-        self.plane_layout = layout
-        self._multiword = layout.multiword
-        if not self._multiword:
-            self._out_busy = _np.zeros((batch, m_max, k), dtype=_np.int64)
-            if self.msw_dominant:
-                self._in_busy = _np.zeros((batch, r, k), dtype=_np.int64)
-            else:
-                self._in_wave = _np.zeros((batch, r, m_max), dtype=_np.int64)
-                self._in_full = _np.zeros((batch, r), dtype=_np.int64)
-                self._out_wave = _np.zeros((batch, m_max, r), dtype=_np.int64)
-                self._out_full = _np.zeros((batch, m_max), dtype=_np.int64)
-        else:
-            wm, wr, wk = layout.m_words, layout.r_words, layout.k_words
-            self._out_busy = _np.zeros((batch, m_max, k, wr), dtype=_np.int64)
-            if self.msw_dominant:
-                self._in_busy = _np.zeros((batch, r, k, wm), dtype=_np.int64)
-            else:
-                self._in_wave = _np.zeros((batch, r, m_max, wk), dtype=_np.int64)
-                self._in_full = _np.zeros((batch, r, wm), dtype=_np.int64)
-                self._out_wave = _np.zeros((batch, m_max, r, wk), dtype=_np.int64)
-                self._out_full = _np.zeros((batch, m_max, wr), dtype=_np.int64)
-        self.static_unreach_masks: list[list[int]] | None = None
-        seed = _static_masks(geos)
-        if seed is not None:
-            blocks, self.static_unreach_masks = seed
-            for b in range(batch):
-                for sw in range(k):
-                    for j, blk in enumerate(blocks[b][sw]):
-                        if not blk:
-                            continue
-                        if self._multiword:
-                            _or_mask(self._out_busy[b, j, sw], blk)
-                        else:
-                            self._out_busy[b, j, sw] |= blk
-
-    def setup_views(
-        self, g: int, sw: int
-    ) -> tuple[Sequence[int], Sequence[Sequence[int]]]:
-        if self.msw_dominant:
-            blocked = self._in_busy[:, g, sw]
-            blockers = self._out_busy[:, :, sw]
-        else:
-            blocked = self._in_full[:, g]
-            blockers = (
-                self._out_busy[:, :, sw] if self._model_msw else self._out_full
-            )
-        if self._multiword:
-            return combine_words(blocked).tolist(), combine_words(
-                blockers
-            ).tolist()
-        return blocked.tolist(), blockers.tolist()
-
-    def allocate(
-        self, b: int, g: int, sw: int, cover: Mapping[int, int]
-    ) -> Branches:
-        if self._multiword:
-            return self._allocate_mw(b, g, sw, cover)
-        branches: list[tuple[Any, ...]] = []
-        if self.msw_dominant:
-            busy = int(self._in_busy[b, g, sw])
-            for j in sorted(cover):
-                assigned = cover[j]
-                busy |= 1 << j
-                self._out_busy[b, j, sw] |= assigned
-                branches.append((j, assigned))
-            self._in_busy[b, g, sw] = busy
-            return tuple(branches)
-        k_full = self._k_full
-        for j in sorted(cover):
-            waves = int(self._in_wave[b, g, j])
-            free = k_full & ~waves
-            in_w = (free & -free).bit_length() - 1
-            waves |= 1 << in_w
-            self._in_wave[b, g, j] = waves
-            if waves == k_full:
-                self._in_full[b, g] |= 1 << j
-            deliveries = []
-            assigned = cover[j]
-            while assigned:
-                low = assigned & -assigned
-                assigned ^= low
-                p = low.bit_length() - 1
-                fiber = int(self._out_wave[b, j, p])
-                if self._model_msw:
-                    out_w = sw
-                else:
-                    free_out = k_full & ~fiber
-                    out_w = (free_out & -free_out).bit_length() - 1
-                fiber |= 1 << out_w
-                self._out_wave[b, j, p] = fiber
-                if fiber == k_full:
-                    self._out_full[b, j] |= 1 << p
-                self._out_busy[b, j, out_w] |= 1 << p
-                deliveries.append((p, out_w))
-            branches.append((j, in_w, tuple(deliveries)))
-        return tuple(branches)
-
-    def free(self, b: int, g: int, sw: int, branches: Branches) -> None:
-        if self._multiword:
-            return self._free_mw(b, g, sw, branches)
-        if self.msw_dominant:
-            busy = int(self._in_busy[b, g, sw])
-            for j, assigned in branches:
-                busy &= ~(1 << j)
-                self._out_busy[b, j, sw] &= ~assigned
-            self._in_busy[b, g, sw] = busy
-            return
-        k_full = self._k_full
-        for j, in_w, deliveries in branches:
-            waves = int(self._in_wave[b, g, j])
-            if waves == k_full:
-                self._in_full[b, g] &= ~(1 << j)
-            self._in_wave[b, g, j] = waves & ~(1 << in_w)
-            for p, out_w in deliveries:
-                fiber = int(self._out_wave[b, j, p])
-                if fiber == k_full:
-                    self._out_full[b, j] &= ~(1 << p)
-                self._out_wave[b, j, p] = fiber & ~(1 << out_w)
-                self._out_busy[b, j, out_w] &= ~(1 << p)
-
-    # -- multi-word (W > 1) paths; same decisions as above, word rows
-    #    addressed through the plane-layout packing ------------------------
-
-    def _allocate_mw(
-        self, b: int, g: int, sw: int, cover: Mapping[int, int]
-    ) -> Branches:
-        branches: list[tuple[Any, ...]] = []
-        if self.msw_dominant:
-            busy_row = self._in_busy[b, g, sw]
-            for j in sorted(cover):
-                _set_bit(busy_row, j)
-                _or_mask(self._out_busy[b, j, sw], cover[j])
-                branches.append((j, cover[j]))
-            return tuple(branches)
-        k_full = self._k_full
-        for j in sorted(cover):
-            wave_row = self._in_wave[b, g, j]
-            waves = join_words(wave_row)
-            free = k_full & ~waves
-            in_w = (free & -free).bit_length() - 1
-            waves |= 1 << in_w
-            _set_bit(wave_row, in_w)
-            if waves == k_full:
-                _set_bit(self._in_full[b, g], j)
-            deliveries = []
-            assigned = cover[j]
-            while assigned:
-                low = assigned & -assigned
-                assigned ^= low
-                p = low.bit_length() - 1
-                fiber_row = self._out_wave[b, j, p]
-                fiber = join_words(fiber_row)
-                if self._model_msw:
-                    out_w = sw
-                else:
-                    free_out = k_full & ~fiber
-                    out_w = (free_out & -free_out).bit_length() - 1
-                fiber |= 1 << out_w
-                _set_bit(fiber_row, out_w)
-                if fiber == k_full:
-                    _set_bit(self._out_full[b, j], p)
-                _set_bit(self._out_busy[b, j, out_w], p)
-                deliveries.append((p, out_w))
-            branches.append((j, in_w, tuple(deliveries)))
-        return tuple(branches)
-
-    def _free_mw(self, b: int, g: int, sw: int, branches: Branches) -> None:
-        if self.msw_dominant:
-            busy_row = self._in_busy[b, g, sw]
-            for j, assigned in branches:
-                _clear_bit(busy_row, j)
-                _andnot_mask(self._out_busy[b, j, sw], assigned)
-            return
-        k_full = self._k_full
-        for j, in_w, deliveries in branches:
-            wave_row = self._in_wave[b, g, j]
-            if join_words(wave_row) == k_full:
-                _clear_bit(self._in_full[b, g], j)
-            _clear_bit(wave_row, in_w)
-            for p, out_w in deliveries:
-                fiber_row = self._out_wave[b, j, p]
-                if join_words(fiber_row) == k_full:
-                    _clear_bit(self._out_full[b, j], p)
-                _clear_bit(fiber_row, out_w)
-                _clear_bit(self._out_busy[b, j, out_w], p)

@@ -28,7 +28,7 @@ Three layers make the rounds cheap, low-variance and resumable:
 * **kernel reuse** -- rounds run through the existing cells: with
   ``kernel="batched"`` each round spec becomes one lockstep
   :func:`repro.perf.batch.simulate_batch` unit covering every
-  unconverged ``m`` (numba/numpy/python backends all apply), otherwise
+  unconverged ``m`` (either backend, python or numba, applies), otherwise
   one :func:`~repro.analysis.montecarlo._traffic_cell` unit per
   ``(m, spec)`` -- bit-identical numbers either way;
 

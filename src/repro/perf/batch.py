@@ -20,28 +20,24 @@ ways:
   object call stack.
 
 The replay reproduces the serial simulator *bit for bit* because both
-run the same code: one backend-parameterized event loop
-(:func:`_replay`) drives the shared admission kernels of
+run the same code: on the ``python`` backend, the event loop of
+:func:`_replay` drives the shared admission kernels of
 :mod:`repro.engine` (``probe_cover`` for routing, ``block_cause`` for
 ``explain_block``-identical causes) against a
-:class:`~repro.engine.state.FabricState` -- the traffic generator's RNG
+:class:`~repro.engine.state.PythonState` -- the traffic generator's RNG
 stream, first-fit wavelength assignment and ascending-middle allocation
 order are all properties of those kernels, and the property tests plus
 ``bench_perf.py`` assert per-replication equality of ``(attempts,
 blocked)`` and causes against the bitmask kernel.
 
-The state backends (``python`` int bitplanes, optional ``numpy`` int64
-structure-of-arrays, and the fused ``numba`` backend -- the numpy-based
-pair packing masks wider than
-:data:`~repro.engine.backends.NUMPY_WORD_BITS` bits into multi-word
-planes per :class:`~repro.engine.planes.PlaneLayout`) live in
-:mod:`repro.engine.state` / :mod:`repro.engine.fused` behind the
-:mod:`repro.engine.backends` registry; ``auto`` prefers ``numba`` when
-importable (at any plane width), else ``python``; callers pick any
-other one by name.  For the fused backend the
+There are two backends (:mod:`repro.engine.backends`): ``python``, the
+per-event loop above, and ``numba``, the fused kernel of
+:mod:`repro.engine.fused`.  ``auto`` prefers ``numba`` when it can run,
+else ``python``; callers pick one by name.  For the fused backend the
 per-event loop is bypassed entirely: :func:`lower_stream` flattens the
 compiled stream to int64 arrays (dest masks become ``[events, W]``
-word columns when the module family is wider than one word) and
+word columns when the module family is wider than one word, per
+:class:`~repro.engine.planes.PlaneLayout`) and
 :meth:`~repro.engine.fused.FusedState.replay_ops` executes the whole
 replay in one ``@njit`` kernel -- same decisions, bit-identical counts
 and causes.
@@ -67,12 +63,12 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.fabrics import get_fabric
-from repro.engine.fused import FusedReplay
+from repro.engine.fused import FusedState
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import block_cause, classify_kind, probe_cover
 from repro.engine.planes import WORD_BITS as _WORD_BITS
 from repro.engine.planes import WORD_MASK as _WORD_MASK
-from repro.engine.state import FabricState
+from repro.engine.state import PythonState
 from repro.switching.generators import dynamic_traffic, stream_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -303,29 +299,27 @@ def _record_block(
 
 def _replay(
     ops: list[tuple[int, int, int, int, int]],
-    state: FabricState,
+    state: PythonState | FusedState,
     want_kinds: bool,
     want_causes: bool,
 ) -> tuple[int, list[_Replication]]:
-    """The single lockstep event loop, parameterized by the state backend.
+    """The lockstep replay of one compiled stream on either backend.
 
-    Every setup op drives one :func:`repro.engine.kernel.probe_cover`
-    per replication against the backend's ``setup_views`` -- the same
-    kernel the serial network and the exhaustive checker route through
-    -- so this loop owns no admission semantics of its own: MSW- vs
-    MAW-dominance, endpoint models and wavelength picks all live in the
-    engine.
+    On a :class:`~repro.engine.state.PythonState` every setup op drives
+    one :func:`repro.engine.kernel.probe_cover` per replication against
+    the state's ``setup_views`` -- the same kernel the serial network
+    and the exhaustive checker route through -- so this loop owns no
+    admission semantics of its own: MSW- vs MAW-dominance, endpoint
+    models and wavelength picks all live in the engine.
 
-    A state that offers the whole-stream ``replay_ops`` entry point
-    (the fused ``numba`` backend) takes the entire loop instead: the
-    stream is lowered to flat arrays once and every per-event decision
-    above runs inside the one compiled kernel, bit-identically.
+    A :class:`~repro.engine.fused.FusedState` takes the entire loop
+    instead: the stream is lowered to flat arrays once and every
+    per-event decision above runs inside the one fused kernel,
+    bit-identically.
     """
-    fused_entry = getattr(state, "replay_ops", None)
-    if fused_entry is not None:
-        r_words = getattr(state, "plane_layout", None)
-        replay: FusedReplay = fused_entry(
-            lower_stream(ops, r_words.r_words if r_words else 1),
+    if isinstance(state, FusedState):
+        replay = state.replay_ops(
+            lower_stream(ops, state.plane_layout.r_words),
             want_kinds,
             want_causes,
         )
@@ -343,9 +337,9 @@ def _replay(
     msw_dominant = state.msw_dominant
     all_masks = state.all_masks
     # The fabric model's static reach constraint (one family per batch,
-    # enforced by the state's _check_family): None on the Clos, so the
+    # enforced by the state's check_family): None on the Clos, so the
     # legacy path stays untouched.
-    su = getattr(state, "static_unreach_masks", None)
+    su = state.static_unreach_masks
     fabric_name = state.geometries[0].fabric
     fab_token = None if fabric_name == "clos" else fabric_name
     replications = [_Replication() for _ in range(batch)]

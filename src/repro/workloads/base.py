@@ -184,7 +184,7 @@ def register_workload(cls: type[WorkloadConfig]) -> type[WorkloadConfig]:
     The class's ``workload`` tag becomes a valid ``--workload`` name,
     a ``wdm-repro workloads`` row and a ``workload_from_dict`` tag --
     no consumer changes needed, mirroring
-    :func:`repro.engine.backends.register_backend`.
+    :func:`repro.engine.fabrics.register_fabric`.
     """
     tag = cls.workload
     if tag in _REGISTRY:
