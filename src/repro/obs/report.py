@@ -3,11 +3,12 @@
 The raw observability state is spread over the process-wide metrics
 registry (already merged across :class:`repro.perf.ParallelSweeper`
 worker processes by the sweeper's obs-aware chunk runner), the active
-:class:`~repro.obs.trace.Tracer`, and the sweeper's resolved
-:class:`~repro.perf.sweeper.ExecutionPlan`.  :func:`ObsReport.collect`
-snapshots all three into one JSON-serializable object that the CLI
-renders (``wdm-repro trace``), the benches export, and
-:class:`repro.obs.meta.ResultMeta` embeds into results.
+:class:`~repro.obs.trace.Tracer`, and the run's resolved
+:class:`~repro.perf.sweeper.ExecutionPlan`, which the caller passes in.
+:func:`ObsReport.collect` snapshots all three into one
+JSON-serializable object that the CLI renders (``wdm-repro trace``),
+the benches export, and :class:`repro.obs.meta.ResultMeta` embeds into
+results.
 """
 
 from __future__ import annotations
@@ -49,15 +50,12 @@ class ObsReport:
         """Snapshot the current process's observability state.
 
         Args:
-            plan: an :class:`~repro.perf.sweeper.ExecutionPlan` (or
-                dict) to embed; defaults to the process's most recent
-                plan (:func:`repro.perf.sweeper.last_plan`).
+            plan: the run's :class:`~repro.perf.sweeper.ExecutionPlan`
+                (or dict) to embed -- a sweeper's ``last_plan`` or an
+                estimate's ``meta.plan``; None records no plan.
         """
         from repro import obs
-        from repro.perf.sweeper import last_plan
 
-        if plan is None:
-            plan = last_plan()
         active = obs.tracer()
         return cls(
             metrics=obs.REGISTRY.snapshot(),

@@ -41,7 +41,6 @@ from repro.perf.sweeper import (
     ParallelSweeper,
     SweepResult,
     WorkUnit,
-    last_plan,
     resolve_jobs,
     sweep,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "WorkUnit",
     "available_backends",
     "compile_stream",
-    "last_plan",
     "replay_cell",
     "resolve_backend",
     "resolve_jobs",

@@ -56,7 +56,6 @@ __all__ = [
     "ParallelSweeper",
     "SweepResult",
     "WorkUnit",
-    "last_plan",
     "resolve_jobs",
     "sweep",
 ]
@@ -156,15 +155,6 @@ class ExecutionPlan:
     def from_json(cls, payload: str) -> "ExecutionPlan":
         """Rebuild a plan from :meth:`to_json` output."""
         return cls(**json.loads(payload))
-
-
-#: the most recent plan resolved by any sweeper in this process
-_LAST_PLAN: ExecutionPlan | None = None
-
-
-def last_plan() -> ExecutionPlan | None:
-    """The :class:`ExecutionPlan` of the most recent ``run`` in this process."""
-    return _LAST_PLAN
 
 
 def _run_unit(unit: WorkUnit) -> SweepResult:
@@ -325,7 +315,6 @@ class ParallelSweeper:
         (marked ``cached=True``) and only the misses are dispatched;
         executed results carrying a key are stored back.
         """
-        global _LAST_PLAN
         units = list(units)
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
@@ -348,7 +337,7 @@ class ParallelSweeper:
         ]
 
         workers, executor, reason = self._resolve_plan(len(pending))
-        self.last_plan = _LAST_PLAN = ExecutionPlan(
+        self.last_plan = ExecutionPlan(
             requested_jobs=self.requested_jobs,
             resolved_jobs=workers,
             executor=executor,
@@ -419,8 +408,6 @@ class ParallelSweeper:
                 cache_hits=self.last_plan.cache_hits if self.last_plan else 0,
                 reason="platform refused a worker pool",
             )
-            global _LAST_PLAN
-            _LAST_PLAN = self.last_plan
             return [_run_unit(unit) for unit in units]
 
     def run_keyed(
