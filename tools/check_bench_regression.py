@@ -45,7 +45,7 @@ from pathlib import Path
 #: Sections may also declare an absolute ``min_speedup`` floor enforced
 #: regardless of the baseline: ``engine`` floors at 1.0 (the
 #: probe_cover shortcut must never lose to the composition it
-#: short-circuits), ``wide`` at 3.0 (the multi-word numpy backend over
+#: short-circuits), ``wide`` at 3.0 (the batched python backend over
 #: the serial path wide fabrics were once gated onto) and ``adaptive``
 #: at 2.0 (the matched-precision event ratio).
 GUARDED_SECTIONS = (
