@@ -49,26 +49,23 @@ state-level functions (`avail`, `coverable`, `admit`, `release`,
 The serial network's occupancy is itself a B = 1 `PythonState`, so its
 `explain_block` is `classify_block` on that state.
 
-### The backend seam
+### The two backends
 
-`FabricState` has three interchangeable bitplane backends -- pure-Python
-ints, numpy int64 structure-of-arrays, and the fused `numba` backend
+The batch replay runs on one of two backends. `python` is the
+per-event loop over the int-bitplane `PythonState` (the `FabricState`
+protocol's implementation). `numba` is the fused `FusedState`
 (`repro.engine.fused`), which lowers the whole compiled stream to flat
-int64 arrays and replays it in one word-generic `@njit` kernel (single-
-word fabrics are its `W == 1` case). Masks pack into
-`W = ceil(bits / NUMPY_WORD_BITS)` signed int64 words per the fabric's
-`PlaneLayout` (`repro.engine.planes`), so every built-in backend
-accepts fabrics of any width; the `W == 1` layout is byte-identical to
-the historical single-word one. `resolve_backend` picks one (`auto`
-prefers `numba` when importable, else `python`; any other is asked for
-by name through `ExecConfig(backend=...)` or `--backend`) and
-`make_state` instantiates it. `check_backend_name` is the
-registered-name check `ExecConfig` runs at construction.
-`register_backend(name, factory, missing=..., max_plane_width=...)`
-plugs in further backends -- registered names become valid `backend=`
-arguments everywhere without touching any consumer, and
-`backend_status` / `wdm-repro kernels` report live availability plus
-each backend's plane-width capability.
+int64 arrays and replays it in one word-generic `@njit` kernel; its
+masks pack into `W = ceil(bits / WORD_BITS)` signed int64 words per
+the fabric's `PlaneLayout` (`repro.engine.planes`), single-word
+fabrics being its `W == 1` case, byte-identical to the historical
+layout. Both accept fabrics of any width. `resolve_backend` picks one
+(`auto` prefers `numba` when it can run, else `python`; either is
+asked for by name through `ExecConfig(backend=...)` or `--backend`)
+and `make_state` instantiates it. `check_backend_name`, which
+`ExecConfig` runs at construction, refuses an unknown name or a
+backend whose requirements are missing, naming the fix.
+`backend_status` / `wdm-repro kernels` report live availability.
 `WDM_REPRO_FUSED_PY=1` forces the fused kernel's interpreted mode (the
 identity-test vehicle on machines without numba). The package ships
 `py.typed` and is kept fully typed (`mypy src/repro/engine` in CI).
@@ -122,7 +119,8 @@ serial execution whenever a pool cannot win -- a single effective CPU,
 a single pending unit, or an explicit `jobs` exceeding the unit count
 -- and records what actually ran (executor, resolved worker count,
 dispatched units, cache hits, fallback reason) in the `ExecutionPlan`
-available as `sweeper.last_plan` / `last_plan()`. Pools persist across
+available as `sweeper.last_plan` (and as each estimate's
+`meta.plan`). Pools persist across
 one sweeper's `run` calls; `close()` or the context-manager form shuts
 them down.
 
@@ -154,17 +152,14 @@ seed)` cell, so `compile_stream` compiles each seed's stream once
 replays it through B structure-of-arrays fabric states in lockstep.
 `simulate_batch` is the picklable sweeper work unit; `replay_cell`
 exposes one replication with `explain_block`-identical causes. The
-replay itself is one backend-parameterized event loop over the shared
-admission kernels of `repro.engine`; the fabric-state backends (the
-pure-Python int-bitplane backend, an optional numpy int64 backend, and
-the fused `numba` backend -- the `auto` choice when numba is
-importable -- the numpy-based pair carrying `[..., W]` word planes on
-fabrics wider than `NUMPY_WORD_BITS` bits) live in `repro.engine.state` /
-`repro.engine.fused` behind the `repro.engine.backends` registry and
-are bit-identical to the serial simulator per replication, blocking
-causes included. For the fused backend, `lower_stream` flattens the
-compiled stream to int64 arrays and `FusedState.replay_ops` runs the
-entire event loop in one `@njit` kernel. Pick a backend with
+replay runs on one of two backends (`repro.engine.backends`): `python`,
+one event loop over the shared admission kernels of `repro.engine` on
+a `PythonState`, and `numba` -- the `auto` choice when it can run --
+for which `lower_stream` flattens the compiled stream to int64 arrays
+and `FusedState.replay_ops` runs the entire event loop in one `@njit`
+kernel (with `[..., W]` word planes on fabrics wider than
+`WORD_BITS` bits). Both are bit-identical to the serial simulator per
+replication, blocking causes included. Pick a backend with
 `ExecConfig(backend=...)` (`--backend` on the CLI); `wdm-repro kernels`
 prints the availability matrix.
 """,
@@ -268,8 +263,9 @@ affecting results. `blocking` is the one-point `sweep`: at that `m` it
 returns the same estimate, cache addresses and `meta`.
 
 Configs check their values when they are built: an unknown kernel, an
-unregistered backend name, `batch < 1` or a repeated seed raises
-`ValueError` naming the value, and `sweep` refuses a repeated `m`.
+unknown backend name or one that cannot run here, `batch < 1` or a
+repeated seed raises `ValueError` naming the value, and `sweep` refuses
+a repeated `m`.
 
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
 `sweep` from the fixed seed list to the adaptive sequential-stopping
