@@ -65,6 +65,19 @@ class TestFrozenConfigs:
         with pytest.raises(ValueError, match=f"batch must be >= 1.*{batch}"):
             api.ExecConfig(batch=batch)
 
+    @pytest.mark.parametrize("jobs", ["many", 2.5, True, False, None, "4"])
+    def test_exec_config_rejects_jobs_that_are_not_auto_or_int(self, jobs):
+        with pytest.raises(ValueError) as err:
+            api.ExecConfig(jobs=jobs)
+        message = str(err.value)
+        assert message.startswith("jobs must be 'auto' or an int")
+        assert repr(jobs) in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("jobs", ["auto", 1, 3, 0, -1])
+    def test_exec_config_accepts_auto_and_ints(self, jobs):
+        assert api.ExecConfig(jobs=jobs).jobs == jobs
+
 
 class TestBlockingEquivalence:
     def test_matches_legacy_call_bit_for_bit(self):

@@ -99,6 +99,28 @@ class TestCommands:
         out = run_cli(capsys, *args)
         assert "cache: 6 hits" in out
 
+    @pytest.mark.parametrize("command", ["blocking", "sweep"])
+    def test_debug_checks_flag_checks_without_changing_output(
+        self, capsys, monkeypatch, command
+    ):
+        from repro.multistage.network import ThreeStageNetwork
+
+        argv = [command, "--n", "2", "--r", "2", "--k", "1", "--m-max", "3"]
+        if command == "sweep":
+            argv += ["--steps", "60", "--max-rounds", "2"]
+        plain = run_cli(capsys, *argv)
+        calls = []
+        check = ThreeStageNetwork.check_invariants
+
+        def counting(net):
+            calls.append(1)
+            return check(net)
+
+        monkeypatch.setattr(ThreeStageNetwork, "check_invariants", counting)
+        checked = run_cli(capsys, *argv, "--debug-checks")
+        assert calls
+        assert checked == plain
+
     def test_blocking_prints_confidence_interval(self, capsys):
         out = run_cli(capsys, *self.BLOCKING)
         assert "CI95" in out and "+/-" in out
@@ -280,6 +302,23 @@ class TestParser:
             "is not installed"
         )
         assert 'pip install -e ".[fused]"' in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("command", ["blocking", "sweep"])
+    @pytest.mark.parametrize("refused", [
+        ["--fabric", "crossbar"],
+        ["--fabric", "awg_clos"],
+        ["--kernel", "batched"],
+    ])
+    def test_debug_checks_off_the_clos_path_is_a_one_line_error(
+        self, command, refused
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n", "2", "--r", "2", "--k", "2",
+                  "--m-max", "2", "--debug-checks", *refused])
+        message = str(excinfo.value)
+        assert message.startswith("wdm-repro: error: debug_checks")
+        assert "bitmask kernel on the clos fabric" in message
         assert "\n" not in message
 
     def test_backend_flag_accepts_known_names(self):
