@@ -17,8 +17,9 @@ what the slow path computes before reporting any speedup:
   (:mod:`repro.engine.fused`) against the python backend on the same
   B=64 grid, per-replication counts, ``BLOCK_KINDS`` histograms and
   cause-dict reprs compared across every construction x model pair;
-  without numba the identity half runs the interpreted kernel and the
-  timing is flagged ``guard_exempt``;
+  without numba the identity half runs the interpreted kernel (through
+  the tests' ``fused_runnable`` patch) and the timing is flagged
+  ``guard_exempt``;
 * ``wide`` -- an ``m, r, k > 62`` fabric (multi-word planes) replayed
   on the ``python`` and ``numba``/interpreted backends with
   per-replication counts and ``explain_block`` cause dicts asserted
@@ -81,14 +82,23 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import api, obs
-from repro.analysis.montecarlo import _traffic_cell
-from repro.core.models import Construction, MulticastModel
-from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import find_cover_bits, mask_of
-from repro.perf.batch import available_backends, resolve_backend, simulate_batch
-from repro.perf.sweeper import resolve_jobs
-from repro.switching.generators import dynamic_traffic
+# The repo root, so the sections share the tests' fused_runnable patch.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro import api, obs  # noqa: E402
+from repro.analysis.montecarlo import _traffic_cell  # noqa: E402
+from repro.core.models import Construction, MulticastModel  # noqa: E402
+from repro.engine.fused import NUMBA_AVAILABLE  # noqa: E402
+from repro.multistage.network import ThreeStageNetwork  # noqa: E402
+from repro.multistage.routing import find_cover_bits, mask_of  # noqa: E402
+from repro.perf.batch import (  # noqa: E402
+    available_backends,
+    resolve_backend,
+    simulate_batch,
+)
+from repro.perf.sweeper import resolve_jobs  # noqa: E402
+from repro.switching.generators import dynamic_traffic  # noqa: E402
+from tests.fused_support import fused_runnable  # noqa: E402
 
 
 def _have_numpy() -> bool:
@@ -541,8 +551,9 @@ def bench_fused(quick: bool, reps: int) -> dict:
 
     Identity first, speed second.  The identity half always runs: every
     construction x model pair is replayed through both the python
-    backend and the fused ``numba`` backend (forced to its interpreted
-    mode when numba is not installed -- same array program, uncompiled)
+    backend and the fused ``numba`` backend (its interpreted kernel,
+    through ``fused_runnable``, when numba is not installed -- same array
+    program, uncompiled)
     and compared per replication on ``(attempts, blocked, releases)``,
     the ``BLOCK_KINDS`` cause histograms *and* the full ``block_cause``
     dict reprs; one diverging replication fails the bench.
@@ -555,9 +566,6 @@ def bench_fused(quick: bool, reps: int) -> dict:
     an uncompiled kernel's wall time says nothing about the compiled
     backend, so ``tools/check_bench_regression.py`` skips the guard.
     """
-    import os
-
-    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE, fused_mode
     from repro.perf.batch import _simulate
 
     n, r, k, x = 3, 3, 2, 1
@@ -573,11 +581,8 @@ def bench_fused(quick: bool, reps: int) -> dict:
             "identical": True,
         }
 
-    forced = not NUMBA_AVAILABLE
-    if forced:
-        os.environ[FUSED_ENV] = "1"
-    try:
-        mode = fused_mode()
+    mode = "jit" if NUMBA_AVAILABLE else "interpreted"
+    with fused_runnable():
         # Interpreted timing is apples-to-oranges; keep it cheap.
         timed_guarded = mode == "jit"
         steps = (500 if quick else 2000) if timed_guarded else 500
@@ -628,9 +633,6 @@ def bench_fused(quick: bool, reps: int) -> dict:
             run("numba")  # compile outside the timed region
         python_s, python_out = _best(lambda: run("python"), timing_reps)
         fused_s, fused_out = _best(lambda: run("numba"), timing_reps)
-    finally:
-        if forced:
-            del os.environ[FUSED_ENV]
 
     return {
         "config": {
@@ -676,10 +678,7 @@ def bench_wide(quick: bool, reps: int) -> dict:
       missing (interpreted wall time says nothing about the compiled
       kernel, same convention as the ``fused`` section).
     """
-    import os
-
     from repro.engine.backends import plane_width
-    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE, fused_mode
     from repro.perf.batch import _simulate
 
     n, r, k, x = 3, 70, 63, 2
@@ -724,11 +723,11 @@ def bench_wide(quick: bool, reps: int) -> dict:
         serial_cells[m] = (attempts, blocked, causes)
 
     have_numpy = _have_numpy()
-    forced = have_numpy and not NUMBA_AVAILABLE
-    if forced:
-        os.environ[FUSED_ENV] = "1"
-    try:
-        mode = fused_mode()
+    if not have_numpy:
+        mode = "unavailable"
+    else:
+        mode = "jit" if NUMBA_AVAILABLE else "interpreted"
+    with fused_runnable():
         backends = ["python", "numba"] if have_numpy else ["python"]
         diverged: list[dict] = []
         for backend in backends:
@@ -770,9 +769,6 @@ def bench_wide(quick: bool, reps: int) -> dict:
             fused_s, fused_out = _best(
                 lambda: run("batched", "numba"), reps if mode == "jit" else 1
             )
-    finally:
-        if forced:
-            del os.environ[FUSED_ENV]
 
     return {
         "config": {
@@ -893,8 +889,8 @@ def bench_topology(quick: bool, reps: int) -> dict:
     traffic stream itself, so every registered fabric replays the same
     compiled streams and must produce per-replication identical
     ``(attempts, blocked, releases)`` on both state backends (python,
-    and the fused kernel when numpy is installed -- forced to
-    interpreted mode when numba is absent).  Two live oracles ride
+    and the fused kernel when numpy is installed -- interpreted, through
+    ``fused_runnable``, when numba is absent).  Two live oracles ride
     along: the crossbar must record exactly zero blocked events (it is
     nonblocking by construction), and no fabric may block *less* than
     the crossbar.
@@ -903,10 +899,7 @@ def bench_topology(quick: bool, reps: int) -> dict:
     exists.  The section is identity-only: ``speedup`` is 1.0 by
     construction and the regression guard watches ``identical``.
     """
-    import os
-
     from repro.engine.fabrics import fabric_names, get_fabric
-    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
     from repro.perf.batch import _simulate
 
     n, r, k, x = 3, 3, 2, 1
@@ -917,10 +910,7 @@ def bench_topology(quick: bool, reps: int) -> dict:
     model = MulticastModel.MSW
 
     backends = ["python", "numba"] if _have_numpy() else ["python"]
-    forced = "numba" in backends and not NUMBA_AVAILABLE
-    if forced:
-        os.environ[FUSED_ENV] = "1"
-    try:
+    with fused_runnable():
         diverged: list[dict] = []
         fabric_rows = []
         blocked_by_fabric: dict[str, list[int]] = {}
@@ -989,9 +979,6 @@ def bench_topology(quick: bool, reps: int) -> dict:
                     diverged.append(
                         {"fabric": fabric, "backend": "crossbar-floor"}
                     )
-    finally:
-        if forced:
-            del os.environ[FUSED_ENV]
 
     return {
         "config": {

@@ -365,7 +365,7 @@ def _traffic_cell(
     steps: int,
     seed: int,
     max_fanout: int | None,
-    debug_checks: bool | None = None,
+    debug_checks: bool = False,
     antithetic: bool = False,
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
@@ -552,8 +552,7 @@ def _blocking_curve(
     adversary_seeds: int = 20,
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
-    executor: str = "process",
-    debug_checks: bool | None = None,
+    debug_checks: bool = False,
     batch: int | None = None,
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
@@ -598,8 +597,8 @@ def _blocking_curve(
         max_fanout: cap on destinations per request.
         adversarial, adversary_seeds: run the adversary, with this many
             restarts, at every ``m`` where traffic saw no blocking.
-        jobs, executor: workers for the sweep (``"auto"`` adapts to the
-            host) and the pool kind, ``"process"`` or ``"thread"``.
+        jobs: worker processes for the sweep (``"auto"`` adapts to the
+            host).
         cache: optional per-cell result cache (incremental re-runs).
         debug_checks: per-event invariant checking inside each serial
             cell (slow; result-identical, so cache keys ignore it).
@@ -629,7 +628,7 @@ def _blocking_curve(
             f"got fabric {fabric!r}"
         )
     traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
-    with ParallelSweeper(jobs, executor=executor) as sweeper:
+    with ParallelSweeper(jobs) as sweeper:
         if kernel == "batched":
             by_cell = _run_batched_cells(
                 sweeper, cache,

@@ -9,8 +9,8 @@ concern:
   :class:`HeavyTailFanoutConfig`, :class:`PoissonErlangConfig` and
   :class:`TraceConfig` are the non-uniform models, and any config
   registered with :func:`repro.workloads.register_workload` works too;
-* :class:`ExecConfig` -- how to run it (worker count, pool kind,
-  result-cache directory, precision targeting);
+* :class:`ExecConfig` -- how to run it (worker count, result-cache
+  directory, precision targeting);
 * :class:`SearchConfig` -- how to search (routing kernel,
   canonicalized exhaustive search, per-event invariant checks);
 
@@ -131,11 +131,11 @@ class ExecConfig:
     """How to execute a run.
 
     Attributes:
-        jobs: worker count -- 1 (inline, default), an explicit count,
-            or ``"auto"`` for the effective CPU count.
-        executor: ``"process"`` (default) or ``"thread"`` pools; the
-            engine still falls back to serial whenever a pool cannot
-            win.
+        jobs: worker processes -- 1 (inline, default), an explicit
+            count, or ``"auto"`` for the effective CPU count (an int
+            <= 0 means the same).  The engine still falls back to
+            serial whenever a pool cannot win.  Anything but ``"auto"``
+            or an int is refused at construction.
         cache_dir: directory of a content-addressed
             :class:`repro.perf.cache.ResultCache`; None disables
             caching.
@@ -164,13 +164,19 @@ class ExecConfig:
     """
 
     jobs: int | str = 1
-    executor: str = "process"
     cache_dir: str | None = None
     batch: int | None = None
     backend: str = "auto"
     precision: PrecisionConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.jobs != "auto" and (
+            not isinstance(self.jobs, int) or isinstance(self.jobs, bool)
+        ):
+            raise ValueError(
+                "jobs must be 'auto' or an int (<= 0 also means every CPU), "
+                f"got {self.jobs!r}"
+            )
         check_backend_name(self.backend)
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be >= 1 or None, got {self.batch}")
@@ -194,19 +200,36 @@ class SearchConfig:
             signature (identical verdicts, far fewer states).
         debug_checks: re-verify network invariants after every
             connect/disconnect inside Monte-Carlo cells (slow;
-            result-identical).  None defers to the
-            ``WDM_REPRO_DEBUG_CHECKS`` environment variable.
+            result-identical).  Only the serial network of the
+            ``"bitmask"`` kernel on the Clos fabric carries the checks,
+            so any other kernel is refused here, and any other fabric
+            by :func:`blocking` and :func:`sweep` before a cell runs.
     """
 
     kernel: str = "bitmask"
     canonicalize: bool = True
-    debug_checks: bool | None = None
+    debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if self.kernel not in _KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from {_KERNELS}"
             )
+        if self.debug_checks and self.kernel != "bitmask":
+            raise _debug_checks_refusal(f"kernel {self.kernel!r}")
+
+    def check_fabric(self, fabric: str) -> None:
+        """Refuse ``debug_checks`` on any fabric but ``"clos"``."""
+        if self.debug_checks and fabric != "clos":
+            raise _debug_checks_refusal(f"fabric {fabric!r}")
+
+
+def _debug_checks_refusal(path: str) -> ValueError:
+    """The one error for ``debug_checks`` where no checked network runs."""
+    return ValueError(
+        f"debug_checks needs the bitmask kernel on the clos fabric; {path} "
+        "never builds the checked network"
+    )
 
 
 def _estimates(
@@ -232,6 +255,7 @@ def _estimates(
     """
     traffic = _as_workload(traffic)
     fabric_name = _as_fabric(fabric)
+    search.check_fabric(fabric_name)
     precision = execution.precision
     if precision is not None and traffic.adversarial:
         raise ValueError(
@@ -253,7 +277,6 @@ def _estimates(
             adversary_seeds=traffic.adversary_seeds,
             jobs=execution.jobs,
             cache=execution.cache(),
-            executor=execution.executor,
             debug_checks=search.debug_checks,
             batch=execution.batch,
             backend=execution.backend,
@@ -275,7 +298,6 @@ def _estimates(
         precision=precision,
         jobs=execution.jobs,
         cache=execution.cache(),
-        executor=execution.executor,
         debug_checks=search.debug_checks,
         batch=execution.batch,
         backend=execution.backend,

@@ -154,6 +154,18 @@ def _exec_config(
         raise SystemExit(f"wdm-repro: error: {exc}") from exc
 
 
+def _search_config(args: argparse.Namespace) -> api.SearchConfig:
+    """The search config the flags ask for, checked against --fabric."""
+    try:
+        search = api.SearchConfig(
+            kernel=args.kernel, debug_checks=args.debug_checks
+        )
+        search.check_fabric(args.fabric)
+    except ValueError as exc:
+        raise SystemExit(f"wdm-repro: error: {exc}") from exc
+    return search
+
+
 def _ci_cell(estimate: api.BlockingEstimate) -> str:
     """The +/- half-width column of one estimate (95% Wilson)."""
     half = estimate.half_width()
@@ -185,6 +197,16 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
         type=str,
         default=".wdm-repro-cache",
         help="directory for --cache entries",
+    )
+
+
+def _add_debug_checks_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--debug-checks",
+        action="store_true",
+        help="re-verify the network invariants after every connect and "
+        "disconnect (slow; never changes the numbers); needs the "
+        "bitmask kernel on the clos fabric",
     )
 
 
@@ -289,7 +311,7 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
             traffic=traffic,
             fabric=args.fabric,
             execution=_exec_config(args),
-            search=api.SearchConfig(kernel=args.kernel),
+            search=_search_config(args),
         )
     rows = [
         [e.m, e.attempts, e.blocked, f"{e.probability:.4f}", _ci_cell(e)]
@@ -343,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             traffic=traffic,
             fabric=args.fabric,
             execution=_exec_config(args, precision),
-            search=api.SearchConfig(kernel=args.kernel),
+            search=_search_config(args),
         )
     rows = []
     for e in estimates:
@@ -806,6 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         "host); results are identical for any value",
     )
     _add_cache_flags(p)
+    _add_debug_checks_flag(p)
     p.set_defaults(func=_cmd_blocking)
 
     p = sub.add_parser(
@@ -878,6 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir, so re-running an interrupted sweep replays warm "
         "rounds and continues bit-identically",
     )
+    _add_debug_checks_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fig10", help="the Fig. 10 blocking scenario")

@@ -34,13 +34,7 @@ from repro.engine.fabrics import (
     get_fabric,
     register_fabric,
 )
-from repro.engine.fused import (
-    FUSED_ENV,
-    FusedReplay,
-    FusedState,
-    fused_available,
-    fused_mode,
-)
+from repro.engine.fused import FusedReplay, FusedState
 from repro.engine.geometry import FabricGeometry
 from repro.engine.planes import WORD_BITS, PlaneLayout
 from repro.engine.kernel import (
@@ -66,7 +60,6 @@ __all__ = [
     "BACKENDS",
     "BLOCK_KINDS",
     "CLOS",
-    "FUSED_ENV",
     "WORD_BITS",
     "AdmissionRequest",
     "CoverSearch",
@@ -90,8 +83,6 @@ __all__ = [
     "fabric_status",
     "find_cover_bits",
     "free_middles",
-    "fused_available",
-    "fused_mode",
     "get_fabric",
     "iter_bits",
     "make_state",

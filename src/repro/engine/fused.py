@@ -15,16 +15,17 @@ returns per-replication blocked counts, release counts and
 :data:`~repro.engine.kernel.ALL_BLOCK_KINDS` histograms (cause codes
 are indices into that tuple) with zero Python in the hot loop.
 
-Three execution modes share the single kernel source:
+One kernel source serves both ways of running it:
 
-* **numba** (installed): the kernel is ``@njit``-compiled on first use
+* with numba installed, the kernel is ``@njit``-compiled on first use
   (``cache=True``, so the machine code persists across processes);
-* **interpreted** (``WDM_REPRO_FUSED_PY=1``): the very same Python
-  function runs uncompiled over the same arrays -- slow, but
-  bit-identical by construction, which is how the identity suites and
-  ``bench_perf.py`` exercise the fused program on hosts without numba;
-* **unavailable** (neither): the backend reports unavailable and
-  ``auto`` resolution falls back to ``python``.
+* without numba, :func:`missing_requirement` reports the backend
+  unavailable and ``auto`` resolution falls back to ``python``.
+  :func:`_kernel` then returns the very same Python function,
+  uncompiled: the identity suites and ``bench_perf.py`` reach it by
+  patching :func:`missing_requirement` (slow, but bit-identical by
+  construction), which is how they exercise the fused program on hosts
+  without numba.
 
 :class:`FusedState` holds the bitplanes as int64 structure-of-arrays
 (batch axis first), with a trailing ``[..., W]`` word axis per
@@ -44,7 +45,6 @@ bitplanes *and* ``classify_block`` cause dicts -- is asserted by
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable
 from typing import Any, Protocol
 
@@ -73,20 +73,12 @@ except ImportError:
     NUMBA_AVAILABLE = False
 
 __all__ = [
-    "FUSED_ENV",
     "NUMBA_AVAILABLE",
     "FusedReplay",
     "FusedState",
     "LoweredOps",
-    "fused_available",
-    "fused_mode",
     "missing_requirement",
 ]
-
-#: set to ``1`` to run the fused kernel *interpreted* (no numba) -- the
-#: testing hook that lets hosts without numba exercise the exact array
-#: program the JIT compiles.
-FUSED_ENV = "WDM_REPRO_FUSED_PY"
 
 
 class LoweredOps(Protocol):
@@ -107,29 +99,13 @@ class LoweredOps(Protocol):
     n_setups: int
 
 
-def _force_interpreted() -> bool:
-    return os.environ.get(FUSED_ENV, "").strip() not in ("", "0")
-
-
 def missing_requirement() -> str | None:
     """Why the fused backend cannot run here, or None when it can."""
     if _np is None:
         return "numpy is not installed"
-    if not NUMBA_AVAILABLE and not _force_interpreted():
+    if not NUMBA_AVAILABLE:
         return "numba is not installed"
     return None
-
-
-def fused_available() -> bool:
-    """True when the fused backend can run in this process."""
-    return missing_requirement() is None
-
-
-def fused_mode() -> str:
-    """``"jit"``, ``"interpreted"`` or ``"unavailable"``."""
-    if _np is None or (not NUMBA_AVAILABLE and not _force_interpreted()):
-        return "unavailable"
-    return "jit" if NUMBA_AVAILABLE and not _force_interpreted() else "interpreted"
 
 
 # -- the kernel --------------------------------------------------------------
@@ -659,6 +635,7 @@ def _replay_loop(  # noqa: PLR0912, PLR0915 - the fused hot loop
 
 #: the interpreted kernel entry point (always the plain function).
 _PY_KERNEL: Callable[..., int] = _replay_loop
+#: the compiled loop, None without numba.
 _JIT_KERNEL: Callable[..., int] | None = None
 
 if NUMBA_AVAILABLE:
@@ -674,10 +651,8 @@ if NUMBA_AVAILABLE:
 
 
 def _kernel() -> Callable[..., int]:
-    """The replay loop in the active mode (jit unless forced interpreted)."""
-    if _JIT_KERNEL is not None and not _force_interpreted():
-        return _JIT_KERNEL
-    return _PY_KERNEL
+    """The compiled replay loop, or the interpreted one without numba."""
+    return _PY_KERNEL if _JIT_KERNEL is None else _JIT_KERNEL
 
 
 # -- results and the state wrapper -------------------------------------------

@@ -50,7 +50,6 @@ sized by Theorem 1/2 must never raise under legal traffic.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -78,17 +77,6 @@ __all__ = ["BlockedError", "RoutedBranch", "RoutedConnection", "ThreeStageNetwor
 
 class BlockedError(RuntimeError):
     """No admissible set of middle switches can realize the request."""
-
-
-#: environment variable that turns on per-event invariant cross-checks
-DEBUG_CHECKS_ENV = "WDM_REPRO_DEBUG_CHECKS"
-
-
-def _debug_checks_default() -> bool:
-    """Resolve the debug-checks default from the environment."""
-    return os.environ.get(DEBUG_CHECKS_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 def _permute_wavelengths(mask: int, perm: tuple[int, ...]) -> int:
@@ -157,7 +145,7 @@ class ThreeStageNetwork:
         selection: str = "greedy",
         selection_seed: int = 0,
         wavelength_policy: str = "first_fit",
-        debug_checks: bool | None = None,
+        debug_checks: bool = False,
     ):
         """Build an idle network.
 
@@ -190,10 +178,8 @@ class ThreeStageNetwork:
                 True, :meth:`check_invariants` runs after every
                 ``connect``/``disconnect``, so any state leak surfaces at
                 the exact event that caused it.  The scan is O(state), so
-                hot paths leave it off; None (the default) reads the
-                ``WDM_REPRO_DEBUG_CHECKS`` environment variable
-                (``1``/``true``/``yes``/``on`` enable it).  Explicit
-                :meth:`check_invariants` calls always run regardless.
+                it is off by default.  Explicit :meth:`check_invariants`
+                calls always run regardless.
         """
         self.topology = ThreeStageTopology(n, r, m, k)
         self.construction = construction
@@ -218,9 +204,7 @@ class ThreeStageNetwork:
                 f"choose from {self.WAVELENGTH_POLICIES}"
             )
         self.wavelength_policy = wavelength_policy
-        self.debug_checks = (
-            _debug_checks_default() if debug_checks is None else debug_checks
-        )
+        self.debug_checks = debug_checks
         import random as _random
 
         self._selection_rng = _random.Random(selection_seed)

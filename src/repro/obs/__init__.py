@@ -3,30 +3,36 @@
 The paper's theorems are about *why* a request blocks -- which middle
 switches are full, which wavelength is saturated -- but the Monte-Carlo
 and exhaustive engines historically reported only aggregate verdicts.
-This package instruments every hot path in the repo behind a single
-module-level switch:
+This package instruments every hot path in the repo; what the hooks
+record belongs to the active :func:`capture`, and nothing is recorded
+outside one:
 
-* :mod:`repro.obs.metrics` -- counters/timers/gauges (admission
-  attempts, cover-search node expansions, cache hits/misses, pool
-  queue latencies), mergeable across
-  :class:`repro.perf.ParallelSweeper` worker processes;
+* :mod:`repro.obs.metrics` -- counters and timers (admission attempts,
+  cover-search node expansions, cache hits/misses, pool queue
+  latencies), mergeable across :class:`repro.perf.ParallelSweeper`
+  worker processes;
 * :mod:`repro.obs.trace` -- a structured JSONL tracer for request
   admit/block/release events, with the blocking *cause* reconstructed
   from :class:`~repro.multistage.network.ThreeStageNetwork`'s bitmask
   caches (``wdm-repro trace`` on the CLI);
-* :mod:`repro.obs.report` -- aggregation and export of one run's
-  observations;
 * :mod:`repro.obs.meta` -- the :class:`~repro.obs.meta.ResultMeta`
   envelope (code version, kernel id, execution plan, obs summary)
   attached to results by :mod:`repro.api`.
 
+**Per capture.**  One context variable holds the active
+:class:`Capture`: a fresh :class:`MetricsRegistry` plus an optional
+:class:`Tracer`.  :func:`capture` sets it for its ``with`` block and
+restores the previous value on exit, so a nested capture records into
+its own registry and leaves the outer one intact, and a capture in one
+thread sees nothing another thread does (each thread starts with no
+capture).  :func:`active` returns the active capture or None.
+
 **Zero cost when off.**  Every hook site in the simulator guards on
-:func:`enabled` -- a read of one module-level boolean -- and the
-disabled hook functions return before touching anything, allocating
-nothing.  ``benchmarks/bench_perf.py`` asserts the obs-off overhead on
-the routing-replay and end-to-end sections stays within noise, and
-``tests/obs`` asserts the disabled admit path performs zero
-allocations.
+:func:`enabled` -- one call of the context variable's getter, bound at
+import -- and the disabled hook functions return before touching
+anything, allocating nothing.  ``benchmarks/bench_perf.py`` bounds the
+obs-off overhead of the routing replay at 2%, and ``tests/obs``
+asserts the disabled admit path performs zero allocations.
 
 Typical use::
 
@@ -37,17 +43,18 @@ Typical use::
     print(run.metrics.snapshot()["counters"])
 
     import sys
-    with obs.capture(sink=sys.stdout):         # metrics + JSONL trace
+    with obs.capture(tracer=obs.Tracer(sys.stdout)):  # metrics + JSONL trace
         api.blocking(3, 3, 2, 1)
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, IO, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE_SCHEMA, Tracer, validate_record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -61,62 +68,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "Capture",
     "MetricsRegistry",
-    "REGISTRY",
     "TRACE_SCHEMA",
     "Tracer",
+    "active",
     "capture",
-    "disable",
-    "enable",
     "enabled",
     "inc",
     "observe",
     "on_admit",
     "on_block",
     "on_release",
-    "reset",
-    "summary",
-    "tracer",
     "validate_record",
 ]
-
-#: the master switch -- hot paths read this via :func:`enabled`
-_ENABLED = False
-#: the active tracer, or None for metrics-only observation
-_TRACER: Tracer | None = None
-
-
-def enabled() -> bool:
-    """Is observability on?  The hot-path guard; reads one boolean."""
-    return _ENABLED
-
-
-def enable(tracer: Tracer | None = None) -> None:
-    """Turn observability on (metrics always; tracing if ``tracer`` given)."""
-    global _ENABLED, _TRACER
-    _TRACER = tracer
-    _ENABLED = True
-
-
-def disable() -> None:
-    """Turn observability off (recorded metrics are kept until :func:`reset`)."""
-    global _ENABLED, _TRACER
-    _ENABLED = False
-    _TRACER = None
-
-
-def tracer() -> Tracer | None:
-    """The active tracer, or None."""
-    return _TRACER
-
-
-def reset() -> None:
-    """Clear the process-wide metrics registry."""
-    REGISTRY.reset()
 
 
 @dataclass(frozen=True)
 class Capture:
-    """Handle yielded by :func:`capture`: the registry plus the tracer."""
+    """Handle yielded by :func:`capture`: its registry plus the tracer."""
 
     metrics: MetricsRegistry
     tracer: Tracer | None
@@ -129,41 +97,36 @@ class Capture:
         return out
 
 
+#: the active capture of the current context, None outside every capture
+_RUN: ContextVar[Capture | None] = ContextVar("repro_obs_capture", default=None)
+#: the getter, bound once: the hot-path guard calls it without a lookup
+_active = _RUN.get
+
+
+def enabled() -> bool:
+    """Is a capture active?  The hot-path guard."""
+    return _active() is not None
+
+
+def active() -> Capture | None:
+    """The active capture, or None."""
+    return _active()
+
+
 @contextmanager
-def capture(
-    sink: IO[str] | None = None,
-    *,
-    tracer: Tracer | None = None,
-    reset_metrics: bool = True,
-) -> Iterator[Capture]:
-    """Enable observability for a ``with`` block and yield a :class:`Capture`.
+def capture(*, tracer: Tracer | None = None) -> Iterator[Capture]:
+    """Observe a ``with`` block into a fresh :class:`Capture` and yield it.
 
     Args:
-        sink: writable text stream to receive the JSONL trace; None
-            (default) with no ``tracer`` means metrics only.
-        tracer: a preconfigured :class:`Tracer` (overrides ``sink``).
-        reset_metrics: start the block from an empty registry.
+        tracer: a :class:`Tracer` to receive the JSONL trace; None
+            (default) means metrics only.
     """
-    active = tracer if tracer is not None else (Tracer(sink) if sink is not None else None)
-    if reset_metrics:
-        REGISTRY.reset()
-    previous = (_ENABLED, _TRACER)
-    enable(active)
+    run = Capture(metrics=MetricsRegistry(), tracer=tracer)
+    token = _RUN.set(run)
     try:
-        yield Capture(metrics=REGISTRY, tracer=active)
+        yield run
     finally:
-        if previous[0]:
-            enable(previous[1])
-        else:
-            disable()
-
-
-def summary() -> dict[str, Any]:
-    """Snapshot of the process-wide registry plus active-trace summary."""
-    out: dict[str, Any] = {"metrics": REGISTRY.snapshot()}
-    if _TRACER is not None:
-        out["trace"] = _TRACER.summary_record()
-    return out
+        _RUN.reset(token)
 
 
 # -- guarded recording helpers (no-ops while disabled) -----------------------
@@ -171,32 +134,34 @@ def summary() -> dict[str, Any]:
 
 def inc(name: str, value: int = 1) -> None:
     """Counter increment that is a no-op (and allocation-free) when off."""
-    if not _ENABLED:
+    run = _active()
+    if run is None:
         return
-    REGISTRY.inc(name, value)
+    run.metrics.inc(name, value)
 
 
 def observe(name: str, seconds: float) -> None:
     """Timer observation that is a no-op (and allocation-free) when off."""
-    if not _ENABLED:
+    run = _active()
+    if run is None:
         return
-    REGISTRY.observe(name, seconds)
+    run.metrics.observe(name, seconds)
 
 
 # -- hot-path hooks ----------------------------------------------------------
 #
 # The simulator calls these behind its own ``if obs.enabled():`` guard,
-# but each hook re-checks the flag so a direct call is equally safe; the
-# disabled path returns before allocating anything.
+# but each hook re-checks for a capture so a direct call is equally
+# safe; the disabled path returns before allocating anything.
 
 
-def _record_cover_stats(stats: "CoverSearch | None") -> None:
+def _record_cover_stats(metrics: MetricsRegistry, stats: "CoverSearch | None") -> None:
     if stats is None:
         return
     if stats.greedy_hit:
-        REGISTRY.inc("route.cover.greedy_hits")
+        metrics.inc("route.cover.greedy_hits")
     if stats.exact_nodes:
-        REGISTRY.inc("route.cover.exact_nodes", stats.exact_nodes)
+        metrics.inc("route.cover.exact_nodes", stats.exact_nodes)
 
 
 def on_admit(
@@ -205,14 +170,15 @@ def on_admit(
     stats: "CoverSearch | None" = None,
 ) -> None:
     """Record one admitted connection (and trace it if tracing)."""
-    if not _ENABLED:
+    run = _active()
+    if run is None:
         return
-    REGISTRY.inc("net.admit.attempts")
-    REGISTRY.inc("net.admit.admitted")
-    _record_cover_stats(stats)
-    if _TRACER is not None:
+    run.metrics.inc("net.admit.attempts")
+    run.metrics.inc("net.admit.admitted")
+    _record_cover_stats(run.metrics, stats)
+    if run.tracer is not None:
         request = routed.request
-        _TRACER.emit(
+        run.tracer.emit(
             {
                 "event": "admit",
                 "connection_id": routed.connection_id,
@@ -240,14 +206,15 @@ def on_block(
     stats: "CoverSearch | None" = None,
 ) -> None:
     """Record one blocked request with its reconstructed cause."""
-    if not _ENABLED:
+    run = _active()
+    if run is None:
         return
-    REGISTRY.inc("net.admit.attempts")
-    REGISTRY.inc("net.admit.blocked")
-    REGISTRY.inc(f"net.block.cause.{cause['kind']}")
-    _record_cover_stats(stats)
-    if _TRACER is not None:
-        _TRACER.emit(
+    run.metrics.inc("net.admit.attempts")
+    run.metrics.inc("net.admit.blocked")
+    run.metrics.inc(f"net.block.cause.{cause['kind']}")
+    _record_cover_stats(run.metrics, stats)
+    if run.tracer is not None:
+        run.tracer.emit(
             {
                 "event": "block",
                 "source": [request.source.port, request.source.wavelength],
@@ -261,34 +228,26 @@ def on_block(
 
 def on_release(net: "ThreeStageNetwork", connection_id: int) -> None:
     """Record one teardown."""
-    if not _ENABLED:
+    run = _active()
+    if run is None:
         return
-    REGISTRY.inc("net.release")
-    if _TRACER is not None:
-        _TRACER.emit({"event": "release", "connection_id": connection_id})
+    run.metrics.inc("net.release")
+    if run.tracer is not None:
+        run.tracer.emit({"event": "release", "connection_id": connection_id})
 
 
 # -- lazy heavy exports ------------------------------------------------------
 #
-# ``meta`` and ``report`` pull in repro.perf (and through it the
-# multistage package); importing them eagerly here would cycle with the
-# simulator modules that import repro.obs for their hook guards.
-
-_LAZY = {"meta", "report", "ResultMeta", "ObsReport"}
+# ``meta`` pulls in repro.perf (and through it the multistage package);
+# importing it eagerly here would cycle with the simulator modules that
+# import repro.obs for their hook guards.
 
 
 def __getattr__(name: str) -> Any:  # pragma: no cover - thin import shim
-    if name in _LAZY:
+    if name in ("meta", "ResultMeta"):
         import importlib
 
         meta = importlib.import_module("repro.obs.meta")
-        report = importlib.import_module("repro.obs.report")
-        values = {
-            "meta": meta,
-            "report": report,
-            "ResultMeta": meta.ResultMeta,
-            "ObsReport": report.ObsReport,
-        }
-        globals().update(values)
-        return values[name]
+        globals().update(meta=meta, ResultMeta=meta.ResultMeta)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

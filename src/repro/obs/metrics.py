@@ -1,20 +1,19 @@
-"""Counters, timers and gauges for the observability layer.
+"""Counters and timers for the observability layer.
 
 A :class:`MetricsRegistry` is a plain in-memory accumulator: counters
-are summed integers, timers are ``(count, total_seconds)`` pairs, and
-gauges are last-write-wins floats.  The module-level :data:`REGISTRY`
-is the process-wide instance every hook writes to while observability
-is enabled (see :mod:`repro.obs`).
+are summed integers and timers are ``(count, total_seconds)`` pairs.
+Each :func:`repro.obs.capture` owns a fresh registry, which the hooks
+write to while that capture is active (see :mod:`repro.obs`).
 
 Two properties make the registry fit the repo's hot paths:
 
 * **mergeable snapshots** -- :meth:`MetricsRegistry.snapshot` returns a
   plain-dict copy and :meth:`MetricsRegistry.merge` folds one back in
-  (counters and timers add, gauges overwrite), which is how
+  (counters and timers add), which is how
   :class:`repro.perf.ParallelSweeper` aggregates metrics collected in
-  worker processes into the parent's registry;
-* **thread safety** -- mutations take a lock, so the thread executor's
-  shared-memory workers can write concurrently without losing counts.
+  worker processes into the parent's capture;
+* **thread safety** -- mutations take a lock, so threads that share one
+  capture (a copied :mod:`contextvars` context) lose no counts.
 
 This module is intentionally dependency-free (stdlib only): the hot
 paths import it transitively via :mod:`repro.obs`, and any import of a
@@ -24,17 +23,15 @@ heavier module here would create cycles with the simulator packages.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
-__all__ = ["REGISTRY", "MetricsRegistry"]
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """In-memory metrics accumulator (counters / timers / gauges)."""
+    """In-memory metrics accumulator (counters / timers)."""
 
-    __slots__ = ("_lock", "counters", "timers", "gauges")
+    __slots__ = ("_lock", "counters", "timers")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -42,8 +39,6 @@ class MetricsRegistry:
         self.counters: dict[str, int] = {}
         #: name -> (observation count, total seconds)
         self.timers: dict[str, tuple[int, float]] = {}
-        #: name -> last observed value
-        self.gauges: dict[str, float] = {}
 
     # -- recording ----------------------------------------------------------
 
@@ -58,20 +53,6 @@ class MetricsRegistry:
             count, total = self.timers.get(name, (0, 0.0))
             self.timers[name] = (count + 1, total + seconds)
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self.gauges[name] = float(value)
-
-    @contextmanager
-    def timeit(self, name: str) -> Iterator[None]:
-        """Context manager recording the block's wall time under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
-
     # -- aggregation --------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -82,13 +63,12 @@ class MetricsRegistry:
                 "timers": {
                     name: [count, total] for name, (count, total) in self.timers.items()
                 },
-                "gauges": dict(self.gauges),
             }
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into this registry.
 
-        Counters and timers accumulate; gauges take the snapshot's value.
+        Counters and timers accumulate.
         """
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
@@ -96,20 +76,3 @@ class MetricsRegistry:
             for name, (count, total) in snapshot.get("timers", {}).items():
                 have_count, have_total = self.timers.get(name, (0, 0.0))
                 self.timers[name] = (have_count + count, have_total + total)
-            for name, value in snapshot.get("gauges", {}).items():
-                self.gauges[name] = value
-
-    def reset(self) -> None:
-        """Drop every recorded metric."""
-        with self._lock:
-            self.counters.clear()
-            self.timers.clear()
-            self.gauges.clear()
-
-    def as_dict(self) -> dict[str, Any]:
-        """Alias of :meth:`snapshot` (results-metadata convention)."""
-        return self.snapshot()
-
-
-#: the process-wide registry all hooks write to while obs is enabled
-REGISTRY = MetricsRegistry()

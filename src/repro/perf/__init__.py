@@ -4,7 +4,7 @@ Every expensive computation in the reproduction decomposes into
 independent work units -- (seed, m, config) cells of the Monte-Carlo
 sweeps, adversary seeds, m-candidates of the exact model checker,
 benchmark grid points.  :class:`ParallelSweeper` fans those units out
-across worker processes (or threads) with chunking and merges the
+across worker processes with chunking and merges the
 results deterministically (keyed by work-unit id), so parallel output
 is bit-identical to serial output; ``jobs="auto"`` adapts the worker
 count to the host and falls back to inline serial execution whenever a

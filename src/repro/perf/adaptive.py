@@ -314,7 +314,7 @@ class _AdaptiveDriver:
         max_fanout: int | None,
         precision: PrecisionConfig,
         cache: "ResultCache | None",
-        debug_checks: bool | None,
+        debug_checks: bool,
         backend: str,
         workload: "WorkloadConfig | None" = None,
         fabric: str = "clos",
@@ -505,8 +505,7 @@ def adaptive_sweep(
     precision: PrecisionConfig = PrecisionConfig(),
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
-    executor: str = "process",
-    debug_checks: bool | None = None,
+    debug_checks: bool = False,
     batch: int | None = None,
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
@@ -527,7 +526,7 @@ def adaptive_sweep(
     replays warm rounds from disk and continues sampling where it
     stopped, producing bit-identical estimates to an uninterrupted run.
 
-    ``jobs``/``executor`` parallelize each round through
+    ``jobs`` parallelizes each round across worker processes through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
     value); with ``kernel="batched"`` the round's cells run in
     lockstep through :func:`repro.perf.batch.simulate_batch` on
@@ -548,7 +547,7 @@ def adaptive_sweep(
         n, r, k, list(m_values), construction, model, x, steps, max_fanout,
         precision, cache, debug_checks, backend, workload, fabric, kernel,
     )
-    with ParallelSweeper(jobs, executor=executor) as sweeper:
+    with ParallelSweeper(jobs) as sweeper:
         sweeper.run_adaptive(driver.next_units)
         plan = sweeper.last_plan
     return driver.estimates(

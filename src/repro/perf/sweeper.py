@@ -1,9 +1,8 @@
 """Deterministic parallel sweep engine with an adaptive executor.
 
 The engine runs a list of :class:`WorkUnit`\\ s -- top-level callables
-plus arguments -- inline, across a ``ProcessPoolExecutor``, or across a
-``ThreadPoolExecutor``.  Four properties make it safe to drop under
-every sweep in the repo:
+plus arguments -- inline or across a ``ProcessPoolExecutor``.  Four
+properties make it safe to drop under every sweep in the repo:
 
 * **deterministic merging** -- results are returned in work-unit order
   regardless of which worker finished first, so a parallel sweep is
@@ -29,10 +28,13 @@ every sweep in the repo:
 are looked up first and only the misses are dispatched (results are
 stored back), which makes repeated and interrupted sweeps incremental.
 
-Worker functions must be module-level (picklable) for the process
-executor; if the platform refuses to give us a pool (restricted
-containers), the engine degrades to serial execution rather than
-failing the sweep.
+Worker functions must be module-level (picklable); if the platform
+refuses to give us a pool (restricted containers), the engine degrades
+to serial execution rather than failing the sweep.  While a
+:func:`repro.obs.capture` is active, each dispatched chunk runs inside
+its own capture in the worker process and ships that capture's
+snapshot back, merged into the caller's capture -- so pooled counters
+equal serial ones.
 """
 
 from __future__ import annotations
@@ -119,8 +121,7 @@ class ExecutionPlan:
     Attributes:
         requested_jobs: the caller's ``jobs`` argument, verbatim.
         resolved_jobs: worker count after ``auto``/CPU/unit clamping.
-        executor: ``"serial"``, ``"process"`` or ``"thread"`` -- what
-            actually ran.
+        executor: ``"serial"`` or ``"process"`` -- what actually ran.
         units: total work units in the sweep.
         dispatched: units actually executed (the rest were cache hits).
         cache_hits: units served from the result cache.
@@ -168,25 +169,17 @@ def _run_chunk(units: list[WorkUnit]) -> list[SweepResult]:
 
 
 def _run_chunk_obs(units: list[WorkUnit]) -> tuple[list[SweepResult], dict[str, Any]]:
-    """Chunk runner for worker processes while observability is on.
+    """Chunk runner for worker processes while the caller observes.
 
-    A worker process has its own (empty, disabled) obs state, so
-    metrics recorded by the units' hook points would be lost.  This
-    wrapper enables metrics-only observation around the chunk (tracers
-    do not cross the pickle boundary) and ships a registry snapshot
-    back for the parent to merge -- each chunk starts from a reset
-    registry, so snapshots are per-chunk deltas even on a persistent
-    pool worker.
+    The caller's capture does not cross the process boundary, so the
+    chunk runs inside its own metrics-only capture (tracers do not
+    pickle) and ships that capture's snapshot back for the parent to
+    merge -- a fresh capture per chunk, so snapshots are per-chunk
+    deltas even on a persistent pool worker.
     """
-    _obs.REGISTRY.reset()
-    was_enabled = _obs.enabled()
-    _obs.enable()
-    try:
+    with _obs.capture() as run:
         results = _run_chunk(units)
-    finally:
-        if not was_enabled:
-            _obs.disable()
-    return results, _obs.REGISTRY.snapshot()
+    return results, run.metrics.snapshot()
 
 
 class ParallelSweeper:
@@ -199,11 +192,9 @@ class ParallelSweeper:
             count at run time).
         chunk_size: units per dispatched task.  Default: enough chunks
             for ~4 tasks per worker, so stragglers rebalance.
-        executor: ``"process"`` (default; true parallelism, arguments
-            and results cross a pickle boundary) or ``"thread"``
-            (shared-memory workers for workloads that release the GIL
-            or block on I/O -- e.g. replay-dominated sweeps reading
-            memory-mapped traces).  Serial fallback applies to both.
+
+    Parallel runs use a process pool: arguments and results cross a
+    pickle boundary.
 
     The sweeper keeps its pool alive across ``run`` calls; use
     ``close()`` (or the context-manager form) to shut it down.
@@ -214,7 +205,6 @@ class ParallelSweeper:
         jobs: int | str | None = 1,
         *,
         chunk_size: int | None = None,
-        executor: str = "process",
     ):
         self.requested_jobs = jobs
         self.jobs = resolve_jobs(jobs)
@@ -225,11 +215,6 @@ class ParallelSweeper:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        if executor not in ("process", "thread"):
-            raise ValueError(
-                f"unknown executor {executor!r}; choose 'process' or 'thread'"
-            )
-        self.executor = executor
         self.last_plan: ExecutionPlan | None = None
         self._pool: Executor | None = None
         self._pool_workers = 0
@@ -241,14 +226,9 @@ class ParallelSweeper:
         if self._pool is not None and self._pool_workers >= workers:
             return self._pool
         self.close()
-        if self.executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=workers)
+        self._pool = ProcessPoolExecutor(max_workers=workers)
         self._pool_workers = workers
         return self._pool
 
@@ -298,7 +278,7 @@ class ParallelSweeper:
                 f"jobs={self.jobs} exceeds {pending} work units; "
                 "spawn overhead would dominate"
             )
-        return workers, self.executor, ""
+        return workers, "process", ""
 
     def run(
         self,
@@ -354,9 +334,7 @@ class ParallelSweeper:
         if executor == "serial":
             executed = [_run_unit(unit) for _, unit in pending]
         else:
-            executed = self._run_pooled(
-                [unit for _, unit in pending], workers, executor
-            )
+            executed = self._run_pooled([unit for _, unit in pending], workers)
         if _obs.enabled():
             for result in executed:
                 _obs.observe("sweep.unit_seconds", result.seconds)
@@ -366,17 +344,13 @@ class ParallelSweeper:
                 cache.put(unit.cache_key, result.value)
         return [merged[index] for index in range(len(units))]
 
-    def _run_pooled(
-        self, units: list[WorkUnit], workers: int, executor: str
-    ) -> list[SweepResult]:
+    def _run_pooled(self, units: list[WorkUnit], workers: int) -> list[SweepResult]:
         chunk = self.chunk_size or max(1, -(-len(units) // (workers * 4)))
         chunks = [units[i : i + chunk] for i in range(0, len(units), chunk)]
-        observing = _obs.enabled()
-        # Process workers have their own obs state, so their chunks run
-        # under the snapshot-returning wrapper; thread workers share the
-        # parent's registry and need no merging.
-        ship_snapshots = observing and executor == "process"
-        runner = _run_chunk_obs if ship_snapshots else _run_chunk
+        # Workers cannot see the caller's capture, so while one is active
+        # their chunks run under the snapshot-returning wrapper.
+        run = _obs.active()
+        runner = _run_chunk if run is None else _run_chunk_obs
         try:
             pool = self._acquire_pool(workers)
             submitted = time.perf_counter()
@@ -386,16 +360,15 @@ class ParallelSweeper:
             results: list[SweepResult] = []
             for future in futures:
                 payload = future.result()
-                if ship_snapshots:
-                    chunk_results, snapshot = payload
-                    _obs.REGISTRY.merge(snapshot)
-                else:
+                if run is None:
                     chunk_results = payload
-                if observing:
+                else:
+                    chunk_results, snapshot = payload
+                    run.metrics.merge(snapshot)
                     queued = (time.perf_counter() - submitted) - sum(
                         r.seconds for r in chunk_results
                     )
-                    _obs.observe("sweep.pool.queue_seconds", max(0.0, queued))
+                    run.metrics.observe("sweep.pool.queue_seconds", max(0.0, queued))
                 results.extend(chunk_results)
             return results
         except (OSError, PermissionError):  # pragma: no cover - sandboxed hosts

@@ -14,10 +14,10 @@ from repro.engine.backends import (
     plane_width,
     resolve_backend,
 )
-from repro.engine.fused import FUSED_ENV
 from repro.engine.geometry import FabricGeometry
 from repro.engine.planes import WORD_BITS
 from repro.engine.state import PythonState
+from tests.fused_support import fused_runnable
 
 
 def geometries(m_values=(2, 3), k=1):
@@ -54,32 +54,31 @@ class TestPlaneWidth:
         assert resolve_backend("python", m_max=wide, r=2, k=1) == "python"
         assert resolve_backend("python", m_max=4, r=wide, k=wide) == "python"
 
-    def test_numba_accepts_wide_planes(self, monkeypatch):
+    def test_numba_accepts_wide_planes(self):
         pytest.importorskip("numpy")
-        monkeypatch.setenv(FUSED_ENV, "1")
         wide = WORD_BITS + 1
-        assert resolve_backend("numba", m_max=wide, r=2, k=1) == "numba"
+        with fused_runnable():
+            assert resolve_backend("numba", m_max=wide, r=2, k=1) == "numba"
 
 
 class TestResolution:
-    def test_auto_defaults_to_python_without_numba(self, monkeypatch):
-        monkeypatch.delenv(FUSED_ENV, raising=False)
+    def test_auto_defaults_to_python_without_numba(self):
         if "numba" in available_backends():
             pytest.skip("numba installed: auto legitimately prefers it")
         assert resolve_backend("auto", m_max=4, r=2, k=1) == "python"
 
-    def test_auto_prefers_numba_when_available(self, monkeypatch):
+    def test_auto_prefers_numba_when_available(self):
         pytest.importorskip("numpy")
-        monkeypatch.setenv(FUSED_ENV, "1")
-        assert resolve_backend("auto", m_max=4, r=2, k=1) == "numba"
+        with fused_runnable():
+            assert resolve_backend("auto", m_max=4, r=2, k=1) == "numba"
 
-    def test_auto_keeps_numba_on_wide_planes(self, monkeypatch):
+    def test_auto_keeps_numba_on_wide_planes(self):
         pytest.importorskip("numpy")
-        monkeypatch.setenv(FUSED_ENV, "1")
-        assert (
-            resolve_backend("auto", m_max=WORD_BITS + 1, r=2, k=1)
-            == "numba"
-        )
+        with fused_runnable():
+            assert (
+                resolve_backend("auto", m_max=WORD_BITS + 1, r=2, k=1)
+                == "numba"
+            )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown batch backend 'cuda'"):

@@ -35,6 +35,7 @@ from repro.engine.fabrics import (
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import ALL_BLOCK_KINDS, BLOCK_KINDS
 from repro.perf.batch import replay_cell, simulate_batch
+from tests.fused_support import fused_runnable
 
 C = Construction.MSW_DOMINANT
 MSW = MulticastModel.MSW
@@ -288,25 +289,24 @@ def test_awg_blocks_more_than_clos():
         assert blocked >= GOLDEN_BLOCKED[m]
 
 
-def replay_backends(monkeypatch):
+@pytest.fixture
+def replay_backends():
     """python, plus the fused kernel when numpy is installed.
 
     Without numba the fused kernel runs interpreted (same program).
     """
-    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
-
     try:
         import numpy  # noqa: F401
     except ImportError:
-        return ("python",)
-    if not NUMBA_AVAILABLE:
-        monkeypatch.setenv(FUSED_ENV, "1")
-    return ("python", "numba")
+        yield ("python",)
+        return
+    with fused_runnable():
+        yield ("python", "numba")
 
 
-def test_awg_equals_clos_at_k1(monkeypatch):
+def test_awg_equals_clos_at_k1(replay_backends):
     m_values = (1, 2, 3, 4)
-    for backend in replay_backends(monkeypatch):
+    for backend in replay_backends:
         clos = simulate_batch(
             3, 3, 1, C, MSW, 1, 300, None, 0, m_values, backend,
         )
@@ -334,7 +334,7 @@ def test_awg_no_path_cause_reported():
         assert cause["kind"] in get_fabric("awg_clos").block_kinds
 
 
-def test_awg_three_way_backend_agreement(monkeypatch):
+def test_awg_three_way_backend_agreement(replay_backends):
     pytest.importorskip("numpy", reason="the fused backend needs numpy")
 
     m_values = (1, 2, 3, 4, 6)
@@ -343,7 +343,7 @@ def test_awg_three_way_backend_agreement(monkeypatch):
             3, 3, 2, C, MSW, 1, 300, None, 0, m_values, backend,
             False, None, "awg_clos",
         )
-        for backend in replay_backends(monkeypatch)
+        for backend in replay_backends
     }
     assert runs["python"] == runs["numba"]
 
@@ -351,8 +351,8 @@ def test_awg_three_way_backend_agreement(monkeypatch):
 # -- the crossbar fast path --------------------------------------------------
 
 
-def test_crossbar_blocks_nothing(monkeypatch):
-    for backend in replay_backends(monkeypatch):
+def test_crossbar_blocks_nothing(replay_backends):
+    for backend in replay_backends:
         cells = simulate_batch(
             3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), backend,
             False, None, "crossbar",

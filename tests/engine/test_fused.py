@@ -2,7 +2,7 @@
 
 The deep two-way identity suites live in ``tests/perf/test_batch.py``;
 this module covers the fused machinery itself -- availability logic,
-the interpreted-mode hook, :func:`repro.perf.batch.lower_stream`, and
+the kernel pick, :func:`repro.perf.batch.lower_stream`, and
 the invariant that a fused replay leaves the very same bitplanes a
 per-event replay would.
 """
@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine import fused
-from repro.engine.fused import FUSED_ENV, FusedState
+from repro.engine.backends import available_backends, resolve_backend
+from repro.engine.fused import FusedState
 from repro.engine.geometry import FabricGeometry
 from repro.engine.state import PythonState
 from repro.perf.batch import _SETUP, _TEARDOWN, compile_stream, lower_stream
@@ -21,6 +22,7 @@ from repro.perf.batch import _SETUP, _TEARDOWN, compile_stream, lower_stream
 np = pytest.importorskip("numpy")
 
 from tests.engine.test_wide import canonical_planes  # noqa: E402
+from tests.fused_support import fused_runnable  # noqa: E402
 
 
 def geometries(m_values=(1, 2, 3), model=MulticastModel.MSW,
@@ -34,32 +36,27 @@ def geometries(m_values=(1, 2, 3), model=MulticastModel.MSW,
 
 
 class TestModes:
-    def test_interpreted_mode_forced_by_env(self, monkeypatch):
-        monkeypatch.setenv(FUSED_ENV, "1")
-        assert fused.fused_available()
-        assert fused.missing_requirement() is None
-        assert fused.fused_mode() in ("interpreted", "jit")
-        if not fused.NUMBA_AVAILABLE:
-            assert fused.fused_mode() == "interpreted"
-
-    def test_env_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv(FUSED_ENV, "0")
+    def test_unset_without_numba_is_unavailable(self):
         if fused.NUMBA_AVAILABLE:
-            assert fused.fused_mode() == "jit"
+            assert fused.missing_requirement() is None
+            assert fused._kernel() is fused._JIT_KERNEL
         else:
-            assert fused.fused_mode() == "unavailable"
             assert fused.missing_requirement() == "numba is not installed"
+            assert "numba" not in available_backends()
 
-    def test_unset_without_numba_is_unavailable(self, monkeypatch):
-        monkeypatch.delenv(FUSED_ENV, raising=False)
+    def test_kernel_is_the_plain_loop_without_numba(self):
         if fused.NUMBA_AVAILABLE:
-            assert fused.fused_mode() == "jit"
-        else:
-            assert not fused.fused_available()
+            pytest.skip("numba installed: the compiled loop runs")
+        assert fused._JIT_KERNEL is None
+        assert fused._kernel() is fused._PY_KERNEL is fused._replay_loop
 
-    def test_kernel_picks_interpreted_under_env(self, monkeypatch):
-        monkeypatch.setenv(FUSED_ENV, "1")
-        assert fused._kernel() is fused._PY_KERNEL
+    def test_runnable_helper_waives_only_numba(self):
+        with fused_runnable():
+            assert fused.missing_requirement() is None
+            assert "numba" in available_backends()
+            assert resolve_backend("auto", m_max=4, r=2, k=1) == "numba"
+        if not fused.NUMBA_AVAILABLE:
+            assert fused.missing_requirement() == "numba is not installed"
 
 
 class TestLowering:
@@ -101,7 +98,7 @@ class TestLowering:
 @pytest.mark.parametrize("model", list(MulticastModel))
 class TestEndStateIdentity:
     def test_fused_replay_leaves_per_event_bitplanes(
-        self, construction, model, monkeypatch
+        self, construction, model
     ):
         """After a fused replay the planes equal a per-event replay's.
 
@@ -111,7 +108,6 @@ class TestEndStateIdentity:
         """
         from repro.perf.batch import _replay
 
-        monkeypatch.setenv(FUSED_ENV, "1")
         geos = geometries(model=model, construction=construction)
         ops = compile_stream(model, 3, 3, 2, steps=200, seed=1)
 

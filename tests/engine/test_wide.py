@@ -20,9 +20,6 @@ backends to each other *at* the boundary (61, 62), just across it (63,
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,34 +28,17 @@ np = pytest.importorskip("numpy")
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine.backends import make_state
-from repro.engine.fused import FUSED_ENV, FusedState
+from repro.engine.fused import FusedState
 from repro.engine.geometry import FabricGeometry
 from repro.engine.planes import WORD_BITS, join_words
 from repro.engine.state import PythonState
 from repro.core.multistage import valid_x_range
 from repro.perf.batch import _replay, compile_stream, lower_stream
+from tests.fused_support import fused_runnable
 
 BOUNDARY = (61, 62, 63, 64, 100)
 BACKENDS = ("python", "numba")
 STEPS = 50
-
-
-@contextmanager
-def fused_interpreted():
-    """Force the fused backend's interpreted mode for a block.
-
-    Plain ``os.environ`` juggling instead of monkeypatch because
-    hypothesis forbids function-scoped fixtures under ``@given``.
-    """
-    previous = os.environ.get(FUSED_ENV)
-    os.environ[FUSED_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FUSED_ENV]
-        else:
-            os.environ[FUSED_ENV] = previous
 
 
 def _join_rows(node, depth):
@@ -157,7 +137,7 @@ def replay_all_backends(n, r, k, x, m_values, seed, construction, model):
         for m in m_values
     )
     results = {}
-    with fused_interpreted():
+    with fused_runnable():
         for backend in BACKENDS:
             state = make_state(geos, backend)
             attempts, replications = _replay(ops, state, True, True)

@@ -44,12 +44,9 @@ class TestDisabledHooksAllocateNothing:
 
     def test_enabled_reads_one_flag(self):
         assert obs.enabled() is False
-        obs.enable()
-        try:
+        with obs.capture():
             assert obs.enabled() is True
-        finally:
-            obs.disable()
-            obs.reset()
+        assert obs.enabled() is False
 
 
 class TestDisabledPathDoesNoWork:
@@ -67,12 +64,18 @@ class TestDisabledPathDoesNoWork:
         with pytest.raises(BlockedError):
             net.connect(conn((1, 0), (2, 0)))
 
-    def test_disabled_run_records_nothing(self):
-        obs.reset()
+    def test_disabled_run_records_nothing(self, monkeypatch):
         assert not obs.enabled()
-        api.blocking(2, 2, 2, 1, x=1,
-                     traffic=api.UniformConfig(steps=50, seeds=(0,)))
-        assert obs.REGISTRY.snapshot()["counters"] == {}
+        recorded = []
+        for method in ("inc", "observe"):
+            monkeypatch.setattr(
+                obs.MetricsRegistry, method,
+                lambda self, name, value=1: recorded.append(name),
+            )
+        estimate = api.blocking(2, 2, 2, 1, x=1,
+                                traffic=api.UniformConfig(steps=50, seeds=(0,)))
+        assert recorded == []
+        assert estimate.meta.obs is None
 
 
 class TestObsOnDoesNotChangeResults:

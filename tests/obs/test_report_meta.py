@@ -1,4 +1,4 @@
-"""ObsReport aggregation/export and the shared ResultMeta envelope."""
+"""The shared ResultMeta envelope."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 
 from repro import api, obs
 from repro.obs.meta import ResultMeta
-from repro.obs.report import ObsReport
 from repro.perf.cache import CODE_VERSION
 from repro.perf.sweeper import ExecutionPlan
 
@@ -16,40 +15,6 @@ def make_plan(**overrides):
                     units=3, dispatched=3, cache_hits=0, reason="")
     defaults.update(overrides)
     return ExecutionPlan(**defaults)
-
-
-class TestObsReport:
-    def test_collect_snapshots_metrics_trace_and_plan(self):
-        with obs.capture(tracer=obs.Tracer()) as run:
-            obs.inc("demo.counter", 2)
-            run.tracer.emit({"event": "release", "connection_id": 0})
-            report = ObsReport.collect(plan=make_plan())
-        assert report.metrics["counters"] == {"demo.counter": 2}
-        assert report.trace["released"] == 1
-        assert report.plan["executor"] == "serial"
-
-    def test_collect_without_a_plan_reports_none(self):
-        # A sweep that already ran in this process must not lend its
-        # plan to an unrelated report.
-        api.sweep(2, 2, 1, [2], traffic=api.UniformConfig(steps=20, seeds=(0,)))
-        assert ObsReport.collect().plan is None
-
-    def test_json_round_trip(self):
-        report = ObsReport(
-            metrics={"counters": {"a": 1}, "timers": {}, "gauges": {}},
-            trace={"event": "summary", "attempts": 1, "admitted": 1,
-                   "blocked": 0, "released": 0, "causes": {}},
-            plan=make_plan().as_dict(),
-        )
-        assert ObsReport.from_json(report.to_json()) == report
-
-    def test_render_is_human_readable(self):
-        report = ObsReport(metrics={"counters": {"net.admit.attempts": 5}})
-        rendered = report.render()
-        assert "net.admit.attempts = 5" in rendered
-
-    def test_render_empty_report(self):
-        assert ObsReport().render()  # non-empty fallback text
 
 
 class TestResultMeta:

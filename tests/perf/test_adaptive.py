@@ -226,10 +226,10 @@ class TestAdaptiveSweep:
 
     def test_parallel_bit_identical_to_serial(self):
         serial = adaptive_sweep(3, 3, 2, [1, 2], precision=QUICK, **CONFIG)
-        threaded = adaptive_sweep(
-            3, 3, 2, [1, 2], precision=QUICK, jobs=2, executor="thread", **CONFIG
+        pooled = adaptive_sweep(
+            3, 3, 2, [1, 2], precision=QUICK, jobs=2, **CONFIG
         )
-        assert _identity(threaded) == _identity(serial)
+        assert _identity(pooled) == _identity(serial)
 
     def test_single_cell_matches_sweep_cell(self):
         """Pooled estimates from split rounds equal the single-run pool:

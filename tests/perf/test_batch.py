@@ -10,9 +10,7 @@ backends: the per-event python replay and the fused kernel
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +20,6 @@ from repro import api, obs
 from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf.batch import (
     available_backends,
@@ -33,6 +30,7 @@ from repro.perf.batch import (
 )
 from repro.perf.cache import ResultCache
 from repro.switching.generators import dynamic_traffic
+from tests.fused_support import fused_runnable
 
 try:
     import numpy  # noqa: F401
@@ -41,37 +39,6 @@ try:
 except ImportError:
     BACKENDS = ("python",)
 STEPS = 150
-
-
-@contextmanager
-def fused_interpreted():
-    """Force the fused backend's interpreted mode for a block.
-
-    Makes ``numba`` available even on hosts without numba installed
-    (the kernel runs uncompiled over the same arrays), which is how
-    the two-way suites always exercise the fused array program.
-    Plain ``os.environ`` juggling instead of monkeypatch because
-    hypothesis forbids function-scoped fixtures under ``@given``.
-    """
-    previous = os.environ.get(FUSED_ENV)
-    os.environ[FUSED_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FUSED_ENV]
-        else:
-            os.environ[FUSED_ENV] = previous
-
-
-@contextmanager
-def fused_runnable():
-    """Make ``numba`` runnable: compiled when installed, else interpreted."""
-    if NUMBA_AVAILABLE:
-        yield
-    else:
-        with fused_interpreted():
-            yield
 
 
 def serial_cell_with_causes(n, r, m, k, construction, model, x, steps, seed):
@@ -188,7 +155,7 @@ class TestThreeWayIdentity:
     @given(config=configs())
     def test_counts_and_causes_agree(self, config):
         n, r, k, x, m, seed, construction, model = config
-        with fused_interpreted():
+        with fused_runnable():
             backends = available_backends()
             assert {"python", "numba"} <= set(backends)
             outcomes = [
@@ -207,7 +174,7 @@ class TestThreeWayIdentity:
     def test_fused_batch_equals_python_batch(self, construction, model):
         n, r, k, x, seed = 3, 3, 2, 1, 0
         m_values = tuple(range(1, 9))
-        with fused_interpreted():
+        with fused_runnable():
             python = simulate_batch(
                 n, r, k, construction, model, x, 300, None, seed,
                 m_values, "python",
@@ -258,14 +225,14 @@ class TestBackendResolution:
         "numba" not in BACKENDS, reason="fused backend needs numpy"
     )
     def test_auto_prefers_numba_over_python(self):
-        with fused_interpreted():
+        with fused_runnable():
             assert resolve_backend("auto", m_max=8, r=4, k=2) == "numba"
             # ... at any plane width, now that the word gate is lifted.
             assert resolve_backend("auto", m_max=100, r=4, k=2) == "numba"
 
     def test_env_python_beats_numba_preference(self):
         """An explicit ``python`` request wins over auto's numba pick."""
-        with fused_interpreted():
+        with fused_runnable():
             assert resolve_backend("python", m_max=8, r=4, k=2) == "python"
 
     def test_env_override(self):
@@ -283,7 +250,7 @@ class TestBackendResolution:
     @pytest.mark.skipif("numba" in BACKENDS, reason="numpy is installed")
     def test_numpy_missing_rejected(self):
         # The fused backend needs numpy even in interpreted mode.
-        with fused_interpreted():
+        with fused_runnable():
             with pytest.raises(ValueError, match="numpy is not installed"):
                 resolve_backend("numba", m_max=8, r=4, k=2)
 
@@ -412,11 +379,15 @@ class TestCacheIntegration:
 
 
 class TestObsGuard:
-    def test_engine_records_nothing_while_disabled(self):
-        obs.reset()
+    def test_engine_records_nothing_while_disabled(self, monkeypatch):
         assert not obs.enabled()
+        recorded = []
+        monkeypatch.setattr(
+            obs.MetricsRegistry, "inc",
+            lambda self, name, value=1: recorded.append(name),
+        )
         simulate_batch(
             2, 2, 1, Construction.MSW_DOMINANT, MulticastModel.MSW, 1,
             100, None, 0, (1, 2),
         )
-        assert obs.REGISTRY.snapshot()["counters"] == {}
+        assert recorded == []

@@ -101,12 +101,12 @@ class TestAdaptiveExecutor:
 
     def test_plan_recorded_for_parallel_run(self, monkeypatch):
         monkeypatch.setattr(sweeper_module, "_effective_cpus", lambda: 8)
-        with ParallelSweeper(2, executor="thread") as sweeper:
+        with ParallelSweeper(2) as sweeper:
             sweeper.run(self.UNITS)
             plan = sweeper.last_plan
         assert plan.requested_jobs == 2
         assert plan.resolved_jobs == 2
-        assert plan.executor == "thread"
+        assert plan.executor == "process"
         assert plan.units == plan.dispatched == len(self.UNITS)
         assert plan.reason == ""
 
@@ -138,26 +138,15 @@ class TestAdaptiveExecutor:
 
     def test_auto_jobs_clamp_to_units_without_fallback(self, monkeypatch):
         monkeypatch.setattr(sweeper_module, "_effective_cpus", lambda: 16)
-        with ParallelSweeper("auto", executor="thread") as sweeper:
+        with ParallelSweeper("auto") as sweeper:
             sweeper.run(self.UNITS)
             plan = sweeper.last_plan
-        assert plan.executor == "thread"
+        assert plan.executor == "process"
         assert plan.resolved_jobs == len(self.UNITS)
-
-    def test_thread_executor_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(sweeper_module, "_effective_cpus", lambda: 8)
-        serial = ParallelSweeper(1).run(self.UNITS)
-        with ParallelSweeper(3, executor="thread") as sweeper:
-            threaded = sweeper.run(self.UNITS)
-        assert [r.value for r in threaded] == [r.value for r in serial]
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            ParallelSweeper(2, executor="fiber")
 
     def test_pool_persists_across_runs(self, monkeypatch):
         monkeypatch.setattr(sweeper_module, "_effective_cpus", lambda: 8)
-        with ParallelSweeper(2, executor="thread") as sweeper:
+        with ParallelSweeper(2) as sweeper:
             sweeper.run(self.UNITS)
             first_pool = sweeper._pool
             sweeper.run(self.UNITS)
@@ -268,9 +257,9 @@ class TestRunAdaptive:
 
         with ParallelSweeper(1) as sweeper:
             serial = sweeper.run_adaptive(make_next())
-        with ParallelSweeper(2, executor="thread") as sweeper:
-            threaded = sweeper.run_adaptive(make_next())
-        assert [(r.unit_id, r.value) for r in threaded] == [
+        with ParallelSweeper(2) as sweeper:
+            pooled = sweeper.run_adaptive(make_next())
+        assert [(r.unit_id, r.value) for r in pooled] == [
             (r.unit_id, r.value) for r in serial
         ]
 

@@ -21,7 +21,6 @@ pinned numbers (those live in ``tests/engine/test_fabrics.py``):
 
 from __future__ import annotations
 
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +29,9 @@ from hypothesis import strategies as st
 from repro import api
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import fabric_names, get_fabric
-from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 from repro.perf.batch import simulate_batch
 from repro.workloads import generate_trace, workload_names
+from tests.fused_support import fused_runnable
 
 C = Construction.MSW_DOMINANT
 MSW = MulticastModel.MSW
@@ -116,10 +115,7 @@ def test_crossbar_admits_recorded_traces(tmp_path):
 def test_backends_agree_per_fabric(fabric):
     pytest.importorskip("numpy")
     m_values = (1, 2, 3, 4)
-    forced = not NUMBA_AVAILABLE
-    if forced:
-        os.environ[FUSED_ENV] = "1"
-    try:
+    with fused_runnable():
         runs = {
             backend: [
                 simulate_batch(
@@ -130,9 +126,6 @@ def test_backends_agree_per_fabric(fabric):
             ]
             for backend in ("python", "numba")
         }
-    finally:
-        if forced:
-            del os.environ[FUSED_ENV]
     assert runs["python"] == runs["numba"]
 
 

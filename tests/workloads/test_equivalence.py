@@ -14,9 +14,7 @@ non-uniform traffic (cross-workload cache poisoning).
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,6 @@ from hypothesis import strategies as st
 from repro.analysis.montecarlo import _traffic_key
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.fused import FUSED_ENV
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf.batch import replay_cell
 from repro.perf.cache import ResultCache
@@ -35,6 +32,7 @@ from repro.workloads import (
     UniformConfig,
 )
 from repro.workloads.keys import stream_rng
+from tests.fused_support import fused_runnable
 
 STEPS = 120
 
@@ -51,20 +49,6 @@ WORKLOADS = [
     HeavyTailFanoutConfig(alpha=0.9),
     PoissonErlangConfig(offered_erlangs=6.0),
 ]
-
-
-@contextmanager
-def fused_interpreted():
-    """Force the fused array program's interpreted mode for a block."""
-    previous = os.environ.get(FUSED_ENV)
-    os.environ[FUSED_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FUSED_ENV]
-        else:
-            os.environ[FUSED_ENV] = previous
 
 
 def serial_cell(n, r, m, k, construction, model, x, seed, workload):
@@ -131,7 +115,7 @@ class TestEveryWorkloadAgreesAcrossKernels:
         assert list(batched.causes) == causes
         if not HAVE_NUMPY:
             return
-        with fused_interpreted():
+        with fused_runnable():
             fused = replay_cell(
                 n, r, m, k, construction=construction, model=model, x=x,
                 steps=STEPS, seed=seed, backend="numba", record_causes=True,
