@@ -65,22 +65,24 @@ asked for by name through `ExecConfig(backend=...)` or `--backend`)
 and `make_state` instantiates it. `check_backend_name`, which
 `ExecConfig` runs at construction, refuses an unknown name or a
 backend whose requirements are missing, naming the fix.
-`backend_status` / `wdm-repro kernels` report live availability.
-`WDM_REPRO_FUSED_PY=1` forces the fused kernel's interpreted mode (the
-identity-test vehicle on machines without numba). The package ships
+`backend_status` / `wdm-repro kernels` report live availability; no
+environment variable changes it. Without numba the fused kernel entry
+point is the plain Python loop, which the identity tests run by
+patching `repro.engine.fused.missing_requirement`. The package ships
 `py.typed` and is kept fully typed (`mypy src/repro/engine` in CI).
 """,
     "repro.multistage": """\
 ### Debug checks
 
-`ThreeStageNetwork(..., debug_checks=True)` -- or setting the
-`WDM_REPRO_DEBUG_CHECKS` environment variable to `1`/`true`/`yes`/`on`
--- re-runs `check_invariants()` after every `connect`/`disconnect`, so
-any state leak surfaces at the exact event that caused it.
-Off by default: the scan is O(state) per event, far too slow for the
-Monte-Carlo hot paths. Explicit `check_invariants()` calls always run
-regardless of the flag; the fuzz tests enable it, the hot paths leave
-it off.
+`ThreeStageNetwork(..., debug_checks=True)` re-runs
+`check_invariants()` after every `connect`/`disconnect`, so any state
+leak surfaces at the exact event that caused it. Off by default: the
+scan is O(state) per event, far too slow for the Monte-Carlo hot
+paths. A run asks for it with `SearchConfig(debug_checks=True)` (or
+`--debug-checks` on `blocking`/`sweep`), which is refused with the
+batched kernel or a non-Clos fabric, since neither builds the checked
+network. Explicit `check_invariants()` calls always run regardless of
+the flag; the fuzz tests enable it, the hot paths leave it off.
 
 ### Canonicalized exhaustive search
 
@@ -111,11 +113,12 @@ the runtime.
     "repro.perf": """\
 ### Executor selection
 
-`ParallelSweeper(jobs, executor=...)` accepts `jobs=1` (inline, the
-default), an explicit worker count, or `"auto"`/`None`/`<= 0` for the
-effective CPU count; `executor` is `"process"` (default) or
-`"thread"`. Whatever was requested, the engine falls back to inline
-serial execution whenever a pool cannot win -- a single effective CPU,
+`ParallelSweeper(jobs)` accepts `jobs=1` (inline, the default), an
+explicit worker count, or `"auto"`/`None`/`<= 0` for the effective
+CPU count; parallel runs use a process pool. (`ExecConfig` takes
+`"auto"` or an int only.) Whatever was requested, the engine falls
+back to inline serial execution whenever a pool cannot win -- a
+single effective CPU,
 a single pending unit, or an explicit `jobs` exceeding the unit count
 -- and records what actually ran (executor, resolved worker count,
 dispatched units, cache hits, fallback reason) in the `ExecutionPlan`
@@ -242,7 +245,7 @@ fixed recording, so combining them with a precision target raises.
 The three verbs take frozen config dataclasses grouped by concern:
 a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
 cap, adversarial probing on the base surface, model shape on each
-subclass), `ExecConfig` (jobs, executor kind, cache directory) and
+subclass), `ExecConfig` (jobs, cache directory, batch, backend) and
 `SearchConfig` (routing kernel, canonicalization, debug checks).
 Results carry a `repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
@@ -280,12 +283,20 @@ whole traffic configuration as well as `m`, so two sweeps sharing an
     "repro.obs": """\
 ### Zero cost when off
 
-Every hot-path hook guards on `obs.enabled()` -- one module-level
-boolean read -- and the disabled hooks return before allocating
-anything (`tests/obs/test_overhead.py` asserts zero allocations;
-`benchmarks/bench_perf.py` bounds the obs-off overhead at <= 2% of a
-serial routing replay). Enable for a block with `obs.capture()`, which yields
-the metrics registry and optional `Tracer`.
+Every hot-path hook guards on `obs.enabled()` -- one call of a
+context variable's getter, bound at import -- and the disabled hooks
+return before allocating anything (`tests/obs/test_overhead.py`
+asserts zero allocations; `benchmarks/bench_perf.py` bounds the
+obs-off overhead at <= 2% of a serial routing replay).
+
+### One capture per block
+
+`obs.capture()` (or `obs.capture(tracer=obs.Tracer(stream))`) yields a
+`Capture`: a fresh metrics registry plus the optional tracer, held in
+a context variable for the `with` block. A nested capture records into
+its own registry and leaves the outer one intact; a capture in one
+thread sees nothing another thread does. `obs.active()` returns the
+active capture or None; `ResultMeta` records its summary.
 
 ### Tracing blocking causes
 
@@ -300,9 +311,10 @@ numerator. CLI: `wdm-repro trace fig10 --trace-out -` and
 
 ### Cross-process metrics
 
-`ParallelSweeper` worker processes run chunks under a reset,
-metrics-only registry and ship snapshots back for the parent to merge,
-so counters from `jobs=N` process pools equal the serial run's.
+While a capture is active, `ParallelSweeper` worker processes run
+each chunk inside their own metrics-only capture and ship its snapshot
+back, merged into the caller's capture, so counters from `jobs=N`
+process pools equal the serial run's.
 """,
 }
 
