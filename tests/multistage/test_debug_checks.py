@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.api import SearchConfig, UniformConfig
+from repro.multistage import exhaustive
 from repro.multistage.network import ThreeStageNetwork
 from repro.switching.requests import Endpoint, MulticastConnection
 
@@ -101,6 +102,19 @@ class TestRefusals:
                 execution=api.ExecConfig(precision=api.PrecisionConfig()),
                 search=SearchConfig(debug_checks=True),
             )
+
+    def test_exact_m_refused_before_any_candidate(self, monkeypatch):
+        monkeypatch.setattr(
+            exhaustive, "is_blockable",
+            lambda *a, **k: pytest.fail("a candidate ran before the refusal"),
+        )
+        with pytest.raises(ValueError) as err:
+            api.exact_m(2, 2, 1, x=1, m_max=2,
+                        search=SearchConfig(debug_checks=True))
+        message = str(err.value)
+        assert "blocking/sweep traffic cells" in message
+        assert "bitmask kernel on the clos fabric" in message
+        assert "\n" not in message
 
     def test_clos_bitmask_run_is_checked(self, monkeypatch):
         calls = []

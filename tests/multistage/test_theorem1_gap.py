@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
+from repro.core.corrected import min_middle_switches_corrected
 from repro.core.models import Construction, MulticastModel
+from repro.core.multistage import min_middle_switches
 from repro.multistage.adversary import demonstrate_theorem1_gap
 from repro.multistage.network import ThreeStageNetwork
 from repro.switching.requests import Endpoint, MulticastConnection
@@ -47,6 +50,38 @@ class TestGapDemonstration:
             demonstrate_theorem1_gap(2, 3, 1)  # k must be >= 2
         with pytest.raises(ValueError):
             demonstrate_theorem1_gap(3, 3, 2)  # needs r >= n + 1
+
+
+class TestExactAtDegenerateShapes:
+    """Exhaustive verdicts at k = 2 where n = 1 or r = 1 (x = 1).
+
+    Both shapes settle at m_exact = 2 under MAW and MSDW.  At
+    v(1,2,m,2) the paper's Theorem 1 gives 1, so there its bound is not
+    enough; at v(2,1,m,2) it gives 3.  The state counts are left
+    unpinned: symmetry folding may lower them without moving a verdict.
+    """
+
+    @pytest.mark.parametrize(
+        "n,r,paper,corrected", [(1, 2, 1, 3), (2, 1, 3, 5)]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [MulticastModel.MSDW, MulticastModel.MAW],
+        ids=lambda m: m.value,
+    )
+    def test_exact_threshold_against_both_bounds(
+        self, n, r, paper, corrected, model
+    ):
+        construction = Construction.MSW_DOMINANT
+        assert min_middle_switches(n, r, 2, construction, x=1) == paper
+        assert min_middle_switches_corrected(
+            n, r, 2, construction, model, x=1
+        ) == corrected
+        result = api.exact_m(n, r, 2, model=model, x=1)
+        assert result.m_exact == 2
+        assert [(p.m, p.blockable) for p in result.per_m] == [
+            (1, True), (2, False)
+        ]
 
 
 class TestForcedRouting:

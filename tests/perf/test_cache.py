@@ -109,7 +109,7 @@ class TestStorage:
     def test_roundtrip(self, cache):
         key = cache.key("cell", dict(seed=0))
         cache.put(key, (12, [3, 4], {"a": 1}))
-        assert cache.get(key) == (12, [3, 4], {"a": 1})
+        assert cache.lookup(key) == (True, (12, [3, 4], {"a": 1}))
         assert key in cache
         assert len(cache) == 1
 
@@ -135,7 +135,7 @@ class TestStorage:
         assert cache.stats.corrupt == 1
         assert not path.exists()  # discarded, ready for a clean rewrite
         cache.put(key, "rewritten")
-        assert cache.get(key) == "rewritten"
+        assert cache.lookup(key) == (True, "rewritten")
 
     def test_truncated_entry_recovered(self, cache):
         key = cache.key("cell", dict(seed=0))
@@ -213,13 +213,13 @@ class TestBoundedGrowth:
         hit, _ = cache.lookup(first)
         assert not hit  # pruned -> plain miss, not an error
         cache.put(first, "first again")  # recompute-and-store path
-        assert cache.get(first) == "first again"
+        assert cache.lookup(first) == (True, "first again")
 
     def test_newest_write_survives_even_over_budget(self, tmp_path):
         cache = ResultCache(tmp_path, max_bytes=1)
         key = cache.key("cell", dict(seed=0))
         cache.put(key, bytes(10_000))
-        assert cache.get(key) == bytes(10_000)
+        assert cache.lookup(key) == (True, bytes(10_000))
 
     def test_bounded_sweep_stays_correct(self, tmp_path):
         config = dict(steps=120, seeds=(0, 1))
@@ -278,7 +278,7 @@ class TestConcurrentWriters:
         cache.put(key, "before")
         shutil.rmtree(cache.directory)
         cache.put(key, "after")  # must recreate the directory and succeed
-        assert cache.get(key) == "after"
+        assert cache.lookup(key) == (True, "after")
 
     def test_skipped_prune_is_caught_up_by_next_store(self, tmp_path, monkeypatch):
         """If a prune is skipped (peer holds the lock), a later store prunes.

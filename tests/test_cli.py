@@ -99,6 +99,15 @@ class TestCommands:
         out = run_cli(capsys, *args)
         assert "cache: 6 hits" in out
 
+    def test_adversarial_footer_reports_the_traffic_plan(self, capsys):
+        argv = ["blocking", "--n", "3", "--r", "3", "--k", "1",
+                "--m-max", "2", "--jobs", "2"]
+        adversarial = run_cli(capsys, *argv, "--adversarial")
+        plain = run_cli(capsys, *argv)
+        assert "served from cache" not in adversarial
+        assert adversarial.splitlines()[-1] == plain.splitlines()[-1]
+        assert plain.splitlines()[-1].startswith("executor: ")
+
     @pytest.mark.parametrize("command", ["blocking", "sweep"])
     def test_debug_checks_flag_checks_without_changing_output(
         self, capsys, monkeypatch, command
