@@ -568,16 +568,19 @@ def _blocking_curve(
     blocking, one synthetic blocked attempt is recorded so the curve
     reflects *worst-case* rather than average-case behaviour.
 
-    All (m, seed) traffic cells -- and, in adversarial mode, all
-    (m, adversary-seed) cells -- are independent work units fanned out
+    All (m, seed) traffic cells are independent work units fanned out
     through the sweep engine; with ``jobs > 1`` (or ``"auto"``) they
-    run concurrently and merge by cell id, so the curve is
-    bit-identical to ``jobs=1`` (serial short-circuits skip redundant
-    adversary cells but pick the same first witness).  Both sweep
-    stages share one sweeper, so a parallel run pays the pool spawn
-    cost once.  With ``cache``, every cell is content-addressed in the
-    given :class:`~repro.perf.cache.ResultCache`, so re-runs only
-    compute cells missing from the cache.
+    run concurrently and merge in input order, so the curve is
+    bit-identical to ``jobs=1``.  In adversarial mode each unblocked
+    ``m`` then runs its adversary restarts as one ordered scan that
+    stops at the first witness: a serial plan (``jobs=1`` or any
+    fallback) runs no restart after it, and a pool runs them all but
+    keeps the same first witness.  Both stages share one sweeper, so a
+    parallel run pays the pool spawn cost once, and the estimates'
+    ``meta.plan`` is the traffic stage's.  With ``cache``, every cell
+    is content-addressed in the given
+    :class:`~repro.perf.cache.ResultCache`, so re-runs only compute
+    cells missing from the cache.
 
     With ``kernel="batched"`` the traffic stage instead runs each
     seed's whole ``m`` column in lockstep through
@@ -679,96 +682,47 @@ def _blocking_curve(
                     blocked=blocked,
                 )
             )
-        if not adversarial:
-            meta = ResultMeta.capture(
-                sweeper.last_plan, kernel=kernel, workload=workload
-            )
-            return [replace(estimate, meta=meta) for estimate in estimates]
-
-        needs_adversary = [
-            (index, estimate)
-            for index, estimate in enumerate(estimates)
-            if estimate.blocked == 0
-        ]
-        witnessed: set[int] = set()
-        if jobs == 1:
-            # Serial short-circuit: stop at the first witness per m, exactly
-            # like the pre-sweeper implementation.
-            for index, estimate in needs_adversary:
-                for seed in _adversary_seeds(
-                    estimate.m, adversary_seeds, traffic_key
-                ):
-                    key = (
-                        None
-                        if cache is None
-                        else _adversary_key(
-                            cache, n, r, estimate.m, k, construction,
-                            model, x, seed, kernel,
-                        )
-                    )
-                    if key is not None:
-                        hit, witness = cache.lookup(key)
-                        if not hit:
-                            witness = search_blocking_state(
-                                n, r, estimate.m, k,
+        # The estimates report the traffic stage's plan, not the
+        # adversary stage's.
+        plan = sweeper.last_plan
+        if adversarial:
+            for index, estimate in enumerate(estimates):
+                if estimate.blocked:
+                    continue
+                # One ordered scan of this m's restarts, up to the first
+                # witness.  Ids are restart indices because the schedule
+                # may draw the same seed twice.
+                restarts = sweeper.run(
+                    (
+                        WorkUnit(
+                            unit_id=attempt,
+                            fn=search_blocking_state,
+                            args=(n, r, estimate.m, k),
+                            kwargs=dict(
                                 construction=construction, model=model,
                                 x=x, seed=seed,
+                            ),
+                            cache_key=(
+                                None
+                                if cache is None
+                                else _adversary_key(
+                                    cache, n, r, estimate.m, k,
+                                    construction, model, x, seed, kernel,
+                                )
+                            ),
+                        )
+                        for attempt, seed in enumerate(
+                            _adversary_seeds(
+                                estimate.m, adversary_seeds, traffic_key
                             )
-                            cache.put(key, witness)
-                    else:
-                        witness = search_blocking_state(
-                            n, r, estimate.m, k,
-                            construction=construction, model=model,
-                            x=x, seed=seed,
-                        )
-                    if witness is not None:
-                        witnessed.add(index)
-                        break
-        else:
-            units = [
-                WorkUnit(
-                    unit_id=(index, attempt),
-                    fn=search_blocking_state,
-                    args=(n, r, estimate.m, k),
-                    kwargs=dict(
-                        construction=construction, model=model, x=x, seed=seed
-                    ),
-                    cache_key=(
-                        None
-                        if cache is None
-                        else _adversary_key(
-                            cache, n, r, estimate.m, k, construction,
-                            model, x, seed, kernel,
                         )
                     ),
+                    cache=cache,
+                    until=lambda witness: witness is not None,
                 )
-                for index, estimate in needs_adversary
-                for attempt, seed in enumerate(
-                    _adversary_seeds(estimate.m, adversary_seeds, traffic_key)
-                )
-            ]
-            found = sweeper.run_keyed(units, cache=cache)
-            for index, estimate in needs_adversary:
-                # First witness in schedule order == the serial short-circuit's.
-                if any(
-                    found[(index, attempt)].value is not None
-                    for attempt in range(adversary_seeds)
-                ):
-                    witnessed.add(index)
-    for index in witnessed:
-        estimate = estimates[index]
-        estimates[index] = BlockingEstimate(
-            n=n,
-            r=r,
-            m=estimate.m,
-            k=k,
-            construction=construction,
-            model=model,
-            x=x,
-            attempts=estimate.attempts + 1,
-            blocked=1,
-        )
-    meta = ResultMeta.capture(
-        sweeper.last_plan, kernel=kernel, workload=workload
-    )
+                if any(result.value is not None for result in restarts):
+                    estimates[index] = replace(
+                        estimate, attempts=estimate.attempts + 1, blocked=1
+                    )
+    meta = ResultMeta.capture(plan, kernel=kernel, workload=workload)
     return [replace(estimate, meta=meta) for estimate in estimates]

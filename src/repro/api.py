@@ -141,9 +141,10 @@ class ExecConfig:
             caching.
         batch: under ``kernel="batched"``, cap on lockstep replications
             per work unit, at least 1 (None packs each seed's whole
-            ``m`` column into one unit).  Ignored by the other kernels;
-            never affects results, only how work is sliced across
-            workers.
+            ``m`` column into one unit).  Ignored by the other kernels
+            and by ``precision`` runs, whose rounds are already
+            seed-granular; never affects results, only how work is
+            sliced across workers.
         backend: under ``kernel="batched"``, the fabric-state backend
             inside each work unit -- ``"auto"`` (default; prefers the
             fused ``numba`` kernel when usable, else ``python``),
@@ -202,8 +203,9 @@ class SearchConfig:
             connect/disconnect inside Monte-Carlo cells (slow;
             result-identical).  Only the serial network of the
             ``"bitmask"`` kernel on the Clos fabric carries the checks,
-            so any other kernel is refused here, and any other fabric
-            by :func:`blocking` and :func:`sweep` before a cell runs.
+            so any other kernel is refused here, any other fabric by
+            :func:`blocking` and :func:`sweep` before a cell runs, and
+            :func:`exact_m` before a candidate runs.
     """
 
     kernel: str = "bitmask"
@@ -227,8 +229,9 @@ class SearchConfig:
 def _debug_checks_refusal(path: str) -> ValueError:
     """The one error for ``debug_checks`` where no checked network runs."""
     return ValueError(
-        f"debug_checks needs the bitmask kernel on the clos fabric; {path} "
-        "never builds the checked network"
+        "debug_checks applies to blocking/sweep traffic cells on the "
+        f"bitmask kernel on the clos fabric; {path} never builds the "
+        "checked network"
     )
 
 
@@ -299,7 +302,6 @@ def _estimates(
         jobs=execution.jobs,
         cache=execution.cache(),
         debug_checks=search.debug_checks,
-        batch=execution.batch,
         backend=execution.backend,
         workload=traffic,
         fabric=fabric_name,
@@ -402,7 +404,13 @@ def exact_m(
     execution: ExecConfig = ExecConfig(),
     search: SearchConfig = SearchConfig(),
 ) -> ExactMinimal:
-    """The exact minimal nonblocking ``m`` by exhaustive model checking."""
+    """The exact minimal nonblocking ``m`` by exhaustive model checking.
+
+    ``search.debug_checks`` is refused: the exhaustive search never
+    builds the checked network.
+    """
+    if search.debug_checks:
+        raise _debug_checks_refusal("exact_m")
     return _exact_threshold(
         n, r, k,
         construction=construction,

@@ -420,12 +420,13 @@ def _exact_threshold(
     any check hits the budget before a nonblocking ``m`` is found, the
     scan is inconclusive and ``m_exact`` is None.
 
-    With ``jobs > 1`` (or ``"auto"``) every ``m`` candidate is
-    model-checked as an independent work unit; the merge walks the
-    candidates in ascending order and truncates exactly where the
-    serial scan would have stopped, so the result is bit-identical to
-    ``jobs=1`` (the parallel scan trades some redundant work above the
-    threshold for wall time).
+    The candidates are one ordered scan through
+    :meth:`repro.perf.sweeper.ParallelSweeper.run`, which stops at the
+    first ``m`` that is not blockable.  A serial plan (``jobs=1`` or any
+    fallback) model-checks nothing above it; a pool checks every
+    candidate and keeps the same prefix, so the result is bit-identical
+    for any ``jobs``.  Each unit is one ``m``, because exact cells are
+    exponential.
 
     With a :class:`repro.perf.cache.ResultCache`, each ``m`` cell is
     looked up before being model-checked and stored afterwards, making
@@ -437,7 +438,6 @@ def _exact_threshold(
         from repro.core.corrected import min_middle_switches_corrected
 
         m_max = min_middle_switches_corrected(n, r, k, construction, model, x=x)
-    candidates = list(range(1, m_max + 1))
     cell_kwargs = dict(
         construction=construction, model=model, x=x,
         state_budget=state_budget, unicast_only=unicast_only,
@@ -452,55 +452,25 @@ def _exact_threshold(
             kernel=kernel,
         )
 
-    if jobs == 1:
-        per_m = []
-        for m in candidates:
-            key = cell_key(m)
-            result = cache.get(key) if key is not None else None
-            if result is None:
-                result = is_blockable(n, r, m, k, **cell_kwargs)
-                if key is not None:
-                    cache.put(key, result)
-            per_m.append(result)
-            if result.blockable is not True:
-                break
-    else:
-        sweeper = ParallelSweeper(jobs, chunk_size=1)
-        try:
-            keyed = sweeper.run_keyed(
-                (
-                    WorkUnit(
-                        unit_id=m,
-                        fn=is_blockable,
-                        args=(n, r, m, k),
-                        kwargs=cell_kwargs,
-                        cache_key=cell_key(m),
-                    )
-                    for m in candidates
-                ),
-                cache=cache,
-            )
-        finally:
-            sweeper.close()
-        per_m = []
-        for m in candidates:
-            result = keyed[m].value
-            per_m.append(result)
-            if result.blockable is not True:
-                break
-    results = []
-    for result in per_m:
-        results.append(result)
-        if result.blockable is False:
-            return ExactMinimal(
-                n=n, r=r, k=k,
-                construction=construction, model=model, x=x,
-                m_exact=result.m, per_m=tuple(results),
-            )
-        if result.blockable is None:
-            break
+    with ParallelSweeper(jobs, chunk_size=1) as sweeper:
+        scanned = sweeper.run(
+            (
+                WorkUnit(
+                    unit_id=m,
+                    fn=is_blockable,
+                    args=(n, r, m, k),
+                    kwargs=cell_kwargs,
+                    cache_key=cell_key(m),
+                )
+                for m in range(1, m_max + 1)
+            ),
+            cache=cache,
+            until=lambda result: result.blockable is not True,
+        )
+    per_m = tuple(result.value for result in scanned)
+    settled = bool(per_m) and per_m[-1].blockable is False
     return ExactMinimal(
         n=n, r=r, k=k,
         construction=construction, model=model, x=x,
-        m_exact=None, per_m=tuple(results),
+        m_exact=per_m[-1].m if settled else None, per_m=per_m,
     )

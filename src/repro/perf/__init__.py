@@ -3,13 +3,16 @@
 Every expensive computation in the reproduction decomposes into
 independent work units -- (seed, m, config) cells of the Monte-Carlo
 sweeps, adversary seeds, m-candidates of the exact model checker,
-benchmark grid points.  :class:`ParallelSweeper` fans those units out
-across worker processes with chunking and merges the
-results deterministically (keyed by work-unit id), so parallel output
-is bit-identical to serial output; ``jobs="auto"`` adapts the worker
+benchmark grid points.  :meth:`ParallelSweeper.run` is the one way to
+run them: it fans units out across worker processes with chunking and
+merges the results in input order, so parallel output is
+bit-identical to serial output; ``jobs="auto"`` adapts the worker
 count to the host and falls back to inline serial execution whenever a
 pool cannot win (the resolved :class:`ExecutionPlan` is recorded for
-results metadata).
+results metadata).  The ordered scans -- exact ``m`` candidates up to
+the first nonblocking one, adversary restarts up to the first witness
+-- pass ``run`` a stop rule, which a serial run honours by running
+nothing after the stopping unit.
 
 :class:`ResultCache` persists per-cell results content-addressed by
 ``(config hash, seed, kernel id, code version)`` with atomic writes and
@@ -42,7 +45,6 @@ from repro.perf.sweeper import (
     SweepResult,
     WorkUnit,
     resolve_jobs,
-    sweep,
 )
 
 __all__ = [
@@ -60,5 +62,4 @@ __all__ = [
     "resolve_backend",
     "resolve_jobs",
     "simulate_batch",
-    "sweep",
 ]

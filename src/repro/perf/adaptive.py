@@ -42,8 +42,8 @@ Three layers make the rounds cheap, low-variance and resumable:
   the precision *target*, so tightening the half-width on a later run
   reuses every warm round and only samples the difference.
 
-Work units are re-enqueued round by round through
-:meth:`repro.perf.sweeper.ParallelSweeper.run_adaptive`, so adaptive
+Each round's work units run as one
+:meth:`repro.perf.sweeper.ParallelSweeper.run` call, so adaptive
 sweeps parallelize and serial-fallback exactly like fixed ones.
 """
 
@@ -295,8 +295,8 @@ def _round_key(
 class _AdaptiveDriver:
     """Round-by-round state machine behind ``adaptive_sweep``.
 
-    Produces each round's work units for
-    :meth:`~repro.perf.sweeper.ParallelSweeper.run_adaptive` and absorbs
+    Produces each round's work units for one
+    :meth:`~repro.perf.sweeper.ParallelSweeper.run` call and absorbs
     the results: per-cell totals, convergence bookkeeping, and the
     per-round cache traffic (warm rounds short-circuit without units).
     """
@@ -405,7 +405,7 @@ class _AdaptiveDriver:
     def next_units(
         self, executed: list[SweepResult] | None
     ) -> list[WorkUnit] | None:
-        """The ``run_adaptive`` callback: absorb, then enqueue the next round."""
+        """Absorb ``executed``, then return the next round's units or None."""
         if executed is not None:
             self._absorb(executed)
         while True:
@@ -506,7 +506,6 @@ def adaptive_sweep(
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
-    batch: int | None = None,
     backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
@@ -531,13 +530,10 @@ def adaptive_sweep(
     value); with ``kernel="batched"`` the round's cells run in
     lockstep through :func:`repro.perf.batch.simulate_batch` on
     ``backend``.  ``kernel`` also tags every round's cache address and
-    the results' ``meta``.  ``batch`` is accepted for signature parity
-    with the fixed-budget path; round work units are already
-    seed-granular, so it has nothing left to slice.  Each ``m`` may
-    appear once in ``m_values``; a single point is ``[m]`` and shares
-    its warm rounds with the same cell of any wider sweep.
+    the results' ``meta``.  Each ``m`` may appear once in
+    ``m_values``; a single point is ``[m]`` and shares its warm rounds
+    with the same cell of any wider sweep.
     """
-    del batch  # rounds are already seed-granular work units
     require_distinct("m_values", m_values)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -548,7 +544,9 @@ def adaptive_sweep(
         precision, cache, debug_checks, backend, workload, fabric, kernel,
     )
     with ParallelSweeper(jobs) as sweeper:
-        sweeper.run_adaptive(driver.next_units)
+        wave = driver.next_units(None)
+        while wave is not None:
+            wave = driver.next_units(sweeper.run(wave))
         plan = sweeper.last_plan
     return driver.estimates(
         ResultMeta.capture(plan, kernel=kernel, workload=workload)

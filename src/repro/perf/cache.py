@@ -68,9 +68,6 @@ __all__ = ["CODE_VERSION", "CacheStats", "ResultCache"]
 #: entry is invalidated (its key can no longer be reproduced)
 CODE_VERSION = "2"
 
-#: sentinel distinguishing "no entry" from a cached None value
-_MISS = object()
-
 
 @dataclass
 class CacheStats:
@@ -203,11 +200,6 @@ class ResultCache:
             except OSError:  # pragma: no cover - concurrent removal
                 pass
         return True, value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """The cached value, or ``default`` on a miss."""
-        hit, value = self.lookup(key)
-        return value if hit else default
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` atomically (write-temp + rename).

@@ -27,6 +27,10 @@ properties make it safe to drop under every sweep in the repo:
 :class:`repro.perf.cache.ResultCache`: units carrying a ``cache_key``
 are looked up first and only the misses are dispatched (results are
 stored back), which makes repeated and interrupted sweeps incremental.
+``run(units, until=...)`` is an ordered scan: the results end at the
+first unit whose value satisfies the predicate.  A serial plan --
+``jobs=1`` or any fallback, a refused pool included -- runs nothing
+after that unit; a pool runs every unit and keeps the same prefix.
 
 Worker functions must be module-level (picklable); if the platform
 refuses to give us a pool (restricted containers), the engine degrades
@@ -39,10 +43,9 @@ equal serial ones.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -59,7 +62,6 @@ __all__ = [
     "SweepResult",
     "WorkUnit",
     "resolve_jobs",
-    "sweep",
 ]
 
 
@@ -148,20 +150,19 @@ class ExecutionPlan:
             "reason": self.reason,
         }
 
-    def to_json(self) -> str:
-        """Canonical JSON; inverse of :meth:`from_json`."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_json` output."""
-        return cls(**json.loads(payload))
-
 
 def _run_unit(unit: WorkUnit) -> SweepResult:
     start = time.perf_counter()
     value = unit.fn(*unit.args, **unit.kwargs)
     return SweepResult(unit.unit_id, value, time.perf_counter() - start)
+
+
+def _lookup(unit: WorkUnit, cache: "ResultCache | None") -> SweepResult | None:
+    """The unit's cached result, or None on a miss or without a key."""
+    if cache is None or unit.cache_key is None:
+        return None
+    hit, value = cache.lookup(unit.cache_key)
+    return SweepResult(unit.unit_id, value, 0.0, cached=True) if hit else None
 
 
 def _run_chunk(units: list[WorkUnit]) -> list[SweepResult]:
@@ -285,66 +286,113 @@ class ParallelSweeper:
         units: Iterable[WorkUnit],
         *,
         cache: "ResultCache | None" = None,
+        until: Callable[[Any], bool] | None = None,
     ) -> list[SweepResult]:
-        """Execute all units; results come back in input order.
+        """Execute the units; results come back in input order.
 
-        The unit ids additionally key the results (see
-        :meth:`run_keyed`), so callers can merge by id instead of
-        position when that reads better.  With ``cache``, units whose
-        ``cache_key`` resolves to a stored entry are served from disk
-        (marked ``cached=True``) and only the misses are dispatched;
-        executed results carrying a key are stored back.
+        With ``cache``, units whose ``cache_key`` resolves to a stored
+        entry are served from disk (marked ``cached=True``) and only
+        the misses are executed; executed results carrying a key are
+        stored back.
+
+        With ``until``, a predicate on a unit's value, the results end
+        at the first unit in input order whose value satisfies it.  A
+        serial plan (``jobs=1`` or any fallback) runs nothing after
+        that unit.  When the plan is serial before any lookup, units
+        are also looked up one at a time, so nothing after it is looked
+        up either.  A pooled plan looks up and executes every unit,
+        then truncates, so every ``jobs`` value returns the same list.
         """
         units = list(units)
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
             raise ValueError("work-unit ids must be unique within a sweep")
-
-        merged: dict[int, SweepResult] = {}
-        if cache is not None:
+        # A plan serial for every unit stays serial for any subset of
+        # them, so an ordered scan can look units up as it reaches them.
+        workers, executor, reason = self._resolve_plan(len(units))
+        if until is not None and executor == "serial":
+            results = self._run_inline(units, cache, until)
+        else:
+            merged: dict[int, SweepResult] = {}
             for index, unit in enumerate(units):
-                if unit.cache_key is None:
-                    continue
-                hit, value = cache.lookup(unit.cache_key)
-                if hit:
-                    merged[index] = SweepResult(
-                        unit.unit_id, value, 0.0, cached=True
-                    )
-        pending = [
-            (index, unit)
-            for index, unit in enumerate(units)
-            if index not in merged
-        ]
+                result = _lookup(unit, cache)
+                if result is not None:
+                    merged[index] = result
+            pending = [
+                (index, unit)
+                for index, unit in enumerate(units)
+                if index not in merged
+            ]
+            workers, executor, reason = self._resolve_plan(len(pending))
+            executed = None
+            if executor == "process":
+                executed = self._run_pooled(
+                    [unit for _, unit in pending], workers
+                )
+                if executed is None:
+                    workers, executor = 1, "serial"
+                    reason = "platform refused a worker pool"
+            if executed is None:
+                results = self._run_inline(units, cache, until, merged)
+            else:
+                for (index, unit), result in zip(pending, executed):
+                    merged[index] = result
+                    if cache is not None and unit.cache_key is not None:
+                        cache.put(unit.cache_key, result.value)
+                results = [merged[index] for index in range(len(units))]
 
-        workers, executor, reason = self._resolve_plan(len(pending))
+        executed = [result for result in results if not result.cached]
         self.last_plan = ExecutionPlan(
             requested_jobs=self.requested_jobs,
             resolved_jobs=workers,
             executor=executor,
             units=len(units),
-            dispatched=len(pending),
-            cache_hits=len(merged),
+            dispatched=len(executed),
+            cache_hits=len(results) - len(executed),
             reason=reason,
         )
         if _obs.enabled():
             _obs.inc("sweep.units", len(units))
-            _obs.inc("sweep.dispatched", len(pending))
-            _obs.inc("sweep.cache_hits", len(merged))
-
-        if executor == "serial":
-            executed = [_run_unit(unit) for _, unit in pending]
-        else:
-            executed = self._run_pooled([unit for _, unit in pending], workers)
-        if _obs.enabled():
+            _obs.inc("sweep.dispatched", len(executed))
+            _obs.inc("sweep.cache_hits", len(results) - len(executed))
             for result in executed:
                 _obs.observe("sweep.unit_seconds", result.seconds)
-        for (index, unit), result in zip(pending, executed):
-            merged[index] = result
-            if cache is not None and unit.cache_key is not None:
-                cache.put(unit.cache_key, result.value)
-        return [merged[index] for index in range(len(units))]
+        if until is not None and executor == "process":
+            for stop, result in enumerate(results):
+                if until(result.value):
+                    return results[: stop + 1]
+        return results
 
-    def _run_pooled(self, units: list[WorkUnit], workers: int) -> list[SweepResult]:
+    def _run_inline(
+        self,
+        units: list[WorkUnit],
+        cache: "ResultCache | None",
+        until: Callable[[Any], bool] | None,
+        hits: dict[int, SweepResult] | None = None,
+    ) -> list[SweepResult]:
+        """Run ``units`` in this process, in input order, through the stop.
+
+        Each unit comes from ``hits`` (an earlier lookup pass) or, when
+        ``hits`` is None, is looked up just before it would run, so no
+        unit after the stopping one is touched.  A miss is executed and
+        stored at once.
+        """
+        results = []
+        for index, unit in enumerate(units):
+            result = _lookup(unit, cache) if hits is None else hits.get(index)
+            if result is None:
+                result = _run_unit(unit)
+                if cache is not None and unit.cache_key is not None:
+                    cache.put(unit.cache_key, result.value)
+            results.append(result)
+            if until is not None and until(result.value):
+                break
+        return results
+
+    def _run_pooled(
+        self, units: list[WorkUnit], workers: int
+    ) -> list[SweepResult] | None:
+        """Run ``units`` on the pool; None when the platform refuses one."""
         chunk = self.chunk_size or max(1, -(-len(units) // (workers * 4)))
         chunks = [units[i : i + chunk] for i in range(0, len(units), chunk)]
         # Workers cannot see the caller's capture, so while one is active
@@ -371,78 +419,5 @@ class ParallelSweeper:
                     run.metrics.observe("sweep.pool.queue_seconds", max(0.0, queued))
                 results.extend(chunk_results)
             return results
-        except (OSError, PermissionError):  # pragma: no cover - sandboxed hosts
-            self.last_plan = ExecutionPlan(
-                requested_jobs=self.requested_jobs,
-                resolved_jobs=1,
-                executor="serial",
-                units=self.last_plan.units if self.last_plan else len(units),
-                dispatched=len(units),
-                cache_hits=self.last_plan.cache_hits if self.last_plan else 0,
-                reason="platform refused a worker pool",
-            )
-            return [_run_unit(unit) for unit in units]
-
-    def run_keyed(
-        self,
-        units: Iterable[WorkUnit],
-        *,
-        cache: "ResultCache | None" = None,
-    ) -> dict[Any, SweepResult]:
-        """Like :meth:`run` but keyed by unit id."""
-        return {result.unit_id: result for result in self.run(units, cache=cache)}
-
-    def run_adaptive(
-        self,
-        next_units: Callable[[list[SweepResult] | None], Iterable[WorkUnit] | None],
-        *,
-        cache: "ResultCache | None" = None,
-    ) -> list[SweepResult]:
-        """Run waves of units until the caller stops enqueueing more.
-
-        The sequential-stopping protocol of :mod:`repro.perf.adaptive`:
-        ``next_units(None)`` produces the first wave, every subsequent
-        call receives the previous wave's results and returns the next
-        wave -- typically one sampling *round* for every cell that has
-        not yet converged -- or ``None`` to stop.  An *empty* wave is
-        legal and does not stop the loop: it means every unit of that
-        round was satisfied elsewhere (e.g. served from a warm result
-        cache), and the caller still gets a callback to decide whether
-        another round is needed.  All executed results are returned in
-        execution order; each wave individually obeys the deterministic
-        merge and serial-fallback contracts of :meth:`run`, so an
-        adaptive sweep is bit-identical for any ``jobs`` value.
-        """
-        results: list[SweepResult] = []
-        wave = next_units(None)
-        while wave is not None:
-            executed = self.run(list(wave), cache=cache)
-            results.extend(executed)
-            wave = next_units(executed)
-        return results
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argtuples: Sequence[tuple],
-        **kwargs: Any,
-    ) -> list[Any]:
-        """Apply ``fn`` to each argument tuple; values in input order."""
-        units = [
-            WorkUnit(unit_id=index, fn=fn, args=tuple(args), kwargs=dict(kwargs))
-            for index, args in enumerate(argtuples)
-        ]
-        return [result.value for result in self.run(units)]
-
-
-def sweep(
-    fn: Callable[..., Any],
-    argtuples: Sequence[tuple],
-    *,
-    jobs: int | str | None = 1,
-    chunk_size: int | None = None,
-    **kwargs: Any,
-) -> list[Any]:
-    """One-shot convenience wrapper around :class:`ParallelSweeper.map`."""
-    with ParallelSweeper(jobs, chunk_size=chunk_size) as sweeper:
-        return sweeper.map(fn, argtuples, **kwargs)
+        except (OSError, PermissionError):  # sandboxed hosts
+            return None
