@@ -48,11 +48,13 @@ what the slow path computes before reporting any speedup:
   asserts the interrupted-then-resumed run is bit-identical to the
   uninterrupted one;
 * ``parallel`` -- the same sweep at ``jobs=1`` vs ``jobs="auto"``
-  through :class:`repro.perf.ParallelSweeper`.  The adaptive executor
-  falls back to serial whenever a pool cannot win (single effective
-  CPU, more workers than units), so the section never reports a pool
-  slowdown; the resolved :class:`repro.perf.ExecutionPlan` is recorded
-  and the bit-identity of the merged results asserted regardless;
+  through :class:`repro.perf.ParallelSweeper`.  The section checks
+  identity only: ``identical`` asserts that the merged results equal
+  the serial ones, and the resolved :class:`repro.perf.ExecutionPlan`
+  is recorded.  Its ``speedup`` is unguarded.  A serial fallback
+  reports 1.0 by construction, but a real pool can lose to serial on
+  this small grid: the committed ``BENCH_perf.json`` reads 0.70x on a
+  2-CPU host;
 * ``obs`` -- a serial routing replay and an end-to-end sweep with the
   :mod:`repro.obs` layer off (the default) and on, asserting
   bit-identical blocking counts either way and that the *disabled*

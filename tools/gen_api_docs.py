@@ -127,6 +127,16 @@ available as `sweeper.last_plan` (and as each estimate's
 one sweeper's `run` calls; `close()` or the context-manager form shuts
 them down.
 
+`run(units, cache=..., until=...)` is the one way every sweep stage
+runs. `until` is the stop rule of an ordered scan: the results end at
+the first unit, in input order, whose value satisfies it. The exact
+threshold stops at the first `m` that is not blockable, and each
+`m`'s adversary restarts at the first witness. A serial plan --
+`jobs=1` or any fallback, a refused pool included -- runs nothing
+after the stopping unit; a pool runs every unit and keeps the same
+prefix, so every `jobs` value returns the same list. An adversarial
+curve's `meta.plan` is its traffic stage's plan.
+
 ### Result caching
 
 `ResultCache(directory)` content-addresses each sweep cell by a
