@@ -30,7 +30,12 @@ from repro.perf.batch import (
 )
 from repro.perf.cache import ResultCache
 from repro.switching.generators import dynamic_traffic
+from repro.switching.requests import MulticastConnection
+from repro.workloads import TraceConfig, generate_trace
+from repro.workloads.keys import stream_rng
 from tests.fused_support import fused_runnable
+from tests.workloads.test_stream_pins import CONFIGS as PIN_CONFIGS
+from tests.workloads.test_stream_pins import SHAPES as PIN_SHAPES
 
 try:
     import numpy  # noqa: F401
@@ -195,24 +200,90 @@ class TestStreamCompilation:
         assert any(tag == 1 for tag, *_ in ops)
         assert any(tag == 0 for tag, *_ in ops)
 
-    def test_ops_mirror_generator_events(self):
-        model, n, r, k = MulticastModel.MAW, 2, 3, 2
-        ops = compile_stream(model, n, r, k, 120, seed=9)
-        events = list(
-            dynamic_traffic(model, n * r, k, steps=120, seed=random.Random(9))
+    def test_ops_mirror_generator_events(self, tmp_path):
+        """Every workload's compiled ops against its own event stream.
+
+        Each registered workload, the default (``workload=None``)
+        uniform path and a trace recorded with ``generate_trace``, on
+        every stream-pin shape, model and antithetic side: the op is
+        ``(tag, id, source module, source wavelength, dest mask)`` of
+        the event the serial simulator replays.
+        """
+        cases = 0
+        for shape, (n, r) in MIRROR_SPLITS.items():
+            n_ports, k, max_fanout, steps, seeds = PIN_SHAPES[shape]
+            assert n * r == n_ports
+            for model in MulticastModel:
+                for seed in seeds:
+                    trace = str(tmp_path / f"{shape}-{model.value}-{seed}.jsonl")
+                    generate_trace(
+                        PIN_CONFIGS["hotspot"], trace, model, n_ports, k,
+                        steps=steps, seed=seed, max_fanout=max_fanout,
+                    )
+                    workloads = [None, *PIN_CONFIGS.values(),
+                                 TraceConfig(path=trace)]
+                    for workload in workloads:
+                        for antithetic in (False, True):
+                            rng = stream_rng(seed, antithetic)
+                            if workload is None:
+                                events = dynamic_traffic(
+                                    model, n_ports, k, steps=steps, seed=rng,
+                                    max_fanout=max_fanout,
+                                )
+                            else:
+                                events = workload.events(
+                                    model, n_ports, k, steps=steps, rng=rng,
+                                    max_fanout=max_fanout,
+                                )
+                            ops = compile_stream(
+                                model, n, r, k, steps, seed, max_fanout,
+                                antithetic, workload,
+                            )
+                            assert ops == list(ops_of(events, n))
+                            cases += 1
+        assert cases == 2 * 3 * 6 * sum(
+            len(PIN_SHAPES[shape][4]) for shape in MIRROR_SPLITS
         )
-        assert len(ops) == len(events)
-        for op, event in zip(ops, events):
-            tag, cid, g, sw, dest_mask = op
-            assert tag == (1 if event.kind == "setup" else 0)
-            assert cid == event.connection_id
-            assert g == event.connection.source.port // n
-            assert sw == event.connection.source.wavelength
-            if tag:
-                expected = 0
-                for destination in event.connection.destinations:
-                    expected |= 1 << (destination.port // n)
-                assert dest_mask == expected
+
+    @pytest.mark.parametrize("workload", list(PIN_CONFIGS))
+    def test_compiles_without_connection_objects(self, workload, monkeypatch):
+        """The batched path reads ints: no MulticastConnection is built."""
+        built = []
+        init = MulticastConnection.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MulticastConnection, "__init__", counting)
+        for model in MulticastModel:
+            ops = compile_stream(
+                model, 3, 3, 2, 300, 1, workload=PIN_CONFIGS[workload]
+            )
+            assert any(tag == 1 for tag, *_ in ops)
+        assert built == []
+
+
+def ops_of(events, n):
+    """The replay op of each event, read back from its connection."""
+    for event in events:
+        source = event.connection.source
+        dest_mask = 0
+        if event.kind == "setup":
+            for destination in event.connection.destinations:
+                dest_mask |= 1 << (destination.port // n)
+        yield (
+            1 if event.kind == "setup" else 0,
+            event.connection_id,
+            source.port // n,
+            source.wavelength,
+            dest_mask,
+        )
+
+
+#: stream-pin shape -> the (n, r) split compiled for it
+MIRROR_SPLITS = {"9x2": (3, 3), "16x2": (4, 4), "12x3-fanout2": (4, 3),
+                 "210x63": (3, 70)}
 
 
 class TestBackendResolution:

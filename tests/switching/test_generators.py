@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.models import MulticastModel
@@ -9,15 +11,13 @@ from repro.switching import generators
 from repro.switching.generators import (
     AssignmentGenerator,
     FreeEndpoints,
+    draw_connection,
     dynamic_traffic,
 )
-from repro.switching.requests import (
-    Endpoint,
-    MulticastAssignment,
-    MulticastConnection,
-)
+from repro.switching.requests import Endpoint, MulticastAssignment
 from repro.switching.validity import is_valid_assignment, is_valid_connection
 from repro.workloads import (
+    HeavyTailFanoutConfig,
     HotspotConfig,
     PoissonErlangConfig,
     UniformConfig,
@@ -127,13 +127,10 @@ class TestDynamicTraffic:
                 del live_sources[event.connection_id]
 
 
-def _connection(source, *destinations):
-    return MulticastConnection(
-        Endpoint(*source), [Endpoint(*d) for d in destinations]
-    )
-
-
 class TestFreeEndpoints:
+    """Endpoints go in as ints: the source code ``port * k + wavelength``
+    and the destination ports with one wavelength each."""
+
     def test_starts_all_free(self):
         free = FreeEndpoints(3, 2)
         assert free.inputs == list(range(6))
@@ -144,26 +141,88 @@ class TestFreeEndpoints:
     def test_take_then_release_restores_every_list(self):
         free = FreeEndpoints(3, 2)
         fresh = FreeEndpoints(3, 2)
-        connection = _connection((1, 1), (0, 1), (2, 0))
-        free.take(connection)
+        # source (1, 1) -> destinations (0, 1) and (2, 0)
+        free.take(3, [0, 2], [1, 0])
         assert free.inputs == [0, 1, 2, 4, 5]
         assert free.ports_on == [[0, 1], [1, 2]]
         assert free.waves_at == [[0], [0, 1], [1]]
-        free.take(_connection((0, 0), (0, 0)))
+        free.take(0, [0], [0])
         assert free.ports_any == [1, 2]
-        free.release(_connection((0, 0), (0, 0)))
-        free.release(connection)
+        free.release(0, [0], [0])
+        free.release(3, [0, 2], [1, 0])
         for name in FreeEndpoints.__slots__:
             assert getattr(free, name) == getattr(fresh, name)
 
     def test_double_take_and_double_release_are_rejected(self):
         free = FreeEndpoints(3, 2)
-        connection = _connection((1, 1), (0, 1))
         with pytest.raises(ValueError, match="already free"):
-            free.release(connection)
-        free.take(connection)
+            free.release(3, [0], [1])
+        free.take(3, [0], [1])
         with pytest.raises(ValueError, match="not free"):
-            free.take(connection)
+            free.take(3, [0], [1])
+        with pytest.raises(ValueError, match="not free"):
+            free.take(2, [0], [1])
+        with pytest.raises(ValueError, match="already free"):
+            free.release(2, [1], [0])
+
+
+class TestPortPickerContract:
+    """A ``pick_ports`` hook must return ``fanout`` distinct eligible ports.
+
+    ``draw_connection`` checks the hook's list before it touches the
+    index, so a hook that breaks the contract fails with one error that
+    states it, instead of a connection with fewer destinations than the
+    drawn fanout or an ``IndexError`` from deep in the index.
+    """
+
+    @staticmethod
+    def run(pick_ports, model=MulticastModel.MSW):
+        return list(
+            dynamic_traffic(
+                model, 6, 2, steps=20, seed=1, pick_ports=pick_ports
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "pick_ports",
+        [
+            lambda rng, eligible, fanout: [eligible[0]] * fanout,
+            lambda rng, eligible, fanout: list(eligible[: max(1, fanout - 1)]),
+            lambda rng, eligible, fanout: [99] * fanout,
+        ],
+        ids=["repeated", "short", "out-of-range"],
+    )
+    def test_broken_hook_rejected(self, model, pick_ports):
+        with pytest.raises(ValueError, match="pick_ports must return"):
+            self.run(pick_ports, model)
+
+    def test_busy_port_rejected(self):
+        """An in-range port whose wavelength is taken is not eligible."""
+        free = FreeEndpoints(3, 1)
+        free.take(0, [1], [0])
+        with pytest.raises(ValueError, match="pick_ports must return"):
+            draw_connection(
+                random.Random(0), MulticastModel.MSW, free, 1,
+                pick_ports=lambda rng, eligible, fanout: [1],
+            )
+
+    def test_sampling_hook_matches_the_default_draw(self, model):
+        """The check draws no random bits: a hook that samples like the
+        default gives the default stream."""
+        assert self.run(
+            lambda rng, eligible, fanout: rng.sample(eligible, fanout), model
+        ) == self.run(None, model)
+
+    @pytest.mark.parametrize(
+        "config",
+        [HotspotConfig(zipf_s=1.5), HeavyTailFanoutConfig(alpha=0.9)],
+        ids=lambda c: c.workload,
+    )
+    def test_built_in_hooks_pass(self, model, config):
+        events = config.events(
+            model, 9, 2, steps=400, rng=stream_rng(2), max_fanout=None
+        )
+        assert sum(1 for _ in events) == 400
 
 
 def _recorded_indexes(monkeypatch):

@@ -407,6 +407,20 @@ class TestWorkloadCommands:
         )
         assert "heavytail_fanout traffic" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--m-max", "2", "--steps", "0", "--ci-halfwidth", "0.05"],
+            ["blocking", "--m-max", "2", "--workload-param", "steps=0"],
+        ],
+        ids=["sweep", "blocking"],
+    )
+    def test_zero_steps_rejected_in_one_line(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--n", "2", "--r", "2", "--k", "1"])
+        message = str(excinfo.value)
+        assert message.startswith("wdm-repro: error: steps must be >= 1")
+
     def test_trace_gen_round_trips_through_blocking(self, capsys, tmp_path):
         target = tmp_path / "burst.jsonl"
         out = run_cli(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.core.models import MulticastModel
 from repro.switching.generators import dynamic_traffic
 from repro.workloads import (
@@ -21,6 +22,7 @@ from repro.workloads import (
     HotspotConfig,
     PoissonErlangConfig,
     UniformConfig,
+    make_workload,
     workload_class,
     workload_names,
 )
@@ -291,3 +293,37 @@ class TestHotspotValidation:
             HotspotConfig(hot_fraction=0.0)
         with pytest.raises(ValueError, match="hot_fraction"):
             HotspotConfig(hot_fraction=1.5)
+
+
+class TestStepBudget:
+    """A budget of no events is refused, not run as an empty curve."""
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_non_positive_steps_rejected(self, name, steps, tmp_path):
+        params = {"path": str(tmp_path / "t.jsonl")} if name == "trace" else {}
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            make_workload(name, steps=steps, **params)
+        with pytest.raises(ValueError, match="None keeps"):
+            make_workload(name, steps=str(steps), **params)
+
+    def test_unset_and_positive_budgets_accepted(self):
+        assert UniformConfig().steps is None
+        assert UniformConfig(steps=1).steps == 1
+        assert PoissonErlangConfig(steps=None).resolved_steps(1500) == 1500
+
+    @pytest.mark.parametrize(
+        "traffic",
+        [
+            lambda: UniformConfig(steps=0, seeds=(0,)),
+            lambda: UniformConfig(steps=-3, seeds=(0,)),
+            lambda: PoissonErlangConfig(steps=-1, seeds=(0,)),
+        ],
+        ids=["uniform-0", "uniform-neg3", "erlang-neg1"],
+    )
+    def test_batched_sweep_never_returns_a_silent_curve(self, traffic):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            api.sweep(
+                2, 2, 1, [1, 2], traffic=traffic(),
+                search=api.SearchConfig(kernel="batched"),
+            )
