@@ -69,7 +69,7 @@ from repro.engine.kernel import block_cause, classify_kind, probe_cover
 from repro.engine.planes import WORD_BITS as _WORD_BITS
 from repro.engine.planes import WORD_MASK as _WORD_MASK
 from repro.engine.state import PythonState
-from repro.switching.generators import dynamic_traffic, stream_rng
+from repro.switching.generators import SETUP, TEARDOWN, stream_rng, traffic_ops
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.workloads.base import WorkloadConfig
@@ -91,8 +91,8 @@ __all__ = [
     "simulate_batch",
 ]
 
-_SETUP = 1
-_TEARDOWN = 0
+#: replay op tags: the traffic stream's own, passed through by the compiler
+_SETUP, _TEARDOWN = SETUP, TEARDOWN
 
 
 def compile_stream(
@@ -125,38 +125,30 @@ def compile_stream(
     *guaranteed-legal* addition for the same reason, so the replay can
     skip admission validation entirely.
 
-    ``workload`` swaps in a registered traffic model from
-    :mod:`repro.workloads` (None keeps the uniform generator, the
-    historical behaviour): because this compiler is the one producer of
+    The compiler reads the workload's int-level op stream
+    (:meth:`~repro.workloads.base.WorkloadConfig.ops`; None reads the
+    uniform :func:`~repro.switching.generators.traffic_ops`, the
+    historical behaviour) and ORs one table bit per destination port
+    into the dest mask, so no connection or event object is built on
+    the batched path.  Because this compiler is the one producer of
     replay ops, a workload plugged in here automatically reaches every
     kernel and backend -- the stream contract, not the generator, is
     the interface.  Callers must mix ``workload.token()`` into any key
     derived from the stream.
     """
-    rng = stream_rng(seed, antithetic)
-    if workload is None:
-        events = dynamic_traffic(
-            model, n * r, k, steps=steps, seed=rng, max_fanout=max_fanout
-        )
-    else:
-        events = workload.events(
-            model, n * r, k, steps=steps, rng=rng, max_fanout=max_fanout
-        )
+    stream = traffic_ops if workload is None else workload.ops
+    module_bit = [1 << (port // n) for port in range(n * r)]
     ops: list[tuple[int, int, int, int, int]] = []
-    for event in events:
-        source = event.connection.source
-        g = source.port // n
-        if event.kind == "setup":
-            dest_mask = 0
-            for destination in event.connection.destinations:
-                dest_mask |= 1 << (destination.port // n)
-            ops.append(
-                (_SETUP, event.connection_id, g, source.wavelength, dest_mask)
-            )
-        else:
-            ops.append(
-                (_TEARDOWN, event.connection_id, g, source.wavelength, 0)
-            )
+    for tag, connection_id, source, ports, _ in stream(
+        model, n * r, k,
+        steps=steps, rng=stream_rng(seed, antithetic), max_fanout=max_fanout,
+    ):
+        port, wavelength = divmod(source, k)
+        dest_mask = 0
+        if tag == _SETUP:
+            for destination in ports:
+                dest_mask |= module_bit[destination]
+        ops.append((tag, connection_id, port // n, wavelength, dest_mask))
     return ops
 
 

@@ -10,8 +10,10 @@ from typing import ClassVar
 
 from repro.core.models import MulticastModel
 from repro.switching.generators import (
+    SETUP,
+    TEARDOWN,
     FreeEndpoints,
-    TrafficEvent,
+    TrafficOp,
     draw_connection,
 )
 from repro.workloads.base import WorkloadConfig, register_workload
@@ -37,7 +39,8 @@ class PoissonErlangConfig(WorkloadConfig):
     sequence over the same
     :class:`~repro.switching.generators.FreeEndpoints` index as the
     discrete generator, so feasibility (and hence replay legality) is
-    inherited.
+    inherited; the event clock runs on the same int-level ops, so the
+    batched compiler builds no connection object here either.
 
     Attributes:
         offered_erlangs: offered load ``arrival rate x mean holding``
@@ -63,7 +66,7 @@ class PoissonErlangConfig(WorkloadConfig):
                 f"mean_holding must be > 0, got {self.mean_holding}"
             )
 
-    def events(
+    def ops(
         self,
         model: MulticastModel,
         n_ports: int,
@@ -72,7 +75,7 @@ class PoissonErlangConfig(WorkloadConfig):
         steps: int,
         rng: random.Random,
         max_fanout: int | None,
-    ) -> Iterator[TrafficEvent]:
+    ) -> Iterator[TrafficOp]:
         cap = n_ports if max_fanout is None else min(max_fanout, n_ports)
         if cap < 1:
             raise ValueError(
@@ -82,7 +85,7 @@ class PoissonErlangConfig(WorkloadConfig):
         departure_rate = 1.0 / self.mean_holding
 
         free = FreeEndpoints(n_ports, k)
-        active: dict[int, "TrafficEvent"] = {}
+        live: dict[int, TrafficOp] = {}
         departures: list[tuple[float, int]] = []
         now = 0.0
         emitted = 0
@@ -93,22 +96,23 @@ class PoissonErlangConfig(WorkloadConfig):
             # Scheduled departures before this arrival leave first.
             while departures and departures[0][0] <= now and emitted < steps:
                 _, connection_id = heapq.heappop(departures)
-                connection = active.pop(connection_id).connection
-                free.release(connection)
+                _, _, source, ports, waves = live.pop(connection_id)
+                free.release(source, ports, waves)
                 emitted += 1
-                yield TrafficEvent("teardown", connection, connection_id)
+                yield TEARDOWN, connection_id, source, ports, waves
             if emitted >= steps:
                 return
-            connection = draw_connection(rng, model, free, cap)
-            if connection is None:
-                if not active:
+            drawn = draw_connection(rng, model, free, cap)
+            if drawn is None:
+                if not live:
                     return  # degenerate fabric: nothing can ever connect
                 continue  # all sources busy: the offered call is lost
-            free.take(connection)
+            source, ports, waves = drawn
+            free.take(source, ports, waves)
             holding = rng.expovariate(departure_rate)
             heapq.heappush(departures, (now + holding, next_id))
-            event = TrafficEvent("setup", connection, next_id)
-            active[next_id] = event
+            op = (SETUP, next_id, source, ports, waves)
+            live[next_id] = op
             next_id += 1
             emitted += 1
-            yield event
+            yield op

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar
 
 from repro.core.models import MulticastModel
-from repro.switching.generators import TrafficEvent, dynamic_traffic
+from repro.switching.generators import TrafficOp, traffic_ops
 from repro.workloads.base import WorkloadConfig, register_workload
 
 __all__ = ["UniformConfig"]
@@ -21,7 +21,7 @@ class UniformConfig(WorkloadConfig):
 
     Sources, fanouts, destination ports and wavelengths are all drawn
     uniformly over the feasible choices -- exactly
-    :func:`repro.switching.generators.dynamic_traffic` with no hooks,
+    :func:`repro.switching.generators.traffic_ops` with no hooks,
     so every stream this config produces is bit-identical to the
     pre-workload-library generator for the same ``(seed, antithetic)``
     pair (the golden-seed contract the equivalence tests assert).  It
@@ -31,7 +31,7 @@ class UniformConfig(WorkloadConfig):
 
     workload: ClassVar[str] = "uniform"
 
-    def events(
+    def ops(
         self,
         model: MulticastModel,
         n_ports: int,
@@ -40,9 +40,9 @@ class UniformConfig(WorkloadConfig):
         steps: int,
         rng: random.Random,
         max_fanout: int | None,
-    ) -> Iterator[TrafficEvent]:
-        return dynamic_traffic(
-            model, n_ports, k, steps=steps, seed=rng, max_fanout=max_fanout
+    ) -> Iterator[TrafficOp]:
+        return traffic_ops(
+            model, n_ports, k, steps=steps, rng=rng, max_fanout=max_fanout
         )
 
     def token(self) -> dict[str, Any] | None:
