@@ -2,10 +2,14 @@
 
 The registry of traffic models behind the redesigned
 :mod:`repro.api` traffic surface.  Every model is a frozen config
-dataclass producing the :class:`repro.switching.generators.TrafficEvent`
-stream contract the whole simulator stack consumes, so all routing
-kernels, state backends, the adaptive sweep engine and the result
-caches support every registered workload with no per-consumer code:
+dataclass producing the int-level op stream
+(:data:`repro.switching.generators.TrafficOp`) the whole simulator
+stack consumes -- the batched stream compiler reads the ops directly,
+the serial simulator reads them as
+:class:`~repro.switching.generators.TrafficEvent` objects -- so all
+routing kernels, state backends, the adaptive sweep engine and the
+result caches support every registered workload with no per-consumer
+code:
 
 ========================  ==============================================
 ``uniform``               uniform-random arrivals -- bit-identical to
