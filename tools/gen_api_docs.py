@@ -218,12 +218,16 @@ run's byte for byte.
 
 A workload is a frozen config dataclass plus a pure generator: given a
 fabric (`model`, `n_ports`, `k`), a `random.Random` stream and an
-optional fanout cap, `events()` yields the same guaranteed-legal
-`TrafficEvent` stream contract `compile_stream` consumes -- so every
-registered model runs unchanged through the serial simulator, the
-lockstep batch engine and the fused numba backend, bit-identically per
-replication. `register_workload` adds a model to the registry; the tag
-becomes a `--workload` name, a `wdm-repro workloads` row and a
+optional fanout cap, `ops()` yields the guaranteed-legal int-level op
+stream `(tag, connection_id, source_code, ports, waves)`.
+`compile_stream` folds those ops straight into replay ops without
+building a connection object, and `events()`, shared by every model,
+yields the same stream as `TrafficEvent` objects for the serial
+simulator and the trace writer -- so every registered model runs
+unchanged through the serial simulator, the lockstep batch engine and
+the fused numba backend, bit-identically per replication.
+`register_workload` adds a model to the registry; the tag becomes a
+`--workload` name, a `wdm-repro workloads` row and a
 `workload_from_dict` tag with no consumer changes.
 
 ### Identity and caching
