@@ -1,11 +1,13 @@
-"""A repeated ``m`` or seed is refused up front, under every kernel.
+"""A repeated ``m`` or seed, or no seed at all, is refused up front.
 
 Cells are addressed by ``(m, seed)``, so a repeat names one cell twice,
 and unchecked each kernel would mishandle it its own way: the bitmask
 sweep fails inside the sweep engine, the fixed-budget batched kernel
 counts a repeated seed twice and returns a repeated ``m`` as two rows,
 and the adaptive batched kernel pools the repeated ``m``'s rounds into
-wrong totals.
+wrong totals.  An empty seed tuple is refused too: it would return a
+curve of zero attempts whose interval claims nothing was measured.  The
+adaptive sweep draws its own replication seeds, so it still takes one.
 """
 
 from __future__ import annotations
@@ -58,3 +60,29 @@ class TestRepeatedSeeds:
     def test_rejected_by_the_curve(self, kernel):
         with pytest.raises(ValueError, match="seeds repeats 0; list each"):
             _blocking_curve(3, 3, 1, [2], steps=20, seeds=(0, 0), kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestEmptySeeds:
+    EMPTY = api.UniformConfig(steps=10, seeds=())
+
+    def test_blocking_refused(self, kernel):
+        with pytest.raises(ValueError, match="seeds is empty; list at least"):
+            api.blocking(
+                2, 2, 1, 1, traffic=self.EMPTY,
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+    def test_sweep_refused(self, kernel):
+        with pytest.raises(ValueError, match="seeds is empty; list at least"):
+            api.sweep(
+                2, 2, 1, [1, 2], traffic=self.EMPTY,
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+    def test_adaptive_sweep_still_accepts_them(self, kernel):
+        estimates = api.sweep(
+            2, 2, 1, [1, 2], traffic=api.UniformConfig(steps=40, seeds=()),
+            execution=ADAPTIVE, search=api.SearchConfig(kernel=kernel),
+        )
+        assert all(estimate.attempts > 0 for estimate in estimates)

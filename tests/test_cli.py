@@ -412,14 +412,42 @@ class TestWorkloadCommands:
         [
             ["sweep", "--m-max", "2", "--steps", "0", "--ci-halfwidth", "0.05"],
             ["blocking", "--m-max", "2", "--workload-param", "steps=0"],
+            ["trace", "blocking", "--steps", "0"],
         ],
-        ids=["sweep", "blocking"],
+        ids=["sweep", "blocking", "trace"],
     )
     def test_zero_steps_rejected_in_one_line(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--n", "2", "--r", "2", "--k", "1"])
         message = str(excinfo.value)
         assert message.startswith("wdm-repro: error: steps must be >= 1")
+
+    @pytest.mark.parametrize(
+        "seeds, expected",
+        [
+            (",", "--seeds takes comma-separated integers, got ','"),
+            ("0,x", "--seeds takes comma-separated integers, got '0,x'"),
+            ("1,1", "seeds repeats 1; list each value once"),
+        ],
+        ids=["empty", "non-integer", "repeated"],
+    )
+    def test_trace_seeds_rejected_in_one_line(self, seeds, expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "blocking", "--seeds", seeds])
+        assert str(excinfo.value) == f"wdm-repro: error: {expected}"
+
+    @pytest.mark.parametrize("command", ["blocking", "sweep"])
+    @pytest.mark.parametrize("m_max", ["0", "-3"])
+    def test_m_max_below_one_rejected_at_parse_time(
+        self, capsys, command, m_max
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", m_max])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --m-max: must be >= 1, got {m_max}" in captured.err
 
     def test_trace_gen_round_trips_through_blocking(self, capsys, tmp_path):
         target = tmp_path / "burst.jsonl"
