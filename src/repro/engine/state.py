@@ -151,6 +151,10 @@ class PythonState:
     Monte-Carlo networks' policy; :meth:`allocate` takes a ``pick``
     hook for callers with another policy.  :meth:`busy_planes` is the
     read-only occupancy view, so the layout stays private here.
+    :meth:`copy_lane` overwrites one replication's planes with
+    another's, so the lockstep replay can run lanes that share a
+    trajectory on one slot and split them where their routing can
+    differ.
     """
 
     def __init__(self, geometries: Iterable[FabricGeometry]):
@@ -218,6 +222,37 @@ class PythonState:
                 for w in iter_bits(mask):
                     out_planes[w][j] |= 1 << p
         return in_planes, out_planes
+
+    def copy_lane(self, src: int, dst: int) -> None:
+        """Give replication ``dst`` ``src``'s occupancy on ``dst``'s middles.
+
+        ``dst`` may not have more middles than ``src``; middles ``j <
+        m_dst`` take ``src``'s planes (static reach blocks included,
+        which depend on ``j``, never on ``m``).  Rows are overwritten in
+        place, so the sub-list references :meth:`setup_views` handed
+        out stay valid.
+        """
+        m = self.geometries[dst].m
+        if m > self.geometries[src].m:
+            raise ValueError(
+                f"cannot copy replication {src} (m={self.geometries[src].m}) "
+                f"into replication {dst} (m={m}): it has fewer middles"
+            )
+        keep = self.all_masks[dst]
+        for planes in self._out_busy:
+            planes[dst][:] = planes[src][:m]
+        if self.msw_dominant:
+            for rows in self._in_busy:
+                for row in rows:
+                    row[dst] = row[src] & keep
+            return
+        for waves in self._in_wave:
+            waves[dst][:] = waves[src][:m]
+        for row in self._in_full:
+            row[dst] = row[src] & keep
+        for fiber, source in zip(self._out_wave[dst], self._out_wave[src]):
+            fiber[:] = source
+        self._out_full[dst][:] = self._out_full[src][:m]
 
     def setup_views(
         self, g: int, sw: int
