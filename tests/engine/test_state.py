@@ -1,6 +1,8 @@
-"""PythonState's read-only occupancy view and its carrier-pick hook."""
+"""PythonState's occupancy view, carrier-pick hook and lane copy."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine.geometry import FabricGeometry
@@ -75,3 +77,46 @@ class TestPickHook:
         undo = s.allocate(0, 0, 1, {0: 0b011}, lambda free: calls.append(free) or 2)
         assert undo == ((0, 2, ((0, 1), (1, 1))),)
         assert calls == [0b111]
+
+
+class TestCopyLane:
+    def test_copies_the_source_on_the_destinations_middles_in_place(self):
+        for construction in Construction:
+            for model in MulticastModel:
+                s = PythonState(
+                    [
+                        FabricGeometry(
+                            n=2, r=3, k=3, m=m,
+                            construction=construction, model=model, x=1,
+                        )
+                        for m in (4, 2)
+                    ]
+                )
+                for sw in range(3):  # fills middle 0's fibers
+                    s.allocate(0, 1, sw, {0: 0b101})
+                s.allocate(0, 1, 0, {1: 0b010})
+                s.allocate(0, 0, 0, {3: 0b001})  # a middle lane 1 lacks
+                blocked, blockers = s.setup_views(1, 0)
+                row = blockers[1]
+                s.copy_lane(0, 1)
+                in_src, out_src = s.busy_planes(0)
+                assert s.busy_planes(1) == (
+                    [[mask & 0b11 for mask in planes] for planes in in_src],
+                    [plane[:2] for plane in out_src],
+                )
+                assert blocked[1] == blocked[0] & 0b11 != 0
+                assert blockers[1] is row
+                assert row == blockers[0][:2]
+
+    def test_refuses_a_destination_with_more_middles(self):
+        s = PythonState(
+            [
+                FabricGeometry(
+                    n=2, r=3, k=3, m=m, construction=Construction.MSW_DOMINANT,
+                    model=MulticastModel.MSW, x=1,
+                )
+                for m in (2, 4)
+            ]
+        )
+        with pytest.raises(ValueError, match="it has fewer middles"):
+            s.copy_lane(0, 1)
