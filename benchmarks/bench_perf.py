@@ -24,8 +24,9 @@ what the slow path computes before reporting any speedup:
   on the ``python`` and ``numba``/interpreted backends with
   per-replication counts and ``explain_block`` cause dicts asserted
   bit-identical to the serial reference, then the wide sweep timed end
-  to end: the ``python`` batch backend vs the serial bitmask path the
-  old word gate forced wide fabrics onto (>= 3x floored);
+  to end in summed, interleaved reps: the ``python`` batch backend vs
+  the serial bitmask path the old word gate forced wide fabrics onto
+  (>= 3x floored);
 * ``workloads`` -- the batched kernel replaying non-uniform traffic
   (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
   against the serial bitmask sweep, pooled estimates and every
@@ -684,9 +685,11 @@ def bench_wide(quick: bool, reps: int) -> dict:
     * timing -- :func:`repro.api.sweep` end to end under the
       ``batched`` kernel on the ``python`` backend against the
       pure-python serial ``bitmask`` kernel the gate used to force wide
-      sweeps onto, the two sides timed interleaved.  The guarded
+      sweeps onto, the two sides timed interleaved and ``bitmask_s`` /
+      ``python_s`` summed over ``timed_reps`` reps each.  The guarded
       ``speedup`` declares a 3x ``min_speedup`` floor; the fused
-      backend's time rides along but is flagged exempt when numba is
+      backend's best single time rides along (``fused_speedup`` is the
+      mean bitmask rep over it) but is flagged exempt when numba is
       missing (interpreted wall time says nothing about the compiled
       kernel, same convention as the ``fused`` section).
     """
@@ -770,12 +773,18 @@ def bench_wide(quick: bool, reps: int) -> dict:
         if mode == "jit":
             run("batched", "numba")  # compile outside the timed region
         # The guarded sides run interleaved (bitmask, python, bitmask,
-        # ...), so a host-speed phase lands on both of them, and at
-        # least 10 times: one ~40 ms python rep is too short to guard.
-        (bitmask_s, bitmask_out), (python_s, python_out) = _best_interleaved(
-            (lambda: run("bitmask"), lambda: run("batched", "python")),
-            max(reps, 10),
+        # ...) at least 10 times and each side's times are summed, so
+        # both sides average over the same host-speed phases: one ~20 ms
+        # python rep is too short to guard, and best-of-10 still let
+        # the ratio read 19x and 28x on unchanged code.
+        timed_reps = max(reps, 10)
+        (bitmask_times, python_times), (bitmask_out, python_out) = (
+            _interleaved_times(
+                (lambda: run("bitmask"), lambda: run("batched", "python")),
+                timed_reps,
+            )
         )
+        bitmask_s, python_s = sum(bitmask_times), sum(python_times)
         fused_s, fused_out = None, python_out
         if have_numpy:
             fused_s, fused_out = _best(
@@ -792,10 +801,11 @@ def bench_wide(quick: bool, reps: int) -> dict:
         "serial_blocked": {m: serial_cells[m][1] for m in m_values},
         "replications_checked": len(m_values) * len(backends),
         "diverged_cells": diverged,
+        "timed_reps": timed_reps,
         "bitmask_s": bitmask_s,
         "python_s": python_s,
         "fused_s": fused_s,
-        "fused_speedup": bitmask_s / fused_s if fused_s else None,
+        "fused_speedup": bitmask_s / timed_reps / fused_s if fused_s else None,
         "fused_guard_exempt": mode != "jit",
         "min_speedup": 3.0,
         "speedup": bitmask_s / python_s,
