@@ -167,14 +167,16 @@ replays it through B structure-of-arrays fabric states in lockstep.
 exposes one replication with `explain_block`-identical causes. The
 replay runs on one of two backends (`repro.engine.backends`): `python`,
 one event loop over the shared admission kernels of `repro.engine` on
-a `PythonState`, and `numba` -- the `auto` choice when it can run --
-for which `lower_stream` flattens the compiled stream to int64 arrays
-and `FusedState.replay_ops` runs the entire event loop in one `@njit`
-kernel (with `[..., W]` word planes on fabrics wider than
-`WORD_BITS` bits). Both are bit-identical to the serial simulator per
-replication, blocking causes included. Pick a backend with
-`ExecConfig(backend=...)` (`--backend` on the CLI); `wdm-repro kernels`
-prints the availability matrix.
+a `PythonState`, where replications that have not diverged share one
+state slot and one cover probe per setup, and each forks onto its own
+slot at its first block or multi-middle cover; and `numba` -- the
+`auto` choice when it can run -- for which `lower_stream` flattens the
+compiled stream to int64 arrays and `FusedState.replay_ops` runs the
+entire event loop in one `@njit` kernel (with `[..., W]` word planes
+on fabrics wider than `WORD_BITS` bits). Both are bit-identical to
+the serial simulator per replication, blocking causes included. Pick
+a backend with `ExecConfig(backend=...)` (`--backend` on the CLI);
+`wdm-repro kernels` prints the availability matrix.
 """,
     "repro.perf.adaptive": """\
 ### Sequential stopping instead of fixed budgets
