@@ -1,6 +1,6 @@
 """Performance benchmark for the routing kernel, search and sweep engine.
 
-Eleven sections, each asserting that the fast path computes *exactly*
+Ten sections, each asserting that the fast path computes *exactly*
 what the slow path computes before reporting any speedup:
 
 * ``engine`` -- the shared admission kernel's per-setup hot path
@@ -11,30 +11,22 @@ what the slow path computes before reporting any speedup:
   (:mod:`repro.perf.batch`, the ``"batched"`` kernel) against the
   serial bitmask sweep on a B=64 replication grid, end to end through
   :func:`repro.api.sweep`, with bit-identity asserted *per
-  replication*: every ``(m, seed)`` cell from every available state
-  backend is compared against the serial simulator's cell;
-* ``fused`` -- the fused whole-stream ``numba`` backend
-  (:mod:`repro.engine.fused`) against the python backend on the same
-  B=64 grid, per-replication counts, ``BLOCK_KINDS`` histograms and
-  cause-dict reprs compared across every construction x model pair;
-  without numba the identity half runs the interpreted kernel (through
-  the tests' ``fused_runnable`` patch) and the timing is flagged
-  ``guard_exempt``;
-* ``wide`` -- an ``m, r, k > 62`` fabric (multi-word planes) replayed
-  on the ``python`` and ``numba``/interpreted backends with
-  per-replication counts and ``explain_block`` cause dicts asserted
-  bit-identical to the serial reference, then the wide sweep timed end
-  to end in summed, interleaved reps: the ``python`` batch backend vs
-  the serial bitmask path the old word gate forced wide fabrics onto
-  (>= 3x floored);
+  replication*: every ``(m, seed)`` cell of the lockstep batch is
+  compared against the serial simulator's cell;
+* ``wide`` -- an ``m, r, k > 62`` fabric replayed through the batch
+  engine with per-replication counts and ``explain_block`` cause dicts
+  asserted bit-identical to the serial reference, then the wide sweep
+  timed end to end in summed, interleaved reps: the batched kernel vs
+  the serial bitmask path an old int64 word gate forced wide fabrics
+  onto (>= 3x floored);
 * ``workloads`` -- the batched kernel replaying non-uniform traffic
   (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
   against the serial bitmask sweep, pooled estimates and every
   ``(workload, m, seed)`` replication compared bit-for-bit;
 * ``topology`` -- every registered fabric model
-  (:mod:`repro.engine.fabrics`) replaying one shared stream, with
-  per-replication agreement across backends and the crossbar oracle
-  asserted (identity only);
+  (:mod:`repro.engine.fabrics`) replaying one shared stream, with the
+  crossbar's zero-blocking oracle and blocking floor asserted
+  (identity only);
 * ``exact_search`` -- the symmetry-canonicalized exhaustive model
   checker (:func:`repro.api.exact_m`) against the uncanonicalized
   reference search, asserting identical per-m verdicts and thresholds;
@@ -85,32 +77,14 @@ import tempfile
 import time
 from pathlib import Path
 
-# The repo root, so the sections share the tests' fused_runnable patch.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from repro import api, obs  # noqa: E402
-from repro.analysis.montecarlo import _traffic_cell  # noqa: E402
-from repro.core.models import Construction, MulticastModel  # noqa: E402
-from repro.engine.fused import NUMBA_AVAILABLE  # noqa: E402
-from repro.multistage.network import ThreeStageNetwork  # noqa: E402
-from repro.multistage.routing import find_cover_bits, mask_of  # noqa: E402
-from repro.perf.batch import (  # noqa: E402
-    available_backends,
-    resolve_backend,
-    simulate_batch,
-)
-from repro.perf.sweeper import resolve_jobs  # noqa: E402
-from repro.switching.generators import dynamic_traffic  # noqa: E402
-from tests.fused_support import fused_runnable  # noqa: E402
-
-
-def _have_numpy() -> bool:
-    """True when numpy is importable; only the fused backend needs it."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+from repro import api, obs
+from repro.analysis.montecarlo import _traffic_cell
+from repro.core.models import Construction, MulticastModel
+from repro.multistage.network import ThreeStageNetwork
+from repro.multistage.routing import find_cover_bits, mask_of
+from repro.perf.batch import simulate_batch
+from repro.perf.sweeper import resolve_jobs
+from repro.switching.generators import dynamic_traffic
 
 
 def _best(fn, reps: int) -> tuple[float, object]:
@@ -498,9 +472,9 @@ def bench_batched(quick: bool, reps: int) -> dict:
     Timed end to end through :func:`repro.api.sweep` (same traffic, same
     estimates, only the kernel differs).  ``identical`` is the
     conjunction of the pooled estimates matching *and* per-replication
-    bit-identity: every ``(m, seed)`` cell from every available lockstep
-    backend must equal the serial simulator's ``(attempts, blocked)``
-    for that cell, so a single diverging replication fails the bench.
+    bit-identity: every ``(m, seed)`` cell of the lockstep batch must
+    equal the serial simulator's ``(attempts, blocked)`` for that cell,
+    so a single diverging replication fails the bench.
     """
     n, r, k, x = 3, 3, 2, 1
     m_values = list(range(1, 17))
@@ -529,28 +503,22 @@ def bench_batched(quick: bool, reps: int) -> dict:
         for m in m_values
         for seed in seeds
     }
-    backends = list(available_backends())
     diverged: list[dict] = []
-    for backend in backends:
-        for seed in seeds:
-            batch = simulate_batch(
-                n, r, k, construction, model, x, traffic.steps, None, seed,
-                m_values, backend,
-            )
-            for m, value in batch:
-                if value != serial_cells[(m, seed)]:
-                    diverged.append(
-                        {"backend": backend, "m": m, "seed": seed}
-                    )
+    for seed in seeds:
+        batch = simulate_batch(
+            n, r, k, construction, model, x, traffic.steps, None, seed,
+            m_values,
+        )
+        for m, value in batch:
+            if value != serial_cells[(m, seed)]:
+                diverged.append({"m": m, "seed": seed})
     return {
         "config": {
             "n": n, "r": r, "k": k, "x": x, "m_values": m_values,
             "steps": traffic.steps, "seeds": seeds,
         },
         "batch_size": batch_size,
-        "backend": resolve_backend("auto", m_max=max(m_values), r=r, k=k),
-        "backends_checked": backends,
-        "replications_checked": batch_size * len(backends),
+        "replications_checked": batch_size,
         "diverged_cells": diverged,
         "bitmask_s": bitmask_s,
         "batched_s": batched_s,
@@ -559,141 +527,27 @@ def bench_batched(quick: bool, reps: int) -> dict:
     }
 
 
-def bench_fused(quick: bool, reps: int) -> dict:
-    """The fused whole-stream kernel vs the python backend at B = 64.
-
-    Identity first, speed second.  The identity half always runs: every
-    construction x model pair is replayed through both the python
-    backend and the fused ``numba`` backend (its interpreted kernel,
-    through ``fused_runnable``, when numba is not installed -- same array
-    program, uncompiled)
-    and compared per replication on ``(attempts, blocked, releases)``,
-    the ``BLOCK_KINDS`` cause histograms *and* the full ``block_cause``
-    dict reprs; one diverging replication fails the bench.
-
-    The timing half measures the same B = 64 workload as the
-    ``batched`` section (m 1..16 x 4 seeds).  With real numba the JIT
-    is warmed outside the timed region and the section is guarded (the
-    tentpole target is >= 3x over python); in interpreted mode the
-    timing is reported for completeness but flagged ``guard_exempt`` --
-    an uncompiled kernel's wall time says nothing about the compiled
-    backend, so ``tools/check_bench_regression.py`` skips the guard.
-    """
-    from repro.perf.batch import _simulate
-
-    n, r, k, x = 3, 3, 2, 1
-    m_values = tuple(range(1, 17))
-    seeds = (0, 1, 2, 3)
-
-    if not _have_numpy():
-        return {
-            "mode": "unavailable",
-            "note": "numpy not installed; fused backend cannot run",
-            "speedup": 1.0,
-            "guard_exempt": True,
-            "identical": True,
-        }
-
-    mode = "jit" if NUMBA_AVAILABLE else "interpreted"
-    with fused_runnable():
-        # Interpreted timing is apples-to-oranges; keep it cheap.
-        timed_guarded = mode == "jit"
-        steps = (500 if quick else 2000) if timed_guarded else 500
-        timing_reps = reps if timed_guarded else 1
-
-        diverged: list[dict] = []
-        id_steps = 300
-        for construction in Construction:
-            for model in MulticastModel:
-                py_att, py_reps = _simulate(
-                    n, r, k, construction, model, x, id_steps, None, 0,
-                    list(m_values), "python", True,
-                )
-                fu_att, fu_reps = _simulate(
-                    n, r, k, construction, model, x, id_steps, None, 0,
-                    list(m_values), "numba", True,
-                )
-                for m, py_rep, fu_rep in zip(m_values, py_reps, fu_reps):
-                    same = (
-                        py_att == fu_att
-                        and py_rep.blocked == fu_rep.blocked
-                        and py_rep.releases == fu_rep.releases
-                        and py_rep.kind_counts == fu_rep.kind_counts
-                        and repr(py_rep.causes) == repr(fu_rep.causes)
-                    )
-                    if not same:
-                        diverged.append(
-                            {
-                                "construction": construction.value,
-                                "model": model.value,
-                                "m": m,
-                            }
-                        )
-
-        construction = Construction.MSW_DOMINANT
-        model = MulticastModel.MSW
-
-        def run(backend):
-            return [
-                simulate_batch(
-                    n, r, k, construction, model, x, steps, None, seed,
-                    m_values, backend,
-                )
-                for seed in seeds
-            ]
-
-        if timed_guarded:
-            run("numba")  # compile outside the timed region
-        python_s, python_out = _best(lambda: run("python"), timing_reps)
-        fused_s, fused_out = _best(lambda: run("numba"), timing_reps)
-
-    return {
-        "config": {
-            "n": n, "r": r, "k": k, "x": x, "m_values": list(m_values),
-            "steps": steps, "seeds": seeds, "identity_steps": id_steps,
-        },
-        "mode": mode,
-        "batch_size": len(m_values) * len(seeds),
-        "replications_checked": (
-            len(m_values) * len(Construction) * len(MulticastModel)
-        ),
-        "diverged_cells": diverged,
-        "python_s": python_s,
-        "fused_s": fused_s,
-        "speedup": python_s / fused_s,
-        "guard_exempt": not timed_guarded,
-        "identical": not diverged and python_out == fused_out,
-    }
-
-
 def bench_wide(quick: bool, reps: int) -> dict:
-    """Multi-word planes: an ``m, r, k > 62`` fabric on the batch backends.
+    """Wide fabrics: an ``m, r, k > 62`` fabric through the batch engine.
 
-    Before the plane-width rework, the int64 word gate refused any
-    geometry with ``m``, ``r`` or ``k`` above 62 on the array backends,
-    so wide sweeps silently fell back to serial pure-python runs.  This
-    section replays a v(3, 70, m, 63) fabric (r = 70 output modules,
-    k = 63 wavelengths, m up to 100 middles -- every mask family wider
-    than one signed int64 word):
+    An int64 word gate once refused any geometry with ``m``, ``r`` or
+    ``k`` above 62 on the array state, so wide sweeps silently fell
+    back to serial pure-python runs.  This section replays a
+    v(3, 70, m, 63) fabric (r = 70 output modules, k = 63 wavelengths,
+    m up to 100 middles -- every mask family wider than one signed
+    int64 word):
 
-    * identity -- each backend (``python``, and ``numba`` in its
-      compiled or interpreted mode when numpy is installed) replays the
-      same stream with cause recording on, and every ``m`` replication
-      must match the serial reference simulator on ``(attempts,
-      blocked)`` *and* the full ``explain_block`` cause dict of every
-      blocked setup;
+    * identity -- the batched replay runs the stream with cause
+      recording on, and every ``m`` replication must match the serial
+      reference simulator on ``(attempts, blocked)`` *and* the full
+      ``explain_block`` cause dict of every blocked setup;
     * timing -- :func:`repro.api.sweep` end to end under the
-      ``batched`` kernel on the ``python`` backend against the
-      pure-python serial ``bitmask`` kernel the gate used to force wide
-      sweeps onto, the two sides timed interleaved and ``bitmask_s`` /
-      ``python_s`` summed over ``timed_reps`` reps each.  The guarded
-      ``speedup`` declares a 3x ``min_speedup`` floor; the fused
-      backend's best single time rides along (``fused_speedup`` is the
-      mean bitmask rep over it) but is flagged exempt when numba is
-      missing (interpreted wall time says nothing about the compiled
-      kernel, same convention as the ``fused`` section).
+      ``batched`` kernel against the pure-python serial ``bitmask``
+      kernel the gate used to force wide sweeps onto, the two sides
+      timed interleaved and ``bitmask_s`` / ``python_s`` summed over
+      ``timed_reps`` reps each.  The guarded ``speedup`` declares a 3x
+      ``min_speedup`` floor.
     """
-    from repro.engine.backends import plane_width
     from repro.perf.batch import _simulate
 
     n, r, k, x = 3, 70, 63, 2
@@ -737,81 +591,57 @@ def bench_wide(quick: bool, reps: int) -> dict:
                 net.disconnect(live.pop(event.connection_id))
         serial_cells[m] = (attempts, blocked, causes)
 
-    have_numpy = _have_numpy()
-    if not have_numpy:
-        mode = "unavailable"
-    else:
-        mode = "jit" if NUMBA_AVAILABLE else "interpreted"
-    with fused_runnable():
-        backends = ["python", "numba"] if have_numpy else ["python"]
-        diverged: list[dict] = []
-        for backend in backends:
-            attempts, replications = _simulate(
-                n, r, k, construction, model, x, id_steps, None, id_seed,
-                list(m_values), backend, True,
-            )
-            for m, rep in zip(m_values, replications):
-                got = (attempts, rep.blocked, [repr(c) for c in rep.causes])
-                if got != serial_cells[m]:
-                    diverged.append({"backend": backend, "m": m})
+    diverged: list[dict] = []
+    attempts, replications = _simulate(
+        n, r, k, construction, model, x, id_steps, None, id_seed,
+        list(m_values), True,
+    )
+    for m, rep in zip(m_values, replications):
+        got = (attempts, rep.blocked, [repr(c) for c in rep.causes])
+        if got != serial_cells[m]:
+            diverged.append({"m": m})
 
-        # Timing: the wide sweep end to end, serial vs batched.
-        steps = 200 if quick else 500
-        seeds = (0,) if quick else (0, 1)
-        traffic = api.UniformConfig(steps=steps, seeds=seeds)
+    # Timing: the wide sweep end to end, serial vs batched.
+    steps = 200 if quick else 500
+    seeds = (0,) if quick else (0, 1)
+    traffic = api.UniformConfig(steps=steps, seeds=seeds)
 
-        def run(kernel, backend="auto"):
-            return _estimate_key(
-                api.sweep(
-                    n, r, k, m_values,
-                    traffic=traffic,
-                    execution=api.ExecConfig(backend=backend),
-                    search=api.SearchConfig(kernel=kernel),
-                )
-            )
-
-        if mode == "jit":
-            run("batched", "numba")  # compile outside the timed region
-        # The guarded sides run interleaved (bitmask, python, bitmask,
-        # ...) at least 10 times and each side's times are summed, so
-        # both sides average over the same host-speed phases: one ~20 ms
-        # python rep is too short to guard, and best-of-10 still let
-        # the ratio read 19x and 28x on unchanged code.
-        timed_reps = max(reps, 10)
-        (bitmask_times, python_times), (bitmask_out, python_out) = (
-            _interleaved_times(
-                (lambda: run("bitmask"), lambda: run("batched", "python")),
-                timed_reps,
+    def run(kernel):
+        return _estimate_key(
+            api.sweep(
+                n, r, k, m_values,
+                traffic=traffic,
+                search=api.SearchConfig(kernel=kernel),
             )
         )
-        bitmask_s, python_s = sum(bitmask_times), sum(python_times)
-        fused_s, fused_out = None, python_out
-        if have_numpy:
-            fused_s, fused_out = _best(
-                lambda: run("batched", "numba"), reps if mode == "jit" else 1
-            )
+
+    # The guarded sides run interleaved (bitmask, batched, bitmask,
+    # ...) at least 10 times and each side's times are summed, so both
+    # sides average over the same host-speed phases: one ~20 ms batched
+    # rep is too short to guard, and best-of-10 still let the ratio
+    # read 19x and 28x on unchanged code.
+    timed_reps = max(reps, 10)
+    (bitmask_times, python_times), (bitmask_out, python_out) = (
+        _interleaved_times(
+            (lambda: run("bitmask"), lambda: run("batched")), timed_reps,
+        )
+    )
+    bitmask_s, python_s = sum(bitmask_times), sum(python_times)
 
     return {
         "config": {
             "n": n, "r": r, "k": k, "x": x, "m_values": m_values,
             "steps": steps, "seeds": seeds, "identity_steps": id_steps,
-            "plane_width": plane_width(max(m_values), r, k),
         },
-        "mode": mode,
         "serial_blocked": {m: serial_cells[m][1] for m in m_values},
-        "replications_checked": len(m_values) * len(backends),
+        "replications_checked": len(m_values),
         "diverged_cells": diverged,
         "timed_reps": timed_reps,
         "bitmask_s": bitmask_s,
         "python_s": python_s,
-        "fused_s": fused_s,
-        "fused_speedup": bitmask_s / timed_reps / fused_s if fused_s else None,
-        "fused_guard_exempt": mode != "jit",
         "min_speedup": 3.0,
         "speedup": bitmask_s / python_s,
-        "identical": (
-            not diverged and bitmask_out == python_out == fused_out
-        ),
+        "identical": not diverged and bitmask_out == python_out,
     }
 
 
@@ -880,7 +710,7 @@ def bench_workloads(quick: bool, reps: int) -> dict:
         for seed in seeds:
             batch = simulate_batch(
                 n, r, k, construction, model, x, steps, None, seed,
-                m_values, "auto", False, workload,
+                m_values, False, workload,
             )
             for m, value in batch:
                 if value != serial_cells[(m, seed)]:
@@ -919,13 +749,9 @@ def bench_topology(quick: bool, reps: int) -> dict:
     The fabric seam's contract is the same lockstep one the workload
     seam keeps: a fabric changes *which* setups are admitted, never the
     traffic stream itself, so every registered fabric replays the same
-    compiled streams and must produce per-replication identical
-    ``(attempts, blocked, releases)`` on both state backends (python,
-    and the fused kernel when numpy is installed -- interpreted, through
-    ``fused_runnable``, when numba is absent).  Two live oracles ride
-    along: the crossbar must record exactly zero blocked events (it is
-    nonblocking by construction), and no fabric may block *less* than
-    the crossbar.
+    compiled streams.  Two live oracles check it: the crossbar must
+    record exactly zero blocked events (it is nonblocking by
+    construction), and no fabric may block *less* than the crossbar.
     The payload is the paper-style blocking-vs-cost curve per fabric
     (crosspoints from each spec's cost model), the reason the zoo
     exists.  The section is identity-only: ``speedup`` is 1.0 by
@@ -941,76 +767,53 @@ def bench_topology(quick: bool, reps: int) -> dict:
     construction = Construction.MSW_DOMINANT
     model = MulticastModel.MSW
 
-    backends = ["python", "numba"] if _have_numpy() else ["python"]
-    with fused_runnable():
-        diverged: list[dict] = []
-        fabric_rows = []
-        blocked_by_fabric: dict[str, list[int]] = {}
-        for fabric in fabric_names():
-            spec = get_fabric(fabric)
-            per_backend: dict[str, list] = {}
-            for backend in backends:
-                runs = []
-                for seed in seeds:
-                    attempts, replications = _simulate(
-                        n, r, k, construction, model, x, steps, None,
-                        seed, m_values, backend, False, False, None,
-                        fabric,
-                    )
-                    runs.append(
-                        (
-                            attempts,
-                            tuple(
-                                (rep.blocked, rep.releases)
-                                for rep in replications
-                            ),
-                        )
-                    )
-                per_backend[backend] = runs
-            reference = per_backend[backends[0]]
-            for backend in backends[1:]:
-                if per_backend[backend] != reference:
-                    diverged.append({"fabric": fabric, "backend": backend})
-            attempts_total = sum(run[0] for run in reference)
-            blocked_per_m = [
-                sum(run[1][mi][0] for run in reference)
-                for mi in range(len(m_values))
-            ]
-            blocked_by_fabric[fabric] = blocked_per_m
-            if spec.nonblocking and any(blocked_per_m):
-                diverged.append(
-                    {"fabric": fabric, "backend": "nonblocking-oracle"}
-                )
-            curve = [
-                {
-                    "m": m,
-                    "crosspoints": spec.cost(n, r, m, k, construction, model),
-                    "blocked": blocked_per_m[mi],
-                    "probability": (
-                        blocked_per_m[mi] / attempts_total
-                        if attempts_total
-                        else 0.0
-                    ),
-                }
-                for mi, m in enumerate(m_values)
-            ]
-            fabric_rows.append(
-                {
-                    "fabric": fabric,
-                    "nonblocking": spec.nonblocking,
-                    "attempts": attempts_total,
-                    "replications_checked": len(m_values) * len(seeds),
-                    "backends": backends,
-                    "curve": curve,
-                }
+    diverged: list[dict] = []
+    fabric_rows = []
+    blocked_by_fabric: dict[str, list[int]] = {}
+    for fabric in fabric_names():
+        spec = get_fabric(fabric)
+        runs = [
+            _simulate(
+                n, r, k, construction, model, x, steps, None, seed,
+                m_values, False, False, None, fabric,
             )
-        floor = blocked_by_fabric.get("crossbar")
-        if floor is not None:
-            for fabric, blocked_per_m in blocked_by_fabric.items():
-                if any(b < f for b, f in zip(blocked_per_m, floor)):
-                    diverged.append(
-                        {"fabric": fabric, "backend": "crossbar-floor"}
-                    )
+            for seed in seeds
+        ]
+        attempts_total = sum(attempts for attempts, _ in runs)
+        blocked_per_m = [
+            sum(replications[mi].blocked for _, replications in runs)
+            for mi in range(len(m_values))
+        ]
+        blocked_by_fabric[fabric] = blocked_per_m
+        if spec.nonblocking and any(blocked_per_m):
+            diverged.append({"fabric": fabric, "check": "nonblocking-oracle"})
+        curve = [
+            {
+                "m": m,
+                "crosspoints": spec.cost(n, r, m, k, construction, model),
+                "blocked": blocked_per_m[mi],
+                "probability": (
+                    blocked_per_m[mi] / attempts_total
+                    if attempts_total
+                    else 0.0
+                ),
+            }
+            for mi, m in enumerate(m_values)
+        ]
+        fabric_rows.append(
+            {
+                "fabric": fabric,
+                "nonblocking": spec.nonblocking,
+                "attempts": attempts_total,
+                "replications_checked": len(m_values) * len(seeds),
+                "curve": curve,
+            }
+        )
+    floor = blocked_by_fabric.get("crossbar")
+    if floor is not None:
+        for fabric, blocked_per_m in blocked_by_fabric.items():
+            if any(b < f for b, f in zip(blocked_per_m, floor)):
+                diverged.append({"fabric": fabric, "check": "crossbar-floor"})
 
     return {
         "config": {
@@ -1201,7 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
     sections = [
         ("engine", lambda: bench_engine(args.quick, reps)),
         ("batched", lambda: bench_batched(args.quick, reps)),
-        ("fused", lambda: bench_fused(args.quick, reps)),
         ("wide", lambda: bench_wide(args.quick, reps)),
         ("workloads", lambda: bench_workloads(args.quick, reps)),
         ("topology", lambda: bench_topology(args.quick, reps)),

@@ -393,7 +393,7 @@ def _traffic_cell(
     if fabric != "clos":
         return simulate_batch(
             n, r, k, construction, model, x, steps, max_fanout, seed,
-            (m,), "auto", antithetic, workload, fabric,
+            (m,), antithetic, workload, fabric,
         )[0][1]
     _obs.inc("mc.cells")
     rng = stream_rng(seed, antithetic)
@@ -443,7 +443,6 @@ def _run_batched_cells(
     steps: int,
     max_fanout: int | None,
     batch: int | None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
 ) -> dict[tuple[int, int], tuple[int, int]]:
@@ -457,13 +456,7 @@ def _run_batched_cells(
     sweep warms the cache for cell-granular re-runs and vice versa
     (kernel-tagged keys keep the two pipelines' entries separate).
     ``batch`` caps replications per work unit; None packs each seed's
-    whole ``m`` column into one unit.  Each unit's fabric state runs on
-    ``backend`` as resolved by
-    :func:`repro.engine.backends.resolve_backend` (``"auto"`` prefers
-    the fused ``numba`` kernel when usable); every backend drives the
-    same :mod:`repro.engine` kernels, so results are bit-identical to
-    this serial loop -- which is why cache keys ignore the backend
-    entirely.
+    whole ``m`` column into one unit.
     """
     results: dict[tuple[int, int], tuple[int, int]] = {}
     keys: dict[tuple[int, int], str] = {}
@@ -495,8 +488,8 @@ def _run_batched_cells(
                     fn=simulate_batch,
                     args=(
                         n, r, k, construction, model, x, steps, max_fanout,
-                        seed, tuple(ms[start : start + size]), backend,
-                        False, workload, fabric,
+                        seed, tuple(ms[start : start + size]), False,
+                        workload, fabric,
                     ),
                 )
             )
@@ -554,7 +547,6 @@ def _blocking_curve(
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
     batch: int | None = None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
     kernel: str = "bitmask",
@@ -584,10 +576,9 @@ def _blocking_curve(
 
     With ``kernel="batched"`` the traffic stage instead runs each
     seed's whole ``m`` column in lockstep through
-    :mod:`repro.perf.batch` (``batch`` caps replications per work unit,
-    ``backend`` picks the fabric-state backend) -- per-cell results and
-    the adversarial stage are bit-identical to the ``"bitmask"``
-    kernel's either way.  ``kernel`` tags every cache address and the
+    :mod:`repro.perf.batch` (``batch`` caps replications per work
+    unit) -- per-cell results and the adversarial stage are
+    bit-identical to the ``"bitmask"`` kernel's either way.  ``kernel`` tags every cache address and the
     results' ``meta``.  A single point is ``m_values=[m]``.
 
     Args:
@@ -606,9 +597,9 @@ def _blocking_curve(
         cache: optional per-cell result cache (incremental re-runs).
         debug_checks: per-event invariant checking inside each serial
             cell (slow; result-identical, so cache keys ignore it).
-        batch, backend: with ``kernel="batched"``, the cap on lockstep
-            replications per work unit (None = one unit per seed) and
-            the fabric-state backend; never affect results.
+        batch: with ``kernel="batched"``, the cap on lockstep
+            replications per work unit (None = one unit per seed);
+            never affects results.
         workload: a registered traffic model from
             :mod:`repro.workloads` (None = uniform); its identity joins
             every non-uniform cell cache key.
@@ -642,7 +633,7 @@ def _blocking_curve(
                 sweeper, cache,
                 [(m, seed) for m in m_values for seed in seeds],
                 n, r, k, construction, model, x, steps, max_fanout, batch,
-                backend, workload, fabric,
+                workload, fabric,
             )
         else:
             cells = sweeper.run(

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from repro.analysis.montecarlo import BlockingEstimate, _blocking_curve
 from repro.core.models import Construction, MulticastModel
-from repro.engine.backends import check_backend_name
 from repro.engine.fabrics import fabric_names, get_fabric
 from repro.multistage.exhaustive import ExactMinimal, _exact_threshold
 from repro.multistage.routing import _KERNELS
@@ -145,13 +144,6 @@ class ExecConfig:
             and by ``precision`` runs, whose rounds are already
             seed-granular; never affects results, only how work is
             sliced across workers.
-        backend: under ``kernel="batched"``, the fabric-state backend
-            inside each work unit -- ``"auto"`` (default; prefers the
-            fused ``numba`` kernel when usable, else ``python``),
-            ``"python"`` or ``"numba"``.  Unknown names, and a backend
-            whose requirements are missing here, are refused at
-            construction.  Ignored by the other kernels; both backends
-            are bit-identical, see ``wdm-repro kernels``.
         precision: switch :func:`blocking` and :func:`sweep` from the
             fixed ``traffic.seeds`` replication budget to the adaptive
             sequential-stopping engine
@@ -167,7 +159,6 @@ class ExecConfig:
     jobs: int | str = 1
     cache_dir: str | None = None
     batch: int | None = None
-    backend: str = "auto"
     precision: PrecisionConfig | None = None
 
     def __post_init__(self) -> None:
@@ -178,7 +169,6 @@ class ExecConfig:
                 "jobs must be 'auto' or an int (<= 0 also means every CPU), "
                 f"got {self.jobs!r}"
             )
-        check_backend_name(self.backend)
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be >= 1 or None, got {self.batch}")
 
@@ -282,7 +272,6 @@ def _estimates(
             cache=execution.cache(),
             debug_checks=search.debug_checks,
             batch=execution.batch,
-            backend=execution.backend,
             workload=traffic,
             fabric=fabric_name,
             kernel=search.kernel,
@@ -302,7 +291,6 @@ def _estimates(
         jobs=execution.jobs,
         cache=execution.cache(),
         debug_checks=search.debug_checks,
-        backend=execution.backend,
         workload=traffic,
         fabric=fabric_name,
         kernel=search.kernel,
@@ -331,7 +319,7 @@ def blocking(
     is ignored (adversarial probing is a curve feature).  ``traffic``
     accepts any :mod:`repro.workloads` config -- the uniform default
     reproduces the historical generator, the others reshape the offered
-    traffic while keeping every kernel/backend bit-identical per
+    traffic while keeping every kernel bit-identical per
     replication.  The returned estimate carries a
     :class:`repro.obs.meta.ResultMeta` envelope (kernel, execution
     plan, workload, obs summary when enabled).

@@ -40,7 +40,7 @@ from repro.core.models import (
     parse_construction,
     parse_multicast_model,
 )
-from repro.core.multistage import optimal_design
+from repro.core.multistage import optimal_design, valid_x_range
 from repro.multistage.adversary import fig10_scenario
 from repro.multistage.recursive import best_recursive_design
 
@@ -83,16 +83,17 @@ def _jobs(value: str) -> int | str:
         ) from exc
 
 
-def _m_max(value: str) -> int:
+def _positive_int(value: str) -> int:
+    """A size flag (``--n``, ``--r``, ``--k``, ``--m``, ``--m-max``)."""
     try:
-        m_max = int(value)
+        size = int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {value!r}"
         ) from exc
-    if m_max < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {m_max}")
-    return m_max
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {size}")
+    return size
 
 
 def _kernel(value: str) -> str:
@@ -103,18 +104,6 @@ def _kernel(value: str) -> str:
         raise argparse.ArgumentTypeError(
             f"unknown kernel {value!r}; choose from "
             + ", ".join(sorted(_KERNELS))
-        )
-    return lowered
-
-
-def _backend(value: str) -> str:
-    from repro.engine.backends import BACKENDS
-
-    lowered = value.lower()
-    known = ("auto", *BACKENDS)
-    if lowered not in known:
-        raise argparse.ArgumentTypeError(
-            f"unknown backend {value!r}; choose from " + ", ".join(known)
         )
     return lowered
 
@@ -165,6 +154,16 @@ def _seeds(value: str) -> tuple[int, ...]:
         ) from None
 
 
+def _check_x(args: argparse.Namespace) -> None:
+    """Refuse an ``--x`` outside ``valid_x_range(n, r)`` before any run."""
+    legal = valid_x_range(args.n, args.r)
+    if args.x not in legal:
+        raise SystemExit(
+            f"wdm-repro: error: --x {args.x} is outside the legal range "
+            f"[{legal[0]}, {legal[-1]}] for n={args.n}, r={args.r}"
+        )
+
+
 def _exec_config(
     args: argparse.Namespace,
     precision: api.PrecisionConfig | None = None,
@@ -175,7 +174,6 @@ def _exec_config(
             jobs=args.jobs,
             cache_dir=args.cache_dir if args.cache else None,
             batch=getattr(args, "batch", None),
-            backend=getattr(args, "backend", "auto"),
             precision=precision,
         )
     except ValueError as exc:
@@ -326,6 +324,7 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 
 
 def _cmd_blocking(args: argparse.Namespace) -> str:
+    _check_x(args)
     traffic = _traffic(args, adversarial=args.adversarial)
     with obs.capture() as run:
         estimates = api.sweep(
@@ -369,15 +368,16 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> str:
     if args.resume:
         args.cache = True
-    precision = api.PrecisionConfig(
-        half_width=args.ci_halfwidth,
-        relative=args.ci_relative,
-        level=args.ci_level,
-        min_rounds=args.min_rounds,
-        max_rounds=args.max_rounds,
-    )
+    _check_x(args)
     traffic = _traffic(args, steps=args.steps)
     try:
+        precision = api.PrecisionConfig(
+            half_width=args.ci_halfwidth,
+            relative=args.ci_relative,
+            level=args.ci_level,
+            min_rounds=args.min_rounds,
+            max_rounds=args.max_rounds,
+        )
         traffic.validate_precision(precision, args.steps)
     except ValueError as exc:
         raise SystemExit(f"wdm-repro: error: {exc}") from exc
@@ -462,11 +462,10 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     import io
     import json
 
-    traffic = (
-        _traffic(args, steps=args.steps, seeds=_seeds(args.seeds))
-        if args.scenario == "blocking"
-        else None
-    )
+    traffic = None
+    if args.scenario == "blocking":
+        _check_x(args)
+        traffic = _traffic(args, steps=args.steps, seeds=_seeds(args.seeds))
     sink = io.StringIO()
     tracer = obs.Tracer(sink)
     with obs.capture(tracer=tracer):
@@ -529,88 +528,49 @@ def _cmd_gap(args: argparse.Namespace) -> str:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> str:
-    from repro.engine.backends import (
-        available_backends,
-        backend_status,
-        resolve_backend,
-    )
-    from repro.engine.planes import WORD_BITS, PlaneLayout
     from repro.multistage.routing import _KERNELS
 
-    available = set(available_backends())
-    status = backend_status()
-    backends = sorted(status)
-    rows = []
-    for kernel in _KERNELS:
-        cells = []
-        for backend in backends:
-            if kernel != "batched":
-                # Serial single-request kernels never touch a state
-                # backend; only the lockstep replay is parameterized.
-                cells.append("n/a")
-            elif backend in available:
-                cells.append("yes")
-            else:
-                cells.append("not installed")
-        rows.append([kernel, *cells])
+    runs = {
+        "bitmask": "one serial network per (m, seed) cell",
+        "batched": "each seed's stream replayed against every m in lockstep",
+    }
     table = render_table(
-        ["kernel", *backends],
-        rows,
-        title="Routing kernels x batch state backends",
+        ["kernel", "Monte-Carlo cells"],
+        [[kernel, runs[kernel]] for kernel in _KERNELS],
+        title="Routing kernels",
     )
-    lines = [
+    return "\n".join([
         table,
-        "backend status:",
-        *(f"  {backend}: {status[backend]}" for backend in backends),
-        "auto backend resolves to: "
-        + resolve_backend("auto", m_max=1, r=1, k=1),
-        f"plane width: W = ceil(max(m, r, k) / {WORD_BITS}) int64 "
-        f"words per mask (multi-word above {WORD_BITS}; e.g. "
-        f"m=r=k=100 -> W="
-        f"{PlaneLayout.for_fabric(100, 100, 100).width})",
-    ]
-    return "\n".join(lines)
+        "select with --kernel NAME (blocking/sweep); both kernels give "
+        "identical numbers.",
+    ])
 
 
 def _cmd_fabrics(args: argparse.Namespace) -> str:
-    from repro.engine.backends import available_backends, backend_status
     from repro.engine.fabrics import fabric_status, get_fabric
-    from repro.engine.planes import WORD_BITS, PlaneLayout
 
     status = fabric_status()
-    backend_avail = set(available_backends())
-    backends = sorted(backend_status())
     rows = []
     for name in status:
         spec = get_fabric(name)
-        cells = []
-        for backend in backends:
-            if spec.nonblocking:
-                # The nonblocking fast path counts setup ops without
-                # replaying state, so no backend is ever consulted.
-                cells.append("n/a (no replay)")
-            elif backend in backend_avail:
-                cells.append("yes")
-            else:
-                cells.append("not installed")
         constructions = (
             ", ".join(c.name for c in spec.constructions)
             if spec.constructions
             else "any"
         )
-        rows.append([name, *cells, constructions])
+        # The nonblocking fast path counts setup ops without replaying
+        # any middle-stage state.
+        replay = "n/a (no replay)" if spec.nonblocking else "lockstep"
+        rows.append([name, replay, constructions])
     table = render_table(
-        ["fabric", *backends, "constructions"],
+        ["fabric", "batched replay", "constructions"],
         rows,
-        title="Fabric models x batch state backends",
+        title="Fabric models",
     )
     lines = [
         table,
         "fabric notes:",
         *(f"  {name}: {status[name]}" for name in status),
-        f"plane width: W = ceil(max(m, r, k) / {WORD_BITS}) int64 "
-        f"words per mask, identical for every fabric (e.g. m=r=k=100 -> "
-        f"W={PlaneLayout.for_fabric(100, 100, 100).width})",
         "select with --fabric NAME (blocking/sweep); 'clos' is the "
         "paper's three-stage network and the default.",
     ]
@@ -699,6 +659,7 @@ def _cmd_exact(args: argparse.Namespace) -> str:
     from repro.core.corrected import min_middle_switches_corrected
     from repro.multistage.offline import minimal_rearrangeable_m
 
+    _check_x(args)
     with obs.capture() as run:
         result = api.exact_m(
             args.n, args.r, args.k,
@@ -812,10 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("blocking", help="Monte-Carlo blocking vs m")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m-max", type=_m_max, default=9)
+    p.add_argument("--n", type=_positive_int, default=3)
+    p.add_argument("--r", type=_positive_int, default=3)
+    p.add_argument("--k", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_positive_int, default=9)
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--model", type=_model, default=MulticastModel.MSW)
     p.add_argument("--construction", type=_construction, default=Construction.MSW_DOMINANT)
@@ -841,16 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         "work unit (default: one unit per seed); never affects results",
     )
     p.add_argument(
-        "--backend",
-        type=_backend,
-        default="auto",
-        metavar="{auto,python,numba}",
-        help="with --kernel batched: fabric-state backend for the "
-        "lockstep replay ('auto' prefers the fused numba kernel when "
-        "usable, else python); bit-identical across backends -- see "
-        "'wdm-repro kernels' for availability",
-    )
-    p.add_argument(
         "--jobs",
         type=_jobs,
         default=1,
@@ -866,10 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive blocking-vs-m sweep: sample each m until its "
         "confidence interval meets a precision target",
     )
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m-max", type=_m_max, default=9)
+    p.add_argument("--n", type=_positive_int, default=3)
+    p.add_argument("--r", type=_positive_int, default=3)
+    p.add_argument("--k", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_positive_int, default=9)
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--steps", type=int, default=1500)
     p.add_argument("--model", type=_model, default=MulticastModel.MSW)
@@ -909,14 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical across both",
     )
     p.add_argument(
-        "--backend",
-        type=_backend,
-        default="auto",
-        metavar="{auto,python,numba}",
-        help="with --kernel batched: fabric-state backend for the "
-        "lockstep replay",
-    )
-    p.add_argument(
         "--jobs",
         type=_jobs,
         default=1,
@@ -947,10 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="'fig10' replays the Fig. 10 contested request; 'blocking' "
         "traces a Monte-Carlo run of v(n,r,m,k)",
     )
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--r", type=_positive_int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--seeds", type=str, default="0")
@@ -967,9 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "exact", help="model-check the exact nonblocking threshold (tiny nets)"
     )
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--r", type=_positive_int, default=2)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--model", type=_model, default=MulticastModel.MSW)
     p.add_argument("--construction", type=_construction, default=Construction.MSW_DOMINANT)
@@ -1021,13 +964,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="kernel x backend availability matrix",
+        help="the routing kernels and what each runs per cell",
     )
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser(
         "fabrics",
-        help="fabric model x backend availability matrix (topology zoo)",
+        help="the registered fabric models (topology zoo)",
     )
     p.set_defaults(func=_cmd_fabrics)
 

@@ -16,14 +16,14 @@ rest of the stack needs:
   costs in SOA crosspoints at that shape (``cost``);
 * **admission program** -- either the full Clos middle-stage replay
   (optionally constrained by a static per-``(middle, wavelength)``
-  reach rule that the state backends seed into their blocker
+  reach rule that the fabric state seeds into its blocker
   bitplanes at construction), or the single-stage nonblocking fast
   path (``nonblocking=True``: every legal request is admitted, so the
   engine skips the replay entirely and the fabric doubles as a live
   zero-blocking oracle);
 * **block-cause taxonomy** -- the subset of ``ALL_BLOCK_KINDS`` the
   fabric can produce (``block_kinds``), which ``repro.obs`` cause
-  labels and the fused kernel's histogram columns share.
+  labels share.
 
 The compatibility anchor mirrors the workload registry: the Clos
 fabric's cache/stream-key ``token()`` is ``None``, so every cache
@@ -88,7 +88,7 @@ class FabricSpec:
             ``reach_rule(j, sw, r, k)`` returns the bitmask of output
             modules middle ``j`` can *never* reach on source wavelength
             ``sw`` -- a pure function of the topology, independent of
-            occupancy, which the state backends OR into their blocker
+            occupancy, which the fabric state ORs into its blocker
             bitplanes once at construction.
         block_kinds: the cause taxonomy this fabric can produce.
         cost_fn: ``(n, r, m, k, construction, model) -> crosspoints``.

@@ -6,7 +6,7 @@ the construction (which stage dominates -- MSW or MAW middles), the
 endpoint model the output stage runs under, the routing budget ``x``,
 and the fabric model (:mod:`repro.engine.fabrics`) whose admission
 program applies -- the paper's three-stage Clos by default.  It is
-hashable and immutable, so batched state backends can carry one
+hashable and immutable, so a batched state can carry one
 geometry per replication and kernels can branch on the two derived
 booleans (:attr:`msw_dominant`, :attr:`model_msw`) without re-deriving
 them per event.
@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
 from repro.engine.fabrics import FabricSpec, get_fabric
-from repro.engine.planes import PlaneLayout
 
 __all__ = ["FabricGeometry"]
 
@@ -87,11 +86,6 @@ class FabricGeometry:
     def k_full(self) -> int:
         """Bitmask of a fully busy fiber (all ``k`` wavelengths set)."""
         return (1 << self.k) - 1
-
-    @property
-    def plane_layout(self) -> PlaneLayout:
-        """Words-per-mask descriptor for this fabric's three mask families."""
-        return PlaneLayout.for_fabric(self.m, self.r, self.k)
 
     @property
     def fabric_spec(self) -> FabricSpec:

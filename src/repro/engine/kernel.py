@@ -12,7 +12,7 @@ Two API levels share one implementation:
 * **mask level** -- :func:`free_middles`, :func:`reach_map`,
   :func:`probe_cover`, :func:`classify_kind`, :func:`block_cause`
   operate on plain ints and blocker rows; this is what the hot paths
-  call on backend views (the network's B = 1 state and the batch
+  call on state views (the network's B = 1 state and the batch
   driver's lanes alike);
 * **state level** -- :func:`avail`, :func:`coverable`, :func:`admit`,
   :func:`release`, :func:`classify_block` operate on a
@@ -66,8 +66,8 @@ BLOCK_KINDS = (
 #: plus ``awg_no_path`` -- a destination module that *no* middle switch
 #: can reach on the request's wavelength under a fabric's static
 #: routing constraint (:mod:`repro.engine.fabrics`), however idle the
-#: fabric is.  Fused kind histograms and ``repro.obs`` cause labels
-#: index this tuple; Clos-only consumers keep seeing ``BLOCK_KINDS``.
+#: fabric is.  ``repro.obs`` cause labels index this tuple; Clos-only
+#: consumers keep seeing ``BLOCK_KINDS``.
 ALL_BLOCK_KINDS = BLOCK_KINDS + ("awg_no_path",)
 
 
@@ -186,17 +186,10 @@ def block_cause(
         if middles:
             reachable_union |= 1 << p
     unreachable = dest_mask & ~reachable_union
-    structural = dest_mask & static_unreachable
-    if available == 0:
-        kind = "saturated_wavelength" if msw_dominant else "converter_exhaustion"
-    elif structural:
-        kind = "awg_no_path"
-    elif unreachable:
-        kind = "full_middles"
-    else:
-        kind = "no_cover"
     cause = {
-        "kind": kind,
+        "kind": classify_kind(
+            available, coverable, dest_mask, msw_dominant, static_unreachable
+        ),
         "x": x,
         "input_module": input_module,
         "source_wavelength": source_wavelength,
@@ -209,7 +202,9 @@ def block_cause(
     }
     if fabric is not None:
         cause["fabric"] = fabric
-        cause["awg_unreachable_modules"] = list(iter_bits(structural))
+        cause["awg_unreachable_modules"] = list(
+            iter_bits(dest_mask & static_unreachable)
+        )
     return cause
 
 

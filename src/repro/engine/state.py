@@ -18,11 +18,8 @@ ints (bitplanes): no dependencies, any mask width, and the fastest
 per-event replay on CPython.  Its layout keeps the batch axis innermost
 on the blocked planes and outermost on the blocker rows, so
 :meth:`~FabricState.setup_views` returns plain sub-list references.
-The serial network is a batch of one on it.  The ``numba`` backend
-(:class:`repro.engine.fused.FusedState`) holds the same bitplanes as
-int64 arrays and replays a whole stream in one kernel instead of
-serving this protocol; it shares :func:`check_family` and
-:func:`static_masks` with this module.
+The serial network is a batch of one on it, and every batched replay
+runs on it too.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from typing import Any, Protocol
 
 from repro.engine.cover import iter_bits
 from repro.engine.geometry import FabricGeometry
-from repro.engine.planes import PlaneLayout
 
 __all__ = ["FabricState", "PythonState", "check_family", "static_masks"]
 
@@ -51,7 +47,6 @@ class FabricState(Protocol):
     msw_dominant: bool
     all_masks: list[int]
     failed_mask: int
-    plane_layout: PlaneLayout
     #: ``[b][sw]`` -> modules no middle can reach on that wavelength
     #: (the fabric model's static routing constraint); None for fabrics
     #: without one (the Clos -- the bitplanes then start all-zero,
@@ -133,7 +128,7 @@ def static_masks(
 
 
 class PythonState:
-    """Int-bitplane fabric state (the dependency-free backend).
+    """Int-bitplane fabric state: the serial network's and every batch's.
 
     Per replication ``b`` the whole fabric is a handful of bitplanes,
     laid out so the per-event views are sub-list references:
@@ -167,9 +162,6 @@ class PythonState:
         self.msw_dominant = head.msw_dominant
         self.all_masks = [geo.all_middles_mask for geo in geos]
         self.failed_mask = 0
-        self.plane_layout = PlaneLayout.for_fabric(
-            max(geo.m for geo in geos), head.r, head.k
-        )
         self._model_msw = head.model_msw
         self._k_full = head.k_full
         r, k, batch = head.r, head.k, self.batch

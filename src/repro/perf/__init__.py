@@ -32,10 +32,8 @@ serial simulator).
 
 from repro.perf.batch import (
     CellOutcome,
-    available_backends,
     compile_stream,
     replay_cell,
-    resolve_backend,
     simulate_batch,
 )
 from repro.perf.cache import CODE_VERSION, CacheStats, ResultCache
@@ -56,10 +54,8 @@ __all__ = [
     "ResultCache",
     "SweepResult",
     "WorkUnit",
-    "available_backends",
     "compile_stream",
     "replay_cell",
-    "resolve_backend",
     "resolve_jobs",
     "simulate_batch",
 ]

@@ -23,13 +23,12 @@ Three layers make the rounds cheap, low-variance and resumable:
   **strata** of the seed space (one per pair, fixed across rounds) and
   each seed is paired with its **antithetic** mirror
   (:class:`repro.switching.generators.AntitheticRandom`), layered on
-  the stream compiler so all kernels and backends inherit both;
+  the stream compiler so every kernel inherits both;
 
 * **kernel reuse** -- rounds run through the existing cells: with
   ``kernel="batched"`` each round spec becomes one lockstep
   :func:`repro.perf.batch.simulate_batch` unit covering every
-  unconverged ``m`` (either backend, python or numba, applies), otherwise
-  one :func:`~repro.analysis.montecarlo._traffic_cell` unit per
+  unconverged ``m``, otherwise one :func:`~repro.analysis.montecarlo._traffic_cell` unit per
   ``(m, spec)`` -- bit-identical numbers either way;
 
 * **resumable rounds** -- each completed round's ``(attempts,
@@ -144,7 +143,7 @@ class PrecisionConfig:
     zero_half_width: float = 0.005
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
@@ -159,7 +158,7 @@ class PrecisionConfig:
                 f"max_rounds ({self.max_rounds}) must be >= min_rounds "
                 f"({self.min_rounds})"
             )
-        if self.zero_half_width <= 0.0:
+        if not self.zero_half_width > 0.0:
             raise ValueError(
                 f"zero_half_width must be > 0, got {self.zero_half_width}"
             )
@@ -315,7 +314,6 @@ class _AdaptiveDriver:
         precision: PrecisionConfig,
         cache: "ResultCache | None",
         debug_checks: bool,
-        backend: str,
         workload: "WorkloadConfig | None" = None,
         fabric: str = "clos",
         kernel: str = "bitmask",
@@ -327,7 +325,6 @@ class _AdaptiveDriver:
         self.precision = precision
         self.cache = cache
         self.debug_checks = debug_checks
-        self.backend = backend
         self.workload = workload
         self.fabric = fabric
         self.kernel = kernel
@@ -442,8 +439,8 @@ class _AdaptiveDriver:
                         args=(
                             self.n, self.r, self.k, self.construction,
                             self.model, self.x, self.steps, self.max_fanout,
-                            spec.seed, tuple(need), self.backend,
-                            spec.antithetic, self.workload, self.fabric,
+                            spec.seed, tuple(need), spec.antithetic,
+                            self.workload, self.fabric,
                         ),
                     )
                     for index, spec in enumerate(specs)
@@ -506,7 +503,6 @@ def adaptive_sweep(
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
     kernel: str = "bitmask",
@@ -528,9 +524,9 @@ def adaptive_sweep(
     ``jobs`` parallelizes each round across worker processes through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
     value); with ``kernel="batched"`` the round's cells run in
-    lockstep through :func:`repro.perf.batch.simulate_batch` on
-    ``backend``.  ``kernel`` also tags every round's cache address and
-    the results' ``meta``.  Each ``m`` may appear once in
+    lockstep through :func:`repro.perf.batch.simulate_batch`.
+    ``kernel`` also tags every round's cache address and the results'
+    ``meta``.  Each ``m`` may appear once in
     ``m_values``; a single point is ``[m]`` and shares its warm rounds
     with the same cell of any wider sweep.
     """
@@ -541,7 +537,7 @@ def adaptive_sweep(
         workload.validate_precision(precision, steps)
     driver = _AdaptiveDriver(
         n, r, k, list(m_values), construction, model, x, steps, max_fanout,
-        precision, cache, debug_checks, backend, workload, fabric, kernel,
+        precision, cache, debug_checks, workload, fabric, kernel,
     )
     with ParallelSweeper(jobs) as sweeper:
         wave = driver.next_units(None)

@@ -21,34 +21,23 @@ ways:
 * **shared trajectories** -- routing is first-fit over middles in
   ascending order, so a replication whose ``m`` lies above every
   middle its routing has needed so far makes exactly the largest
-  replication's decisions.  On the ``python`` backend the replications
-  that have not diverged share one state slot and one cover probe per
-  setup; one forks onto its own slot only at the first setup where its
-  decision can differ (a block, or a cover of several middles).
+  replication's decisions.  The replications that have not diverged
+  share one state slot and one cover probe per setup; one forks onto
+  its own slot only at the first setup where its decision can differ
+  (a block, or a cover of several middles).
 
 The replay reproduces the serial simulator *bit for bit* because both
-run the same code: on the ``python`` backend, the event loop of
-:func:`_replay` drives the shared admission kernels of
-:mod:`repro.engine` (``probe_cover`` for routing, ``block_cause`` for
-``explain_block``-identical causes) against a
-:class:`~repro.engine.state.PythonState` -- the traffic generator's RNG
-stream, first-fit wavelength assignment and ascending-middle allocation
-order are all properties of those kernels, and the property tests plus
+run the same code: the event loop of :func:`_replay` drives the shared
+admission kernels of :mod:`repro.engine` (``probe_cover`` for routing,
+``block_cause`` for ``explain_block``-identical causes) against a
+:class:`~repro.engine.state.PythonState` -- the same state the serial
+network runs on.  The traffic generator's RNG stream, first-fit
+wavelength assignment and ascending-middle allocation order are all
+properties of those kernels, and the property tests plus
 ``bench_perf.py`` assert per-replication equality of ``(attempts,
 blocked)`` and causes against the bitmask kernel, and of every lane's
 end planes against a one-lane replay.
 
-There are two backends (:mod:`repro.engine.backends`): ``python``, the
-per-event loop above, and ``numba``, the fused kernel of
-:mod:`repro.engine.fused`.  ``auto`` prefers ``numba`` when it can run,
-else ``python``; callers pick one by name.  For the fused backend the
-per-event loop is bypassed entirely: :func:`lower_stream` flattens the
-compiled stream to int64 arrays (dest masks become ``[events, W]``
-word columns when the module family is wider than one word, per
-:class:`~repro.engine.planes.PlaneLayout`) and
-:meth:`~repro.engine.fused.FusedState.replay_ops` executes the whole
-replay in one ``@njit`` kernel -- same decisions, bit-identical counts
-and causes.
 The engine is wired in as the ``"batched"`` kernel (the estimators'
 ``kernel`` argument, ``SearchConfig.kernel`` on the facade):
 single-request routing is untouched (identical to ``bitmask``), but the
@@ -64,43 +53,22 @@ from typing import TYPE_CHECKING
 from repro import obs as _obs
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.backends import (
-    BACKENDS,
-    available_backends,
-    make_state,
-    resolve_backend,
-)
+from repro.engine.backends import make_state
 from repro.engine.fabrics import get_fabric
-from repro.engine.fused import FusedState
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import block_cause, classify_kind, probe_cover
-from repro.engine.planes import WORD_BITS as _WORD_BITS
-from repro.engine.planes import WORD_MASK as _WORD_MASK
 from repro.engine.state import PythonState
-from repro.switching.generators import SETUP, TEARDOWN, stream_rng, traffic_ops
+from repro.switching.generators import SETUP, stream_rng, traffic_ops
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.workloads.base import WorkloadConfig
 
-try:  # NumPy is optional; only the fused lowering needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None  # type: ignore[assignment]
-
 __all__ = [
-    "BACKENDS",
     "CellOutcome",
-    "LoweredStream",
-    "available_backends",
     "compile_stream",
-    "lower_stream",
     "replay_cell",
-    "resolve_backend",
     "simulate_batch",
 ]
-
-#: replay op tags: the traffic stream's own, passed through by the compiler
-_SETUP, _TEARDOWN = SETUP, TEARDOWN
 
 
 def compile_stream(
@@ -124,8 +92,8 @@ def compile_stream(
     the stream is generated from the seed's antithetic mirror
     (:func:`repro.switching.generators.stream_rng`) -- because the
     variance-reduction seam sits here, in the stream compiler, every
-    kernel and backend that replays compiled streams gets antithetic
-    sampling for free.  Each op is
+    kernel that replays compiled streams gets antithetic sampling for
+    free.  Each op is
     ``(tag, connection_id, input_module, source_wavelength, dest_mask)``
     with ``tag`` 1 for setup and 0 for teardown (``dest_mask`` is a
     bitmask over output modules; teardown ops carry the setup's module
@@ -140,8 +108,8 @@ def compile_stream(
     into the dest mask, so no connection or event object is built on
     the batched path.  Because this compiler is the one producer of
     replay ops, a workload plugged in here automatically reaches every
-    kernel and backend -- the stream contract, not the generator, is
-    the interface.  Callers must mix ``workload.token()`` into any key
+    kernel -- the stream contract, not the generator, is the
+    interface.  Callers must mix ``workload.token()`` into any key
     derived from the stream.
     """
     stream = traffic_ops if workload is None else workload.ops
@@ -153,82 +121,11 @@ def compile_stream(
     ):
         port, wavelength = divmod(source, k)
         dest_mask = 0
-        if tag == _SETUP:
+        if tag == SETUP:
             for destination in ports:
                 dest_mask |= module_bit[destination]
         ops.append((tag, connection_id, port // n, wavelength, dest_mask))
     return ops
-
-
-@dataclass(frozen=True)
-class LoweredStream:
-    """One compiled stream lowered to flat int64 arrays (fused form).
-
-    The array program every model (MSW/MSDW/MAW) and both constructions
-    compile to: per-event ``tag``/``g``/``sw``/``dest`` columns plus
-    ``slot``, the dense connection index (one slot per connection id,
-    shared by its setup and teardown ops) that lets the fused kernel
-    store live branches in fixed-shape arrays instead of dicts.
-    ``dest`` is 1-D int64 in the historical single-word layout
-    (``r_words == 1``) and ``[events, r_words]`` little-endian word
-    columns when the output-module family is wider than one word.
-    Satisfies :class:`repro.engine.fused.LoweredOps`.
-    """
-
-    tag: object
-    slot: object
-    g: object
-    sw: object
-    dest: object
-    n_slots: int
-    n_setups: int
-    r_words: int = 1
-
-
-def lower_stream(
-    ops: list[tuple[int, int, int, int, int]],
-    r_words: int = 1,
-) -> LoweredStream:
-    """Lower :func:`compile_stream` ops to the fused kernel's arrays.
-
-    ``r_words`` is the output-module mask family's plane width
-    (:attr:`~repro.engine.planes.PlaneLayout.r_words`): 1 keeps the
-    historical 1-D ``dest`` column, wider splits each dest mask into
-    ``[events, r_words]`` little-endian int64 words.
-    """
-    if _np is None:  # pragma: no cover - fused backend gates first
-        raise ValueError("lower_stream requires numpy")
-    n = len(ops)
-    tag = _np.zeros(n, dtype=_np.int64)
-    slot = _np.zeros(n, dtype=_np.int64)
-    g = _np.zeros(n, dtype=_np.int64)
-    sw = _np.zeros(n, dtype=_np.int64)
-    if r_words == 1:
-        dest = _np.zeros(n, dtype=_np.int64)
-    else:
-        dest = _np.zeros((n, r_words), dtype=_np.int64)
-    slots: dict[int, int] = {}
-    n_setups = 0
-    for i, (op_tag, cid, op_g, op_sw, op_dest) in enumerate(ops):
-        if op_tag == _SETUP:
-            n_setups += 1
-        tag[i] = op_tag
-        cid_slot = slots.get(cid)
-        if cid_slot is None:
-            cid_slot = len(slots)
-            slots[cid] = cid_slot
-        slot[i] = cid_slot
-        g[i] = op_g
-        sw[i] = op_sw
-        if r_words == 1:
-            dest[i] = op_dest
-        else:
-            for wi in range(r_words):
-                dest[i, wi] = (op_dest >> (_WORD_BITS * wi)) & _WORD_MASK
-    return LoweredStream(
-        tag=tag, slot=slot, g=g, sw=sw, dest=dest,
-        n_slots=len(slots), n_setups=n_setups, r_words=r_words,
-    )
 
 
 @dataclass(frozen=True)
@@ -299,14 +196,14 @@ def _record_block(
 
 def _replay(
     ops: list[tuple[int, int, int, int, int]],
-    state: PythonState | FusedState,
+    state: PythonState,
     want_kinds: bool,
     want_causes: bool,
 ) -> tuple[int, list[_Replication]]:
-    """The lockstep replay of one compiled stream on either backend.
+    """The lockstep replay of one compiled stream.
 
-    On a :class:`~repro.engine.state.PythonState` every routing decision
-    is one :func:`repro.engine.kernel.probe_cover` against the state's
+    Every routing decision is one
+    :func:`repro.engine.kernel.probe_cover` against the state's
     ``setup_views`` -- the same kernel the serial network and the
     exhaustive checker route through -- so this loop owns no admission
     semantics of its own: MSW- vs MAW-dominance, endpoint models and
@@ -316,26 +213,7 @@ def _replay(
     decision can differ from the larger lanes', and replays alone from
     there.  Every lane's counts, causes and end planes equal a
     one-lane replay of its ``m``.
-
-    A :class:`~repro.engine.fused.FusedState` takes the entire loop
-    instead: the stream is lowered to flat arrays once and every lane's
-    decisions run inside the one fused kernel, bit-identically.
     """
-    if isinstance(state, FusedState):
-        replay = state.replay_ops(
-            lower_stream(ops, state.plane_layout.r_words),
-            want_kinds,
-            want_causes,
-        )
-        replications = []
-        for b in range(state.batch):
-            rep = _Replication()
-            rep.blocked = replay.blocked[b]
-            rep.releases = replay.releases[b]
-            rep.kind_counts = replay.kind_counts[b]
-            rep.causes = replay.causes[b]
-            replications.append(rep)
-        return replay.attempts, replications
     batch = state.batch
     x = state.x
     msw_dominant = state.msw_dominant
@@ -443,7 +321,6 @@ def _simulate(
     max_fanout: int | None,
     seed: int,
     m_values: list[int],
-    backend: str,
     record_causes: bool,
     antithetic: bool = False,
     workload: "WorkloadConfig | None" = None,
@@ -478,10 +355,8 @@ def _simulate(
         # legal request and the fabric admits it by construction, so
         # there is no middle-stage state to replay -- attempts are the
         # stream's setup count, blocked is exactly zero (the live
-        # oracle property), and every teardown releases.  The backend
-        # is still resolved so unknown-backend errors stay uniform.
-        resolve_backend(backend, m_max=max(m_values), r=r, k=k)
-        attempts = sum(1 for op in ops if op[0] == _SETUP)
+        # oracle property), and every teardown releases.
+        attempts = sum(1 for op in ops if op[0] == SETUP)
         teardowns = len(ops) - attempts
         replications = []
         for _ in m_values:
@@ -489,7 +364,7 @@ def _simulate(
             rep.releases = teardowns
             replications.append(rep)
     else:
-        state = make_state(geometries, backend)
+        state = make_state(geometries)
         attempts, replications = _replay(
             ops, state, want_kinds, record_causes
         )
@@ -524,7 +399,6 @@ def simulate_batch(
     max_fanout: int | None,
     seed: int,
     m_values: tuple[int, ...] | list[int],
-    backend: str = "auto",
     antithetic: bool = False,
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
@@ -544,7 +418,7 @@ def simulate_batch(
     """
     attempts, replications = _simulate(
         n, r, k, construction, model, x, steps, max_fanout, seed,
-        list(m_values), backend, record_causes=False, antithetic=antithetic,
+        list(m_values), record_causes=False, antithetic=antithetic,
         workload=workload, fabric=fabric,
     )
     return [
@@ -565,7 +439,6 @@ def replay_cell(
     steps: int,
     seed: int,
     max_fanout: int | None = None,
-    backend: str = "auto",
     record_causes: bool = False,
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
@@ -580,8 +453,7 @@ def replay_cell(
     """
     attempts, replications = _simulate(
         n, r, k, construction, model, x, steps, max_fanout, seed, [m],
-        backend, record_causes=record_causes, workload=workload,
-        fabric=fabric,
+        record_causes=record_causes, workload=workload, fabric=fabric,
     )
     rep = replications[0]
     return CellOutcome(

@@ -7,7 +7,7 @@ dataclass producing the int-level op stream
 stack consumes -- the batched stream compiler reads the ops directly,
 the serial simulator reads them as
 :class:`~repro.switching.generators.TrafficEvent` objects -- so all
-routing kernels, state backends, the adaptive sweep engine and the
+routing kernels, every fabric model, the adaptive sweep engine and the
 result caches support every registered workload with no per-consumer
 code:
 

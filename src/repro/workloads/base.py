@@ -8,7 +8,7 @@ reads -- the stream compiler behind the batched kernel folds the ops
 straight into replay ops, and :meth:`WorkloadConfig.events` gives the
 serial simulator and the trace writer the same stream as
 :class:`~repro.switching.generators.TrafficEvent` objects.  Because the contract is the op stream (not the generator), a
-registered workload inherits both routing kernels, every state backend,
+registered workload inherits both routing kernels, every fabric model,
 common random numbers across ``m``, antithetic pairing and the
 content-addressed caches without those layers knowing it exists.
 

@@ -186,7 +186,7 @@ def _digest(path: str) -> str:
 class TraceConfig(WorkloadConfig):
     """Replay of a recorded JSONL/CSV trace file.
 
-    The same fixed event sequence drives every kernel and backend, so a
+    The same fixed event sequence drives every kernel and fabric, so a
     single recorded stream (from ``wdm-repro trace-gen`` or an external
     source) is a cross-kernel regression vector.  The replication
     ``rng`` is deliberately unused -- a trace has no randomness left --

@@ -43,22 +43,11 @@ class TestFrozenConfigs:
             verb({"steps": 10})
 
     def test_exec_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown batch backend 'bogus'"):
+        """There is no backend option: every batch runs on PythonState."""
+        names = [field.name for field in dataclasses.fields(api.ExecConfig)]
+        assert names == ["jobs", "cache_dir", "batch", "precision"]
+        with pytest.raises(TypeError, match="backend"):
             api.ExecConfig(backend="bogus")
-
-    def test_exec_config_rejects_backend_that_cannot_run(self, monkeypatch):
-        from repro.engine import fused
-
-        monkeypatch.setattr(
-            fused, "missing_requirement", lambda: "numba is not installed"
-        )
-        with pytest.raises(ValueError) as err:
-            api.ExecConfig(backend="numba")
-        message = str(err.value)
-        assert message.startswith(
-            "batch backend 'numba' requested but numba is not installed"
-        )
-        assert 'pip install -e ".[fused]"' in message
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_exec_config_rejects_batch_below_one(self, batch):

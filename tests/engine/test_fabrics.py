@@ -10,8 +10,9 @@ Two families of guarantees live here:
 2. **Bit-identity pins** -- the Clos path *through* the fabric seam must
    be indistinguishable from the pre-seam engine: golden cache-key
    digests, the golden adaptive stream key and round schedules, golden
-   blocked counts, and the sha256 of the fused state's int64 bitplanes
-   after a full replay are all hardcoded from the pre-seam code.  A change to
+   blocked counts, and the end bitplanes after a full replay (with the
+   sha256 of their little-endian int64 packing) are all hardcoded from
+   the pre-seam code.  A change to
    any of these is a silent invalidation of every warm cache and golden
    value in the wild, which is exactly what the pins exist to catch.
 """
@@ -19,6 +20,7 @@ Two families of guarantees live here:
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import pytest
 
@@ -35,7 +37,6 @@ from repro.engine.fabrics import (
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import ALL_BLOCK_KINDS, BLOCK_KINDS
 from repro.perf.batch import replay_cell, simulate_batch
-from tests.fused_support import fused_runnable
 
 C = Construction.MSW_DOMINANT
 MSW = MulticastModel.MSW
@@ -188,6 +189,15 @@ GOLDEN_IN_BUSY_SHA = (
 GOLDEN_OUT_BUSY_SHA = (
     "d94a51312eb099993a4fa0fa54bc26ed4f5e9bb4b15103a216af96a5c43699b5"
 )
+#: per m of GOLDEN_BLOCKED, ``PythonState.busy_planes``: ``in[g][w]``
+#: middle masks and ``out[w][j]`` module masks
+GOLDEN_END_PLANES = [
+    ([[0, 1], [1, 0], [0, 1]], [[2], [7]]),
+    ([[2, 1], [1, 0], [2, 3]], [[2, 3], [7, 7]]),
+    ([[2, 5], [1, 0], [2, 7]], [[2, 3, 0], [7, 7, 3]]),
+    ([[2, 5], [1, 0], [2, 7]], [[2, 3, 0, 0], [7, 7, 3, 0]]),
+    ([[2, 5], [1, 0], [2, 7]], [[2, 3, 0, 0, 0, 0], [7, 7, 3, 0, 0, 0]]),
+]
 
 
 def test_clos_cache_keys_unchanged(tmp_path):
@@ -233,42 +243,53 @@ def test_clos_round_keys_and_schedule_unchanged(tmp_path):
 def test_clos_blocked_counts_unchanged():
     for m, blocked in GOLDEN_BLOCKED.items():
         cells = dict(
-            simulate_batch(3, 3, 2, C, MSW, 1, 300, None, 0, (m,), "python")
+            simulate_batch(3, 3, 2, C, MSW, 1, 300, None, 0, (m,))
         )
         assert cells[m] == (154, blocked)
     # The explicit seam spelling is the same program.
     explicit = simulate_batch(
-        3, 3, 2, C, MSW, 1, 300, None, 0, tuple(GOLDEN_BLOCKED), "python",
+        3, 3, 2, C, MSW, 1, 300, None, 0, tuple(GOLDEN_BLOCKED),
         False, None, "clos",
     )
     assert dict(explicit) == {m: (154, b) for m, b in GOLDEN_BLOCKED.items()}
 
 
 def test_clos_numpy_bitplanes_unchanged():
-    np = pytest.importorskip("numpy", reason="bitplane pins read numpy planes")
-    from repro.engine.fused import FusedState
-    from repro.perf.batch import compile_stream, lower_stream
+    """The end planes, and the sha256 pins of their int64 array layout.
+
+    The pins were taken from ``[b, g, w]`` and zero-padded ``[b, j, w]``
+    int64 arrays; packing the planes the same way must reproduce them.
+    """
+    from repro.engine.state import PythonState
+    from repro.perf.batch import _replay, compile_stream
 
     ops = compile_stream(MSW, 3, 3, 2, 300, 0)
+    m_values = tuple(GOLDEN_BLOCKED)
     geometries = tuple(
         FabricGeometry(3, 3, 2, m, construction=C, model=MSW, x=1)
-        for m in (1, 2, 3, 4, 6)
+        for m in m_values
     )
-    state = FusedState(geometries)
-    replay = state.replay_ops(lower_stream(ops), False, False)
-    assert replay.attempts == 154
-    assert replay.blocked == [85, 39, 9, 1, 0]
-    planes = {
-        name: value
-        for name, value in vars(state).items()
-        if isinstance(value, np.ndarray)
-    }
-    digest = {
-        name: hashlib.sha256(value.tobytes()).hexdigest()
-        for name, value in planes.items()
-    }
-    assert digest["_in_busy"] == GOLDEN_IN_BUSY_SHA
-    assert digest["_out_busy"] == GOLDEN_OUT_BUSY_SHA
+    state = PythonState(geometries)
+    attempts, replications = _replay(ops, state, False, False)
+    assert attempts == 154
+    assert [rep.blocked for rep in replications] == [85, 39, 9, 1, 0]
+    planes = [state.busy_planes(b) for b in range(len(m_values))]
+    assert planes == GOLDEN_END_PLANES
+
+    def sha(words):
+        packed = struct.pack(f"<{len(words)}q", *words)
+        return hashlib.sha256(packed).hexdigest()
+
+    m_max = max(m_values)
+    in_words = [w for in_planes, _ in planes for row in in_planes for w in row]
+    out_words = [
+        out_planes[w][j] if j < m else 0
+        for m, (_, out_planes) in zip(m_values, planes)
+        for j in range(m_max)
+        for w in range(2)
+    ]
+    assert sha(in_words) == GOLDEN_IN_BUSY_SHA
+    assert sha(out_words) == GOLDEN_OUT_BUSY_SHA
 
 
 # -- the AWG fabric's behaviour ----------------------------------------------
@@ -280,7 +301,7 @@ def test_awg_blocks_more_than_clos():
     m_values = tuple(AWG_BLOCKED)
     awg = dict(
         simulate_batch(
-            3, 3, 2, C, MSW, 1, 300, None, 0, m_values, "python",
+            3, 3, 2, C, MSW, 1, 300, None, 0, m_values,
             False, None, "awg_clos",
         )
     )
@@ -289,39 +310,20 @@ def test_awg_blocks_more_than_clos():
         assert blocked >= GOLDEN_BLOCKED[m]
 
 
-@pytest.fixture
-def replay_backends():
-    """python, plus the fused kernel when numpy is installed.
-
-    Without numba the fused kernel runs interpreted (same program).
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        yield ("python",)
-        return
-    with fused_runnable():
-        yield ("python", "numba")
-
-
-def test_awg_equals_clos_at_k1(replay_backends):
+def test_awg_equals_clos_at_k1():
     m_values = (1, 2, 3, 4)
-    for backend in replay_backends:
-        clos = simulate_batch(
-            3, 3, 1, C, MSW, 1, 300, None, 0, m_values, backend,
-        )
-        awg = simulate_batch(
-            3, 3, 1, C, MSW, 1, 300, None, 0, m_values, backend,
-            False, None, "awg_clos",
-        )
-        assert awg == clos
+    clos = simulate_batch(3, 3, 1, C, MSW, 1, 300, None, 0, m_values)
+    awg = simulate_batch(
+        3, 3, 1, C, MSW, 1, 300, None, 0, m_values, False, None, "awg_clos",
+    )
+    assert awg == clos
 
 
 def test_awg_no_path_cause_reported():
     outcome = replay_cell(
         3, 3, 1, 2,
         construction=C, model=MSW, x=1, steps=300, seed=0,
-        backend="python", record_causes=True, fabric="awg_clos",
+        record_causes=True, fabric="awg_clos",
     )
     assert outcome.blocked == AWG_BLOCKED[1]
     structural = [c for c in outcome.causes if c["kind"] == "awg_no_path"]
@@ -334,32 +336,29 @@ def test_awg_no_path_cause_reported():
         assert cause["kind"] in get_fabric("awg_clos").block_kinds
 
 
-def test_awg_three_way_backend_agreement(replay_backends):
-    pytest.importorskip("numpy", reason="the fused backend needs numpy")
-
-    m_values = (1, 2, 3, 4, 6)
-    runs = {
-        backend: simulate_batch(
-            3, 3, 2, C, MSW, 1, 300, None, 0, m_values, backend,
-            False, None, "awg_clos",
-        )
-        for backend in replay_backends
-    }
-    assert runs["python"] == runs["numba"]
+def test_awg_batch_equals_one_lane_replays():
+    m_values = tuple(AWG_BLOCKED)
+    whole = simulate_batch(
+        3, 3, 2, C, MSW, 1, 300, None, 0, m_values, False, None, "awg_clos",
+    )
+    assert whole == [
+        simulate_batch(
+            3, 3, 2, C, MSW, 1, 300, None, 0, (m,), False, None, "awg_clos",
+        )[0]
+        for m in m_values
+    ]
 
 
 # -- the crossbar fast path --------------------------------------------------
 
 
-def test_crossbar_blocks_nothing(replay_backends):
-    for backend in replay_backends:
-        cells = simulate_batch(
-            3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), backend,
-            False, None, "crossbar",
-        )
-        for m, (attempts, blocked) in cells:
-            assert attempts == 154
-            assert blocked == 0
+def test_crossbar_blocks_nothing():
+    cells = simulate_batch(
+        3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), False, None, "crossbar",
+    )
+    for m, (attempts, blocked) in cells:
+        assert attempts == 154
+        assert blocked == 0
 
 
 def test_crossbar_cost_is_flat_in_m():

@@ -1,21 +1,18 @@
-"""Word-boundary suite: multi-word planes at and across 62 bits.
+"""Wide fabrics: masks of 61 to 100 bits through the batched replay.
 
-The plane layout switches from one int64 word per mask to ``W =
-ceil(bits / 62)`` words exactly past 62, so this file pins the two
-backends to each other *at* the boundary (61, 62), just across it (63,
-64) and well past it (100):
+Widths 61 and 62 sit at the 62-bit seam of the int64 word layout the
+array state once packed masks into, 63 and 64 just across it and 100
+well past it.  Python ints have no such seam, and these cases pin that
+nothing in the replay assumed one:
 
-* two-way agreement -- the python per-event replay and the fused
-  kernel replay the same compiled stream and must agree on counts,
-  ``explain_block`` cause dicts *and* the end-state occupancy
-  bitplanes (extracted backend-agnostically as Python ints);
+* three-way agreement -- a lane of a lockstep batch, its one-lane
+  replay and the serial network replay the same stream and must agree
+  on counts and ``explain_block`` cause dicts, at ``m``, ``r`` or
+  ``k`` of each width;
 * high-bit round-trips -- covers committed at middle/module/wavelength
-  indices on both sides of the word seam, asserting the planes, views
-  and undo branches each cover implies after every allocate and
-  all-zero planes after the frees;
-* ``W == 1`` byte-identity -- the fused state's single-word arrays
-  keep the pre-multi-word layout bit for bit and *byte for byte* (same
-  shapes, same dtype, no trailing word axis) for a golden replay.
+  indices on both sides of bit 62, asserting the planes, views and
+  undo branches each cover implies after every allocate and all-zero
+  planes after the frees.
 """
 
 from __future__ import annotations
@@ -24,71 +21,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.core.models import Construction, MulticastModel
-from repro.engine.backends import make_state
-from repro.engine.fused import FusedState
-from repro.engine.geometry import FabricGeometry
-from repro.engine.planes import WORD_BITS, join_words
-from repro.engine.state import PythonState
 from repro.core.multistage import valid_x_range
-from repro.perf.batch import _replay, compile_stream, lower_stream
-from tests.fused_support import fused_runnable
+from repro.engine.geometry import FabricGeometry
+from repro.engine.state import PythonState
+from repro.perf.batch import _simulate
+from tests.perf.test_batch import serial_cell_with_causes
 
 BOUNDARY = (61, 62, 63, 64, 100)
-BACKENDS = ("python", "numba")
 STEPS = 50
 
 
-def _join_rows(node, depth):
-    """Join the innermost word lists of a nested ``tolist()`` into ints."""
-    if depth == 0:
-        return join_words(node)
-    return [_join_rows(item, depth - 1) for item in node]
-
-
 def canonical_planes(state) -> list[dict]:
-    """Per-replication occupancy bitplanes as nested Python ints.
+    """Per-replication occupancy bitplanes, ``[b]``-leading.
 
-    Backend-agnostic: the fused state joins its int64 word rows back
-    into ints and drops the padding rows above each replication's own
-    ``m``; the python backend transposes its view-oriented nesting into
-    the same ``[b][...]``-leading order.
+    Transposes the state's view-oriented nesting, so the full-fiber
+    planes of the MAW-dominant layout are visible too.
     """
     geos = state.geometries
-    if not isinstance(state, PythonState):
-
-        def grab(name):
-            arr = getattr(state, name)
-            if not state._multiword:
-                return arr.tolist()
-            return _join_rows(arr.tolist(), arr.ndim - 1)
-
-        out_busy = grab("_out_busy")
-        if state.msw_dominant:
-            in_busy = grab("_in_busy")
-            return [
-                {
-                    "in_busy": in_busy[b],
-                    "out_busy": out_busy[b][: geos[b].m],
-                }
-                for b in range(state.batch)
-            ]
-        in_wave = grab("_in_wave")
-        in_full = grab("_in_full")
-        out_wave = grab("_out_wave")
-        out_full = grab("_out_full")
-        return [
-            {
-                "in_wave": [row[: geos[b].m] for row in in_wave[b]],
-                "in_full": in_full[b],
-                "out_wave": out_wave[b][: geos[b].m],
-                "out_full": out_full[b][: geos[b].m],
-                "out_busy": out_busy[b][: geos[b].m],
-            }
-            for b in range(state.batch)
-        ]
     k = len(state._out_busy)
     if state.msw_dominant:
         r = len(state._in_busy)
@@ -127,38 +77,31 @@ def canonical_planes(state) -> list[dict]:
     ]
 
 
-def replay_all_backends(n, r, k, x, m_values, seed, construction, model):
-    """One stream through every backend: counts, causes, end planes."""
-    ops = compile_stream(model, n, r, k, STEPS, seed, None, False, None)
-    geos = tuple(
-        FabricGeometry(
-            n=n, r=r, k=k, m=m, construction=construction, model=model, x=x
+def assert_three_way(n, r, k, x, m_values, seed, construction, model):
+    """Each lane of one batch, its one-lane replay and the serial network.
+
+    All three must agree on counts and ``explain_block`` causes.
+    """
+
+    def replay(lanes):
+        attempts, replications = _simulate(
+            n, r, k, construction, model, x, STEPS, None, seed, list(lanes),
+            True,
         )
-        for m in m_values
-    )
-    results = {}
-    with fused_runnable():
-        for backend in BACKENDS:
-            state = make_state(geos, backend)
-            attempts, replications = _replay(ops, state, True, True)
-            results[backend] = (
-                attempts,
-                [
-                    (
-                        rep.blocked,
-                        rep.releases,
-                        rep.kind_counts,
-                        [repr(cause) for cause in rep.causes],
-                    )
-                    for rep in replications
-                ],
-                canonical_planes(state),
+        return [(attempts, rep.blocked, rep.causes) for rep in replications]
+
+    for m, lane in zip(m_values, replay(m_values)):
+        serial = tuple(
+            serial_cell_with_causes(
+                n, r, m, k, construction, model, x, STEPS, seed
             )
-    return results
+        )
+        assert lane == serial
+        assert replay([m]) == [serial]
 
 
 class TestBoundaryAgreement:
-    """python/fused two-way identity across the word seam."""
+    """Lanes, one-lane replays and the serial network across the seam."""
 
     @pytest.mark.parametrize("wide", BOUNDARY)
     @settings(max_examples=6, deadline=None)
@@ -177,35 +120,35 @@ class TestBoundaryAgreement:
             st.sampled_from(list(Construction)), label="construction"
         )
         model = data.draw(st.sampled_from(list(MulticastModel)), label="model")
+        other = data.draw(st.integers(1, 5), label="other m")
 
-        results = replay_all_backends(
-            n, r, k, x, [m], seed, construction, model
+        assert_three_way(
+            n, r, k, x, list(dict.fromkeys([m, other])), seed, construction,
+            model,
         )
-        assert results["python"] == results["numba"]
 
     def test_mixed_batch_straddles_the_seam(self):
         """One lockstep batch whose m column spans every boundary value."""
         n, r, k, x, seed = 3, 63, 2, 2, 7
         for construction in Construction:
             for model in MulticastModel:
-                results = replay_all_backends(
-                    n, r, k, x, list(BOUNDARY), seed, construction, model
+                assert_three_way(
+                    n, r, k, x, BOUNDARY, seed, construction, model
                 )
-                assert results["python"] == results["numba"]
 
 
 class TestHighBitRoundTrip:
-    """Covers committed on both sides of the word seam, then undone.
+    """Covers committed on both sides of bit 62, then undone.
 
-    The python backend's planes, setup views and undo branches are
+    The state's planes, setup views and undo branches are
     checked after every allocate against what the covers imply: the
     in-fiber carrier is first-fit (the source wavelength under
     MSW-dominance) and every delivery rides the source wavelength when
     the endpoint model pins it, else the first free one.
     """
 
-    MIDDLES = (0, WORD_BITS - 1, WORD_BITS, WORD_BITS + 1, 99)
-    DEST_BITS = (0, WORD_BITS - 1, WORD_BITS, 69)
+    MIDDLES = (0, 61, 62, 63, 99)
+    DEST_BITS = (0, 61, 62, 69)
     R, K, M = 70, 63, 100
 
     @pytest.mark.parametrize("construction", list(Construction))
@@ -254,93 +197,3 @@ class TestHighBitRoundTrip:
         for per_b in canonical_planes(state):
             for plane in per_b.values():
                 assert all_zero(plane)
-
-
-class TestSingleWordLayout:
-    """``W == 1`` fused arrays keep the pre-multi-word layout, byte for byte."""
-
-    GOLDEN_SEED = 2024
-
-    def test_arrays_byte_identical_to_single_word_layout(self):
-        n, r, k, x = 3, 3, 2, 1
-        m_values = [1, 2, 3, 5, 8]
-        m_max = max(m_values)
-        batch = len(m_values)
-        for construction in Construction:
-            for model in MulticastModel:
-                ops = compile_stream(
-                    model, n, r, k, 400, self.GOLDEN_SEED, None, False, None
-                )
-                geos = tuple(
-                    FabricGeometry(
-                        n=n, r=r, k=k, m=m,
-                        construction=construction, model=model, x=x,
-                    )
-                    for m in m_values
-                )
-                state = FusedState(geos)
-                state.replay_ops(lower_stream(ops), False, False)
-                reference = PythonState(geos)
-                _replay(ops, reference, False, False)
-                assert not state._multiword
-
-                def expect(shape, fill):
-                    arr = np.zeros(shape, dtype=np.int64)
-                    fill(arr)
-                    return arr
-
-                def check(actual, expected):
-                    assert actual.shape == expected.shape
-                    assert actual.dtype == np.int64
-                    assert actual.tobytes() == expected.tobytes()
-
-                def fill_out_busy(arr):
-                    for b in range(batch):
-                        for j in range(m_values[b]):
-                            for w in range(k):
-                                arr[b, j, w] = reference._out_busy[w][b][j]
-
-                check(
-                    state._out_busy, expect((batch, m_max, k), fill_out_busy)
-                )
-                if state.msw_dominant:
-
-                    def fill_in_busy(arr):
-                        for b in range(batch):
-                            for g in range(r):
-                                for w in range(k):
-                                    arr[b, g, w] = reference._in_busy[g][w][b]
-
-                    check(
-                        state._in_busy, expect((batch, r, k), fill_in_busy)
-                    )
-                    continue
-
-                def fill_in_wave(arr):
-                    for b in range(batch):
-                        for g in range(r):
-                            for j in range(m_values[b]):
-                                arr[b, g, j] = reference._in_wave[g][b][j]
-
-                def fill_in_full(arr):
-                    for b in range(batch):
-                        for g in range(r):
-                            arr[b, g] = reference._in_full[g][b]
-
-                def fill_out_wave(arr):
-                    for b in range(batch):
-                        for j in range(m_values[b]):
-                            for p in range(r):
-                                arr[b, j, p] = reference._out_wave[b][j][p]
-
-                def fill_out_full(arr):
-                    for b in range(batch):
-                        for j in range(m_values[b]):
-                            arr[b, j] = reference._out_full[b][j]
-
-                check(state._in_wave, expect((batch, r, m_max), fill_in_wave))
-                check(state._in_full, expect((batch, r), fill_in_full))
-                check(
-                    state._out_wave, expect((batch, m_max, r), fill_out_wave)
-                )
-                check(state._out_full, expect((batch, m_max), fill_out_full))

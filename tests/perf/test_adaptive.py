@@ -44,6 +44,18 @@ class TestPrecisionConfig:
         with pytest.raises(ValueError, match="zero_half_width"):
             PrecisionConfig(zero_half_width=-1.0)
 
+    def test_nan_half_width_rejected(self):
+        # NaN compares False with everything, so a "<= 0" check let it
+        # through and every cell then ran to max_rounds unconverged.
+        with pytest.raises(ValueError, match="half_width must be > 0, got nan"):
+            PrecisionConfig(half_width=float("nan"))
+
+    def test_nan_zero_half_width_rejected(self):
+        with pytest.raises(
+            ValueError, match="zero_half_width must be > 0, got nan"
+        ):
+            PrecisionConfig(relative=True, zero_half_width=float("nan"))
+
     def test_replications_per_round(self):
         assert PrecisionConfig(pairs_per_round=3).replications_per_round() == 6
         assert (

@@ -1,11 +1,10 @@
 """Equivalence and property tests for the lockstep batch engine.
 
 The ``batched`` kernel's whole contract is *bit-identity*: every
-``(m, seed)`` cell it produces -- counts, causes, cache entries, obs
-counters -- must equal the serial bitmask simulator's.  These tests
-pin that contract on randomized configurations and on both state
-backends: the per-event python replay and the fused kernel
-(interpreted when numba is absent; it needs numpy).
+``(m, seed)`` cell it produces -- counts, causes, end planes, cache
+entries, obs counters -- must equal the serial bitmask simulator's and
+a one-lane replay's.  These tests pin that contract on randomized
+configurations.
 """
 
 from __future__ import annotations
@@ -20,17 +19,16 @@ from repro import api, obs
 from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import min_middle_switches, valid_x_range
-from repro.engine.backends import make_state
+from repro.engine.backends import resolve_backend
 from repro.engine.geometry import FabricGeometry
 from repro.engine.state import PythonState
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf import batch as batch_module
 from repro.perf.batch import (
     _replay,
-    available_backends,
+    _simulate,
     compile_stream,
     replay_cell,
-    resolve_backend,
     simulate_batch,
 )
 from repro.perf.cache import ResultCache
@@ -38,21 +36,19 @@ from repro.switching.generators import dynamic_traffic
 from repro.switching.requests import MulticastConnection
 from repro.workloads import TraceConfig, generate_trace
 from repro.workloads.keys import stream_rng
-from tests.fused_support import fused_runnable
 from tests.workloads.test_stream_pins import CONFIGS as PIN_CONFIGS
 from tests.workloads.test_stream_pins import SHAPES as PIN_SHAPES
 
-try:
-    import numpy  # noqa: F401
-
-    BACKENDS: tuple[str, ...] = ("python", "numba")
-except ImportError:
-    BACKENDS = ("python",)
 STEPS = 150
 
 
-def serial_cell_with_causes(n, r, m, k, construction, model, x, steps, seed):
-    """The serial simulator's ``(attempts, blocked, causes)`` ground truth."""
+def serial_cell_with_causes(
+    n, r, m, k, construction, model, x, steps, seed, with_net=False
+):
+    """The serial simulator's ``(attempts, blocked, causes)`` ground truth.
+
+    With ``with_net`` the network itself follows, for its end state.
+    """
     rng = random.Random(seed)
     net = ThreeStageNetwork(
         n, r, m, k, construction=construction, model=model, x=x
@@ -76,6 +72,8 @@ def serial_cell_with_causes(n, r, m, k, construction, model, x, steps, seed):
                 dropped.discard(event.connection_id)
                 continue
             net.disconnect(live.pop(event.connection_id))
+    if with_net:
+        return attempts, blocked, causes, net
     return attempts, blocked, causes
 
 
@@ -95,50 +93,31 @@ def configs(draw):
 
 class TestBitIdentity:
     @settings(max_examples=25, deadline=None)
-    @given(config=configs(), backend=st.sampled_from(BACKENDS))
-    def test_counts_and_causes_equal_serial(self, config, backend):
+    @given(config=configs())
+    def test_counts_and_causes_equal_serial(self, config):
         n, r, k, x, m, seed, construction, model = config
         attempts, blocked, causes = serial_cell_with_causes(
             n, r, m, k, construction, model, x, STEPS, seed
         )
-        with fused_runnable():
-            outcome = replay_cell(
-                n, r, m, k, construction=construction, model=model, x=x,
-                steps=STEPS, seed=seed, backend=backend, record_causes=True,
-            )
+        outcome = replay_cell(
+            n, r, m, k, construction=construction, model=model, x=x,
+            steps=STEPS, seed=seed, record_causes=True,
+        )
         assert (outcome.attempts, outcome.blocked) == (attempts, blocked)
         assert list(outcome.causes) == causes
 
-    @settings(max_examples=15, deadline=None)
-    @given(config=configs())
-    def test_backends_agree(self, config):
-        n, r, k, x, m, seed, construction, model = config
-        with fused_runnable():
-            outcomes = [
-                replay_cell(
-                    n, r, m, k, construction=construction, model=model, x=x,
-                    steps=STEPS, seed=seed, backend=backend,
-                    record_causes=True,
-                )
-                for backend in BACKENDS
-            ]
-        assert len({(o.attempts, o.blocked) for o in outcomes}) == 1
-        assert len({repr(o.causes) for o in outcomes}) == 1
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_whole_batch_equals_per_cell_serial(self, backend):
+    def test_whole_batch_equals_per_cell_serial(self):
         """One lockstep batch covers the m column bit for bit."""
         n, r, k, x, seed = 3, 3, 2, 1, 0
         m_values = list(range(1, 9))
         for construction in Construction:
             for model in MulticastModel:
-                with fused_runnable():
-                    batch = dict(
-                        simulate_batch(
-                            n, r, k, construction, model, x, 300, None,
-                            seed, m_values, backend,
-                        )
+                batch = dict(
+                    simulate_batch(
+                        n, r, k, construction, model, x, 300, None,
+                        seed, m_values,
                     )
+                )
                 for m in m_values:
                     assert batch[m] == _traffic_cell(
                         n, r, m, k, construction, model, x, 300, seed, None
@@ -178,7 +157,7 @@ def lane_batches(draw):
 
 def lane_results(ops, geometries):
     """Per lane: attempts, blocked, releases, kinds, causes, end planes."""
-    state = make_state(geometries, "python")
+    state = PythonState(geometries)
     attempts, replications = _replay(ops, state, True, True)
     return [
         (
@@ -220,7 +199,6 @@ class TestSharedTrajectories:
         monkeypatch.setattr(PythonState, "allocate", counting_allocate)
         cells = simulate_batch(
             n, r, k, construction, model, x, steps, None, seed, m_values,
-            "python",
         )
         assert cells == [(m, (setups, 0)) for m in m_values]
         assert len(probes) == setups
@@ -253,45 +231,79 @@ class TestSharedTrajectories:
         ]
 
 
-@pytest.mark.skipif(
-    "numba" not in BACKENDS, reason="fused backend needs numpy"
-)
 class TestThreeWayIdentity:
-    """python vs numba on the same cells (satellite contract)."""
+    """The serial network, one-lane replays and whole batches agree."""
 
     @settings(max_examples=20, deadline=None)
-    @given(config=configs())
-    def test_counts_and_causes_agree(self, config):
+    @given(
+        config=configs(),
+        others=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    )
+    def test_counts_and_causes_agree(self, config, others):
         n, r, k, x, m, seed, construction, model = config
-        with fused_runnable():
-            backends = available_backends()
-            assert {"python", "numba"} <= set(backends)
-            outcomes = [
-                replay_cell(
-                    n, r, m, k, construction=construction, model=model, x=x,
-                    steps=STEPS, seed=seed, backend=backend,
-                    record_causes=True,
-                )
-                for backend in ("python", "numba")
-            ]
-            assert len({(o.attempts, o.blocked) for o in outcomes}) == 1
-            assert len({repr(o.causes) for o in outcomes}) == 1
+        m_values = list(dict.fromkeys([m, *others]))
+        attempts, replications = _simulate(
+            n, r, k, construction, model, x, STEPS, None, seed, m_values,
+            True,
+        )
+        for lane_m, rep in zip(m_values, replications):
+            serial = serial_cell_with_causes(
+                n, r, lane_m, k, construction, model, x, STEPS, seed
+            )
+            one_lane = replay_cell(
+                n, r, lane_m, k, construction=construction, model=model,
+                x=x, steps=STEPS, seed=seed, record_causes=True,
+            )
+            assert (attempts, rep.blocked, rep.causes) == tuple(serial)
+            assert (
+                one_lane.attempts, one_lane.blocked, list(one_lane.causes)
+            ) == tuple(serial)
 
     @pytest.mark.parametrize("construction", list(Construction))
     @pytest.mark.parametrize("model", list(MulticastModel))
-    def test_fused_batch_equals_python_batch(self, construction, model):
+    def test_whole_batch_equals_one_lane_batches(self, construction, model):
         n, r, k, x, seed = 3, 3, 2, 1, 0
         m_values = tuple(range(1, 9))
-        with fused_runnable():
-            python = simulate_batch(
-                n, r, k, construction, model, x, 300, None, seed,
-                m_values, "python",
+        whole = simulate_batch(
+            n, r, k, construction, model, x, 300, None, seed, m_values,
+        )
+        assert whole == [
+            simulate_batch(
+                n, r, k, construction, model, x, 300, None, seed, (m,),
+            )[0]
+            for m in m_values
+        ]
+
+
+class TestEndStateIdentity:
+    @pytest.mark.parametrize("construction", list(Construction))
+    @pytest.mark.parametrize("model", list(MulticastModel))
+    def test_lanes_end_in_the_serial_networks_planes(
+        self, construction, model
+    ):
+        """After a batched replay each lane's planes equal the serial net's.
+
+        Stronger than count identity: every admit/release must have
+        set and cleared the same bits, so both replays end in the same
+        fabric state.
+        """
+        m_values = (1, 2, 3)
+        geometries = tuple(
+            FabricGeometry(
+                n=3, r=3, k=2, m=m, construction=construction, model=model,
+                x=1,
             )
-            fused = simulate_batch(
-                n, r, k, construction, model, x, 300, None, seed,
-                m_values, "numba",
+            for m in m_values
+        )
+        state = PythonState(geometries)
+        ops = compile_stream(model, 3, 3, 2, 200, 1)
+        attempts, replications = _replay(ops, state, True, False)
+        for b, (m, rep) in enumerate(zip(m_values, replications)):
+            serial_attempts, blocked, _, net = serial_cell_with_causes(
+                3, 3, m, 2, construction, model, 1, 200, 1, with_net=True
             )
-        assert fused == python
+            assert (attempts, rep.blocked) == (serial_attempts, blocked)
+            assert state.busy_planes(b) == net._state.busy_planes()
 
 
 class TestStreamCompilation:
@@ -391,42 +403,16 @@ MIRROR_SPLITS = {"9x2": (3, 3), "16x2": (4, 4), "12x3-fanout2": (4, 3),
 
 class TestBackendResolution:
     def test_auto_resolves_to_python(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed: auto legitimately prefers it")
         assert resolve_backend("auto", m_max=8, r=4, k=2) == "python"
-
-    @pytest.mark.skipif(
-        "numba" not in BACKENDS, reason="fused backend needs numpy"
-    )
-    def test_auto_prefers_numba_over_python(self):
-        with fused_runnable():
-            assert resolve_backend("auto", m_max=8, r=4, k=2) == "numba"
-            # ... at any plane width, now that the word gate is lifted.
-            assert resolve_backend("auto", m_max=100, r=4, k=2) == "numba"
-
-    def test_env_python_beats_numba_preference(self):
-        """An explicit ``python`` request wins over auto's numba pick."""
-        with fused_runnable():
-            assert resolve_backend("python", m_max=8, r=4, k=2) == "python"
 
     def test_env_override(self):
         """Explicit requests resolve to themselves: the argument is the
         only way to pick a backend."""
         assert resolve_backend("python", m_max=8, r=4, k=2) == "python"
-        if "numba" in BACKENDS:
-            with fused_runnable():
-                assert resolve_backend("numba", m_max=8, r=4, k=2) == "numba"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown batch backend"):
             resolve_backend("fortran", m_max=8, r=4, k=2)
-
-    @pytest.mark.skipif("numba" in BACKENDS, reason="numpy is installed")
-    def test_numpy_missing_rejected(self):
-        # The fused backend needs numpy even in interpreted mode.
-        with fused_runnable():
-            with pytest.raises(ValueError, match="numpy is not installed"):
-                resolve_backend("numba", m_max=8, r=4, k=2)
 
     def test_illegal_x_rejected_like_the_network(self):
         with pytest.raises(ValueError, match="outside the legal range"):

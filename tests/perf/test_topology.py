@@ -4,15 +4,16 @@ The fabric seam's observable contract, stated as properties rather than
 pinned numbers (those live in ``tests/engine/test_fabrics.py``):
 
 * the **crossbar is a live zero-blocking oracle**: it admits 100% of
-  any legal stream from *every* registered workload model, on every
-  backend -- a single blocked event anywhere is a seam bug;
+  any legal stream from *every* registered workload model -- a single
+  blocked event anywhere is a seam bug;
 * **attempts are fabric-independent**: every fabric replays the same
   compiled stream, so the attempt count never varies across fabrics
   (only admission outcomes may);
 * the **crossbar is the blocking floor**: no fabric blocks less on the
   identical stream;
-* the **backends agree per fabric**: python and the fused kernel
-  (interpreted when numba is absent) produce identical cells;
+* **a batch equals its cells per fabric**: a lockstep batch over the
+  ``m`` column produces the cells the per-cell path does (the serial
+  network on the Clos, a one-lane replay elsewhere);
 * the **API surface round-trips**: ``FabricConfig`` validates eagerly,
   ``api.blocking``/``api.sweep`` accept both spellings, and adversarial
   probing refuses non-Clos fabrics instead of silently probing the
@@ -27,11 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import fabric_names, get_fabric
 from repro.perf.batch import simulate_batch
 from repro.workloads import generate_trace, workload_names
-from tests.fused_support import fused_runnable
 
 C = Construction.MSW_DOMINANT
 MSW = MulticastModel.MSW
@@ -60,8 +61,8 @@ def _workload(name: str | None, steps: int, seeds: tuple[int, ...]):
 def test_crossbar_admits_every_legal_stream(workload, model, m, seed):
     steps = 150
     cells = simulate_batch(
-        3, 3, 2, C, model, 1, steps, None, seed, (m,), "python",
-        False, _workload(workload, steps, (seed,)), "crossbar",
+        3, 3, 2, C, model, 1, steps, None, seed, (m,), False,
+        _workload(workload, steps, (seed,)), "crossbar",
     )
     [(_, (attempts, blocked))] = cells
     assert blocked == 0
@@ -79,8 +80,8 @@ def test_crossbar_is_the_blocking_floor(workload, m, seed):
     config = _workload(workload, steps, (seed,))
     per_fabric = {
         fabric: simulate_batch(
-            3, 3, 2, C, MSW, 1, steps, None, seed, (m,), "python",
-            False, config, fabric,
+            3, 3, 2, C, MSW, 1, steps, None, seed, (m,), False, config,
+            fabric,
         )[0][1]
         for fabric in fabric_names()
     }
@@ -103,8 +104,8 @@ def test_crossbar_admits_recorded_traces(tmp_path):
     assert count > 0
     replay = api.make_workload("trace", path=str(path), steps=steps, seeds=(0,))
     cells = simulate_batch(
-        3, 3, 2, C, MSW, 1, steps, None, 0, (1, 3), "python",
-        False, replay, "crossbar",
+        3, 3, 2, C, MSW, 1, steps, None, 0, (1, 3), False, replay,
+        "crossbar",
     )
     for _, (attempts, blocked) in cells:
         assert attempts > 0
@@ -112,21 +113,20 @@ def test_crossbar_admits_recorded_traces(tmp_path):
 
 
 @pytest.mark.parametrize("fabric", ["clos", "awg_clos", "crossbar"])
-def test_backends_agree_per_fabric(fabric):
-    pytest.importorskip("numpy")
+def test_batch_equals_per_cell_runs_per_fabric(fabric):
     m_values = (1, 2, 3, 4)
-    with fused_runnable():
-        runs = {
-            backend: [
-                simulate_batch(
-                    3, 3, 2, C, MSW, 1, 200, None, seed, m_values,
-                    backend, False, None, fabric,
-                )
-                for seed in (0, 1)
-            ]
-            for backend in ("python", "numba")
-        }
-    assert runs["python"] == runs["numba"]
+    for seed in (0, 1):
+        batch = simulate_batch(
+            3, 3, 2, C, MSW, 1, 200, None, seed, m_values, False, None,
+            fabric,
+        )
+        assert batch == [
+            (m, _traffic_cell(
+                3, 3, m, 2, C, MSW, 1, 200, seed, None, False, False, None,
+                fabric,
+            ))
+            for m in m_values
+        ]
 
 
 # -- the API surface ---------------------------------------------------------

@@ -28,7 +28,6 @@ def report(quick=True, **speedups):
 
 GUARDED = dict(
     engine=2.5,
-    fused=4.0,
     wide=9.0,
     workloads=10.0,
     topology=1.0,
@@ -93,35 +92,6 @@ class TestVerdicts:
             run(tmp_path, report(quick=True, **GUARDED),
                 report(quick=False, **GUARDED))
 
-    def test_exempt_section_never_regresses(self, tmp_path):
-        # The fused section flags guard_exempt when numba is missing --
-        # its interpreted timing must not gate the build however low.
-        baseline = report(**GUARDED)
-        fresh = report(**dict(GUARDED, fused=0.1))
-        fresh["fused"]["guard_exempt"] = True
-        code, diff = run(tmp_path, baseline, fresh)
-        assert code == 0
-        entry = diff["sections"]["fused"]
-        assert entry["guarded"] is False
-        assert entry["guard_exempt"] is True
-        assert entry["regressed"] is False
-
-    def test_exempt_baseline_cannot_gate_compiled_run(self, tmp_path):
-        # An interpreted baseline ratio measured a different code path,
-        # so even a compiled fresh run below it is not a regression.
-        baseline = report(**dict(GUARDED, fused=10.0))
-        baseline["fused"]["guard_exempt"] = True
-        fresh = report(**dict(GUARDED, fused=3.5))
-        code, diff = run(tmp_path, baseline, fresh)
-        assert code == 0
-        assert diff["sections"]["fused"]["regressed"] is False
-
-    def test_compiled_drop_still_fails(self, tmp_path):
-        fresh = report(**dict(GUARDED, fused=4.0 * 0.8))
-        code, diff = run(tmp_path, report(**GUARDED), fresh)
-        assert code == 1
-        assert diff["regressions"] == ["fused"]
-
 
 class TestSpeedupFloor:
     """The ``min_speedup`` absolute floor (the adaptive event-ratio gate)."""
@@ -164,9 +134,6 @@ class TestCommittedBaseline:
         assert baseline["meta"]["quick"] is True
         for name in check.GUARDED_SECTIONS:
             assert baseline[name]["identical"] is True
-            # Exempt entries (the fused section recorded without numba)
-            # carry interpreted timings that never gate anything, and
-            # identity-only sections (topology) pin their speedup at
+            # Identity-only sections (topology) pin their speedup at
             # exactly 1.0 by construction.
-            if not baseline[name].get("guard_exempt"):
-                assert baseline[name]["speedup"] >= 1.0
+            assert baseline[name]["speedup"] >= 1.0

@@ -225,39 +225,15 @@ class TestTraceCommand:
         assert "MAW" in out
 
     def test_kernels_matrix(self, capsys):
-        from repro.engine.backends import resolve_backend
-        from repro.engine.planes import WORD_BITS
-
         out = run_cli(capsys, "kernels")
         for kernel in ("bitmask", "batched"):
             assert kernel in out
         assert "reference" not in out
-        for backend in ("python", "numba"):
-            assert backend in out
-        assert f"plane width: W = ceil(max(m, r, k) / {WORD_BITS})" in out
         # The kernel is a per-run argument: there is no process-wide
-        # kernel to report.
+        # kernel to report, and no state backend to pick.
         assert "active routing kernel" not in out
-        auto = resolve_backend("auto", m_max=1, r=1, k=1)
-        assert f"auto backend resolves to: {auto}" in out
-        assert "backend status:" in out
-        assert "python: available" in out
-
-    def test_kernels_shows_missing_backend_reason(self, capsys, monkeypatch):
-        from repro.engine import fused
-
-        monkeypatch.setattr(
-            fused, "missing_requirement", lambda: "numba is not installed"
-        )
-        out = run_cli(capsys, "kernels")
-        assert "numba: unavailable (numba is not installed)" in out
-
-    def test_kernels_shows_installed_backend_width(self, capsys, monkeypatch):
-        from repro.engine import fused
-
-        monkeypatch.setattr(fused, "missing_requirement", lambda: None)
-        out = run_cli(capsys, "kernels")
-        assert "  numba: available" in out.splitlines()
+        assert "backend" not in out
+        assert "--kernel NAME" in out
 
 
 class TestParser:
@@ -279,14 +255,13 @@ class TestParser:
         message = capsys.readouterr().err
         assert "unknown kernel 'reference'; choose from batched, bitmask" in message
 
-    def test_unknown_backend_rejected_listing_valid_ones(self, capsys):
+    @pytest.mark.parametrize("command", ["blocking", "sweep"])
+    def test_backend_flag_is_refused(self, capsys, command):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["blocking", "--backend", "bogus"])
+            parser.parse_args([command, "--backend", "python"])
         message = capsys.readouterr().err
-        assert "unknown backend 'bogus'" in message
-        for backend in ("auto", "python"):
-            assert backend in message
+        assert "unrecognized arguments: --backend python" in message
 
     @pytest.mark.parametrize("batch", ["0", "-1"])
     def test_batch_below_one_rejected(self, batch):
@@ -294,24 +269,6 @@ class TestParser:
             main(["blocking", "--n", "2", "--r", "2", "--k", "1",
                   "--m-max", "2", "--kernel", "batched", "--batch", batch])
         assert f"batch must be >= 1 or None, got {batch}" in str(excinfo.value)
-
-    def test_unavailable_backend_is_a_one_line_error(self, monkeypatch):
-        from repro.engine import fused
-
-        monkeypatch.setattr(
-            fused, "missing_requirement", lambda: "numba is not installed"
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(["blocking", "--n", "2", "--r", "2", "--k", "1",
-                  "--m-max", "3", "--kernel", "batched",
-                  "--backend", "numba"])
-        message = str(excinfo.value)
-        assert message.startswith(
-            "wdm-repro: error: batch backend 'numba' requested but numba "
-            "is not installed"
-        )
-        assert 'pip install -e ".[fused]"' in message
-        assert "\n" not in message
 
     @pytest.mark.parametrize("command", ["blocking", "sweep"])
     @pytest.mark.parametrize("refused", [
@@ -329,11 +286,6 @@ class TestParser:
         assert message.startswith("wdm-repro: error: debug_checks")
         assert "bitmask kernel on the clos fabric" in message
         assert "\n" not in message
-
-    def test_backend_flag_accepts_known_names(self):
-        parser = build_parser()
-        args = parser.parse_args(["blocking", "--backend", "PYTHON"])
-        assert args.backend == "python"
 
     def test_unknown_construction_rejected(self):
         parser = build_parser()
@@ -449,6 +401,77 @@ class TestWorkloadCommands:
         assert captured.out == ""
         assert f"argument --m-max: must be >= 1, got {m_max}" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["blocking"], "--n", "0"),
+            (["blocking"], "--r", "0"),
+            (["blocking"], "--k", "0"),
+            (["sweep"], "--n", "0"),
+            (["sweep"], "--r", "-1"),
+            (["sweep"], "--k", "0"),
+            (["trace", "blocking"], "--n", "0"),
+            (["trace", "blocking"], "--r", "0"),
+            (["trace", "blocking"], "--m", "0"),
+            (["trace", "blocking"], "--k", "0"),
+            (["exact"], "--n", "0"),
+            (["exact"], "--r", "0"),
+            (["exact"], "--k", "0"),
+        ],
+        ids=lambda value: "-".join(value) if isinstance(value, list) else None,
+    )
+    def test_size_below_one_rejected_at_parse_time(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [
+            f"wdm-repro {command[0]}: error: argument {flag}: must be >= 1, "
+            f"got {value}"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, legal",
+        [
+            (["blocking", "--n", "3", "--r", "3", "--x", "5"], "[1, 2]"),
+            (["sweep", "--n", "3", "--r", "3", "--x", "0"], "[1, 2]"),
+            (["trace", "blocking", "--n", "3", "--r", "3", "--x", "5"],
+             "[1, 2]"),
+            (["exact", "--n", "3", "--r", "3", "--x", "5"], "[1, 2]"),
+        ],
+        ids=["blocking", "sweep", "trace", "exact"],
+    )
+    def test_illegal_x_rejected_in_one_line(self, argv, legal):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == (
+            f"wdm-repro: error: --x {argv[-1]} is outside the legal range "
+            f"{legal} for n=3, r=3"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--ci-halfwidth", "0"], "half_width must be > 0, got 0.0"),
+            (["--ci-halfwidth", "nan"], "half_width must be > 0, got nan"),
+            (["--ci-level", "1.5"], "level must be in (0, 1), got 1.5"),
+            (["--min-rounds", "0"], "min_rounds must be >= 1, got 0"),
+            (["--min-rounds", "3", "--max-rounds", "2"],
+             "max_rounds (2) must be >= min_rounds (3)"),
+        ],
+        ids=["ci-halfwidth", "ci-halfwidth-nan", "ci-level", "min-rounds",
+             "max-rounds"],
+    )
+    def test_bad_precision_target_rejected_in_one_line(self, flags, expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", "2", *flags])
+        assert str(excinfo.value) == f"wdm-repro: error: {expected}"
+
     def test_trace_gen_round_trips_through_blocking(self, capsys, tmp_path):
         target = tmp_path / "burst.jsonl"
         out = run_cli(
@@ -507,7 +530,7 @@ class TestWorkloadCommands:
 class TestFabricCommands:
     def test_fabrics_matrix_lists_registry(self, capsys):
         out = run_cli(capsys, "fabrics")
-        assert "Fabric models x batch state backends" in out
+        assert "Fabric models" in out
         for name in ("clos", "crossbar", "awg_clos"):
             assert name in out
         assert "n/a (no replay)" in out

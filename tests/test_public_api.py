@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +30,29 @@ class TestTopLevel:
         assert cap.log10_full > 0
         assert design.m >= 1
         assert design.cost.crosspoints > 0
+
+
+class TestImportCost:
+    def test_importing_the_api_loads_no_numpy(self):
+        """The package is pure Python: importing it loads no numpy or numba.
+
+        Run in a fresh interpreter, because this one may have imported
+        either for other tests.
+        """
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.api; print(sorted(name for name in "
+                "('numpy', 'numba') if name in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.stdout.strip() == "[]"
 
 
 SUBPACKAGES = [

@@ -3,9 +3,9 @@
 The workload seam sits *above* the admission engine: a workload only
 changes which events are drawn, never how they are routed.  So the
 bit-identity contract of the kernels must hold per replication for
-every registered model -- serial reference network, batched python
-backend and the fused (numba array program, interpreted here) backend
-must agree on counts *and* on the ``explain_block`` cause dicts.
+every registered model -- the serial reference network and the
+batched replay must agree on counts *and* on the ``explain_block``
+cause dicts.
 
 The second contract is key hygiene: a workload's identity must enter
 every cache key, so a warm uniform cache can never answer for
@@ -32,16 +32,8 @@ from repro.workloads import (
     UniformConfig,
 )
 from repro.workloads.keys import stream_rng
-from tests.fused_support import fused_runnable
 
 STEPS = 120
-
-try:  # the fused array program needs numpy, even interpreted
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 WORKLOADS = [
     UniformConfig(),
@@ -101,28 +93,17 @@ class TestEveryWorkloadAgreesAcrossKernels:
         config=configs(),
         workload=st.sampled_from(WORKLOADS),
     )
-    def test_serial_batched_and_fused_match(self, config, workload):
+    def test_serial_and_batched_match(self, config, workload):
         n, r, k, x, m, seed, construction, model = config
         attempts, blocked, causes = serial_cell(
             n, r, m, k, construction, model, x, seed, workload
         )
         batched = replay_cell(
             n, r, m, k, construction=construction, model=model, x=x,
-            steps=STEPS, seed=seed, backend="python", record_causes=True,
-            workload=workload,
+            steps=STEPS, seed=seed, record_causes=True, workload=workload,
         )
         assert (batched.attempts, batched.blocked) == (attempts, blocked)
         assert list(batched.causes) == causes
-        if not HAVE_NUMPY:
-            return
-        with fused_runnable():
-            fused = replay_cell(
-                n, r, m, k, construction=construction, model=model, x=x,
-                steps=STEPS, seed=seed, backend="numba", record_causes=True,
-                workload=workload,
-            )
-        assert (fused.attempts, fused.blocked) == (attempts, blocked)
-        assert list(fused.causes) == causes
 
 
 class TestCacheKeyHygiene:

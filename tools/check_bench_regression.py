@@ -37,20 +37,15 @@ from pathlib import Path
 #: sections (cache, parallel, obs, exact_search, batched over-guard)
 #: are reported in the diff but only the kernel-critical paths gate:
 #: a slow cache disk or an adaptive-executor fallback is environmental,
-#: an admission-kernel slowdown is a code regression.  A guarded section may
-#: opt out of one run by reporting ``"guard_exempt": true`` -- the
-#: ``fused`` section does this when numba is missing and its timing
-#: covers the interpreted stand-in kernel rather than the compiled one
-#: (identity is still asserted by ``bench_perf.py`` itself either way).
-#: Sections may also declare an absolute ``min_speedup`` floor enforced
-#: regardless of the baseline: ``engine`` floors at 1.0 (the
-#: probe_cover shortcut must never lose to the composition it
-#: short-circuits), ``wide`` at 3.0 (the batched python backend over
-#: the serial path wide fabrics were once gated onto) and ``adaptive``
-#: at 2.0 (the matched-precision event ratio).
+#: an admission-kernel slowdown is a code regression.  Sections may
+#: also declare an absolute ``min_speedup`` floor enforced regardless
+#: of the baseline: ``engine`` floors at 1.0 (the probe_cover shortcut
+#: must never lose to the composition it short-circuits), ``wide`` at
+#: 3.0 (the batched replay over the serial path wide fabrics were once
+#: gated onto) and ``adaptive`` at 2.0 (the matched-precision event
+#: ratio).
 GUARDED_SECTIONS = (
     "engine",
-    "fused",
     "wide",
     "workloads",
     "topology",
@@ -81,12 +76,10 @@ def diff_reports(
             continue
         if "speedup" not in result:
             continue
-        exempt = bool(result.get("guard_exempt"))
         entry = {
             "fresh_speedup": result["speedup"],
             "identical": result.get("identical"),
-            "guarded": name in guarded and not exempt,
-            "guard_exempt": exempt,
+            "guarded": name in guarded,
         }
         # A section may declare an absolute floor its speedup must meet
         # regardless of the baseline (the ``adaptive`` section floors
@@ -94,7 +87,7 @@ def diff_reports(
         floor = result.get("min_speedup")
         if floor is not None:
             entry["min_speedup"] = floor
-            if name in guarded and not exempt and result["speedup"] < floor:
+            if name in guarded and result["speedup"] < floor:
                 entry["below_floor"] = True
                 floor_failures.append(name)
         base = baseline.get(name)
@@ -103,14 +96,8 @@ def diff_reports(
             entry["relative_change"] = (
                 result["speedup"] / base["speedup"] - 1.0
             )
-            # An exempt baseline measured a different code path (e.g.
-            # the interpreted fused kernel), so its ratio cannot gate a
-            # compiled fresh run either.
-            comparable = not exempt and not bool(base.get("guard_exempt"))
             entry["regressed"] = (
-                name in guarded
-                and comparable
-                and entry["relative_change"] < -threshold
+                name in guarded and entry["relative_change"] < -threshold
             )
         else:
             # A section the baseline predates cannot regress; record it
@@ -190,12 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, entry in diff["sections"].items():
         base = entry["baseline_speedup"]
         change = entry["relative_change"]
-        if entry["guarded"]:
-            mark = "GUARD"
-        elif entry.get("guard_exempt"):
-            mark = "EXMPT"
-        else:
-            mark = "     "
+        mark = "GUARD" if entry["guarded"] else "     "
         if base is None:
             print(
                 f"{mark} {name:15s} {entry['fresh_speedup']:6.2f}x "

@@ -43,32 +43,22 @@ their wavelength-availability, converter-budget and Lemma-4 cover
 decisions through these kernels, so MSW/MSDW/MAW semantics and the
 blocking-cause taxonomy are stated exactly once. The mask-level
 functions (`free_middles`, `reach_map`, `probe_cover`, `classify_kind`,
-`block_cause`) are what the hot paths call on backend views; the
+`block_cause`) are what the hot paths call on state views; the
 state-level functions (`avail`, `coverable`, `admit`, `release`,
 `classify_block`) pair an `AdmissionRequest` with a `FabricState`.
 The serial network's occupancy is itself a B = 1 `PythonState`, so its
 `explain_block` is `classify_block` on that state.
 
-### The two backends
+### One state
 
-The batch replay runs on one of two backends. `python` is the
-per-event loop over the int-bitplane `PythonState` (the `FabricState`
-protocol's implementation). `numba` is the fused `FusedState`
-(`repro.engine.fused`), which lowers the whole compiled stream to flat
-int64 arrays and replays it in one word-generic `@njit` kernel; its
-masks pack into `W = ceil(bits / WORD_BITS)` signed int64 words per
-the fabric's `PlaneLayout` (`repro.engine.planes`), single-word
-fabrics being its `W == 1` case, byte-identical to the historical
-layout. Both accept fabrics of any width. `resolve_backend` picks one
-(`auto` prefers `numba` when it can run, else `python`; either is
-asked for by name through `ExecConfig(backend=...)` or `--backend`)
-and `make_state` instantiates it. `check_backend_name`, which
-`ExecConfig` runs at construction, refuses an unknown name or a
-backend whose requirements are missing, naming the fix.
-`backend_status` / `wdm-repro kernels` report live availability; no
-environment variable changes it. Without numba the fused kernel entry
-point is the plain Python loop, which the identity tests run by
-patching `repro.engine.fused.missing_requirement`. The package ships
+Every batched replay runs on the int-bitplane `PythonState` (the
+`FabricState` protocol's implementation), the same state the serial
+network runs on. Python's big ints hold masks of any width, so wide
+fabrics need no packing, and the package imports no numpy.
+`repro.engine.backends` is not re-exported: it keeps `make_state`,
+which `repro.perf.batch` calls once per work unit so the benchmark
+ledger can time it, and `resolve_backend`, which always answers
+`"python"` for the benchmark's run metadata. The package ships
 `py.typed` and is kept fully typed (`mypy src/repro/engine` in CI).
 """,
     "repro.multistage": """\
@@ -165,18 +155,12 @@ seed)` cell, so `compile_stream` compiles each seed's stream once
 replays it through B structure-of-arrays fabric states in lockstep.
 `simulate_batch` is the picklable sweeper work unit; `replay_cell`
 exposes one replication with `explain_block`-identical causes. The
-replay runs on one of two backends (`repro.engine.backends`): `python`,
-one event loop over the shared admission kernels of `repro.engine` on
-a `PythonState`, where replications that have not diverged share one
-state slot and one cover probe per setup, and each forks onto its own
-slot at its first block or multi-middle cover; and `numba` -- the
-`auto` choice when it can run -- for which `lower_stream` flattens the
-compiled stream to int64 arrays and `FusedState.replay_ops` runs the
-entire event loop in one `@njit` kernel (with `[..., W]` word planes
-on fabrics wider than `WORD_BITS` bits). Both are bit-identical to
-the serial simulator per replication, blocking causes included. Pick
-a backend with `ExecConfig(backend=...)` (`--backend` on the CLI);
-`wdm-repro kernels` prints the availability matrix.
+replay is one event loop over the shared admission kernels of
+`repro.engine` on a `PythonState`, where replications that have not
+diverged share one state slot and one cover probe per setup, and each
+forks onto its own slot at its first block or multi-middle cover. It
+is bit-identical to the serial simulator per replication, blocking
+causes included.
 """,
     "repro.perf.adaptive": """\
 ### Sequential stopping instead of fixed budgets
@@ -226,8 +210,8 @@ stream `(tag, connection_id, source_code, ports, waves)`.
 building a connection object, and `events()`, shared by every model,
 yields the same stream as `TrafficEvent` objects for the serial
 simulator and the trace writer -- so every registered model runs
-unchanged through the serial simulator, the lockstep batch engine and
-the fused numba backend, bit-identically per replication.
+unchanged through the serial simulator and the lockstep batch engine,
+bit-identically per replication.
 `register_workload` adds a model to the registry; the tag becomes a
 `--workload` name, a `wdm-repro workloads` row and a
 `workload_from_dict` tag with no consumer changes.
@@ -261,7 +245,7 @@ fixed recording, so combining them with a precision target raises.
 The three verbs take frozen config dataclasses grouped by concern:
 a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
 cap, adversarial probing on the base surface, model shape on each
-subclass), `ExecConfig` (jobs, cache directory, batch, backend) and
+subclass), `ExecConfig` (jobs, cache directory, batch, precision) and
 `SearchConfig` (routing kernel, canonicalization, debug checks).
 Results carry a `repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
@@ -281,10 +265,10 @@ cell; `ExecConfig(batch=B)` caps replications per work unit without
 affecting results. `blocking` is the one-point `sweep`: at that `m` it
 returns the same estimate, cache addresses and `meta`.
 
-Configs check their values when they are built: an unknown kernel, an
-unknown backend name or one that cannot run here, `batch < 1` or a
-repeated seed raises `ValueError` naming the value, and `sweep` refuses
-a repeated `m`.
+Configs check their values when they are built: an unknown kernel,
+`batch < 1`, a precision target that is not a positive number (NaN
+included) or a repeated seed raises `ValueError` naming the value, and
+`sweep` refuses a repeated `m`.
 
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
 `sweep` from the fixed seed list to the adaptive sequential-stopping
