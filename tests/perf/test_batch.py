@@ -261,7 +261,7 @@ class TestThreeWayIdentity:
 
     @pytest.mark.parametrize("construction", list(Construction))
     @pytest.mark.parametrize("model", list(MulticastModel))
-    def test_whole_batch_equals_one_lane_batches(self, construction, model):
+    def test_batch_equals_one_lane_runs(self, construction, model):
         n, r, k, x, seed = 3, 3, 2, 1, 0
         m_values = tuple(range(1, 9))
         whole = simulate_batch(
@@ -278,9 +278,7 @@ class TestThreeWayIdentity:
 class TestEndStateIdentity:
     @pytest.mark.parametrize("construction", list(Construction))
     @pytest.mark.parametrize("model", list(MulticastModel))
-    def test_lanes_end_in_the_serial_networks_planes(
-        self, construction, model
-    ):
+    def test_lanes_end_in_serial_planes(self, construction, model):
         """After a batched replay each lane's planes equal the serial net's.
 
         Stronger than count identity: every admit/release must have
