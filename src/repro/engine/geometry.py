@@ -49,7 +49,7 @@ class FabricGeometry:
     fabric: str = "clos"
 
     def __post_init__(self) -> None:
-        # The k/r guards come first: valid_x_range and the plane packing
+        # The k/r guards come first: valid_x_range and the bitplanes
         # behave nonsensically on degenerate counts, so a zero-wavelength
         # geometry must fail here with the uniform message rather than
         # deep inside a consumer.

@@ -14,10 +14,10 @@ operations to the admission kernels:
   tuple.
 
 :class:`PythonState` implements it with nested lists of unbounded
-ints (bitplanes): no dependencies, any mask width, and the fastest
-per-event replay on CPython.  Its layout keeps the batch axis innermost
-on the blocked planes and outermost on the blocker rows, so
-:meth:`~FabricState.setup_views` returns plain sub-list references.
+ints (bitplanes): no dependencies and any mask width.  Its layout
+keeps the batch axis innermost on the blocked planes and outermost on
+the blocker rows, so :meth:`~FabricState.setup_views` returns plain
+sub-list references.
 The serial network is a batch of one on it, and every batched replay
 runs on it too.
 """
