@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import pytest
 
+from repro import obs
 from repro.analysis.montecarlo import AdaptiveInfo, BlockingEstimate
 from repro.core.models import Construction, MulticastModel
 from repro.perf.adaptive import (
@@ -351,3 +353,156 @@ class TestApiIntegration:
                 traffic=api.UniformConfig(adversarial=True),
                 execution=api.ExecConfig(precision=QUICK),
             )
+
+
+# -- pinned adaptive runs ------------------------------------------------------
+#
+# A small sweep whose cells stop at different rounds (m=3 converges at
+# the round floor, m=1 and m=2 hit the round cap), run cold into a
+# fresh cache, fully warm, and partially warm (one more m and a larger
+# round cap).  The literals were computed before the round loop was
+# rewritten; every estimate, AdaptiveInfo field, plan and obs counter
+# must stay exactly as pinned under both kernels.
+
+PIN_CONFIG = dict(
+    construction=Construction.MSW_DOMINANT,
+    model=MulticastModel.MSW,
+    steps=60,
+)
+PIN_COLD = PrecisionConfig(half_width=0.03, min_rounds=2, max_rounds=4)
+PIN_LONGER = PrecisionConfig(half_width=0.03, min_rounds=2, max_rounds=7)
+
+PIN_COLD_ESTIMATES = [(1, 506, 308), (2, 506, 122), (3, 253, 12)]
+PIN_COLD_INFO = [
+    (4, 16, 960, False, 0.03, False, 0.95),
+    (4, 16, 960, False, 0.03, False, 0.95),
+    (2, 8, 480, True, 0.03, False, 0.95),
+]
+PIN_PARTIAL_ESTIMATES = [(1, 886, 541), (2, 886, 221), (3, 253, 12), (4, 253, 0)]
+PIN_PARTIAL_INFO = [
+    (7, 28, 1680, False, 0.03, False, 0.95),
+    (7, 28, 1680, True, 0.03, False, 0.95),
+    (2, 8, 480, True, 0.03, False, 0.95),
+    (2, 8, 480, True, 0.03, False, 0.95),
+]
+#: counters that do not depend on the kernel
+PIN_COLD_COUNTERS = {
+    "adaptive.cells_converged": 1,
+    "adaptive.rounds": 4,
+    "cache.misses": 10,
+    "cache.stores": 10,
+    "mc.cells": 40,
+    "net.admit.admitted": 823,
+    "net.admit.attempts": 1265,
+    "net.admit.blocked": 442,
+    "net.block.cause.full_middles": 329,
+    "net.block.cause.no_cover": 13,
+    "net.block.cause.saturated_wavelength": 100,
+    "net.release": 751,
+    "sweep.cache_hits": 0,
+}
+PIN_WARM_COUNTERS = {
+    "adaptive.cells_converged": 1,
+    "adaptive.rounds": 4,
+    "cache.hits": 10,
+}
+PIN_PARTIAL_COUNTERS = {
+    "adaptive.cells_converged": 3,
+    "adaptive.rounds": 7,
+    "cache.hits": 10,
+    "cache.misses": 8,
+    "cache.stores": 8,
+    "mc.cells": 32,
+    "net.admit.admitted": 681,
+    "net.admit.attempts": 1013,
+    "net.admit.blocked": 332,
+    "net.block.cause.full_middles": 208,
+    "net.block.cause.no_cover": 3,
+    "net.block.cause.saturated_wavelength": 121,
+    "net.release": 611,
+    "sweep.cache_hits": 0,
+}
+#: per kernel: units of the whole run (cold, partial) and of the last
+#: ``sweeper.run`` call, which ``meta.plan`` reports
+PIN_UNITS = {
+    "bitmask": dict(cold=40, partial=32, plan=8),
+    "batched": dict(cold=16, partial=20, plan=4),
+}
+
+
+def _pinned_run(kernel, m_values, precision, cache, jobs=1):
+    with obs.capture() as run:
+        estimates = adaptive_sweep(
+            3, 3, 1, m_values, precision=precision, cache=cache,
+            kernel=kernel, jobs=jobs, **PIN_CONFIG,
+        )
+    return estimates, run.metrics.snapshot()["counters"]
+
+
+def _serial_plan(units):
+    return {
+        "cache_hits": 0, "dispatched": units, "executor": "serial",
+        "reason": "", "requested_jobs": 1, "resolved_jobs": 1,
+        "units": units,
+    }
+
+
+def _with_units(counters, units):
+    return dict(counters, **{"sweep.units": units, "sweep.dispatched": units})
+
+
+@pytest.mark.parametrize("kernel", ["bitmask", "batched"])
+class TestPinnedRuns:
+    def test_cold_run(self, kernel, tmp_path):
+        estimates, counters = _pinned_run(
+            kernel, [1, 2, 3], PIN_COLD, ResultCache(tmp_path)
+        )
+        units = PIN_UNITS[kernel]
+        assert _identity(estimates) == PIN_COLD_ESTIMATES
+        assert [astuple(e.adaptive) for e in estimates] == PIN_COLD_INFO
+        assert all(e.meta.plan == _serial_plan(units["plan"]) for e in estimates)
+        assert counters == _with_units(PIN_COLD_COUNTERS, units["cold"])
+
+    def test_fully_warm_run(self, kernel, tmp_path):
+        cache = ResultCache(tmp_path)
+        _pinned_run(kernel, [1, 2, 3], PIN_COLD, cache)
+        estimates, counters = _pinned_run(kernel, [1, 2, 3], PIN_COLD, cache)
+        assert _identity(estimates) == PIN_COLD_ESTIMATES
+        assert [astuple(e.adaptive) for e in estimates] == PIN_COLD_INFO
+        # No round ran, so no sweeper plan was resolved.
+        assert all(e.meta.plan is None for e in estimates)
+        assert counters == PIN_WARM_COUNTERS
+
+    def test_partially_warm_run(self, kernel, tmp_path):
+        cache = ResultCache(tmp_path)
+        _pinned_run(kernel, [1, 2, 3], PIN_COLD, cache)
+        estimates, counters = _pinned_run(kernel, [1, 2, 3, 4], PIN_LONGER, cache)
+        units = PIN_UNITS[kernel]
+        assert _identity(estimates) == PIN_PARTIAL_ESTIMATES
+        assert [astuple(e.adaptive) for e in estimates] == PIN_PARTIAL_INFO
+        assert all(e.meta.plan == _serial_plan(units["plan"]) for e in estimates)
+        assert counters == _with_units(PIN_PARTIAL_COUNTERS, units["partial"])
+        assert cache.stats.as_dict() == dict(
+            hits=10, misses=18, stores=18, corrupt=0, evictions=0
+        )
+
+    def test_two_jobs_match_one_job(self, kernel, tmp_path):
+        """A pool merges its workers' counters: the same estimates and
+        the same simulation, cache and adaptive counts as ``jobs=1``.
+        The plan depends on the host's CPU count, so it is not pinned."""
+        serial, serial_counters = _pinned_run(
+            kernel, [1, 2, 3], PIN_COLD, ResultCache(tmp_path / "one")
+        )
+        pooled, pooled_counters = _pinned_run(
+            kernel, [1, 2, 3], PIN_COLD, ResultCache(tmp_path / "two"), jobs=2
+        )
+
+        def compared(counters):
+            return {
+                name: value for name, value in counters.items()
+                if name.split(".")[0] in ("mc", "net", "adaptive", "cache")
+            }
+
+        assert _identity(pooled) == _identity(serial) == PIN_COLD_ESTIMATES
+        assert [astuple(e.adaptive) for e in pooled] == PIN_COLD_INFO
+        assert compared(pooled_counters) == compared(serial_counters)
