@@ -138,12 +138,6 @@ class ExecConfig:
         cache_dir: directory of a content-addressed
             :class:`repro.perf.cache.ResultCache`; None disables
             caching.
-        batch: under ``kernel="batched"``, cap on lockstep replications
-            per work unit, at least 1 (None packs each seed's whole
-            ``m`` column into one unit).  Ignored by the other kernels
-            and by ``precision`` runs, whose rounds are already
-            seed-granular; never affects results, only how work is
-            sliced across workers.
         precision: switch :func:`blocking` and :func:`sweep` from the
             fixed ``traffic.seeds`` replication budget to the adaptive
             sequential-stopping engine
@@ -158,7 +152,6 @@ class ExecConfig:
 
     jobs: int | str = 1
     cache_dir: str | None = None
-    batch: int | None = None
     precision: PrecisionConfig | None = None
 
     def __post_init__(self) -> None:
@@ -169,8 +162,6 @@ class ExecConfig:
                 "jobs must be 'auto' or an int (<= 0 also means every CPU), "
                 f"got {self.jobs!r}"
             )
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be >= 1 or None, got {self.batch}")
 
     def cache(self) -> ResultCache | None:
         """The configured result cache, or None."""
@@ -271,7 +262,6 @@ def _estimates(
             jobs=execution.jobs,
             cache=execution.cache(),
             debug_checks=search.debug_checks,
-            batch=execution.batch,
             workload=traffic,
             fabric=fabric_name,
             kernel=search.kernel,

@@ -45,14 +45,9 @@ class TestFrozenConfigs:
     def test_exec_config_rejects_unknown_backend(self):
         """There is no backend option: every batch runs on PythonState."""
         names = [field.name for field in dataclasses.fields(api.ExecConfig)]
-        assert names == ["jobs", "cache_dir", "batch", "precision"]
+        assert names == ["jobs", "cache_dir", "precision"]
         with pytest.raises(TypeError, match="backend"):
             api.ExecConfig(backend="bogus")
-
-    @pytest.mark.parametrize("batch", [0, -1])
-    def test_exec_config_rejects_batch_below_one(self, batch):
-        with pytest.raises(ValueError, match=f"batch must be >= 1.*{batch}"):
-            api.ExecConfig(batch=batch)
 
     @pytest.mark.parametrize("jobs", ["many", 2.5, True, False, None, "4"])
     def test_exec_config_rejects_jobs_that_are_not_auto_or_int(self, jobs):

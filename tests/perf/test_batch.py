@@ -435,14 +435,6 @@ class TestApiIntegration:
             (e.m, e.attempts, e.blocked) for e in bitmask
         ] == [(e.m, e.attempts, e.blocked) for e in batched]
 
-    def test_batch_cap_never_changes_results(self):
-        uncapped = self.sweep("batched")
-        for cap in (1, 2, 16):
-            capped = self.sweep(
-                "batched", execution=api.ExecConfig(batch=cap)
-            )
-            assert capped == uncapped
-
     def test_blocking_matches_bitmask(self):
         bitmask = api.blocking(
             3, 4, 3, 2, x=2, traffic=self.TRAFFIC,
@@ -499,11 +491,11 @@ class TestApiIntegration:
 class TestCacheIntegration:
     CONFIG = dict(steps=150, seeds=(0, 1))
 
-    def sweep(self, kernel, cache_dir, batch=None):
+    def sweep(self, kernel, cache_dir):
         return api.sweep(
             2, 2, 1, [1, 2, 3],
             traffic=api.UniformConfig(**self.CONFIG),
-            execution=api.ExecConfig(cache_dir=str(cache_dir), batch=batch),
+            execution=api.ExecConfig(cache_dir=str(cache_dir)),
             search=api.SearchConfig(kernel=kernel),
         )
 
@@ -513,10 +505,6 @@ class TestCacheIntegration:
         assert len(cache) == 6  # 3 m-values x 2 seeds, one entry each
         warm = self.sweep("batched", tmp_path)
         assert warm == cold
-        # A second run served every cell from the cache: sliced work
-        # units see nothing left to simulate either.
-        resliced = self.sweep("batched", tmp_path, batch=1)
-        assert resliced == cold
 
     def test_kernel_tag_keeps_pipelines_separate(self, tmp_path):
         self.sweep("bitmask", tmp_path)
