@@ -1,23 +1,22 @@
-"""The per-event fabric-state protocol and its int-bitplane implementation.
+"""The per-event fabric state: int bitplanes of ``B`` replications.
 
-A :class:`FabricState` holds the occupancy bitplanes of ``B``
+A :class:`PythonState` holds the occupancy bitplanes of ``B``
 replications of one fabric family (same ``n, r, k``, construction,
 model and ``x``; per-replication ``m``) and exposes exactly three
 operations to the admission kernels:
 
-* :meth:`~FabricState.setup_views` -- the per-replication first-stage
+* :meth:`~PythonState.setup_views` -- the per-replication first-stage
   blocked masks and second-stage blocker rows for a setup at
   ``(input module, source wavelength)``;
-* :meth:`~FabricState.allocate` -- commit one replication's cover,
+* :meth:`~PythonState.allocate` -- commit one replication's cover,
   returning the branch tuple needed to undo it;
-* :meth:`~FabricState.free` -- release a previously allocated branch
+* :meth:`~PythonState.free` -- release a previously allocated branch
   tuple.
 
-:class:`PythonState` implements it with nested lists of unbounded
-ints (bitplanes): no dependencies and any mask width.  Its layout
-keeps the batch axis innermost on the blocked planes and outermost on
-the blocker rows, so :meth:`~FabricState.setup_views` returns plain
-sub-list references.
+The bitplanes are nested lists of unbounded ints: no dependencies and
+any mask width.  The layout keeps the batch axis innermost on the
+blocked planes and outermost on the blocker rows, so
+:meth:`~PythonState.setup_views` returns plain sub-list references.
 The serial network is a batch of one on it, and every batched replay
 runs on it too.
 """
@@ -25,12 +24,12 @@ runs on it too.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import Any, Protocol
+from typing import Any
 
 from repro.engine.cover import iter_bits
 from repro.engine.geometry import FabricGeometry
 
-__all__ = ["FabricState", "PythonState", "check_family", "static_masks"]
+__all__ = ["PythonState"]
 
 #: branch tuples -- ``(j, assigned_mask)`` per middle under the
 #: MSW-dominant construction, ``(j, in_wavelength, deliveries)`` with
@@ -38,47 +37,7 @@ __all__ = ["FabricState", "PythonState", "check_family", "static_masks"]
 Branches = tuple[tuple[Any, ...], ...]
 
 
-class FabricState(Protocol):
-    """The per-event state the admission kernels read and write."""
-
-    geometries: tuple[FabricGeometry, ...]
-    batch: int
-    x: int
-    msw_dominant: bool
-    all_masks: list[int]
-    failed_mask: int
-    #: ``[b][sw]`` -> modules no middle can reach on that wavelength
-    #: (the fabric model's static routing constraint); None for fabrics
-    #: without one (the Clos -- the bitplanes then start all-zero,
-    #: byte-identical to the pre-seam layout).
-    static_unreach_masks: list[list[int]] | None
-
-    def setup_views(
-        self, g: int, sw: int
-    ) -> tuple[Sequence[int], Sequence[Sequence[int]]]:
-        """Per-replication ``(blocked masks, blocker rows)`` for a setup.
-
-        ``blocked[b]`` is the first-stage blocked-middles mask out of
-        input module ``g`` (source wavelength busy under MSW-dominant,
-        fiber full under MAW-dominant); ``blockers[b][j]`` is the
-        output-module mask middle ``j`` can *not* reach (second-stage
-        fiber busy on the needed wavelength, or full when the model
-        leaves the delivery wavelength free).
-        """
-        ...
-
-    def allocate(
-        self, b: int, g: int, sw: int, cover: Mapping[int, int]
-    ) -> Branches:
-        """Commit ``cover`` on replication ``b``; returns undo branches."""
-        ...
-
-    def free(self, b: int, g: int, sw: int, branches: Branches) -> None:
-        """Release branches previously returned by :meth:`allocate`."""
-        ...
-
-
-def check_family(geometries: tuple[FabricGeometry, ...]) -> None:
+def _check_family(geometries: tuple[FabricGeometry, ...]) -> None:
     """Raise unless ``geometries`` is one non-empty fabric family."""
     if not geometries:
         raise ValueError("need at least one FabricGeometry")
@@ -91,7 +50,7 @@ def check_family(geometries: tuple[FabricGeometry, ...]) -> None:
             )
 
 
-def static_masks(
+def _static_masks(
     geometries: tuple[FabricGeometry, ...],
 ) -> tuple[list[list[list[int]]], list[list[int]]] | None:
     """The fabric model's static blocker seed, or None for Clos-like fabrics.
@@ -154,7 +113,7 @@ class PythonState:
 
     def __init__(self, geometries: Iterable[FabricGeometry]):
         geos = tuple(geometries)
-        check_family(geos)
+        _check_family(geos)
         head = geos[0]
         self.geometries = geos
         self.batch = len(geos)
@@ -178,8 +137,11 @@ class PythonState:
             self._in_full = [[0] * batch for _ in range(r)]
             self._out_wave = [[[0] * r for _ in range(m)] for m in m_values]
             self._out_full = [[0] * m for m in m_values]
+        #: ``[b][sw]`` -> modules no middle can reach on that wavelength
+        #: (the fabric model's static routing constraint); None for
+        #: fabrics without one (the Clos: its bitplanes start all-zero).
         self.static_unreach_masks: list[list[int]] | None = None
-        seed = static_masks(geos)
+        seed = _static_masks(geos)
         if seed is not None:
             blocks, self.static_unreach_masks = seed
             for b in range(batch):
@@ -249,6 +211,15 @@ class PythonState:
     def setup_views(
         self, g: int, sw: int
     ) -> tuple[Sequence[int], Sequence[Sequence[int]]]:
+        """Per-replication ``(blocked masks, blocker rows)`` for a setup.
+
+        ``blocked[b]`` is the first-stage blocked-middles mask out of
+        input module ``g`` (source wavelength busy under MSW-dominant,
+        fiber full under MAW-dominant); ``blockers[b][j]`` is the
+        output-module mask middle ``j`` can *not* reach (second-stage
+        fiber busy on the needed wavelength, or full when the model
+        leaves the delivery wavelength free).
+        """
         if self.msw_dominant:
             return self._in_busy[g][sw], self._out_busy[sw]
         if self._model_msw:
@@ -263,6 +234,7 @@ class PythonState:
         cover: Mapping[int, int],
         pick: Callable[[int], int] | None = None,
     ) -> Branches:
+        """Commit ``cover`` on replication ``b``; returns undo branches."""
         # ``pick(free_mask)`` chooses each MAW-dominant carrier (None is
         # first-fit): the in-fiber first, then every delivery in
         # ascending module order, against the state as allocated so far.
@@ -312,6 +284,7 @@ class PythonState:
         return tuple(branches)
 
     def free(self, b: int, g: int, sw: int, branches: Branches) -> None:
+        """Release branches previously returned by :meth:`allocate`."""
         if self.msw_dominant:
             row = self._out_busy[sw][b]
             busy_row = self._in_busy[g][sw]

@@ -18,10 +18,11 @@ contention lives on the inter-stage fibers.
 
 The fiber occupancy is one B = 1 :class:`repro.engine.state.PythonState`
 -- the same bitplanes the batched replay runs on, so the serial
-simulator is a batch of one.  Admission reads its ``setup_views``,
-``connect``/``disconnect`` commit and release through its
-``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is the
-engine's ``classify_block`` on it, and
+simulator is a batch of one.  Admission reads its ``setup_views``
+through the engine's mask-level kernels (``free_middles``,
+``reach_map``), ``connect``/``disconnect`` commit and release through
+its ``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is
+the engine's ``block_cause`` on those views, and
 :meth:`ThreeStageNetwork.fiber_masks` reads it back per fiber.
 Endpoint usage is two plain int masks (bit ``port * k + wavelength``).  The network itself keeps only
 connection bookkeeping: the routed-connection ledger, selection and
@@ -51,7 +52,7 @@ sized by Theorem 1/2 must never raise under legal traffic.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -60,7 +61,7 @@ from repro.combinatorics.multiset import DestinationMultiset
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import is_nonblocking, valid_x_range
 from repro.engine.geometry import FabricGeometry
-from repro.engine.kernel import AdmissionRequest, avail, classify_block, coverable
+from repro.engine.kernel import block_cause, free_middles, reach_map
 from repro.engine.state import PythonState
 from repro.multistage.routing import (
     CoverSearch,
@@ -362,8 +363,7 @@ class ThreeStageNetwork:
     def available_middles(self, source: Endpoint) -> list[int]:
         """Middle switches reachable from ``source``'s input module now."""
         g = self.topology.input_module_of(source.port)
-        request = AdmissionRequest(g, source.wavelength, 0)
-        return list(iter_bits(avail(self._state, request)))
+        return list(iter_bits(self._available(g, source.wavelength)[0]))
 
     # -- state signatures ---------------------------------------------------
 
@@ -524,6 +524,21 @@ class ThreeStageNetwork:
 
     # -- routing -----------------------------------------------------------
 
+    def _available(
+        self, input_module: int, source_wavelength: int
+    ) -> tuple[int, int, Sequence[int]]:
+        """``(available middles, first-stage blocked mask, blocker row)``.
+
+        The engine state's setup views for one source, with the
+        available middles the kernel's ``free_middles`` leaves.
+        """
+        state = self._state
+        blocked, blockers = state.setup_views(input_module, source_wavelength)
+        available = free_middles(
+            state.all_masks[0], blocked[0], state.failed_mask
+        )
+        return available, blocked[0], blockers[0]
+
     def _coverable_bits(
         self,
         input_module: int,
@@ -532,14 +547,12 @@ class ThreeStageNetwork:
     ) -> dict[int, int]:
         """Per available middle, the destination modules it can reach.
 
-        The engine kernel's ``coverable`` on this network's state: keys
+        The engine kernel's ``reach_map`` on this network's state: keys
         iterate in ascending middle index (the cover search's candidate
         order); values are bitmasks over output modules.
         """
-        return coverable(
-            self._state,
-            AdmissionRequest(input_module, source_wavelength, dest_mask),
-        )
+        available, _, blockers = self._available(input_module, source_wavelength)
+        return reach_map(available, dest_mask, blockers)
 
     def _cover_for(
         self,
@@ -593,7 +606,7 @@ class ThreeStageNetwork:
         return None if cover is None else _cover_lists(cover)
 
     def explain_block(self, request: MulticastConnection) -> dict:
-        """Explain *why* ``request`` blocks: the engine's ``classify_block``.
+        """Explain *why* ``request`` blocks: the engine's ``block_cause``.
 
         Read-only.  Classifies the failure into one of four kinds -- the
         contention modes the paper's constructions trade off:
@@ -625,13 +638,19 @@ class ThreeStageNetwork:
         dest_mask = mask_of(
             topo.output_module_of(d.port) for d in request.destinations
         )
-        return classify_block(
-            self._state,
-            AdmissionRequest(
-                topo.input_module_of(request.source.port),
-                request.source.wavelength,
-                dest_mask,
-            ),
+        g = topo.input_module_of(request.source.port)
+        sw = request.source.wavelength
+        available, blocked_mask, blockers = self._available(g, sw)
+        return block_cause(
+            x=self.x,
+            input_module=g,
+            source_wavelength=sw,
+            blocked_mask=blocked_mask,
+            available=available,
+            coverable=reach_map(available, dest_mask, blockers),
+            dest_mask=dest_mask,
+            msw_dominant=self._state.msw_dominant,
+            failed_mask=self._state.failed_mask,
         )
 
     def connect(

@@ -219,7 +219,7 @@ def _replay(
     msw_dominant = state.msw_dominant
     all_masks = state.all_masks
     # The fabric model's static reach constraint (one family per batch,
-    # enforced by the state's check_family): None on the Clos, so the
+    # checked when the state is built): None on the Clos, so the
     # legacy path stays untouched.
     su = state.static_unreach_masks
     fabric_name = state.geometries[0].fabric

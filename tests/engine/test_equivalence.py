@@ -1,9 +1,10 @@
 """Cross-layer property: the engine agrees with the serial network.
 
 This is the drift the ``repro.engine`` extraction exists to prevent:
-the engine's state-level ``admit``/``classify_block``, driven on a
-fresh python state, must make the same admission decisions
-*and* produce the same cause evidence (labels plus raw masks) as
+the lockstep replay (``replay_cell`` with ``record_causes=True``),
+driving the engine's mask-level kernels on a fresh python state, must
+make the same admission decisions *and* produce the same cause
+evidence (labels plus raw masks) as
 ``ThreeStageNetwork.try_connect``/``explain_block`` replaying the same
 traffic on its own state, for every model and both dominance variants,
 on randomized traffic.
@@ -19,16 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.geometry import FabricGeometry
-from repro.engine.kernel import (
-    AdmissionRequest,
-    admit,
-    classify_block,
-    release,
-)
-from repro.engine.state import PythonState
 from repro.multistage.network import ThreeStageNetwork
-from repro.perf.batch import compile_stream
+from repro.perf.batch import replay_cell
 from repro.switching.generators import dynamic_traffic
 
 STEPS = 120
@@ -47,34 +40,13 @@ def sizes(draw):
 
 
 def engine_trace(n, r, k, m, construction, model, x, seed):
-    """Drive the compiled stream through the engine's state-level API."""
-    state = PythonState(
-        [
-            FabricGeometry(
-                n=n, r=r, k=k, m=m,
-                construction=construction, model=model, x=x,
-            )
-        ]
+    """The engine replay's blocked-request causes, in stream order."""
+    return list(
+        replay_cell(
+            n, r, m, k, construction=construction, model=model, x=x,
+            steps=STEPS, seed=seed, record_causes=True,
+        ).causes
     )
-    ops = compile_stream(model, n, r, k, STEPS, seed)
-    live = {}
-    dropped = set()
-    blocked = []
-    for tag, cid, g, sw, dest_mask in ops:
-        if tag:
-            req = AdmissionRequest(g, sw, dest_mask)
-            conn = admit(state, req)
-            if conn is None:
-                blocked.append(classify_block(state, req))
-                dropped.add(cid)
-            else:
-                live[cid] = conn
-        else:
-            if cid in dropped:
-                dropped.discard(cid)
-                continue
-            release(state, live.pop(cid))
-    return blocked
 
 
 def network_trace(n, r, k, m, construction, model, x, seed):
