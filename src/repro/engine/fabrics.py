@@ -142,35 +142,6 @@ class FabricSpec:
         """SOA crosspoint count at shape ``v(n, r, m, k)`` (Table 1)."""
         return self.cost_fn(n, r, m, k, construction, model)
 
-    # -- admission program ---------------------------------------------------
-
-    def middle_block_mask(self, j: int, sw: int, r: int, k: int) -> int:
-        """Modules middle ``j`` can never reach on wavelength ``sw``."""
-        if self.reach_rule is None:
-            return 0
-        return self.reach_rule(j, sw, r, k)
-
-    def static_unreach(self, m: int, r: int, k: int) -> list[int] | None:
-        """Per source wavelength, the modules *no* middle can reach.
-
-        ``masks[sw]`` has bit ``p`` set when every middle ``j < m`` is
-        statically blocked from module ``p`` on wavelength ``sw`` --
-        the evidence behind the ``awg_no_path`` blocking kind.  None
-        when the fabric has no static constraint.
-        """
-        if self.reach_rule is None:
-            return None
-        all_modules = (1 << r) - 1
-        masks = []
-        for sw in range(k):
-            unreach = all_modules
-            for j in range(m):
-                unreach &= self.reach_rule(j, sw, r, k)
-                if not unreach:
-                    break
-            masks.append(unreach)
-        return masks
-
 
 # -- the built-in fabric models ----------------------------------------------
 

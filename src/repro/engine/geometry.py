@@ -92,15 +92,6 @@ class FabricGeometry:
         """The registered fabric model this geometry instantiates."""
         return get_fabric(self.fabric)
 
-    def static_unreach_masks(self) -> list[int] | None:
-        """Per source wavelength, modules no middle switch can reach.
-
-        None for fabrics without a static wavelength-routing constraint
-        (the Clos); otherwise ``masks[sw]`` is the evidence mask behind
-        the ``awg_no_path`` blocking kind at this geometry's ``m``.
-        """
-        return self.fabric_spec.static_unreach(self.m, self.r, self.k)
-
     def with_m(self, m: int) -> "FabricGeometry":
         """The same fabric resized to ``m`` middle switches."""
         return replace(self, m=m)

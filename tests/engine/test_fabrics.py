@@ -36,6 +36,7 @@ from repro.engine.fabrics import (
 )
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import ALL_BLOCK_KINDS, BLOCK_KINDS
+from repro.engine.state import PythonState
 from repro.perf.batch import replay_cell, simulate_batch
 
 C = Construction.MSW_DOMINANT
@@ -119,12 +120,21 @@ def test_awg_requires_msw_dominant():
 # -- the AWG reach rule ------------------------------------------------------
 
 
+def unreach_masks(fabric, m, r, k):
+    """The ``awg_no_path`` evidence masks of one ``v(2, r, m, k)`` state."""
+    geometry = FabricGeometry(
+        2, r, k, m, construction=C, model=MSW, x=1, fabric=fabric
+    )
+    masks = PythonState([geometry]).static_unreach_masks
+    return None if masks is None else masks[0]
+
+
 def test_awg_reach_rule_matches_cyclic_router():
     spec = get_fabric("awg_clos")
     r, k = 6, 3
     for j in range(8):
         for sw in range(k):
-            mask = spec.middle_block_mask(j, sw, r, k)
+            mask = spec.reach_rule(j, sw, r, k)
             for p in range(r):
                 reachable = (j + p) % k == sw % k
                 assert bool(mask & (1 << p)) == (not reachable)
@@ -133,29 +143,28 @@ def test_awg_reach_rule_matches_cyclic_router():
 def test_awg_k1_has_no_constraint():
     spec = get_fabric("awg_clos")
     for j in range(4):
-        assert spec.middle_block_mask(j, 0, 5, 1) == 0
-    assert spec.static_unreach(3, 5, 1) == [0]
+        assert spec.reach_rule(j, 0, 5, 1) == 0
+    assert unreach_masks("awg_clos", 3, 5, 1) == [0]
 
 
 def test_static_unreach_is_intersection_over_middles():
     spec = get_fabric("awg_clos")
     m, r, k = 2, 6, 3
-    masks = spec.static_unreach(m, r, k)
+    masks = unreach_masks("awg_clos", m, r, k)
     assert masks is not None and len(masks) == k
     for sw in range(k):
         expect = (1 << r) - 1
         for j in range(m):
-            expect &= spec.middle_block_mask(j, sw, r, k)
+            expect &= spec.reach_rule(j, sw, r, k)
         assert masks[sw] == expect
     # With m >= k middles every residue class is covered: no module is
     # statically unreachable.
-    assert spec.static_unreach(k, r, k) == [0] * k
+    assert unreach_masks("awg_clos", k, r, k) == [0] * k
 
 
 def test_clos_has_no_static_masks():
-    assert CLOS.static_unreach(4, 3, 2) is None
-    geometry = FabricGeometry(3, 3, 2, 4, construction=C, model=MSW, x=1)
-    assert geometry.static_unreach_masks() is None
+    assert CLOS.reach_rule is None
+    assert unreach_masks("clos", 4, 3, 2) is None
 
 
 # -- Clos through the seam: golden bit-identity pins -------------------------
