@@ -41,19 +41,20 @@ NOTES = {
 batch engine, the exhaustive model checker and the adversary all route
 their wavelength-availability, converter-budget and Lemma-4 cover
 decisions through these kernels, so MSW/MSDW/MAW semantics and the
-blocking-cause taxonomy are stated exactly once. The mask-level
-functions (`free_middles`, `reach_map`, `probe_cover`, `classify_kind`,
-`block_cause`) are what the hot paths call on state views; the
-state-level functions (`avail`, `coverable`, `admit`, `release`,
-`classify_block`) pair an `AdmissionRequest` with a `FabricState`.
-The serial network's occupancy is itself a B = 1 `PythonState`, so its
-`explain_block` is `classify_block` on that state.
+blocking-cause taxonomy are stated exactly once. There is one API
+level: the mask-level functions (`free_middles`, `reach_map`,
+`probe_cover`, `classify_kind`, `block_cause`) take plain ints and
+blocker rows, the views `PythonState.setup_views` hands out. The serial
+network's occupancy is itself a B = 1 `PythonState`, so its
+`explain_block` is `block_cause` on that state's views, the same call
+the lockstep replay makes.
 
 ### One state
 
-Every batched replay runs on the int-bitplane `PythonState` (the
-`FabricState` protocol's implementation), the same state the serial
-network runs on. Python's big ints hold masks of any width, so wide
+Every batched replay runs on the int-bitplane `PythonState`, the same
+state the serial network runs on. It also builds a wavelength-routed
+fabric's static reach masks (`static_unreach_masks`), the one place
+they are computed. Python's big ints hold masks of any width, so wide
 fabrics need no packing, and the package imports no numpy.
 `repro.engine.backends` is not re-exported: it keeps `make_state`,
 which `repro.perf.batch` calls once per work unit so the benchmark
@@ -196,8 +197,20 @@ covering the cell and the schedule shape -- but *not* the precision
 target -- so an interrupted sweep replays warm rounds bit-identically
 (`wdm-repro sweep --resume`), and tightening the target reuses every
 round already paid for.  `tools/check_resume.py` (CI) SIGKILLs a
-sweep mid-run and asserts the resumed table equals an uninterrupted
-run's byte for byte.
+sweep under each kernel as soon as its first round entry is published,
+and asserts that the resume replayed at least one warm round and that
+the resumed table equals an uninterrupted run's byte for byte.
+
+### One round loop
+
+`adaptive_sweep` is one loop over the rounds: look up the active
+cells' round keys, run the missing cells in one `ParallelSweeper.run`
+call, store each computed round total, and retire the cells that
+converged. Every unit replays one round spec's stream against a column
+of `m` values and returns `[(m, (attempts, blocked)), ...]`: under
+`kernel="batched"` one `simulate_batch` unit per spec covers every
+pending `m`; under `"bitmask"` one unit per `(m, spec)` runs the serial
+network.
 """,
     "repro.workloads": """\
 ### The traffic seam
@@ -245,7 +258,7 @@ fixed recording, so combining them with a precision target raises.
 The three verbs take frozen config dataclasses grouped by concern:
 a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
 cap, adversarial probing on the base surface, model shape on each
-subclass), `ExecConfig` (jobs, cache directory, batch, precision) and
+subclass), `ExecConfig` (jobs, cache directory, precision) and
 `SearchConfig` (routing kernel, canonicalization, debug checks).
 Results carry a `repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
@@ -261,13 +274,13 @@ uniformly.
 `SearchConfig(kernel="batched")` routes the Monte-Carlo estimators
 through the lockstep batch engine (`repro.perf.batch`) -- same numbers,
 one compiled-stream replay per seed instead of one per `(m, seed)`
-cell; `ExecConfig(batch=B)` caps replications per work unit without
-affecting results. `blocking` is the one-point `sweep`: at that `m` it
-returns the same estimate, cache addresses and `meta`.
+cell; each batched work unit is one seed's whole pending `m` column.
+`blocking` is the one-point `sweep`: at that `m` it returns the same
+estimate, cache addresses and `meta`.
 
 Configs check their values when they are built: an unknown kernel,
-`batch < 1`, a precision target that is not a positive number (NaN
-included) or a repeated seed raises `ValueError` naming the value, and
+a precision target that is not a positive number (NaN included) or a
+repeated seed raises `ValueError` naming the value, and
 `sweep` refuses a repeated `m`.
 
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
@@ -302,7 +315,7 @@ active capture or None; `ResultMeta` records its summary.
 
 With a tracer active, every `connect`/`disconnect` emits one JSONL
 record; blocked requests carry the cause `ThreeStageNetwork.explain_block`
-reads off the network's engine state (`classify_block`):
+reads off the network's engine state (`block_cause`):
 `saturated_wavelength`, `converter_exhaustion`, `full_middles` or
 `no_cover`, plus the evidence masks. The `summary` record's per-cause
 counts always sum to the blocked total -- the blocking-probability
