@@ -82,7 +82,7 @@ from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import ThreeStageNetwork
 from repro.multistage.routing import find_cover_bits, mask_of
-from repro.perf.batch import simulate_batch
+from repro.perf.batch import CurveSpec, simulate_batch
 from repro.perf.sweeper import resolve_jobs
 from repro.switching.generators import dynamic_traffic
 
@@ -494,21 +494,18 @@ def bench_batched(quick: bool, reps: int) -> dict:
     bitmask_s, bitmask_out = _best(lambda: run("bitmask"), reps)
     batched_s, batched_out = _best(lambda: run("batched"), reps)
 
-    construction = Construction.MSW_DOMINANT
-    model = MulticastModel.MSW
+    spec = CurveSpec(
+        n, r, k, Construction.MSW_DOMINANT, MulticastModel.MSW, x,
+        traffic.steps, traffic,
+    )
     serial_cells = {
-        (m, seed): _traffic_cell(
-            n, r, m, k, construction, model, x, traffic.steps, seed, None
-        )
+        (m, seed): _traffic_cell(spec, m, seed)
         for m in m_values
         for seed in seeds
     }
     diverged: list[dict] = []
     for seed in seeds:
-        batch = simulate_batch(
-            n, r, k, construction, model, x, traffic.steps, None, seed,
-            m_values,
-        )
+        batch = simulate_batch(spec, seed, m_values)
         for m, value in batch:
             if value != serial_cells[(m, seed)]:
                 diverged.append({"m": m, "seed": seed})
@@ -593,8 +590,10 @@ def bench_wide(quick: bool, reps: int) -> dict:
 
     diverged: list[dict] = []
     attempts, replications = _simulate(
-        n, r, k, construction, model, x, id_steps, None, id_seed,
-        list(m_values), True,
+        CurveSpec(
+            n, r, k, construction, model, x, id_steps, api.UniformConfig()
+        ),
+        id_seed, list(m_values), True,
     )
     for m, rep in zip(m_values, replications):
         got = (attempts, rep.blocked, [repr(c) for c in rep.causes])
@@ -699,19 +698,14 @@ def bench_workloads(quick: bool, reps: int) -> dict:
         serial_s, batched_s = sum(serial_times), sum(batched_times)
         pooled_identical = pooled_identical and serial_out == batched_out
 
+        spec = CurveSpec(n, r, k, construction, model, x, steps, workload)
         serial_cells = {
-            (m, seed): _traffic_cell(
-                n, r, m, k, construction, model, x, steps, seed, None,
-                None, False, workload,
-            )
+            (m, seed): _traffic_cell(spec, m, seed)
             for m in m_values
             for seed in seeds
         }
         for seed in seeds:
-            batch = simulate_batch(
-                n, r, k, construction, model, x, steps, None, seed,
-                m_values, False, workload,
-            )
+            batch = simulate_batch(spec, seed, m_values)
             for m, value in batch:
                 if value != serial_cells[(m, seed)]:
                     diverged.append(
@@ -772,12 +766,12 @@ def bench_topology(quick: bool, reps: int) -> dict:
     blocked_by_fabric: dict[str, list[int]] = {}
     for fabric in fabric_names():
         spec = get_fabric(fabric)
+        curve_spec = CurveSpec(
+            n, r, k, construction, model, x, steps, api.UniformConfig(),
+            fabric,
+        )
         runs = [
-            _simulate(
-                n, r, k, construction, model, x, steps, None, seed,
-                m_values, False, False, None, fabric,
-            )
-            for seed in seeds
+            _simulate(curve_spec, seed, m_values, False) for seed in seeds
         ]
         attempts_total = sum(attempts for attempts, _ in runs)
         blocked_per_m = [
@@ -856,17 +850,14 @@ def bench_adaptive(quick: bool, reps: int) -> dict:
     m_values = list(range(1, 7 if quick else 9))
     steps = 150 if quick else 400
     precision = PrecisionConfig(half_width=0.01, min_rounds=2, max_rounds=64)
-    config = dict(
-        construction=Construction.MSW_DOMINANT,
-        model=MulticastModel.MSW,
-        x=x,
-        steps=steps,
-        precision=precision,
-        kernel="batched",
+    spec = CurveSpec(
+        n, r, k, Construction.MSW_DOMINANT, MulticastModel.MSW, x, steps,
+        api.UniformConfig(),
     )
+    config = dict(precision=precision, kernel="batched")
 
     def run_adaptive():
-        estimates = adaptive_sweep(n, r, k, m_values, **config)
+        estimates = adaptive_sweep(spec, m_values, **config)
         return [
             (e.m, e.attempts, e.blocked, e.adaptive.rounds, e.adaptive.converged)
             for e in estimates
@@ -890,8 +881,8 @@ def bench_adaptive(quick: bool, reps: int) -> dict:
                 half_width=0.01, min_rounds=2, max_rounds=2
             ),
         )
-        adaptive_sweep(n, r, k, m_values, cache=cache, **partial)
-        resumed = adaptive_sweep(n, r, k, m_values, cache=cache, **config)
+        adaptive_sweep(spec, m_values, cache=cache, **partial)
+        resumed = adaptive_sweep(spec, m_values, cache=cache, **config)
     for cell, estimate in zip(cells, resumed):
         if (estimate.m, estimate.attempts, estimate.blocked) != cell[:3]:
             diverged.append(

@@ -50,14 +50,13 @@ from repro.engine.fabrics import get_fabric
 from repro.multistage.adversary import search_blocking_state
 from repro.multistage.network import ThreeStageNetwork
 from repro.obs.meta import ResultMeta
-from repro.perf.batch import simulate_batch
+from repro.perf.batch import CurveSpec, simulate_batch
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
-from repro.switching.generators import dynamic_traffic, stream_rng
+from repro.switching.generators import stream_rng
 from repro.workloads.keys import key_fragment, require_distinct
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.perf.cache import ResultCache
-    from repro.workloads.base import WorkloadConfig
 
 __all__ = [
     "AdaptiveInfo",
@@ -120,58 +119,22 @@ class AdaptiveInfo:
 
 
 def _traffic_key(
-    cache: "ResultCache",
-    n: int,
-    r: int,
-    m: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
-    seed: int,
-    max_fanout: int | None,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
-    kernel: str = "bitmask",
+    cache: "ResultCache", spec: CurveSpec, m: int, seed: int, kernel: str
 ) -> str:
-    params = dict(
-        n=n, r=r, m=m, k=k, construction=construction, model=model,
-        x=x, steps=steps, seed=seed, max_fanout=max_fanout,
+    return cache.key(
+        "traffic_cell", spec.key_params(m=m, seed=seed), kernel=kernel
     )
-    # The workload token joins the key only when non-uniform: uniform
-    # runs keep their legacy addresses (warm caches stay warm), while a
-    # non-uniform run can never collide with them -- the cross-workload
-    # cache-poisoning guarantee.
-    token = None if workload is None else workload.token()
-    if token is not None:
-        params["workload"] = token
-    # The fabric token follows the same anchor rule: the Clos (token
-    # None) keeps every legacy address, any other fabric model gets its
-    # own -- Clos results can never be served for another topology.
-    fabric_token = get_fabric(fabric).token()
-    if fabric_token is not None:
-        params["fabric"] = fabric_token
-    return cache.key("traffic_cell", params, kernel=kernel)
 
 
 def _adversary_key(
-    cache: "ResultCache",
-    n: int,
-    r: int,
-    m: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    seed: int,
-    kernel: str = "bitmask",
+    cache: "ResultCache", spec: CurveSpec, m: int, seed: int, kernel: str
 ) -> str:
     return cache.key(
         "adversary_cell",
         dict(
-            n=n, r=r, m=m, k=k, construction=construction, model=model,
-            x=x, seed=seed,
+            n=spec.n, r=spec.r, m=m, k=spec.k,
+            construction=spec.construction, model=spec.model, x=spec.x,
+            seed=seed,
         ),
         kernel=kernel,
     )
@@ -355,64 +318,43 @@ class BlockingEstimate:
 
 
 def _traffic_cell(
-    n: int,
-    r: int,
+    spec: CurveSpec,
     m: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
     seed: int,
-    max_fanout: int | None,
-    debug_checks: bool = False,
     antithetic: bool = False,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
+    debug_checks: bool = False,
 ) -> tuple[int, int]:
     """One replication: ``(attempts, blocked)`` for one traffic seed.
 
-    The seed's single ``random.Random`` stream drives the traffic
-    generator end-to-end; nothing else in the cell draws randomness, so
+    The seed's single ``random.Random`` stream drives the spec's
+    workload end-to-end; nothing else in the cell draws randomness, so
     the result depends only on the arguments (the parallel-safety
     contract of the sweep engine).  With ``antithetic=True`` the stream
     is the seed's antithetic mirror
     (:class:`repro.switching.generators.AntitheticRandom`) -- the
     variance-reduction twin the adaptive driver pairs with the plain
-    stream.  ``workload`` swaps in a registered traffic model from
-    :mod:`repro.workloads` (None = the uniform generator, the
-    historical behaviour); its identity must accompany the cell in any
-    cache key (see :func:`_traffic_key`).  ``debug_checks`` re-verifies
-    the network invariants after every event; it cannot change the
-    result, so it is deliberately absent from the cell's cache key.
-    ``fabric`` selects the registered fabric model; the serial
-    ``ThreeStageNetwork`` below *is* the Clos admission program, so any
-    other fabric delegates to the batch engine (which replays the same
-    compiled stream through the same shared kernels, bit-identically).
+    stream.  ``debug_checks`` re-verifies the network invariants after
+    every event; it cannot change the result, so it is deliberately
+    absent from the cell's cache key.  The serial ``ThreeStageNetwork``
+    below *is* the Clos admission program, so any other fabric
+    delegates to the batch engine (which replays the same compiled
+    stream through the same shared kernels, bit-identically).
     """
-    if fabric != "clos":
-        return simulate_batch(
-            n, r, k, construction, model, x, steps, max_fanout, seed,
-            (m,), antithetic, workload, fabric,
-        )[0][1]
+    if spec.fabric != "clos":
+        return simulate_batch(spec, seed, (m,), antithetic)[0][1]
     _obs.inc("mc.cells")
-    rng = stream_rng(seed, antithetic)
     net = ThreeStageNetwork(
-        n, r, m, k, construction=construction, model=model, x=x,
-        debug_checks=debug_checks,
+        spec.n, spec.r, m, spec.k, construction=spec.construction,
+        model=spec.model, x=spec.x, debug_checks=debug_checks,
     )
     attempts = 0
     blocked = 0
     live: dict[int, int] = {}
     dropped: set[int] = set()
-    if workload is None:
-        events = dynamic_traffic(
-            model, n * r, k, steps=steps, seed=rng, max_fanout=max_fanout
-        )
-    else:
-        events = workload.events(
-            model, n * r, k, steps=steps, rng=rng, max_fanout=max_fanout
-        )
+    events = spec.workload.events(
+        spec.model, spec.n * spec.r, spec.k, steps=spec.steps,
+        rng=stream_rng(seed, antithetic), max_fanout=spec.max_fanout,
+    )
     for event in events:
         if event.kind == "setup":
             attempts += 1
@@ -431,19 +373,10 @@ def _traffic_cell(
 
 
 def _traffic_column(
-    n: int,
-    r: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
-    max_fanout: int | None,
+    spec: CurveSpec,
     seed: int,
     m_values: tuple[int, ...],
     antithetic: bool = False,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
     debug_checks: bool = False,
 ) -> list[tuple[int, tuple[int, int]]]:
     """:func:`_traffic_cell` per ``m``, in ``simulate_batch``'s unit shape.
@@ -454,13 +387,7 @@ def _traffic_column(
     units the same way.
     """
     return [
-        (
-            m,
-            _traffic_cell(
-                n, r, m, k, construction, model, x, steps, seed,
-                max_fanout, debug_checks, antithetic, workload, fabric,
-            ),
-        )
+        (m, _traffic_cell(spec, m, seed, antithetic, debug_checks))
         for m in m_values
     ]
 
@@ -468,17 +395,8 @@ def _traffic_column(
 def _run_batched_cells(
     sweeper: ParallelSweeper,
     cache: "ResultCache | None",
+    spec: CurveSpec,
     cells: list[tuple[int, int]],
-    n: int,
-    r: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
-    max_fanout: int | None,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """All ``(m, seed)`` traffic cells through the lockstep batch engine.
 
@@ -497,10 +415,7 @@ def _run_batched_cells(
     for cell in cells:
         m, seed = cell
         if cache is not None:
-            key = _traffic_key(
-                cache, n, r, m, k, construction, model, x, steps, seed,
-                max_fanout, workload, fabric, "batched",
-            )
+            key = _traffic_key(cache, spec, m, seed, "batched")
             keys[cell] = key
             hit, value = cache.lookup(key)
             if hit:
@@ -514,10 +429,7 @@ def _run_batched_cells(
         WorkUnit(
             unit_id=seed,
             fn=simulate_batch,
-            args=(
-                n, r, k, construction, model, x, steps, max_fanout, seed,
-                tuple(by_seed[seed]), False, workload, fabric,
-            ),
+            args=(spec, seed, tuple(by_seed[seed])),
         )
         for seed in sorted(by_seed)
     ]
@@ -543,49 +455,38 @@ def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
     return [rng.randrange(10**9) for _ in range(count)]
 
 
-def _adversary_traffic_key(
-    n: int,
-    r: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-) -> str:
+def _adversary_traffic_key(spec: CurveSpec) -> str:
     """Configuration fingerprint mixed into the adversary-seed schedule."""
     return key_fragment(
-        dict(n=n, r=r, k=k, construction=construction, model=model, x=x)
+        dict(
+            n=spec.n, r=spec.r, k=spec.k, construction=spec.construction,
+            model=spec.model, x=spec.x,
+        )
     )
 
 
 def _blocking_curve(
-    n: int,
-    r: int,
-    k: int,
+    spec: CurveSpec,
     m_values: list[int],
     *,
-    construction: Construction = Construction.MSW_DOMINANT,
-    model: MulticastModel = MulticastModel.MSW,
-    x: int = 1,
-    steps: int = 1500,
-    seeds: tuple[int, ...] = (0, 1, 2),
-    max_fanout: int | None = None,
     adversarial: bool = False,
-    adversary_seeds: int = 20,
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
     kernel: str = "bitmask",
 ) -> list[BlockingEstimate]:
     """The blocking-probability-vs-``m`` curve (implied figure X3).
 
-    With ``adversarial=True``, each point additionally runs the
-    randomized adversary of
-    :func:`repro.multistage.adversary.search_blocking_state`; if the
-    adversary finds a witness at an ``m`` where random traffic saw no
-    blocking, one synthetic blocked attempt is recorded so the curve
-    reflects *worst-case* rather than average-case behaviour.
+    Every ``m`` pools the ``(m, seed)`` cells of ``spec.workload.seeds``
+    (a seed owns one RNG stream end-to-end, so the curve is
+    deterministic for any ``jobs``).
+
+    With ``adversarial=True``, each point additionally runs
+    ``spec.workload.adversary_seeds`` restarts of the randomized
+    adversary of :func:`repro.multistage.adversary.search_blocking_state`;
+    if the adversary finds a witness at an ``m`` where random traffic
+    saw no blocking, one synthetic blocked attempt is recorded so the
+    curve reflects *worst-case* rather than average-case behaviour.
 
     All (m, seed) traffic cells are independent work units fanned out
     through the sweep engine; with ``jobs > 1`` (or ``"auto"``) they
@@ -608,58 +509,35 @@ def _blocking_curve(
     The ``"bitmask"`` kernel keeps one cache-keyed unit per cell, so a
     serial run killed mid-sweep keeps every cell it finished.
     ``kernel`` tags every cache address and the results' ``meta``.  A
-    single point is ``m_values=[m]``.
-
-    Args:
-        n, r, k, m_values: topology; each ``m`` may appear once.
-        construction, model, x: network configuration.
-        steps: traffic events per seed.
-        seeds: independent replications, pooled per ``m``; at least
-            one, and each seed may appear once.  A seed owns one RNG
-            stream end-to-end, so the curve is deterministic for any
-            ``jobs``.
-        max_fanout: cap on destinations per request.
-        adversarial, adversary_seeds: run the adversary, with this many
-            restarts, at every ``m`` where traffic saw no blocking.
-        jobs: worker processes for the sweep (``"auto"`` adapts to the
-            host).
-        cache: optional per-cell result cache (incremental re-runs).
-        debug_checks: per-event invariant checking inside each serial
-            cell (slow; result-identical, so cache keys ignore it).
-        workload: a registered traffic model from
-            :mod:`repro.workloads` (None = uniform); its identity joins
-            every non-uniform cell cache key.
-        fabric: the registered fabric model (:mod:`repro.engine.fabrics`;
-            ``"clos"`` is the paper's network); its token joins every
-            non-Clos cell cache key.
-        kernel: ``"bitmask"`` or ``"batched"``.
+    single point is ``m_values=[m]``; each ``m`` may appear once.
+    ``debug_checks`` turns on per-event invariant checking inside each
+    serial cell (slow; result-identical, so cache keys ignore it).
     """
     require_distinct("m_values", m_values)
-    require_distinct("seeds", seeds)
+    workload = spec.workload
+    seeds = workload.seeds
     if not seeds:
         raise ValueError(
             "seeds is empty; list at least one seed, e.g. seeds=(0,)"
         )
-    if adversarial and workload is not None and workload.token() is not None:
+    if adversarial and workload.token() is not None:
         raise ValueError(
             "adversarial probing is defined for uniform traffic only "
             "(the adversary constructs its own worst-case states); got "
             f"workload {workload.workload!r}"
         )
-    if adversarial and get_fabric(fabric).token() is not None:
+    if adversarial and get_fabric(spec.fabric).token() is not None:
         raise ValueError(
             "adversarial probing is defined for the Clos fabric only "
             "(the adversary constructs three-stage worst-case states); "
-            f"got fabric {fabric!r}"
+            f"got fabric {spec.fabric!r}"
         )
-    traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
+    traffic_key = _adversary_traffic_key(spec)
     with ParallelSweeper(jobs) as sweeper:
         if kernel == "batched":
             by_cell = _run_batched_cells(
-                sweeper, cache,
+                sweeper, cache, spec,
                 [(m, seed) for m in m_values for seed in seeds],
-                n, r, k, construction, model, x, steps, max_fanout,
-                workload, fabric,
             )
         else:
             cells = sweeper.run(
@@ -667,18 +545,11 @@ def _blocking_curve(
                     WorkUnit(
                         unit_id=(m, seed),
                         fn=_traffic_cell,
-                        args=(
-                            n, r, m, k, construction, model, x, steps, seed,
-                            max_fanout, debug_checks, False, workload, fabric,
-                        ),
+                        args=(spec, m, seed, False, debug_checks),
                         cache_key=(
                             None
                             if cache is None
-                            else _traffic_key(
-                                cache, n, r, m, k, construction, model, x,
-                                steps, seed, max_fanout, workload, fabric,
-                                kernel,
-                            )
+                            else _traffic_key(cache, spec, m, seed, kernel)
                         ),
                     )
                     for m in m_values
@@ -693,13 +564,13 @@ def _blocking_curve(
             blocked = sum(by_cell[(m, seed)][1] for seed in seeds)
             estimates.append(
                 BlockingEstimate(
-                    n=n,
-                    r=r,
+                    n=spec.n,
+                    r=spec.r,
                     m=m,
-                    k=k,
-                    construction=construction,
-                    model=model,
-                    x=x,
+                    k=spec.k,
+                    construction=spec.construction,
+                    model=spec.model,
+                    x=spec.x,
                     attempts=attempts,
                     blocked=blocked,
                 )
@@ -719,23 +590,23 @@ def _blocking_curve(
                         WorkUnit(
                             unit_id=attempt,
                             fn=search_blocking_state,
-                            args=(n, r, estimate.m, k),
+                            args=(spec.n, spec.r, estimate.m, spec.k),
                             kwargs=dict(
-                                construction=construction, model=model,
-                                x=x, seed=seed,
+                                construction=spec.construction,
+                                model=spec.model, x=spec.x, seed=seed,
                             ),
                             cache_key=(
                                 None
                                 if cache is None
                                 else _adversary_key(
-                                    cache, n, r, estimate.m, k,
-                                    construction, model, x, seed, kernel,
+                                    cache, spec, estimate.m, seed, kernel
                                 )
                             ),
                         )
                         for attempt, seed in enumerate(
                             _adversary_seeds(
-                                estimate.m, adversary_seeds, traffic_key
+                                estimate.m, workload.adversary_seeds,
+                                traffic_key,
                             )
                         )
                     ),

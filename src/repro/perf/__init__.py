@@ -27,11 +27,13 @@ structure-of-arrays Monte-Carlo engine of :mod:`repro.perf.batch`,
 which compiles each seed's traffic stream once and replays it against
 every ``m`` value of a sweep in a single pass (common random numbers,
 batch-per-process work units, per-replication bit-identity with the
-serial simulator).
+serial simulator).  :class:`CurveSpec` names the configuration every
+cell of one curve shares; the cell functions and estimators take one.
 """
 
 from repro.perf.batch import (
     CellOutcome,
+    CurveSpec,
     compile_stream,
     replay_cell,
     simulate_batch,
@@ -49,6 +51,7 @@ __all__ = [
     "CODE_VERSION",
     "CacheStats",
     "CellOutcome",
+    "CurveSpec",
     "ExecutionPlan",
     "ParallelSweeper",
     "ResultCache",

@@ -62,10 +62,9 @@ from repro.analysis.montecarlo import (
     BlockingEstimate,
     _traffic_column,
 )
-from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import get_fabric
 from repro.obs.meta import ResultMeta
-from repro.perf.batch import simulate_batch
+from repro.perf.batch import CurveSpec, simulate_batch
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.workloads.keys import (
     fabric_fragment,
@@ -75,9 +74,8 @@ from repro.workloads.keys import (
     workload_fragment,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.perf.cache import ResultCache
-    from repro.workloads.base import WorkloadConfig
 
 __all__ = [
     "SCHEDULE_VERSION",
@@ -185,18 +183,7 @@ class PrecisionConfig:
         return half <= self.half_width
 
 
-def stream_key(
-    n: int,
-    r: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
-    max_fanout: int | None,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
-) -> str:
+def stream_key(spec: CurveSpec) -> str:
     """The traffic key the round schedule derives from.
 
     Deliberately *without* ``m``: the compiled traffic stream is
@@ -213,15 +200,15 @@ def stream_key(
     """
     base = key_fragment(
         dict(
-            n=n, r=r, k=k, construction=construction, model=model, x=x,
-            steps=steps, max_fanout=max_fanout, schedule=SCHEDULE_VERSION,
+            n=spec.n, r=spec.r, k=spec.k, construction=spec.construction,
+            model=spec.model, x=spec.x, steps=spec.steps,
+            max_fanout=spec.max_fanout, schedule=SCHEDULE_VERSION,
         )
     )
-    token = None if workload is None else workload.token()
     return (
         base
-        + workload_fragment(token)
-        + fabric_fragment(get_fabric(fabric).token())
+        + workload_fragment(spec.workload.token())
+        + fabric_fragment(get_fabric(spec.fabric).token())
     )
 
 
@@ -253,20 +240,11 @@ def round_specs(
 
 def _round_key(
     cache: "ResultCache",
-    n: int,
-    r: int,
+    spec: CurveSpec,
     m: int,
-    k: int,
-    construction: Construction,
-    model: MulticastModel,
-    x: int,
-    steps: int,
-    max_fanout: int | None,
     round_index: int,
     precision: PrecisionConfig,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
-    kernel: str = "bitmask",
+    kernel: str,
 ) -> str:
     """Content address of one ``(cell, round)`` aggregate.
 
@@ -274,45 +252,27 @@ def _round_key(
     (pairs/antithetic/stratified + schedule version) -- but not by the
     precision target or level, which select how many rounds run without
     changing any round's content.  A resumed sweep with a tighter
-    target therefore reuses every warm round.  The workload token joins
-    the key only when non-uniform, so uniform rounds keep their legacy
-    addresses while non-uniform traffic can never resume from them.
+    target therefore reuses every warm round.
     """
-    params = dict(
-        n=n, r=r, m=m, k=k, construction=construction, model=model,
-        x=x, steps=steps, max_fanout=max_fanout,
+    params = spec.key_params(
+        m=m,
         round=round_index,
         pairs=precision.pairs_per_round,
         antithetic=precision.antithetic,
         stratified=precision.stratified,
         schedule=SCHEDULE_VERSION,
     )
-    token = None if workload is None else workload.token()
-    if token is not None:
-        params["workload"] = token
-    fabric_token = get_fabric(fabric).token()
-    if fabric_token is not None:
-        params["fabric"] = fabric_token
     return cache.key("adaptive_round", params, kernel=kernel)
 
 
 def adaptive_sweep(
-    n: int,
-    r: int,
-    k: int,
+    spec: CurveSpec,
     m_values: list[int],
     *,
-    construction: Construction = Construction.MSW_DOMINANT,
-    model: MulticastModel = MulticastModel.MSW,
-    x: int = 1,
-    steps: int = 1500,
-    max_fanout: int | None = None,
     precision: PrecisionConfig = PrecisionConfig(),
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
-    workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
     kernel: str = "bitmask",
 ) -> list[BlockingEstimate]:
     """The blocking-vs-``m`` curve at a target precision, not a budget.
@@ -328,6 +288,8 @@ def adaptive_sweep(
     address: an interrupted sweep re-run with the same arguments
     replays warm rounds from disk and continues sampling where it
     stopped, producing bit-identical estimates to an uninterrupted run.
+    A workload that cannot draw fresh streams every round (a trace)
+    is refused before any round runs.
 
     ``jobs`` parallelizes each round across worker processes through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
@@ -339,10 +301,7 @@ def adaptive_sweep(
     with the same cell of any wider sweep.
     """
     require_distinct("m_values", m_values)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if workload is not None:
-        workload.validate_precision(precision, steps)
+    spec.workload.validate_precision(precision, spec.steps)
     m_values = list(m_values)
     # Every unit replays one round spec's stream against a column of
     # ``m`` values and returns ``[(m, (attempts, blocked)), ...]``: a
@@ -353,9 +312,7 @@ def adaptive_sweep(
     else:
         run_column, lockstep = _traffic_column, False
         extra = dict(debug_checks=debug_checks)
-    key = stream_key(
-        n, r, k, construction, model, x, steps, max_fanout, workload, fabric
-    )
+    key = stream_key(spec)
     #: pooled (attempts, blocked) per m
     totals = {m: [0, 0] for m in m_values}
     rounds_done = dict.fromkeys(m_values, 0)
@@ -364,8 +321,9 @@ def adaptive_sweep(
     def pooled(m: int, **provenance: Any) -> BlockingEstimate:
         attempts, blocked = totals[m]
         return BlockingEstimate(
-            n=n, r=r, m=m, k=k, construction=construction, model=model,
-            x=x, attempts=attempts, blocked=blocked, **provenance,
+            n=spec.n, r=spec.r, m=m, k=spec.k,
+            construction=spec.construction, model=spec.model, x=spec.x,
+            attempts=attempts, blocked=blocked, **provenance,
         )
 
     active = list(m_values)
@@ -379,9 +337,7 @@ def adaptive_sweep(
             if cache is not None:
                 for m in active:
                     keys[m] = _round_key(
-                        cache, n, r, m, k, construction, model, x, steps,
-                        max_fanout, round_index, precision, workload, fabric,
-                        kernel,
+                        cache, spec, m, round_index, precision, kernel
                     )
                     hit, value = cache.lookup(keys[m])
                     if hit:
@@ -391,20 +347,16 @@ def adaptive_sweep(
             need = [m for m in active if m not in round_totals]
             if need:
                 columns = [tuple(need)] if lockstep else [(m,) for m in need]
-                specs = round_specs(key, round_index, precision)
+                schedule = round_specs(key, round_index, precision)
                 units = [
                     WorkUnit(
                         unit_id=(column, index),
                         fn=run_column,
-                        args=(
-                            n, r, k, construction, model, x, steps,
-                            max_fanout, spec.seed, column, spec.antithetic,
-                            workload, fabric,
-                        ),
+                        args=(spec, rep.seed, column, rep.antithetic),
                         kwargs=extra,
                     )
                     for column in columns
-                    for index, spec in enumerate(specs)
+                    for index, rep in enumerate(schedule)
                 ]
                 computed = {m: [0, 0] for m in need}
                 for result in sweeper.run(units):
@@ -432,14 +384,14 @@ def adaptive_sweep(
                     still.append(m)
             active = still
         plan = sweeper.last_plan
-    meta = ResultMeta.capture(plan, kernel=kernel, workload=workload)
+    meta = ResultMeta.capture(plan, kernel=kernel, workload=spec.workload)
     estimates = []
     for m in m_values:
         replications = rounds_done[m] * precision.replications_per_round()
         info = AdaptiveInfo(
             rounds=rounds_done[m],
             replications=replications,
-            events=replications * steps,
+            events=replications * spec.steps,
             converged=converged[m],
             target_half_width=precision.half_width,
             relative=precision.relative,

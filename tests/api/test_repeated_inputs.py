@@ -16,6 +16,7 @@ import pytest
 
 from repro import api
 from repro.analysis.montecarlo import _blocking_curve
+from tests.curves import curve
 
 KERNELS = ("bitmask", "batched")
 FIXED = api.UniformConfig(steps=20, seeds=(0,))
@@ -59,7 +60,9 @@ class TestRepeatedSeeds:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_rejected_by_the_curve(self, kernel):
         with pytest.raises(ValueError, match="seeds repeats 0; list each"):
-            _blocking_curve(3, 3, 1, [2], steps=20, seeds=(0, 0), kernel=kernel)
+            _blocking_curve(
+                curve(3, 3, 1, steps=20, seeds=(0, 0)), [2], kernel=kernel
+            )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

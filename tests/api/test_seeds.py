@@ -13,13 +13,12 @@ import random
 import pytest
 
 from repro.analysis.montecarlo import _adversary_seeds, _adversary_traffic_key
-from repro.core.models import Construction, MulticastModel
+from repro.core.models import Construction
+from tests.curves import curve
 
 
-KEY_A = _adversary_traffic_key(
-    3, 3, 1, Construction.MSW_DOMINANT, MulticastModel.MSW, 1)
-KEY_B = _adversary_traffic_key(
-    4, 2, 2, Construction.MSW_DOMINANT, MulticastModel.MSW, 1)
+KEY_A = _adversary_traffic_key(curve(3, 3, 1))
+KEY_B = _adversary_traffic_key(curve(4, 2, 2))
 
 
 class TestKeyedSchedule:

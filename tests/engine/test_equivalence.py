@@ -23,6 +23,7 @@ from repro.core.multistage import valid_x_range
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf.batch import replay_cell
 from repro.switching.generators import dynamic_traffic
+from tests.curves import curve
 
 STEPS = 120
 
@@ -43,8 +44,9 @@ def engine_trace(n, r, k, m, construction, model, x, seed):
     """The engine replay's blocked-request causes, in stream order."""
     return list(
         replay_cell(
-            n, r, m, k, construction=construction, model=model, x=x,
-            steps=STEPS, seed=seed, record_causes=True,
+            curve(n, r, k, construction=construction, model=model, x=x,
+                  steps=STEPS),
+            m, seed, record_causes=True,
         ).causes
     )
 

@@ -38,6 +38,7 @@ from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import ALL_BLOCK_KINDS, BLOCK_KINDS
 from repro.engine.state import PythonState
 from repro.perf.batch import replay_cell, simulate_batch
+from tests.curves import curve
 
 C = Construction.MSW_DOMINANT
 MSW = MulticastModel.MSW
@@ -214,15 +215,15 @@ def test_clos_cache_keys_unchanged(tmp_path):
     from repro.perf.cache import ResultCache
 
     cache = ResultCache(tmp_path / "cache")
-    key = _traffic_key(cache, 3, 3, 4, 2, C, MSW, 1, 200, 0, None)
+    key = _traffic_key(cache, curve(3, 3, 2, steps=200), 4, 0, "bitmask")
     assert key == GOLDEN_TRAFFIC_KEY
     # The explicit Clos spelling addresses the same entry; any other
     # fabric gets a disjoint address.
     assert _traffic_key(
-        cache, 3, 3, 4, 2, C, MSW, 1, 200, 0, None, fabric="clos"
+        cache, curve(3, 3, 2, steps=200, fabric="clos"), 4, 0, "bitmask"
     ) == key
     assert _traffic_key(
-        cache, 3, 3, 4, 2, C, MSW, 1, 200, 0, None, fabric="awg_clos"
+        cache, curve(3, 3, 2, steps=200, fabric="awg_clos"), 4, 0, "bitmask"
     ) != key
 
 
@@ -233,11 +234,11 @@ def test_clos_round_keys_and_schedule_unchanged(tmp_path):
     precision = PrecisionConfig(half_width=0.01, min_rounds=2, max_rounds=64)
     cache = ResultCache(tmp_path / "cache")
     assert _round_key(
-        cache, 3, 3, 4, 2, C, MSW, 1, 150, None, 0, precision
+        cache, curve(3, 3, 2, steps=150), 4, 0, precision, "bitmask"
     ) == GOLDEN_ROUND_KEY
-    key = stream_key(3, 3, 2, C, MSW, 1, 150, None)
+    key = stream_key(curve(3, 3, 2, steps=150))
     assert key == GOLDEN_STREAM_KEY
-    assert stream_key(3, 3, 2, C, MSW, 1, 150, None, fabric="clos") == key
+    assert stream_key(curve(3, 3, 2, steps=150, fabric="clos")) == key
     assert [
         (s.seed, s.antithetic) for s in round_specs(key, 0, precision)
     ] == GOLDEN_ROUND0
@@ -245,20 +246,17 @@ def test_clos_round_keys_and_schedule_unchanged(tmp_path):
         (s.seed, s.antithetic) for s in round_specs(key, 1, precision)
     ] == GOLDEN_ROUND1
     # A non-Clos fabric's schedule is derived from a disjoint key.
-    other = stream_key(3, 3, 2, C, MSW, 1, 150, None, fabric="awg_clos")
+    other = stream_key(curve(3, 3, 2, steps=150, fabric="awg_clos"))
     assert other == key + "|fabric=awg_clos"
 
 
 def test_clos_blocked_counts_unchanged():
     for m, blocked in GOLDEN_BLOCKED.items():
-        cells = dict(
-            simulate_batch(3, 3, 2, C, MSW, 1, 300, None, 0, (m,))
-        )
+        cells = dict(simulate_batch(curve(3, 3, 2, steps=300), 0, (m,)))
         assert cells[m] == (154, blocked)
     # The explicit seam spelling is the same program.
     explicit = simulate_batch(
-        3, 3, 2, C, MSW, 1, 300, None, 0, tuple(GOLDEN_BLOCKED),
-        False, None, "clos",
+        curve(3, 3, 2, steps=300, fabric="clos"), 0, tuple(GOLDEN_BLOCKED),
     )
     assert dict(explicit) == {m: (154, b) for m, b in GOLDEN_BLOCKED.items()}
 
@@ -272,7 +270,7 @@ def test_clos_numpy_bitplanes_unchanged():
     from repro.engine.state import PythonState
     from repro.perf.batch import _replay, compile_stream
 
-    ops = compile_stream(MSW, 3, 3, 2, 300, 0)
+    ops = compile_stream(curve(3, 3, 2, steps=300), 0)
     m_values = tuple(GOLDEN_BLOCKED)
     geometries = tuple(
         FabricGeometry(3, 3, 2, m, construction=C, model=MSW, x=1)
@@ -310,8 +308,7 @@ def test_awg_blocks_more_than_clos():
     m_values = tuple(AWG_BLOCKED)
     awg = dict(
         simulate_batch(
-            3, 3, 2, C, MSW, 1, 300, None, 0, m_values,
-            False, None, "awg_clos",
+            curve(3, 3, 2, steps=300, fabric="awg_clos"), 0, m_values
         )
     )
     for m, blocked in AWG_BLOCKED.items():
@@ -321,18 +318,17 @@ def test_awg_blocks_more_than_clos():
 
 def test_awg_equals_clos_at_k1():
     m_values = (1, 2, 3, 4)
-    clos = simulate_batch(3, 3, 1, C, MSW, 1, 300, None, 0, m_values)
+    clos = simulate_batch(curve(3, 3, 1, steps=300), 0, m_values)
     awg = simulate_batch(
-        3, 3, 1, C, MSW, 1, 300, None, 0, m_values, False, None, "awg_clos",
+        curve(3, 3, 1, steps=300, fabric="awg_clos"), 0, m_values
     )
     assert awg == clos
 
 
 def test_awg_no_path_cause_reported():
     outcome = replay_cell(
-        3, 3, 1, 2,
-        construction=C, model=MSW, x=1, steps=300, seed=0,
-        record_causes=True, fabric="awg_clos",
+        curve(3, 3, 2, steps=300, fabric="awg_clos"), 1, 0,
+        record_causes=True,
     )
     assert outcome.blocked == AWG_BLOCKED[1]
     structural = [c for c in outcome.causes if c["kind"] == "awg_no_path"]
@@ -347,15 +343,9 @@ def test_awg_no_path_cause_reported():
 
 def test_awg_batch_equals_one_lane_replays():
     m_values = tuple(AWG_BLOCKED)
-    whole = simulate_batch(
-        3, 3, 2, C, MSW, 1, 300, None, 0, m_values, False, None, "awg_clos",
-    )
-    assert whole == [
-        simulate_batch(
-            3, 3, 2, C, MSW, 1, 300, None, 0, (m,), False, None, "awg_clos",
-        )[0]
-        for m in m_values
-    ]
+    spec = curve(3, 3, 2, steps=300, fabric="awg_clos")
+    whole = simulate_batch(spec, 0, m_values)
+    assert whole == [simulate_batch(spec, 0, (m,))[0] for m in m_values]
 
 
 # -- the crossbar fast path --------------------------------------------------
@@ -363,7 +353,7 @@ def test_awg_batch_equals_one_lane_replays():
 
 def test_crossbar_blocks_nothing():
     cells = simulate_batch(
-        3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), False, None, "crossbar",
+        curve(3, 3, 2, steps=300, fabric="crossbar"), 0, (1, 2, 4)
     )
     for m, (attempts, blocked) in cells:
         assert attempts == 154

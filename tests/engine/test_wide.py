@@ -26,6 +26,7 @@ from repro.core.multistage import valid_x_range
 from repro.engine.geometry import FabricGeometry
 from repro.engine.state import PythonState
 from repro.perf.batch import _simulate
+from tests.curves import curve
 from tests.perf.test_batch import serial_cell_with_causes
 
 BOUNDARY = (61, 62, 63, 64, 100)
@@ -84,10 +85,10 @@ def assert_three_way(n, r, k, x, m_values, seed, construction, model):
     """
 
     def replay(lanes):
-        attempts, replications = _simulate(
-            n, r, k, construction, model, x, STEPS, None, seed, list(lanes),
-            True,
+        spec = curve(
+            n, r, k, construction=construction, model=model, x=x, steps=STEPS
         )
+        attempts, replications = _simulate(spec, seed, list(lanes), True)
         return [(attempts, rep.blocked, rep.causes) for rep in replications]
 
     for m, lane in zip(m_values, replay(m_values)):

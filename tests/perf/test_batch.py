@@ -36,6 +36,7 @@ from repro.switching.generators import dynamic_traffic
 from repro.switching.requests import MulticastConnection
 from repro.workloads import TraceConfig, generate_trace
 from repro.workloads.keys import stream_rng
+from tests.curves import curve
 from tests.workloads.test_stream_pins import CONFIGS as PIN_CONFIGS
 from tests.workloads.test_stream_pins import SHAPES as PIN_SHAPES
 
@@ -100,8 +101,9 @@ class TestBitIdentity:
             n, r, m, k, construction, model, x, STEPS, seed
         )
         outcome = replay_cell(
-            n, r, m, k, construction=construction, model=model, x=x,
-            steps=STEPS, seed=seed, record_causes=True,
+            curve(n, r, k, construction=construction, model=model, x=x,
+                  steps=STEPS),
+            m, seed, record_causes=True,
         )
         assert (outcome.attempts, outcome.blocked) == (attempts, blocked)
         assert list(outcome.causes) == causes
@@ -112,25 +114,20 @@ class TestBitIdentity:
         m_values = list(range(1, 9))
         for construction in Construction:
             for model in MulticastModel:
-                batch = dict(
-                    simulate_batch(
-                        n, r, k, construction, model, x, 300, None,
-                        seed, m_values,
-                    )
+                spec = curve(
+                    n, r, k, construction=construction, model=model, x=x,
+                    steps=300,
                 )
+                batch = dict(simulate_batch(spec, seed, m_values))
                 for m in m_values:
-                    assert batch[m] == _traffic_cell(
-                        n, r, m, k, construction, model, x, 300, seed, None
-                    )
+                    assert batch[m] == _traffic_cell(spec, m, seed)
 
     def test_max_fanout_respected(self):
         n, r, k, x, seed = 3, 4, 2, 2, 1
+        spec = curve(n, r, k, x=x, steps=200, max_fanout=2)
         for m in (2, 3):
-            assert replay_cell(
-                n, r, m, k, x=x, steps=200, seed=seed, max_fanout=2,
-            ).blocked == _traffic_cell(
-                n, r, m, k, Construction.MSW_DOMINANT, MulticastModel.MSW,
-                x, 200, seed, 2,
+            assert replay_cell(spec, m, seed).blocked == _traffic_cell(
+                spec, m, seed
             )[1]
 
 
@@ -178,9 +175,10 @@ class TestSharedTrajectories:
         construction, model = Construction.MSW_DOMINANT, MulticastModel.MSW
         m_values = [7, 4, 5, 11]
         assert min(m_values) >= min_middle_switches(n, r, k, construction, x)
-        setups = sum(
-            tag for tag, *_ in compile_stream(model, n, r, k, steps, seed)
+        spec = curve(
+            n, r, k, construction=construction, model=model, x=x, steps=steps
         )
+        setups = sum(tag for tag, *_ in compile_stream(spec, seed))
         assert setups == 202
         probes: list[int] = []
         allocates: list[int] = []
@@ -197,9 +195,7 @@ class TestSharedTrajectories:
 
         monkeypatch.setattr(batch_module, "probe_cover", counting_probe)
         monkeypatch.setattr(PythonState, "allocate", counting_allocate)
-        cells = simulate_batch(
-            n, r, k, construction, model, x, steps, None, seed, m_values,
-        )
+        cells = simulate_batch(spec, seed, m_values)
         assert cells == [(m, (setups, 0)) for m in m_values]
         assert len(probes) == setups
         assert len(allocates) == setups
@@ -218,7 +214,7 @@ class TestSharedTrajectories:
     ))
     def test_every_lane_equals_its_one_lane_replay(self, config):
         n, r, k, x, fabric, construction, model, seed, m_values = config
-        ops = compile_stream(model, n, r, k, STEPS, seed)
+        ops = compile_stream(curve(n, r, k, model=model, steps=STEPS), seed)
         geometries = tuple(
             FabricGeometry(
                 n=n, r=r, k=k, m=m, construction=construction, model=model,
@@ -242,18 +238,15 @@ class TestThreeWayIdentity:
     def test_counts_and_causes_agree(self, config, others):
         n, r, k, x, m, seed, construction, model = config
         m_values = list(dict.fromkeys([m, *others]))
-        attempts, replications = _simulate(
-            n, r, k, construction, model, x, STEPS, None, seed, m_values,
-            True,
+        spec = curve(
+            n, r, k, construction=construction, model=model, x=x, steps=STEPS
         )
+        attempts, replications = _simulate(spec, seed, m_values, True)
         for lane_m, rep in zip(m_values, replications):
             serial = serial_cell_with_causes(
                 n, r, lane_m, k, construction, model, x, STEPS, seed
             )
-            one_lane = replay_cell(
-                n, r, lane_m, k, construction=construction, model=model,
-                x=x, steps=STEPS, seed=seed, record_causes=True,
-            )
+            one_lane = replay_cell(spec, lane_m, seed, record_causes=True)
             assert (attempts, rep.blocked, rep.causes) == tuple(serial)
             assert (
                 one_lane.attempts, one_lane.blocked, list(one_lane.causes)
@@ -264,14 +257,12 @@ class TestThreeWayIdentity:
     def test_batch_equals_one_lane_runs(self, construction, model):
         n, r, k, x, seed = 3, 3, 2, 1, 0
         m_values = tuple(range(1, 9))
-        whole = simulate_batch(
-            n, r, k, construction, model, x, 300, None, seed, m_values,
+        spec = curve(
+            n, r, k, construction=construction, model=model, x=x, steps=300
         )
+        whole = simulate_batch(spec, seed, m_values)
         assert whole == [
-            simulate_batch(
-                n, r, k, construction, model, x, 300, None, seed, (m,),
-            )[0]
-            for m in m_values
+            simulate_batch(spec, seed, (m,))[0] for m in m_values
         ]
 
 
@@ -294,7 +285,7 @@ class TestEndStateIdentity:
             for m in m_values
         )
         state = PythonState(geometries)
-        ops = compile_stream(model, 3, 3, 2, 200, 1)
+        ops = compile_stream(curve(3, 3, 2, model=model, steps=200), 1)
         attempts, replications = _replay(ops, state, True, False)
         for b, (m, rep) in enumerate(zip(m_values, replications)):
             serial_attempts, blocked, _, net = serial_cell_with_causes(
@@ -307,8 +298,9 @@ class TestEndStateIdentity:
 class TestStreamCompilation:
     def test_stream_is_m_independent(self):
         """The compiled ops depend on the traffic config, never on m."""
-        ops = compile_stream(MulticastModel.MSDW, 3, 3, 2, 200, seed=4)
-        again = compile_stream(MulticastModel.MSDW, 3, 3, 2, 200, seed=4)
+        spec = curve(3, 3, 2, model=MulticastModel.MSDW, steps=200)
+        ops = compile_stream(spec, seed=4)
+        again = compile_stream(spec, seed=4)
         assert ops == again
         assert any(tag == 1 for tag, *_ in ops)
         assert any(tag == 0 for tag, *_ in ops)
@@ -316,8 +308,8 @@ class TestStreamCompilation:
     def test_ops_mirror_generator_events(self, tmp_path):
         """Every workload's compiled ops against its own event stream.
 
-        Each registered workload, the default (``workload=None``)
-        uniform path and a trace recorded with ``generate_trace``, on
+        Each registered workload, the uniform generator
+        (``dynamic_traffic``) and a trace recorded with ``generate_trace``, on
         every stream-pin shape, model and antithetic side: the op is
         ``(tag, id, source module, source wavelength, dest mask)`` of
         the event the serial simulator replays.
@@ -348,10 +340,11 @@ class TestStreamCompilation:
                                     model, n_ports, k, steps=steps, rng=rng,
                                     max_fanout=max_fanout,
                                 )
-                            ops = compile_stream(
-                                model, n, r, k, steps, seed, max_fanout,
-                                antithetic, workload,
+                            spec = curve(
+                                n, r, k, model=model, steps=steps,
+                                workload=workload, max_fanout=max_fanout,
                             )
+                            ops = compile_stream(spec, seed, antithetic)
                             assert ops == list(ops_of(events, n))
                             cases += 1
         assert cases == 2 * 3 * 6 * sum(
@@ -371,7 +364,11 @@ class TestStreamCompilation:
         monkeypatch.setattr(MulticastConnection, "__init__", counting)
         for model in MulticastModel:
             ops = compile_stream(
-                model, 3, 3, 2, 300, 1, workload=PIN_CONFIGS[workload]
+                curve(
+                    3, 3, 2, model=model, steps=300,
+                    workload=PIN_CONFIGS[workload],
+                ),
+                1,
             )
             assert any(tag == 1 for tag, *_ in ops)
         assert built == []
@@ -414,7 +411,7 @@ class TestBackendResolution:
 
     def test_illegal_x_rejected_like_the_network(self):
         with pytest.raises(ValueError, match="outside the legal range"):
-            replay_cell(2, 2, 3, 1, x=5, steps=50, seed=0)
+            replay_cell(curve(2, 2, 1, x=5, steps=50), 3, 0)
 
 
 class TestApiIntegration:
@@ -532,8 +529,5 @@ class TestObsGuard:
             obs.MetricsRegistry, "inc",
             lambda self, name, value=1: recorded.append(name),
         )
-        simulate_batch(
-            2, 2, 1, Construction.MSW_DOMINANT, MulticastModel.MSW, 1,
-            100, None, 0, (1, 2),
-        )
+        simulate_batch(curve(2, 2, 1, steps=100), 0, (1, 2))
         assert recorded == []

@@ -32,6 +32,7 @@ from repro.workloads import (
     UniformConfig,
 )
 from repro.workloads.keys import stream_rng
+from tests.curves import curve
 
 STEPS = 120
 
@@ -98,31 +99,36 @@ class TestEveryWorkloadAgreesAcrossKernels:
         attempts, blocked, causes = serial_cell(
             n, r, m, k, construction, model, x, seed, workload
         )
-        batched = replay_cell(
-            n, r, m, k, construction=construction, model=model, x=x,
-            steps=STEPS, seed=seed, record_causes=True, workload=workload,
+        spec = curve(
+            n, r, k, construction=construction, model=model, x=x,
+            steps=STEPS, workload=workload,
         )
+        batched = replay_cell(spec, m, seed, record_causes=True)
         assert (batched.attempts, batched.blocked) == (attempts, blocked)
         assert list(batched.causes) == causes
+
+
+#: the traffic-cell address of uniform traffic, computed before
+#: workloads existed: warm uniform caches must keep hitting it
+LEGACY_UNIFORM_KEY = (
+    "a6e7accea570988af037104ddb086d0db5a61f191895e7369ba155b13a2fb631"
+)
 
 
 class TestCacheKeyHygiene:
     @staticmethod
     def key(tmp_path, workload):
         return _traffic_key(
-            ResultCache(tmp_path / "cache"), 3, 3, 2, 1,
-            Construction.MSW_DOMINANT, MulticastModel.MSW, 1,
-            100, 0, None, workload,
+            ResultCache(tmp_path / "cache"),
+            curve(3, 3, 1, steps=100, workload=workload), 2, 0, "bitmask",
         )
 
     def test_uniform_preserves_the_legacy_address(self, tmp_path):
-        # Both spellings of "no workload" hit the same warm entries.
-        assert self.key(tmp_path, None) == self.key(tmp_path, UniformConfig())
+        assert self.key(tmp_path, UniformConfig()) == LEGACY_UNIFORM_KEY
 
     def test_every_non_uniform_workload_gets_its_own_address(self, tmp_path):
         keys = {self.key(tmp_path, w) for w in WORKLOADS}
-        keys.add(self.key(tmp_path, None))
-        # uniform + None collapse to one; the other three are distinct.
+        # uniform and the three other models are all distinct.
         assert len(keys) == len(WORKLOADS)
 
     def test_shape_parameters_are_part_of_the_address(self, tmp_path):
@@ -162,17 +168,14 @@ class TestAdaptiveStreamKeys:
     def test_workload_extends_the_stream_key(self):
         from repro.perf.adaptive import stream_key
 
-        base = stream_key(
-            3, 3, 1, Construction.MSW_DOMINANT, MulticastModel.MSW,
-            1, 100, None,
+        # The schedule key of uniform traffic, as before workloads existed.
+        base = (
+            "n=3|r=3|k=1|construction=MSW_DOMINANT|model=MSW|x=1|steps=100|"
+            "max_fanout=None|schedule=1"
         )
-        uniform = stream_key(
-            3, 3, 1, Construction.MSW_DOMINANT, MulticastModel.MSW,
-            1, 100, None, workload=UniformConfig(),
-        )
+        uniform = stream_key(curve(3, 3, 1, steps=100))
         skewed = stream_key(
-            3, 3, 1, Construction.MSW_DOMINANT, MulticastModel.MSW,
-            1, 100, None, workload=HotspotConfig(zipf_s=1.5),
+            curve(3, 3, 1, steps=100, workload=HotspotConfig(zipf_s=1.5))
         )
         assert uniform == base
         assert skewed != base and "hotspot" in skewed
