@@ -26,19 +26,10 @@ Robustness contract:
 * **corrupted-entry recovery** -- an entry that fails to unpickle (torn
   bytes, truncation, version skew) is deleted and treated as a miss,
   never propagated;
-* **bounded growth** -- with ``max_bytes`` set, every write prunes
-  least-recently-used entries (hits refresh recency) until the cache
-  fits; a pruned entry is simply a future miss, recomputed and stored
-  again on demand;
 * **concurrent writers** -- one cache directory may be shared by many
   processes at once (the adaptive sweep's resume contract depends on
-  it).  Entry publication is already atomic; the LRU prune
-  additionally serializes through an advisory ``flock`` on a lock file
-  so concurrent writers never double-count sizes or stampede-evict
-  each other's fresh entries (a writer that finds the lock held simply
-  skips its prune -- the holder is already enforcing the budget), and
-  :meth:`put` recreates the cache directory if a peer removed it
-  mid-run;
+  it): entry publication is atomic, and :meth:`put` recreates the
+  cache directory if a peer removed it mid-run;
 * values are stored with :mod:`pickle`, so any picklable cell result
   round-trips exactly (the warm path returns bit-identical objects).
 """
@@ -54,11 +45,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
-
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
 
 from repro import obs as _obs
 
@@ -77,7 +63,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     corrupt: int = 0
-    evictions: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -85,7 +70,6 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "evictions": self.evictions,
         }
 
 
@@ -113,12 +97,6 @@ class ResultCache:
             keep cells apart.
         code_version: override of :data:`CODE_VERSION` (tests use this
             to prove that a version bump invalidates old entries).
-        max_bytes: disk budget for the entry files; None (default)
-            keeps the cache unbounded.  Enforced on every
-            :meth:`put` by deleting least-recently-*used* entries
-            (mtime order; :meth:`lookup` hits refresh it) until the
-            cache fits, newest write always kept.  Pruned entries just
-            become future misses -- correctness is untouched.
     """
 
     def __init__(
@@ -126,14 +104,10 @@ class ResultCache:
         directory: str | os.PathLike,
         *,
         code_version: str = CODE_VERSION,
-        max_bytes: int | None = None,
     ):
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1 or None, got {max_bytes}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.code_version = code_version
-        self.max_bytes = max_bytes
         self.stats = CacheStats()
 
     # -- keys ---------------------------------------------------------------
@@ -193,12 +167,6 @@ class ResultCache:
             return False, None
         self.stats.hits += 1
         _obs.inc("cache.hits")
-        if self.max_bytes is not None:
-            # Refresh recency so the LRU prune spares hot entries.
-            try:
-                os.utime(path)
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -232,81 +200,8 @@ class ResultCache:
             raise
         self.stats.stores += 1
         _obs.inc("cache.stores")
-        if self.max_bytes is not None:
-            self._prune(keep=path)
 
     # -- maintenance --------------------------------------------------------
-
-    def total_bytes(self) -> int:
-        """Bytes currently occupied by entry files."""
-        total = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                total += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
-        return total
-
-    def _prune(self, keep: Path) -> None:
-        """Delete LRU entries until the cache fits ``max_bytes``.
-
-        ``keep`` (the entry just written) survives even if it alone
-        exceeds the budget -- pruning the value the caller is about to
-        rely on would turn every over-budget store into a guaranteed
-        miss loop.
-
-        Serialized across processes by an advisory lock: concurrent
-        prunes would each total the directory, then each delete "down
-        to budget" against a snapshot the other is invalidating --
-        together evicting far more than the budget requires.  A writer
-        that finds the lock held skips pruning; the lock holder is
-        already enforcing the budget, and the skipper's own next store
-        will prune again if needed.
-        """
-        lock_handle = None
-        if fcntl is not None:
-            try:
-                lock_handle = open(self.directory / ".prune.lock", "ab")
-                fcntl.flock(lock_handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                # Lock held by a pruning peer (or unavailable): skip.
-                if lock_handle is not None:
-                    lock_handle.close()
-                return
-        try:
-            self._prune_locked(keep)
-        finally:
-            if lock_handle is not None:
-                try:
-                    fcntl.flock(lock_handle, fcntl.LOCK_UN)
-                finally:
-                    lock_handle.close()
-
-    def _prune_locked(self, keep: Path) -> None:
-        entries = []
-        total = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            entries.append((stat.st_mtime_ns, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return
-        entries.sort()
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            total -= size
-            self.stats.evictions += 1
-            _obs.inc("cache.evictions")
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
