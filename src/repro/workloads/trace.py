@@ -157,6 +157,10 @@ def _load_trace_cached(
         busy_inputs.add(source)
         busy_outputs.update(destinations)
         events.append(TrafficEvent("setup", connection, connection_id))
+    if not events:
+        raise ValueError(
+            f"{path}: the trace has no events; record at least one setup"
+        )
     return tuple(events)
 
 

@@ -110,6 +110,30 @@ class TestGuardRails:
             )
 
 
+@pytest.mark.parametrize("kernel", ["bitmask", "batched"])
+class TestEmptyRecording:
+    """An empty trace is refused, not run as a curve of 0-attempt cells."""
+
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        return api.TraceConfig(path=str(path))
+
+    def test_sweep_refused(self, tmp_path, kernel):
+        with pytest.raises(ValueError, match=r"empty\.jsonl: the trace has no"):
+            api.sweep(
+                2, 2, 1, [1, 2], traffic=self.empty(tmp_path),
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+    def test_blocking_refused(self, tmp_path, kernel):
+        with pytest.raises(ValueError, match=r"empty\.jsonl: the trace has no"):
+            api.blocking(
+                2, 2, 1, 1, traffic=self.empty(tmp_path),
+                search=api.SearchConfig(kernel=kernel),
+            )
+
+
 class TestPrecisionRejection:
     def test_validate_precision_names_the_event_count(self, tmp_path):
         path, count = record(tmp_path, "t.jsonl")
