@@ -138,14 +138,22 @@ canonical-JSON parameters). `repro.api` verbs take
 interrupted or repeated sweeps recompute only missing cells. Writes
 are atomic (temp file + `os.replace`); entries that fail to unpickle
 are deleted and recomputed. The CLI flags are `--cache` / `--no-cache`
-and `--cache-dir DIR` on `blocking` and `exact`.
+and `--cache-dir DIR` on `blocking` and `exact`. The cache has no
+size bound: clear it with `ResultCache.clear()` or by deleting the
+directory.
 
-`ResultCache(directory, max_bytes=N)` bounds on-disk growth: every
-`put` prunes least-recently-used entries (hits refresh recency) until
-the cache fits the budget, never evicting the entry just written. A
-pruned entry is a plain miss on the next lookup -- the cell is
-recomputed and re-stored -- so a bounded cache trades disk for
-recompute without ever changing results.
+### One spec per curve
+
+`CurveSpec(n, r, k, construction, model, x, steps, workload,
+fabric="clos")` names the configuration every cell of one
+blocking-vs-m curve shares; a cell is a spec plus `(m, seed)`. It is
+frozen and picklable, refuses `steps < 1` and everything
+`FabricGeometry` refuses except a bad `m` when it is built, and reads
+the fanout cap from `workload.max_fanout`. `compile_stream`,
+`simulate_batch`, `replay_cell` and the estimators behind `repro.api`
+take one; `geometry(m)` is a cell's `FabricGeometry` and
+`key_params(**cell)` its cache-key parameters (the workload and
+fabric tokens join only when they are not None).
 
 ### Lockstep batch Monte Carlo
 
