@@ -51,11 +51,10 @@ def to_dot(fabric: OpticalFabric, *, rankdir: str = "LR") -> str:
         lines.append(
             f"  {_quote(component.name)} [{', '.join(attributes)}];"
         )
-    graph = fabric.graph()
-    for src, dst, data in graph.edges(data=True):
-        label = f"{data.get('src_port', '?')}->{data.get('dst_port', '?')}"
+    for src, src_port, dst, dst_port in fabric.fibers():
         lines.append(
-            f"  {_quote(src)} -> {_quote(dst)} [label=\"{label}\", fontsize=7];"
+            f"  {_quote(src)} -> {_quote(dst)} "
+            f"[label=\"{src_port}->{dst_port}\", fontsize=7];"
         )
     lines.append("}")
     return "\n".join(lines)

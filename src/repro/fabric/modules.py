@@ -46,7 +46,7 @@ from repro.fabric.components import (
     WavelengthConverter,
 )
 from repro.fabric.network import OpticalFabric
-from repro.fabric.space_crossbar import SpacePlane, build_space_plane
+from repro.fabric.space_crossbar import build_space_plane
 
 __all__ = ["WDMModule", "build_wdm_module"]
 
@@ -80,7 +80,6 @@ class WDMModule:
         #: (component name, port) producing each of the module's output fibers
         self.exits: list[tuple[str, int]] = []
         self._gates: dict[tuple[int, int, int, int], str] = {}
-        self._planes: list[SpacePlane] = []
         self._input_converters: dict[tuple[int, int], WavelengthConverter] = {}
         self._routed_channels: set[tuple[int, int]] = set()
         self._build()
@@ -96,12 +95,10 @@ class WDMModule:
     def _build_msw(self) -> None:
         """k parallel rectangular space planes between demuxes and muxes."""
         fabric, prefix = self.fabric, self.prefix
-        planes = []
-        for w in range(self.k):
-            planes.append(
-                _build_rect_plane(fabric, f"{prefix}.plane{w}", self.n_in, self.n_out)
-            )
-        self._planes = planes
+        planes = [
+            build_space_plane(fabric, f"{prefix}.plane{w}", self.n_in, self.n_out)
+            for w in range(self.k)
+        ]
         for i in range(self.n_in):
             demux = fabric.add(Demux(f"{prefix}.demux{i}", self.k))
             self.entries.append((demux.name, 0))
@@ -255,35 +252,6 @@ class WDMModule:
         if self.model is MulticastModel.MSDW:
             return self.n_in * self.k
         return self.n_out * self.k
-
-
-def _build_rect_plane(
-    fabric: OpticalFabric, prefix: str, n_in: int, n_out: int
-) -> SpacePlane:
-    """A rectangular single-wavelength multicast plane (Fig. 5, a x b)."""
-    if n_in == n_out:
-        return build_space_plane(fabric, prefix, n_in)
-    splitters = [
-        fabric.add(Splitter(f"{prefix}.split{i}", n_out)) for i in range(n_in)
-    ]
-    combiners = [
-        fabric.add(Combiner(f"{prefix}.comb{j}", n_in)) for j in range(n_out)
-    ]
-    gate_names: list[tuple[str, ...]] = []
-    for i in range(n_in):
-        row = []
-        for j in range(n_out):
-            gate = fabric.add(SOAGate(f"{prefix}.gate{i}_{j}"))
-            fabric.connect(splitters[i], j, gate, 0)
-            fabric.connect(gate, 0, combiners[j], i)
-            row.append(gate.name)
-        gate_names.append(tuple(row))
-    return SpacePlane(
-        n_ports=max(n_in, n_out),
-        gate_names=tuple(gate_names),
-        entries=tuple((splitter.name, 0) for splitter in splitters),
-        exits=tuple((combiner.name, 0) for combiner in combiners),
-    )
 
 
 def build_wdm_module(

@@ -3,9 +3,11 @@
 An :class:`OpticalFabric` is a directed acyclic multigraph whose nodes
 are :class:`repro.fabric.components.Component` instances and whose edges
 connect an output port of one component to an input port of another
-(exactly one fiber per input port).  Propagation evaluates the
-components in topological order -- the optical analogue of combinational
-circuit simulation.
+(exactly one fiber per input port).  The fabric owns its wiring
+(:meth:`OpticalFabric.fibers`) and its propagation order
+(:meth:`OpticalFabric.topological_order`); the power analysis and the
+DOT export read both from it.  Propagation evaluates the components in
+that order -- the optical analogue of combinational circuit simulation.
 
 The census methods make the fabric double as a cost model: counting the
 SOA gates of a built network must reproduce Table 1's crosspoint counts,
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.fabric.components import (
     Component,
@@ -65,7 +65,7 @@ class OpticalFabric:
         # (dst_name, dst_port) -> (src_name, src_port)
         self._feeds: dict[tuple[str, int], tuple[str, int]] = {}
         self._source_used: set[tuple[str, int]] = set()
-        self._order: list[str] | None = None
+        self._order: tuple[str, ...] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -146,25 +146,52 @@ class OpticalFabric:
             c for c in self._components.values() if isinstance(c, OutputTerminal)
         ]
 
-    def graph(self) -> nx.MultiDiGraph:
-        """The fabric as a NetworkX multigraph (for analysis/plotting)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for name, component in self._components.items():
-            graph.add_node(name, kind=component.kind)
-        for (dst_name, dst_port), (src_name, src_port) in self._feeds.items():
-            graph.add_edge(src_name, dst_name, src_port=src_port, dst_port=dst_port)
-        return graph
+    def fibers(self) -> list[tuple[str, int, str, int]]:
+        """Every fiber as ``(src, src_port, dst, dst_port)``, in wiring order."""
+        return [
+            (src_name, src_port, dst_name, dst_port)
+            for (dst_name, dst_port), (src_name, src_port) in self._feeds.items()
+        ]
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Component names in propagation order.
+
+        Kahn's algorithm, one generation at a time: first every
+        component no fiber feeds, in insertion order; then, for each
+        component of a generation in turn, the successors it was the
+        last feeder of, in the order of their first fiber from it.
+        Parallel fibers between two components count together.  The
+        power analysis breaks ties between equal losses by this order.
+
+        Raises:
+            repro.fabric.components.FabricError: the wiring has a cycle.
+        """
+        if self._order is None:
+            successors: dict[str, dict[str, int]] = {
+                name: {} for name in self._components
+            }
+            unfed = dict.fromkeys(self._components, 0)
+            for (dst_name, _), (src_name, _) in self._feeds.items():
+                fan = successors[src_name]
+                fan[dst_name] = fan.get(dst_name, 0) + 1
+                unfed[dst_name] += 1
+            generation = [name for name, count in unfed.items() if count == 0]
+            order: list[str] = []
+            while generation:
+                order.extend(generation)
+                following = []
+                for name in generation:
+                    for child, fibers in successors[name].items():
+                        unfed[child] -= fibers
+                        if unfed[child] == 0:
+                            following.append(child)
+                generation = following
+            if len(order) < len(self._components):
+                raise FabricError(f"{self.name}: fabric graph has a cycle")
+            self._order = tuple(order)
+        return self._order
 
     # -- simulation --------------------------------------------------------
-
-    def _topological_order(self) -> list[str]:
-        if self._order is None:
-            graph = self.graph()
-            try:
-                self._order = list(nx.topological_sort(graph))
-            except nx.NetworkXUnfeasible as exc:
-                raise FabricError(f"{self.name}: fabric graph has a cycle") from exc
-        return self._order
 
     def check_wiring(self) -> None:
         """Verify every non-terminal input port is fed; raise otherwise."""
@@ -182,7 +209,7 @@ class OpticalFabric:
         self.check_wiring()
         # Output signals per (component, out_port).
         port_signals: dict[tuple[str, int], list[OpticalSignal]] = {}
-        for name in self._topological_order():
+        for name in self.topological_order():
             component = self._components[name]
             inputs = []
             for port in range(component.n_inputs):

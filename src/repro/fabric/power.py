@@ -113,17 +113,16 @@ def analyze_power(
     """
     budget = budget or LossBudget()
     fabric.check_wiring()
-    graph = fabric.graph()
-
-    import networkx as nx
-
-    order = list(nx.topological_sort(graph))
+    # Each component's feeding components, in first-fiber order.
+    feeders: dict[str, dict[str, None]] = {}
+    for src, _, dst, _ in fabric.fibers():
+        feeders.setdefault(dst, {})[src] = None
     # Three independent longest-path DPs: loss, gate count, component count
     # (the max-gates path need not coincide with the max-loss path).
     loss_best: dict[str, tuple[float, str | None]] = {}
     gates_best: dict[str, int] = {}
     count_best: dict[str, int] = {}
-    for name in order:
+    for name in fabric.topological_order():
         component = fabric.component(name)
         loss_here = budget.component_loss(component)
         gate_here = 1 if component.kind == "soa_gate" else 0
@@ -132,7 +131,7 @@ def analyze_power(
             gates_best[name] = gate_here
             count_best[name] = 1
             continue
-        reachable = [p for p in graph.predecessors(name) if p in loss_best]
+        reachable = [p for p in feeders.get(name, ()) if p in loss_best]
         if not reachable:
             continue  # not reachable from any input terminal
         incoming = max(reachable, key=lambda p: loss_best[p][0])

@@ -7,8 +7,9 @@ wavelength: enabling gate ``(i, j)`` connects input ``i`` to output
 ``j``, and the combiner conflict rule (one active input at a time) is
 exactly the no-two-sources-per-output restriction.
 
-The module exposes both a plane *builder* (components added to a host
-fabric, used by the MSW crossbar of Fig. 4 to stack ``k`` planes) and a
+The module exposes both a plane *builder* (an ``a x b`` plane added to
+a host fabric, used by every MSW module -- the crossbar of Fig. 4 and
+the MSW stages of a three-stage network -- to stack ``k`` planes) and a
 self-contained :class:`SpaceCrossbar` with terminals, used directly as
 the ``k = 1`` network.
 """
@@ -42,42 +43,43 @@ class SpacePlane:
             plane's output fiber.
     """
 
-    n_ports: int
     gate_names: tuple[tuple[str, ...], ...]
     entries: tuple[tuple[str, int], ...]
     exits: tuple[tuple[str, int], ...]
 
 
-def build_space_plane(fabric: OpticalFabric, prefix: str, n_ports: int) -> SpacePlane:
-    """Add an ``n_ports x n_ports`` space plane (Fig. 5) to ``fabric``.
+def build_space_plane(
+    fabric: OpticalFabric, prefix: str, n_in: int, n_out: int
+) -> SpacePlane:
+    """Add an ``n_in x n_out`` space plane (Fig. 5) to ``fabric``.
 
     Args:
         fabric: host fabric receiving the components.
         prefix: unique name prefix for this plane's components.
-        n_ports: plane size ``N``.
+        n_in: number of input fibers (one splitter each).
+        n_out: number of output fibers (one combiner each).
 
     Returns:
         Handles for wiring and gate configuration.
     """
-    if n_ports < 1:
-        raise ValueError(f"plane size must be >= 1, got {n_ports}")
+    if n_in < 1 or n_out < 1:
+        raise ValueError(f"plane size must be >= 1, got {n_in}x{n_out}")
     splitters = [
-        fabric.add(Splitter(f"{prefix}.split{i}", n_ports)) for i in range(n_ports)
+        fabric.add(Splitter(f"{prefix}.split{i}", n_out)) for i in range(n_in)
     ]
     combiners = [
-        fabric.add(Combiner(f"{prefix}.comb{j}", n_ports)) for j in range(n_ports)
+        fabric.add(Combiner(f"{prefix}.comb{j}", n_in)) for j in range(n_out)
     ]
     gate_names: list[tuple[str, ...]] = []
-    for i in range(n_ports):
+    for i in range(n_in):
         row = []
-        for j in range(n_ports):
+        for j in range(n_out):
             gate = fabric.add(SOAGate(f"{prefix}.gate{i}_{j}"))
             fabric.connect(splitters[i], j, gate, 0)
             fabric.connect(gate, 0, combiners[j], i)
             row.append(gate.name)
         gate_names.append(tuple(row))
     return SpacePlane(
-        n_ports=n_ports,
         gate_names=tuple(gate_names),
         entries=tuple((splitter.name, 0) for splitter in splitters),
         exits=tuple((combiner.name, 0) for combiner in combiners),
@@ -90,7 +92,7 @@ class SpaceCrossbar:
     def __init__(self, n_ports: int, name: str = "space"):
         self.n_ports = n_ports
         self.fabric = OpticalFabric(name)
-        self.plane = build_space_plane(self.fabric, f"{name}.p", n_ports)
+        self.plane = build_space_plane(self.fabric, f"{name}.p", n_ports, n_ports)
         self._inputs = [
             self.fabric.add(InputTerminal(f"{name}.in{i}")) for i in range(n_ports)
         ]

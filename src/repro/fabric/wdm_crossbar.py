@@ -28,6 +28,7 @@ endpoints.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping, Sequence
 
 from repro.core.models import MulticastModel
 from repro.fabric.components import InputTerminal, OutputTerminal
@@ -44,11 +45,54 @@ __all__ = [
     "MSWCrossbar",
     "WDMCrossbar",
     "build_crossbar",
+    "check_delivery",
 ]
 
 
 class DeliveryError(RuntimeError):
     """The propagated light does not match the requested assignment."""
+
+
+def check_delivery(
+    expected: Mapping[Endpoint, Endpoint],
+    result: PropagationResult,
+    outputs: Sequence[OutputTerminal],
+) -> None:
+    """Check arrivals == requests, origin and carrier included.
+
+    Args:
+        expected: source endpoint per requested output endpoint.
+        result: the propagation to check.
+        outputs: the output terminals, indexed by output port.
+
+    Raises:
+        DeliveryError: two signals on one output endpoint, a missing or
+            stray arrival, or a signal from the wrong source.
+    """
+    observed: dict[Endpoint, OpticalSignal] = {}
+    for port, terminal in enumerate(outputs):
+        for signal in result.at(terminal.name):
+            endpoint = Endpoint(port, signal.wavelength)
+            if endpoint in observed:
+                raise DeliveryError(f"two signals at output endpoint {endpoint}")
+            observed[endpoint] = signal
+    missing = set(expected) - set(observed)
+    stray = set(observed) - set(expected)
+    if missing or stray:
+        raise DeliveryError(
+            f"delivery mismatch: missing={sorted(missing)} stray={sorted(stray)}"
+        )
+    for endpoint, source in expected.items():
+        signal = observed[endpoint]
+        if (signal.source_port, signal.source_wavelength) != (
+            source.port,
+            source.wavelength,
+        ):
+            raise DeliveryError(
+                f"wrong signal at {endpoint}: got origin "
+                f"({signal.source_port}, {signal.source_wavelength}), "
+                f"expected ({source.port}, {source.wavelength})"
+            )
 
 
 class WDMCrossbar:
@@ -121,39 +165,8 @@ class WDMCrossbar:
         for port, signals in per_port.items():
             self._inputs[port].inject(signals)
         result = self.fabric.propagate()
-        self._verify(assignment, result)
+        check_delivery(assignment.to_mapping(), result, self._outputs)
         return result
-
-    def _verify(
-        self, assignment: MulticastAssignment, result: PropagationResult
-    ) -> None:
-        """Check arrivals == requests, origin and carrier included."""
-        expected: dict[Endpoint, Endpoint] = assignment.to_mapping()
-        observed: dict[Endpoint, OpticalSignal] = {}
-        for q, terminal in enumerate(self._outputs):
-            for signal in result.at(terminal.name):
-                endpoint = Endpoint(q, signal.wavelength)
-                if endpoint in observed:
-                    raise DeliveryError(f"two signals at output endpoint {endpoint}")
-                observed[endpoint] = signal
-        missing = set(expected) - set(observed)
-        stray = set(observed) - set(expected)
-        if missing or stray:
-            raise DeliveryError(
-                f"delivery mismatch: missing={sorted(missing)} stray={sorted(stray)}"
-            )
-        for endpoint, source in expected.items():
-            signal = observed[endpoint]
-            if (signal.source_port, signal.source_wavelength) != (
-                source.port,
-                source.wavelength,
-            ):
-                raise DeliveryError(
-                    f"wrong signal at {endpoint}: got origin "
-                    f"({signal.source_port}, {signal.source_wavelength}), "
-                    f"expected ({source.port}, {source.wavelength})"
-                )
-
 
 class MSWCrossbar(WDMCrossbar):
     """Fig. 4: ``k`` parallel space planes, one per wavelength."""

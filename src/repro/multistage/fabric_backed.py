@@ -26,15 +26,12 @@ from repro.fabric.components import InputTerminal, OutputTerminal
 from repro.fabric.modules import WDMModule, build_wdm_module
 from repro.fabric.network import OpticalFabric, PropagationResult
 from repro.fabric.signal import OpticalSignal
+from repro.fabric.wdm_crossbar import check_delivery
 from repro.multistage.network import RoutedConnection
 from repro.multistage.topology import ThreeStageTopology
 from repro.switching.requests import Endpoint
 
 __all__ = ["FabricBackedThreeStage"]
-
-
-class DeliveryMismatch(RuntimeError):
-    """End-to-end propagation delivered the wrong light."""
 
 
 class FabricBackedThreeStage:
@@ -128,7 +125,8 @@ class FabricBackedThreeStage:
             wavelength and nothing else lit up.
 
         Raises:
-            DeliveryMismatch: wrong/missing/stray light at the outputs.
+            repro.fabric.wdm_crossbar.DeliveryError: wrong, missing or
+                stray light at the outputs.
             repro.fabric.components.FabricError: physical conflict inside
                 the fabric (indicates a router bug).
         """
@@ -184,37 +182,5 @@ class FabricBackedThreeStage:
         for port, signals in per_port_signals.items():
             self._inputs[port].inject(signals)
         result = self.fabric.propagate()
-        self._verify(expected, result)
+        check_delivery(expected, result, self._outputs)
         return result
-
-    def _verify(
-        self,
-        expected: dict[Endpoint, Endpoint],
-        result: PropagationResult,
-    ) -> None:
-        observed: dict[Endpoint, OpticalSignal] = {}
-        for port, terminal in enumerate(self._outputs):
-            for signal in result.at(terminal.name):
-                endpoint = Endpoint(port, signal.wavelength)
-                if endpoint in observed:
-                    raise DeliveryMismatch(
-                        f"two signals at output endpoint {endpoint}"
-                    )
-                observed[endpoint] = signal
-        missing = set(expected) - set(observed)
-        stray = set(observed) - set(expected)
-        if missing or stray:
-            raise DeliveryMismatch(
-                f"missing={sorted(missing)} stray={sorted(stray)}"
-            )
-        for endpoint, source in expected.items():
-            signal = observed[endpoint]
-            if (signal.source_port, signal.source_wavelength) != (
-                source.port,
-                source.wavelength,
-            ):
-                raise DeliveryMismatch(
-                    f"wrong origin at {endpoint}: got "
-                    f"({signal.source_port}, {signal.source_wavelength}), "
-                    f"expected ({source.port}, {source.wavelength})"
-                )

@@ -11,27 +11,32 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import networkx as nx
-
 from repro.scheduling.demands import Demand
 
 __all__ = ["conflict_graph", "electronic_rounds", "exact_chromatic_rounds"]
 
 
-def conflict_graph(demands: Sequence[Demand]) -> nx.Graph:
-    """The pairwise conflict graph of a demand batch (nodes = indices)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(demands)))
+def conflict_graph(demands: Sequence[Demand]) -> dict[int, set[int]]:
+    """Adjacency sets of a batch's conflict graph: index -> conflicting indices."""
+    graph: dict[int, set[int]] = {i: set() for i in range(len(demands))}
     for i in range(len(demands)):
         for j in range(i + 1, len(demands)):
             if demands[i].conflicts_with(demands[j]):
-                graph.add_edge(i, j)
+                graph[i].add(j)
+                graph[j].add(i)
     return graph
+
+
+def _largest_first(graph: dict[int, set[int]]) -> list[int]:
+    """Demands by decreasing conflict degree, ties in index order."""
+    return sorted(graph, key=lambda v: -len(graph[v]))
 
 
 def electronic_rounds(demands: Sequence[Demand]) -> tuple[int, list[list[int]]]:
     """Greedy (largest-first) schedule: ``(rounds, demand indices per round)``.
 
+    Demands are taken in decreasing conflict degree, and each gets the
+    smallest round no already-scheduled conflicting demand holds.
     Greedy coloring is within ``max_degree + 1`` of optimal and is what
     a practical scheduler would run; the exact oracle below bounds how
     much it gives away on small instances.
@@ -39,7 +44,10 @@ def electronic_rounds(demands: Sequence[Demand]) -> tuple[int, list[list[int]]]:
     if not demands:
         return 0, []
     graph = conflict_graph(demands)
-    coloring = nx.greedy_color(graph, strategy="largest_first")
+    coloring: dict[int, int] = {}
+    for vertex in _largest_first(graph):
+        taken = {coloring[v] for v in graph[vertex] if v in coloring}
+        coloring[vertex] = next(c for c in range(len(taken) + 1) if c not in taken)
     rounds = max(coloring.values()) + 1
     schedule: list[list[int]] = [[] for _ in range(rounds)]
     for index, color in sorted(coloring.items()):
@@ -57,15 +65,13 @@ def exact_chromatic_rounds(
     if not demands:
         return 0
     graph = conflict_graph(demands)
-    order = sorted(graph.nodes, key=lambda v: -graph.degree(v))
+    order = _largest_first(graph)
     best = electronic_rounds(demands)[0]  # greedy upper bound
     colors: dict[int, int] = {}
     nodes_explored = 0
 
     def feasible(vertex: int, color: int) -> bool:
-        return all(
-            colors.get(neighbor) != color for neighbor in graph.neighbors(vertex)
-        )
+        return all(colors.get(neighbor) != color for neighbor in graph[vertex])
 
     def backtrack(index: int, used: int) -> None:
         nonlocal best, nodes_explored

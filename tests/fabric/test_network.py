@@ -78,6 +78,54 @@ class TestWiring:
             fabric.propagate()
 
 
+class TestTopologicalOrder:
+    def test_one_generation_at_a_time(self):
+        """Sources in insertion order, then successors generation by
+        generation -- not depth first."""
+        fabric = OpticalFabric()
+        sink_b = fabric.add(OutputTerminal("out_b"))
+        sink_a = fabric.add(OutputTerminal("out_a"))
+        gate_a = fabric.add(SOAGate("gate_a"))
+        gate_b = fabric.add(SOAGate("gate_b"))
+        source_b = fabric.add(InputTerminal("in_b"))
+        source_a = fabric.add(InputTerminal("in_a"))
+        fabric.connect(source_a, 0, gate_a, 0)
+        fabric.connect(source_b, 0, gate_b, 0)
+        fabric.connect(gate_b, 0, sink_b, 0)
+        fabric.connect(gate_a, 0, sink_a, 0)
+        assert fabric.topological_order() == (
+            "in_b", "in_a", "gate_b", "gate_a", "out_b", "out_a",
+        )
+
+    def test_parallel_fibers_release_together(self):
+        fabric = OpticalFabric()
+        source = fabric.add(InputTerminal("in"))
+        splitter = fabric.add(Splitter("split", 2))
+        combiner = fabric.add(Combiner("comb", 2))
+        sink = fabric.add(OutputTerminal("out"))
+        fabric.connect(source, 0, splitter, 0)
+        fabric.connect(splitter, 1, combiner, 0)
+        fabric.connect(splitter, 0, combiner, 1)
+        fabric.connect(combiner, 0, sink, 0)
+        assert fabric.topological_order() == ("in", "split", "comb", "out")
+        assert fabric.fibers()[1:3] == [
+            ("split", 1, "comb", 0),
+            ("split", 0, "comb", 1),
+        ]
+
+    def test_rewiring_recomputes(self):
+        fabric = OpticalFabric()
+        source = fabric.add(InputTerminal("in"))
+        sink = fabric.add(OutputTerminal("out"))
+        gate = fabric.add(SOAGate("gate"))
+        fabric.connect(source, 0, gate, 0)
+        assert fabric.topological_order() == ("in", "out", "gate")
+        fabric.connect(gate, 0, sink, 0)
+        assert fabric.topological_order() == ("in", "gate", "out")
+        fabric.add(SOAGate("late"))
+        assert fabric.topological_order() == ("in", "late", "gate", "out")
+
+
 class TestPropagation:
     def test_gate_on_delivers(self):
         fabric, source, gate, sink = tiny_fabric()
@@ -139,10 +187,9 @@ class TestAccounting:
 
     def test_graph_export(self):
         fabric, *_ = tiny_fabric()
-        graph = fabric.graph()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 2
-        assert graph.nodes["gate"]["kind"] == "soa_gate"
+        assert [c.name for c in fabric.components()] == ["in", "gate", "out"]
+        assert fabric.fibers() == [("in", 0, "gate", 0), ("gate", 0, "out", 0)]
+        assert fabric.component("gate").kind == "soa_gate"
 
     def test_reset_gates(self):
         fabric, source, gate, sink = tiny_fabric()
