@@ -154,10 +154,15 @@ def _workload_param(value: str) -> tuple[str, str]:
     return key, raw
 
 
-def _traffic(args: argparse.Namespace, **base: object) -> api.WorkloadConfig:
+def _traffic(
+    args: argparse.Namespace, *, replay: bool = False, **base: object
+) -> api.WorkloadConfig:
     """The workload config the --workload/--workload-param flags ask for.
 
     Commands without those flags get uniform traffic from ``base``.
+    A command that replays a trace at ``--n/--r/--k/--model`` passes
+    ``replay``, so the trace is walked once here and every check its
+    replay makes runs before the first cell.
     """
     params = dict(getattr(args, "workload_param", None) or ())
     try:
@@ -166,8 +171,17 @@ def _traffic(args: argparse.Namespace, **base: object) -> api.WorkloadConfig:
         )
         if isinstance(traffic, api.TraceConfig):
             # Read the recording now, so a missing, malformed or empty
-            # file is one error line rather than a traceback mid-run.
-            load_trace(traffic.path)
+            # file (or, with ``replay``, one that does not fit the run)
+            # is one error line rather than a traceback mid-run.
+            if replay:
+                for _ in traffic.ops(
+                    args.model, args.n * args.r, args.k,
+                    steps=traffic.resolved_steps(0),  # a trace ignores the default
+                    rng=None, max_fanout=traffic.max_fanout,
+                ):
+                    pass
+            else:
+                load_trace(traffic.path)
     except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"wdm-repro: error: {exc}") from exc
     return traffic
@@ -354,7 +368,7 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 
 def _cmd_blocking(args: argparse.Namespace) -> str:
     _check_x(args)
-    traffic = _traffic(args, adversarial=args.adversarial)
+    traffic = _traffic(args, replay=True, adversarial=args.adversarial)
     with obs.capture() as run:
         estimates = api.sweep(
             args.n,

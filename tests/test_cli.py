@@ -520,6 +520,34 @@ class TestWorkloadCommands:
         assert expected in message
         assert str(target) in message
 
+    @pytest.mark.parametrize("kernel", ["bitmask", "batched"])
+    @pytest.mark.parametrize(
+        "recorded, flags, expected",
+        [
+            ((2, 2, 20), ["--workload-param", "steps=500"],
+             "has 20 events, but 500 were requested"),
+            ((3, 3, 40), [], "outside the fabric (N=4, k=1)"),
+        ],
+        ids=["too-few-events", "recorded-on-a-larger-fabric"],
+    )
+    def test_trace_that_does_not_fit_rejected_in_one_line(
+        self, tmp_path, kernel, recorded, flags, expected
+    ):
+        n, r, steps = recorded
+        target = tmp_path / "t.jsonl"
+        generate_trace(
+            api.make_workload("uniform"), str(target),
+            MulticastModel.MSW, n * r, 1, steps=steps, seed=0,
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["blocking", "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", "2", "--kernel", kernel, "--workload", "trace",
+                  "--workload-param", f"path={target}", *flags])
+        message = str(excinfo.value)
+        assert message.startswith(f"wdm-repro: error: trace {target} ")
+        assert "\n" not in message
+        assert expected in message
+
     @pytest.mark.parametrize(
         "argv, legal",
         [
