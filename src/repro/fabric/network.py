@@ -167,13 +167,12 @@ class OpticalFabric:
             repro.fabric.components.FabricError: the wiring has a cycle.
         """
         if self._order is None:
-            successors: dict[str, dict[str, int]] = {
-                name: {} for name in self._components
+            successors: dict[str, Counter[str]] = {
+                name: Counter() for name in self._components
             }
             unfed = dict.fromkeys(self._components, 0)
             for (dst_name, _), (src_name, _) in self._feeds.items():
-                fan = successors[src_name]
-                fan[dst_name] = fan.get(dst_name, 0) + 1
+                successors[src_name][dst_name] += 1
                 unfed[dst_name] += 1
             generation = [name for name, count in unfed.items() if count == 0]
             order: list[str] = []
