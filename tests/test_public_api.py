@@ -36,11 +36,10 @@ class TestImportCost:
     def test_importing_the_api_loads_no_numpy(self):
         """Importing the package loads nothing outside the standard library.
 
-        The package has no runtime dependency, so no numpy, numba or
-        networkx either.  Run in a fresh interpreter, because this one
-        has loaded the test tooling, and count only the modules the
-        imports add: the bare interpreter may already hold modules from
-        site ``.pth`` hooks.
+        The package has no runtime dependency.  Run in a fresh
+        interpreter, because this one has loaded the test tooling, and
+        count only the modules the imports add: the bare interpreter may
+        already hold modules from site ``.pth`` hooks.
         """
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         script = (
