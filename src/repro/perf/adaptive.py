@@ -26,13 +26,13 @@ Three layers make the rounds cheap, low-variance and resumable:
   the stream compiler so every kernel inherits both;
 
 * **kernel reuse** -- rounds run through the existing cells.  A work
-  unit replays one round spec's stream against a column of ``m``
-  values: with ``kernel="batched"`` one lockstep
-  :func:`repro.perf.batch.simulate_batch` unit per spec covers every
-  unconverged ``m``, otherwise one
-  :func:`~repro.analysis.montecarlo._traffic_column` unit per
-  ``(m, spec)`` runs the serial network -- bit-identical numbers
-  either way;
+  unit replays one round spec's stream against the column of every
+  unconverged ``m``: a lockstep
+  :func:`repro.perf.batch.simulate_batch` unit with
+  ``kernel="batched"``, otherwise a
+  :func:`~repro.analysis.montecarlo._traffic_column` unit that draws
+  the stream once and runs one serial network per ``m`` --
+  bit-identical numbers either way;
 
 * **resumable rounds** -- each completed round's ``(attempts,
   blocked)`` aggregate lands in the content-addressed
@@ -293,8 +293,10 @@ def adaptive_sweep(
 
     ``jobs`` parallelizes each round across worker processes through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
-    value); with ``kernel="batched"`` the round's cells run in
-    lockstep through :func:`repro.perf.batch.simulate_batch`.
+    value).  Each work unit is one replication's column of pending
+    ``m`` values, under either kernel: with ``kernel="batched"`` the
+    column runs in lockstep through
+    :func:`repro.perf.batch.simulate_batch`.
     ``kernel`` also tags every round's cache address and the results'
     ``meta``.  Each ``m`` may appear once in
     ``m_values``; a single point is ``[m]`` and shares its warm rounds
@@ -303,15 +305,12 @@ def adaptive_sweep(
     require_distinct("m_values", m_values)
     spec.workload.validate_precision(precision, spec.steps)
     m_values = list(m_values)
-    # Every unit replays one round spec's stream against a column of
-    # ``m`` values and returns ``[(m, (attempts, blocked)), ...]``: a
-    # batched column is every pending ``m`` in lockstep, a bitmask
-    # column one ``m`` on the serial network.
+    # Every unit replays one round spec's stream against the column of
+    # pending ``m`` values and returns ``[(m, (attempts, blocked)), ...]``.
     if kernel == "batched":
-        run_column, extra, lockstep = simulate_batch, {}, True
+        run_column, extra = simulate_batch, {}
     else:
-        run_column, lockstep = _traffic_column, False
-        extra = dict(debug_checks=debug_checks)
+        run_column, extra = _traffic_column, dict(debug_checks=debug_checks)
     key = stream_key(spec)
     #: pooled (attempts, blocked) per m
     totals = {m: [0, 0] for m in m_values}
@@ -346,16 +345,15 @@ def adaptive_sweep(
             # round total is stored.
             need = [m for m in active if m not in round_totals]
             if need:
-                columns = [tuple(need)] if lockstep else [(m,) for m in need]
+                column = tuple(need)
                 schedule = round_specs(key, round_index, precision)
                 units = [
                     WorkUnit(
-                        unit_id=(column, index),
+                        unit_id=index,
                         fn=run_column,
                         args=(spec, rep.seed, column, rep.antithetic),
                         kwargs=extra,
                     )
-                    for column in columns
                     for index, rep in enumerate(schedule)
                 ]
                 computed = {m: [0, 0] for m in need}
