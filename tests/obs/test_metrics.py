@@ -100,7 +100,7 @@ class TestCrossProcessAggregation:
         assert keys, "expected simulator counters in the serial run"
         for key in keys:
             assert pooled.get(key) == serial[key], key
-        assert pooled["sweep.units"] == serial["sweep.units"] == 4
+        assert pooled["sweep.units"] == serial["sweep.units"] == 2
 
     def test_admission_counters_are_consistent(self, two_cpus):
         counters = self._counters(2)

@@ -57,7 +57,7 @@ class TestSharedEnvelopeOnResults:
             traffic=api.UniformConfig(steps=60, seeds=(0,)))
         plans = {e.meta.plan_json for e in estimates}
         assert len(plans) == 1
-        assert estimates[0].meta.plan["units"] == 2
+        assert estimates[0].meta.plan["units"] == 1
 
     @pytest.mark.parametrize("m_values,steps,seeds,restarts", [
         # Every cell blocks, so no adversary runs.
@@ -80,4 +80,4 @@ class TestSharedEnvelopeOnResults:
             return estimates[0].meta.plan
 
         assert plan(True) == plan(False)
-        assert plan(True)["units"] == len(m_values) * len(seeds)
+        assert plan(True)["units"] == len(seeds)

@@ -431,7 +431,7 @@ PIN_PARTIAL_COUNTERS = {
 #: per kernel: units of the whole run (cold, partial) and of the last
 #: ``sweeper.run`` call, which ``meta.plan`` reports
 PIN_UNITS = {
-    "bitmask": dict(cold=40, partial=32, plan=8),
+    "bitmask": dict(cold=16, partial=20, plan=4),
     "batched": dict(cold=16, partial=20, plan=4),
 }
 
