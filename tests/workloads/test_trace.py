@@ -63,6 +63,42 @@ class TestRoundTrip:
         write_trace(other, events)
         assert load_trace(other) == events
 
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.csv"])
+    def test_failed_write_leaves_no_file(self, tmp_path, name):
+        path, _ = record(tmp_path, "source.jsonl")
+        events = load_trace(path)
+
+        def dies_midway():
+            yield from events[:10]
+            raise RuntimeError("generation failed")
+
+        target = tmp_path / name
+        with pytest.raises(RuntimeError, match="generation failed"):
+            write_trace(str(target), dies_midway())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["source.jsonl"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path, _ = record(tmp_path, "t.jsonl")
+        events = load_trace(path)
+
+        def dies_at_once():
+            raise RuntimeError("generation failed")
+            yield
+
+        with pytest.raises(RuntimeError):
+            write_trace(path, dies_at_once())
+        assert load_trace(path) == events
+
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.csv"])
+    def test_rerecording_onto_the_source_path(self, tmp_path, name):
+        path, count = record(tmp_path, name, seed=2)
+        events = load_trace(path)
+        assert generate_trace(
+            TraceConfig(path=path), path, MulticastModel.MAW, N_PORTS, K,
+            steps=count, seed=0,
+        ) == count
+        assert load_trace(path) == events
+
     def test_resolved_steps_defaults_to_the_trace_length(self, tmp_path):
         path, count = record(tmp_path, "t.jsonl")
         config = TraceConfig(path=path)
