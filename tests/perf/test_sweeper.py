@@ -182,6 +182,15 @@ class TestCacheAwareRun:
         assert sweeper.last_plan.cache_hits == 2
         assert sweeper.last_plan.dispatched == 3
 
+    def test_caller_served_hits_join_the_plan(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        units = self.units(cache)
+        with ParallelSweeper(1) as sweeper:
+            sweeper.run(units[:1], cache=cache)
+            sweeper.run(units[:2], cache=cache, cache_hits=3)
+        plan = sweeper.last_plan
+        assert (plan.units, plan.dispatched, plan.cache_hits) == (5, 1, 4)
+
     def test_units_without_keys_always_execute(self, tmp_path):
         cache = ResultCache(tmp_path)
         unkeyed = [WorkUnit(unit_id=i, fn=square, args=(i,)) for i in range(3)]
