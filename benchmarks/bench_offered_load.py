@@ -1,16 +1,14 @@
 """Experiment X9: loss vs offered load (Erlang study).
 
 The operational meaning of the nonblocking bounds: a network at the
-corrected bound drops *zero* connections at any offered load, while an
-under-provisioned one sheds a growing fraction.  Also compares the
-middle-selection strategies below the bound (packing vs spreading).
+corrected bound refuses *zero* setups at any offered load, while an
+under-provisioned one refuses a growing fraction.  Each point is one
+``api.blocking`` estimate under ``PoissonErlangConfig``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.traffic import loss_vs_load
+from repro import api
 from repro.core.corrected import min_middle_switches_corrected
 from repro.core.models import Construction, MulticastModel
 
@@ -26,42 +24,29 @@ def test_loss_curves_by_provisioning(benchmark):
 
     def sweep():
         return {
-            m: loss_vs_load(
-                N, R, m, K, LOADS, model=MODEL, x=X, arrivals=1200, seed=7
-            )
+            m: [
+                api.blocking(
+                    N, R, m, K, model=MODEL, x=X,
+                    traffic=api.PoissonErlangConfig(
+                        offered_erlangs=load, steps=1200
+                    ),
+                )
+                for load in LOADS
+            ]
             for m in (2, 4, m_bound)
         }
 
     curves = benchmark(sweep)
     print()
-    print(f"fabric loss probability vs offered load "
+    print(f"P(block) vs offered load "
           f"(v({N},{R},m,{K}), MAW, x={X}; corrected bound m={m_bound}):")
-    for m, points in curves.items():
+    for m, estimates in curves.items():
         row = "  ".join(
-            f"rho={p.offered_erlangs:5.1f}: {p.fabric_loss_probability:.3f}"
-            for p in points
+            f"rho={load:5.1f}: {e.probability:.3f} +/- {e.half_width():.3f}"
+            for load, e in zip(LOADS, estimates)
         )
         print(f"  m={m:2d}: {row}")
     # Zero loss at the bound, for every load.
-    assert all(p.fabric_losses == 0 for p in curves[m_bound])
+    assert all(e.blocked == 0 for e in curves[m_bound])
     # Starved network loses plenty at high load.
-    assert curves[2][-1].fabric_loss_probability > 0.2
-
-
-@pytest.mark.parametrize("selection", ["first_fit", "least_loaded", "most_loaded"])
-def test_selection_strategies_below_bound(benchmark, selection):
-    """Strategy ablation under load at m well below the bound."""
-
-    def run():
-        return loss_vs_load(
-            N, R, 3, K, [8.0],
-            model=MODEL, x=X, arrivals=1500, seed=11, selection=selection,
-        )[0]
-
-    point = benchmark(run)
-    print()
-    print(
-        f"  {selection:>12} @ m=3, rho=8: "
-        f"fabric loss {point.fabric_loss_probability:.3f}"
-    )
-    assert 0.0 <= point.fabric_loss_probability <= 1.0
+    assert curves[2][-1].probability > 0.2

@@ -16,7 +16,6 @@
 from repro.analysis.montecarlo import BlockingEstimate
 from repro.analysis.rendering import render_table
 from repro.analysis.sensitivity import AspectPoint, aspect_ratio_study
-from repro.analysis.traffic import LoadPoint, loss_vs_load, simulate_offered_load
 from repro.analysis.tables import (
     Table1Row,
     Table2Row,
@@ -29,13 +28,10 @@ from repro.analysis.tables import (
 __all__ = [
     "AspectPoint",
     "BlockingEstimate",
-    "LoadPoint",
     "Table1Row",
     "Table2Row",
     "aspect_ratio_study",
-    "loss_vs_load",
     "render_table",
-    "simulate_offered_load",
     "table1",
     "table1_symbolic",
     "table2",

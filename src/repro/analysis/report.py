@@ -139,20 +139,22 @@ def generate_report(
       f"{ms.max_gate_cascade} gate stage(s)\n\n")
 
     # -- offered load ----------------------------------------------------------
-    from repro.analysis.traffic import loss_vs_load
-
     w("## Offered-load study (v(3,3,m,2), MAW, x=1)\n\n")
-    arrivals = 300 if fast else 1200
+    steps = 300 if fast else 1200
     for m in (2, 4):
-        points = loss_vs_load(
-            3, 3, m, 2, [1.0, 8.0],
-            model=MulticastModel.MAW, x=1, arrivals=arrivals,
-        )
-        series = ", ".join(
-            f"rho={p.offered_erlangs:.0f}: {p.fabric_loss_probability:.3f}"
-            for p in points
-        )
-        w(f"- m={m}: fabric loss {series}\n")
+        series = []
+        for load in (1.0, 8.0):
+            estimate = api.blocking(
+                3, 3, m, 2, model=MulticastModel.MAW, x=1,
+                traffic=api.PoissonErlangConfig(
+                    offered_erlangs=load, steps=steps
+                ),
+            )
+            series.append(
+                f"rho={load:.0f}: {estimate.probability:.3f} "
+                f"+/- {estimate.half_width():.3f}"
+            )
+        w(f"- m={m}: P(block) {', '.join(series)}\n")
     w("\n")
 
     # -- scheduling (the §1 motivation) -----------------------------------------

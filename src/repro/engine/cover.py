@@ -137,7 +137,6 @@ def find_cover_bits(
     max_switches: int,
     *,
     stats: CoverSearch | None = None,
-    preference: Sequence[int] | None = None,
 ) -> dict[int, int] | None:
     """Bitmask core of :func:`repro.multistage.routing.find_cover`.
 
@@ -149,7 +148,6 @@ def find_cover_bits(
         max_switches: the routing parameter ``x``.
         stats: optional search-statistics accumulator (``stats.cover``
             is left untouched here; the wrappers fill it).
-        preference: candidate order for greedy tie-breaking.
 
     Returns:
         ``{middle_switch: assigned destination bitmask}`` or None when no
@@ -160,10 +158,6 @@ def find_cover_bits(
     if max_switches < 1:
         raise ValueError(f"max_switches must be >= 1, got {max_switches}")
     candidates = sorted(coverable)
-    if preference is not None:
-        in_preference = [j for j in preference if j in coverable]
-        rest = [j for j in candidates if j not in set(in_preference)]
-        candidates = in_preference + rest
     greedy = _greedy_bits(dest_mask, coverable, candidates, max_switches)
     if greedy is not None:
         if stats is not None:
@@ -172,7 +166,7 @@ def find_cover_bits(
     return _exact_bits(
         dest_mask,
         coverable,
-        sorted(coverable),
+        candidates,
         max_switches,
         stats if stats is not None else CoverSearch(),
     )

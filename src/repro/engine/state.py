@@ -23,7 +23,7 @@ runs on it too.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.engine.cover import iter_bits
@@ -101,10 +101,12 @@ class PythonState:
       maintained too and drives reachability when the endpoint model is
       MSW (delivery wavelength pinned to the source's).
 
-    Wavelength picks default to first-fit (lowest free bit), the
-    Monte-Carlo networks' policy; :meth:`allocate` takes a ``pick``
-    hook for callers with another policy.  :meth:`busy_planes` is the
-    read-only occupancy view, so the layout stays private here.
+    Wavelength picks are first-fit (lowest free bit).  MAW-dominant
+    admission reads only the full-fiber planes (and, under the MSW
+    model, ``out_busy`` on the pinned delivery wavelength), so the
+    carrier a pick chooses never changes a later admission.
+    :meth:`busy_planes` is the read-only occupancy view, so the layout
+    stays private here.
     :meth:`copy_lane` overwrites one replication's planes with
     another's, so the lockstep replay can run lanes that share a
     trajectory on one slot and split them where their routing can
@@ -232,12 +234,8 @@ class PythonState:
         g: int,
         sw: int,
         cover: Mapping[int, int],
-        pick: Callable[[int], int] | None = None,
     ) -> Branches:
         """Commit ``cover`` on replication ``b``; returns undo branches."""
-        # ``pick(free_mask)`` chooses each MAW-dominant carrier (None is
-        # first-fit): the in-fiber first, then every delivery in
-        # ascending module order, against the state as allocated so far.
         branches: list[tuple[Any, ...]] = []
         if self.msw_dominant:
             row = self._out_busy[sw][b]
@@ -255,7 +253,7 @@ class PythonState:
         full_row = self._in_full[g]
         for j in sorted(cover):
             free = k_full & ~waves[j]
-            in_w = (free & -free).bit_length() - 1 if pick is None else pick(free)
+            in_w = (free & -free).bit_length() - 1
             waves[j] |= 1 << in_w
             if waves[j] == k_full:
                 full_row[b] |= 1 << j
@@ -270,11 +268,7 @@ class PythonState:
                     out_w = sw
                 else:
                     free_out = k_full & ~fiber[p]
-                    out_w = (
-                        (free_out & -free_out).bit_length() - 1
-                        if pick is None
-                        else pick(free_out)
-                    )
+                    out_w = (free_out & -free_out).bit_length() - 1
                 fiber[p] |= 1 << out_w
                 if fiber[p] == k_full:
                     self._out_full[b][j] |= 1 << p

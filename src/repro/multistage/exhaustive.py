@@ -17,6 +17,16 @@ outright by model checking:
   reduces to enumerating consistent routed configurations -- no
   sequence search is needed.
 
+* Under the MAW-dominant construction the search gives each route its
+  first-fit internal carriers and enumerates no others.  No verdict
+  depends on that: MAW-dominant admission reads only whether a fiber
+  is full (and, under the MSW model, whether it carries the pinned
+  delivery wavelength), and a carrier choice changes which
+  wavelengths a fiber carries, never how many.  States that differ
+  only in carriers admit and block the same requests, so a
+  MAW-dominant verdict, blockable or nonblocking, holds for every
+  carrier choice.
+
 :func:`is_blockable` performs a depth-first enumeration of routed
 configurations (deduplicated by resource signature) and reports the
 first blocking witness; :func:`repro.api.exact_m` scans ``m`` upward to

@@ -24,9 +24,10 @@ through the engine's mask-level kernels (``free_middles``,
 its ``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is
 the engine's ``block_cause`` on those views, and
 :meth:`ThreeStageNetwork.fiber_masks` reads it back per fiber.
-Endpoint usage is two plain int masks (bit ``port * k + wavelength``).  The network itself keeps only
-connection bookkeeping: the routed-connection ledger, selection and
-wavelength policies, forced covers, failure/repair and signatures.
+Endpoint usage is two plain int masks (bit ``port * k + wavelength``).
+The network itself keeps only connection bookkeeping: the
+routed-connection ledger, forced covers, failure/repair and
+signatures.
 
 Wavelength discipline
 ---------------------
@@ -46,7 +47,12 @@ Routing uses the x-middle-switch strategy via
 :func:`repro.multistage.routing.find_cover_bits`; a request raises
 :class:`BlockedError` only when *no* set of at most ``x`` available
 middle switches can reach all requested output modules, so a network
-sized by Theorem 1/2 must never raise under legal traffic.
+sized by Theorem 1/2 must never raise under legal traffic.  Routing
+is first-fit, as in the batched replay: candidate middles in ascending
+index order, and each MAW-dominant carrier the lowest free wavelength.
+The theorems hold for any choice within the <=x strategy, and
+MAW-dominant admission reads only whether a fiber is full, so the
+carrier pick never changes an admit or block decision.
 """
 
 from __future__ import annotations
@@ -128,11 +134,6 @@ class RoutedConnection:
 class ThreeStageNetwork:
     """A ``v(n, r, m, k)`` WDM multicast network with live routing state."""
 
-    #: middle-switch selection strategies for :meth:`connect`
-    SELECTIONS = ("greedy", "first_fit", "least_loaded", "most_loaded", "random")
-    #: wavelength-assignment policies for MAW-dominant internal fibers
-    WAVELENGTH_POLICIES = ("first_fit", "most_used", "least_used", "random")
-
     def __init__(
         self,
         n: int,
@@ -143,9 +144,6 @@ class ThreeStageNetwork:
         construction: Construction = Construction.MSW_DOMINANT,
         model: MulticastModel = MulticastModel.MSW,
         x: int | None = None,
-        selection: str = "greedy",
-        selection_seed: int = 0,
-        wavelength_policy: str = "first_fit",
         debug_checks: bool = False,
     ):
         """Build an idle network.
@@ -159,22 +157,6 @@ class ThreeStageNetwork:
                 Defaults to the largest legal value ``min(n-1, r)`` (the
                 most permissive routing; pass the theorem's optimal x to
                 study the bounds).
-            selection: preference order among admissible middle switches:
-                ``greedy``/``first_fit`` (ascending index),
-                ``least_loaded`` (spread load), ``most_loaded`` (pack
-                load -- the classic strict-sense heuristic), or
-                ``random``.  All strategies stay within the <=x routing
-                strategy; the theorems' guarantees are
-                strategy-independent, and the Monte-Carlo benchmarks
-                measure how the strategies differ *below* the bound.
-            selection_seed: RNG seed for the ``random`` strategy.
-            wavelength_policy: how the MAW-dominant construction picks a
-                carrier on an internal fiber when the model leaves it
-                free: ``first_fit`` (lowest index, the classic RWA
-                default), ``most_used`` (pack onto globally busy
-                wavelengths), ``least_used`` (spread), or ``random``
-                (seeded by ``selection_seed``).  Ignored by the
-                MSW-dominant construction, whose carriers are pinned.
             debug_checks: opt-in per-event self-verification -- when
                 True, :meth:`check_invariants` runs after every
                 ``connect``/``disconnect``, so any state leak surfaces at
@@ -193,24 +175,7 @@ class ThreeStageNetwork:
             n=n, r=r, k=k, m=m,
             construction=construction, model=model, x=self.x,
         )
-        if selection not in self.SELECTIONS:
-            raise ValueError(
-                f"unknown selection strategy {selection!r}; "
-                f"choose from {self.SELECTIONS}"
-            )
-        self.selection = selection
-        if wavelength_policy not in self.WAVELENGTH_POLICIES:
-            raise ValueError(
-                f"unknown wavelength policy {wavelength_policy!r}; "
-                f"choose from {self.WAVELENGTH_POLICIES}"
-            )
-        self.wavelength_policy = wavelength_policy
         self.debug_checks = debug_checks
-        import random as _random
-
-        self._selection_rng = _random.Random(selection_seed)
-        # The engine's carrier pick: None keeps its first-fit.
-        self._pick = None if wavelength_policy == "first_fit" else self._pick_wavelength
         # The fiber occupancy (and the failed-middle mask) live in the
         # engine state; endpoint usage is bit ``port * k + wavelength``.
         self._state = PythonState((self.geometry,))
@@ -582,13 +547,7 @@ class ThreeStageNetwork:
             return g, self._validated_forced_cover(
                 force_middles, dest_mask, coverable_bits
             )
-        cover = find_cover_bits(
-            dest_mask,
-            coverable_bits,
-            self.x,
-            stats=stats,
-            preference=self._middle_preference(),
-        )
+        cover = find_cover_bits(dest_mask, coverable_bits, self.x, stats=stats)
         if stats is not None:
             stats.cover = None if cover is None else _cover_lists(cover)
         return g, cover
@@ -698,7 +657,7 @@ class ThreeStageNetwork:
 
         source = request.source
         sw = source.wavelength
-        undo = self._state.allocate(0, g, sw, cover, self._pick)
+        undo = self._state.allocate(0, g, sw, cover)
         if self._state.msw_dominant:
             # The carrier is pinned to the source wavelength end to end.
             branches = tuple(
@@ -791,55 +750,6 @@ class ThreeStageNetwork:
             + sum(mask.bit_count() for mask in out_planes[w])
             for w in range(self.topology.k)
         ]
-
-    def _pick_wavelength(self, free_mask: int) -> int:
-        """Choose a carrier among the ``free_mask`` wavelengths per policy.
-
-        The engine's ``allocate`` pick hook for every policy but
-        first-fit (which the engine applies itself).
-        """
-        if free_mask & (free_mask - 1) == 0:
-            return free_mask.bit_length() - 1
-        free = list(iter_bits(free_mask))
-        if self.wavelength_policy == "random":
-            return self._selection_rng.choice(free)
-        usage = self.wavelength_usage()
-        if self.wavelength_policy == "most_used":
-            return max(free, key=lambda w: (usage[w], -w))
-        # least_used
-        return min(free, key=lambda w: (usage[w], w))
-
-    def _middle_loads(self) -> list[int]:
-        """Busy channels on each middle switch's fibers, from one state read."""
-        in_planes, out_planes = self._state.busy_planes()
-        loads = [0] * self.topology.m
-        for planes in in_planes:
-            for plane in planes:
-                for j in iter_bits(plane):
-                    loads[j] += 1
-        for plane in out_planes:
-            for j, mask in enumerate(plane):
-                loads[j] += mask.bit_count()
-        return loads
-
-    def middle_load(self, middle: int) -> int:
-        """Busy wavelength channels on a middle switch's fibers (both sides)."""
-        self._check_index("middle", middle, self.topology.m)
-        return self._middle_loads()[middle]
-
-    def _middle_preference(self) -> list[int] | None:
-        """Candidate order implementing the selection strategy."""
-        if self.selection in ("greedy", "first_fit"):
-            return None  # ascending index, the default
-        middles = list(range(self.topology.m))
-        if self.selection == "random":
-            self._selection_rng.shuffle(middles)
-            return middles
-        loads = self._middle_loads()
-        if self.selection == "least_loaded":
-            return sorted(middles, key=lambda j: (loads[j], j))
-        # most_loaded (packing)
-        return sorted(middles, key=lambda j: (-loads[j], j))
 
     def _validated_forced_cover(
         self,

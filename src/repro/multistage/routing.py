@@ -33,7 +33,7 @@ The Monte-Carlo estimators take a ``kernel`` argument (one of
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from repro.engine.cover import (
     CoverSearch,
@@ -71,7 +71,6 @@ def find_cover(
     max_switches: int,
     *,
     stats: CoverSearch | None = None,
-    preference: Sequence[int] | None = None,
 ) -> dict[int, list] | None:
     """Find <= ``max_switches`` middle switches covering ``destinations``.
 
@@ -83,10 +82,6 @@ def find_cover(
             not -- extra elements are ignored).
         max_switches: the routing parameter ``x``.
         stats: optional search-statistics accumulator.
-        preference: candidate order used for greedy tie-breaking (the
-            selection strategy); defaults to ascending index.  Middles
-            missing from ``preference`` are appended in index order; the
-            exact fallback ignores preference (correctness first).
 
     Returns:
         ``{middle_switch: [assigned destinations]}`` or None if no cover
@@ -109,11 +104,7 @@ def find_cover(
     }
     stats = stats if stats is not None else CoverSearch()
     cover_bits = find_cover_bits(
-        dest_mask,
-        coverable_bits,
-        max_switches,
-        stats=stats,
-        preference=preference,
+        dest_mask, coverable_bits, max_switches, stats=stats
     )
     if cover_bits is None:
         stats.cover = None

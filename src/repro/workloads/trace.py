@@ -396,22 +396,28 @@ def generate_trace(
     n_ports: int,
     k: int,
     *,
-    steps: int,
     seed: int,
-    max_fanout: int | None = None,
 ) -> int:
     """Record one replication of ``workload`` as a trace file.
 
     The ``wdm-repro trace-gen`` companion: the stream written here,
     replayed through :class:`TraceConfig`, is event-for-event identical
     to running ``workload`` live with the same seed -- which is the
-    round-trip property the trace tests assert.  Returns the event
-    count.
+    round-trip property the trace tests assert.  The config is the one
+    source of the event count (``steps``; a trace re-recorded with
+    ``steps=None`` keeps its whole length) and of the fanout cap
+    (``max_fanout``).  Returns the event count.
     """
     from repro.workloads.keys import stream_rng
 
+    steps = workload.resolved_steps(0)
+    if steps < 1:
+        raise ValueError(
+            f"the {workload.workload} workload has no steps to record; "
+            "set steps on its config"
+        )
     events = workload.events(
         model, n_ports, k,
-        steps=steps, rng=stream_rng(seed), max_fanout=max_fanout,
+        steps=steps, rng=stream_rng(seed), max_fanout=workload.max_fanout,
     )
     return write_trace(path, events)

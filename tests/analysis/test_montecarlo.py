@@ -195,7 +195,7 @@ class TestSeedColumns:
             return make_workload(name)
         path = str(tmp_path / f"{model.value}.jsonl")
         generate_trace(
-            make_workload("hotspot"), path, model, 9, 2, steps=120, seed=5
+            make_workload("hotspot", steps=120), path, model, 9, 2, seed=5
         )
         return TraceConfig(path=path)
 

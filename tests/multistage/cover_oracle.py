@@ -13,8 +13,7 @@ kernel against:
   wavelength masks (``fiber_masks()``) rather than from the engine's
   setup views;
 * :func:`reference_cover` -- the two composed: the cover the network
-  should pick for a request in its current state (default ``greedy``
-  selection).
+  should pick for a request in its current state.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def find_cover_reference(
     max_switches: int,
     *,
     stats: CoverSearch | None = None,
-    preference: Sequence[int] | None = None,
 ) -> dict[int, list] | None:
     """The frozenset cover search; same contract as ``find_cover``."""
     destinations = frozenset(destinations)
@@ -118,16 +116,12 @@ def find_cover_reference(
         raise ValueError(f"max_switches must be >= 1, got {max_switches}")
     stats = stats if stats is not None else CoverSearch()
     candidates = sorted(coverable)
-    if preference is not None:
-        in_preference = [j for j in preference if j in coverable]
-        rest = [j for j in candidates if j not in set(in_preference)]
-        candidates = in_preference + rest
     greedy = _greedy(destinations, coverable, candidates, max_switches)
     if greedy is not None:
         stats.greedy_hit = True
         stats.cover = greedy
         return greedy
-    exact = _exact(destinations, coverable, sorted(coverable), max_switches, stats)
+    exact = _exact(destinations, coverable, candidates, max_switches, stats)
     stats.cover = exact
     return exact
 
@@ -184,8 +178,7 @@ def coverable_sets(net, request) -> dict[int, frozenset[int]]:
 def reference_cover(net, request) -> dict[int, list] | None:
     """The cover the oracle picks for ``request`` in ``net``'s state.
 
-    Ascending-index candidate order, i.e. the network's default
-    ``greedy`` selection strategy.
+    Ascending-index candidate order, the network's first-fit router.
     """
     modules = frozenset(
         net.topology.output_module_of(d.port) for d in request.destinations

@@ -225,6 +225,22 @@ class TestStats:
         assert net.link_utilization()["input_to_middle"] > 0.0
         assert net.link_utilization()["middle_to_output"] > 0.0
 
+    def test_wavelength_usage_accounting(self):
+        net = ThreeStageNetwork(
+            2, 3, 6, 3,
+            construction=Construction.MAW_DOMINANT,
+            model=MulticastModel.MAW,
+            x=1,
+        )
+        assert net.wavelength_usage() == [0, 0, 0]
+        cid = net.connect(conn((0, 0), (2, 0)))
+        # One in-fiber and one out-fiber channel, both first-fit.
+        assert net.wavelength_usage() == [2, 0, 0]
+        net.connect(conn((1, 0), (3, 0)))
+        assert net.wavelength_usage() == [2, 2, 0]
+        net.disconnect(cid)
+        assert net.wavelength_usage() == [0, 2, 0]
+
 
 #: (method, args, error) on a v(2, 2, 2, 3) network: every accessor
 #: that takes a middle or a wavelength rejects an index outside its range
@@ -232,8 +248,6 @@ BAD_INDEX_CALLS = [
     ("repair_middle", (-1,), "middle -1 outside [0, 2)"),
     ("repair_middle", (7,), "middle 7 outside [0, 2)"),
     ("fail_middle", (2,), "middle 2 outside [0, 2)"),
-    ("middle_load", (-1,), "middle -1 outside [0, 2)"),
-    ("middle_load", (5,), "middle 5 outside [0, 2)"),
     ("destination_multiset", (-1,), "middle -1 outside [0, 2)"),
     ("destination_multiset", (2,), "middle 2 outside [0, 2)"),
     ("destination_set", (-1, 0), "middle -1 outside [0, 2)"),

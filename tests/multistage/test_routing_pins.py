@@ -9,8 +9,8 @@ request's ``explain_block`` dict.  The final state -- raw
 ``total_conversions()`` -- closes the digest.  The digests were
 computed once and written in as literals, so any change to the
 network's occupancy bookkeeping that moves one middle choice, one
-wavelength pick or one blocking-cause field fails here, for every
-selection strategy and wavelength policy, not only the defaults.
+wavelength pick or one blocking-cause field fails here, under both
+constructions and every model.
 
 The shapes sit in the blocking regime, so both the admit path and the
 block path run in every case.
@@ -32,8 +32,8 @@ MAW_DOM = Construction.MAW_DOMINANT
 MSW, MSDW, MAW = MulticastModel.MSW, MulticastModel.MSDW, MulticastModel.MAW
 
 #: v(n, r, m, k) per construction at x = 2, small enough m to block
-#: often; MAW-dominant gets k = 3 so the wavelength policies have
-#: real choices to make
+#: often; MAW-dominant gets k = 3 so its first-fit carriers have real
+#: choices to make
 SHAPES = {MSW_DOM: (3, 3, 3, 2), MAW_DOM: (3, 3, 2, 3)}
 STEPS = 300
 SEEDS = (0, 1)
@@ -61,8 +61,6 @@ def trajectory(
     construction: Construction,
     model: MulticastModel,
     *,
-    selection: str = "greedy",
-    wavelength_policy: str = "first_fit",
     fail: tuple[int, int, int] | None = None,
 ) -> tuple[str, int, int]:
     """Digest of every routing decision over the pinned streams.
@@ -79,8 +77,6 @@ def trajectory(
         net = ThreeStageNetwork(
             n, r, m, k,
             construction=construction, model=model, x=2,
-            selection=selection, selection_seed=seed,
-            wavelength_policy=wavelength_policy,
         )
         live: dict[int, int] = {}  # stream id -> connection id
         events = dynamic_traffic(model, n * r, k, steps=STEPS, seed=seed)
@@ -129,22 +125,11 @@ CASES: dict[str, dict[str, Any]] = {
     "msw_dom/MSDW": dict(construction=MSW_DOM, model=MSDW),
     "msw_dom/MAW": dict(construction=MSW_DOM, model=MAW),
     **{
-        f"maw_dom/{model.name}/{policy}": dict(
-            construction=MAW_DOM, model=model, wavelength_policy=policy
+        f"maw_dom/{model.name}/first_fit": dict(
+            construction=MAW_DOM, model=model
         )
         for model in (MSW, MSDW, MAW)
-        for policy in ThreeStageNetwork.WAVELENGTH_POLICIES
     },
-    **{
-        f"selection/{selection}": dict(
-            construction=MAW_DOM, model=MAW, selection=selection
-        )
-        for selection in ThreeStageNetwork.SELECTIONS
-    },
-    "selection/random+policy/random": dict(
-        construction=MAW_DOM, model=MAW,
-        selection="random", wavelength_policy="random",
-    ),
     "fail_repair/msw_dom/MSW": dict(
         construction=MSW_DOM, model=MSW, fail=(120, 1, 200)
     ),
@@ -157,26 +142,11 @@ PINS = {
     "fail_repair/maw_dom/MAW": "0b75873132a72fa3123161e75b7cabad12ac81ce2c3f006a4aad5f6aa6e2a8a3",
     "fail_repair/msw_dom/MSW": "b6da3ef77dbfc90c66430829de4666bc76cd6efd49113dd41fff163f0552e91c",
     "maw_dom/MAW/first_fit": "fd5f914f1d88eab49828e9076e96e8ad9d38b71d81216880c22ec31f9abf5ebb",
-    "maw_dom/MAW/least_used": "1d423c6711e7a53fa0c52736c7a2d0155339ff87afc4f6f4736fc5e270a31bf0",
-    "maw_dom/MAW/most_used": "8cc00e8bf48e2f161511da2c1b4441686874cb0e344681f567165c8d7921b2fe",
-    "maw_dom/MAW/random": "78ea591e57977ded8ea28c02a036bcecbdd9abccc83d292a3f604b32e2a94adb",
     "maw_dom/MSDW/first_fit": "a333bd1141ae97ae4516ed3b03c6bbfee4561f09846638b35b1bc477e33257d5",
-    "maw_dom/MSDW/least_used": "b472239bedd513fa20a96b574a403abc835604d0c7bd41c021ce04cc2812a3a5",
-    "maw_dom/MSDW/most_used": "4588c82dd86cfc1a2728b266657c60a8845a5f02c5781d8801b995d2b1284cae",
-    "maw_dom/MSDW/random": "4c0de78e9b5afb8db20bcfd5cf2b24420d9bddf5e475b4973c48e11d7429754f",
     "maw_dom/MSW/first_fit": "2b598a99057e5f9547ecdd5ee5c150e3061ddd1f052e87255f7ddfd4cd0f62fb",
-    "maw_dom/MSW/least_used": "d1d3dab9725df4acefc5754a099c0ba16f58086c4eacc894207a3814c6186bff",
-    "maw_dom/MSW/most_used": "016380cf8a1e0990a5aa44aade8054531ddb5fc3d47fdc41a8586a2d28e83568",
-    "maw_dom/MSW/random": "cfe6a8ba4f915dfcb7d4a823dc21169e857d97fa360883ef9c7df95428a9400f",
     "msw_dom/MAW": "277908f6dea1d46bcd3ac02f9218169b6b52827575f3a87a8604b61e2310e48a",
     "msw_dom/MSDW": "4e792af5ab5e954b18a557fc60e1b9db356b09ebf3bdd299fff905f06a04c139",
     "msw_dom/MSW": "aae3b72743ce0ef9a31f493c9c431640325894c1304e5aa35fb5df95cb859e78",
-    "selection/first_fit": "fd5f914f1d88eab49828e9076e96e8ad9d38b71d81216880c22ec31f9abf5ebb",
-    "selection/greedy": "fd5f914f1d88eab49828e9076e96e8ad9d38b71d81216880c22ec31f9abf5ebb",
-    "selection/least_loaded": "07d6fa25d602cd2bc877281b6955d834a851444fa4c3482db7a4593c6365d580",
-    "selection/most_loaded": "57d6a28cd1a17822f4385ff16ca111e6a13160fd0a065c9e3a0a656469f65030",
-    "selection/random": "ce7fef7ee66ae2707ed4fba37580d04596a3f0495d0e95f023faaab85fe0810b",
-    "selection/random+policy/random": "dd63d0396dda108c3d2d6dff5bdcf3470e37fb3119171df23320764502882f6a",
 }
 
 

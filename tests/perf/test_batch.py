@@ -10,6 +10,7 @@ configurations.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -321,10 +322,11 @@ class TestStreamCompilation:
             for model in MulticastModel:
                 for seed in seeds:
                     trace = str(tmp_path / f"{shape}-{model.value}-{seed}.jsonl")
-                    generate_trace(
-                        PIN_CONFIGS["hotspot"], trace, model, n_ports, k,
-                        steps=steps, seed=seed, max_fanout=max_fanout,
+                    recorded = replace(
+                        PIN_CONFIGS["hotspot"],
+                        steps=steps, max_fanout=max_fanout,
                     )
+                    generate_trace(recorded, trace, model, n_ports, k, seed=seed)
                     workloads = [None, *PIN_CONFIGS.values(),
                                  TraceConfig(path=trace)]
                     for workload in workloads:

@@ -100,7 +100,7 @@ def test_crossbar_admits_recorded_traces(tmp_path):
     steps = 200
     count = generate_trace(
         api.make_workload("hotspot", steps=steps, seeds=(0,), zipf_s=1.5),
-        str(path), MSW, 9, 2, steps=steps, seed=0, max_fanout=None,
+        str(path), MSW, 9, 2, seed=0,
     )
     assert count > 0
     replay = api.make_workload("trace", path=str(path), steps=steps, seeds=(0,))
@@ -120,7 +120,7 @@ def test_batch_equals_per_cell_runs_per_fabric(tmp_path, fabric):
     for model in MulticastModel:
         path = str(tmp_path / f"{model.value}.jsonl")
         generate_trace(
-            api.make_workload("hotspot"), path, model, 9, 2, steps=120, seed=5
+            api.make_workload("hotspot", steps=120), path, model, 9, 2, seed=5
         )
         workloads = [api.make_workload(name) for name in GENERATIVE]
         workloads.append(api.make_workload("trace", path=path))
