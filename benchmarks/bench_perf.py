@@ -23,8 +23,8 @@ what the slow path computes before reporting any speedup:
   (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
   against the serial bitmask sweep, pooled estimates and every
   ``(workload, m, seed)`` replication compared bit-for-bit;
-* ``topology`` -- every registered fabric model
-  (:mod:`repro.engine.fabrics`) replaying one shared stream, with the
+* ``topology`` -- the two fabric models, the Clos and the crossbar
+  (:mod:`repro.engine.fabrics`), replaying one shared stream, with the
   crossbar's zero-blocking oracle and blocking floor asserted
   (identity only);
 * ``exact_search`` -- the symmetry-canonicalized exhaustive model
@@ -738,17 +738,16 @@ def bench_workloads(quick: bool, reps: int) -> dict:
 
 
 def bench_topology(quick: bool, reps: int) -> dict:
-    """Every registered fabric model head-to-head on one shared stream.
+    """The Clos and the crossbar head-to-head on one shared stream.
 
-    The fabric seam's contract is the same lockstep one the workload
-    seam keeps: a fabric changes *which* setups are admitted, never the
-    traffic stream itself, so every registered fabric replays the same
-    compiled streams.  Two live oracles check it: the crossbar must
-    record exactly zero blocked events (it is nonblocking by
-    construction), and no fabric may block *less* than the crossbar.
-    The payload is the paper-style blocking-vs-cost curve per fabric
-    (crosspoints from each spec's cost model), the reason the zoo
-    exists.  The section is identity-only: ``speedup`` is 1.0 by
+    A fabric changes *which* setups are admitted, never the traffic
+    stream itself, so both fabrics replay the same compiled streams.
+    Two live oracles check it: the crossbar must record exactly zero
+    blocked events (it is nonblocking by construction), and the Clos
+    may not block *less* than the crossbar.  The payload is the
+    paper-style blocking-vs-cost curve per fabric (crosspoints from
+    each spec's Table-1 cost model), the comparison of the paper's
+    Section 2.  The section is identity-only: ``speedup`` is 1.0 by
     construction and the regression guard watches ``identical``.
     """
     from repro.engine.fabrics import fabric_names, get_fabric

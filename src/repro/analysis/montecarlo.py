@@ -62,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
     from repro.perf.cache import ResultCache
     from repro.switching.generators import TrafficEvent
+    from repro.workloads.base import WorkloadConfig
 
 __all__ = [
     "AdaptiveInfo",
@@ -505,6 +506,22 @@ def _adversary_traffic_key(spec: CurveSpec) -> str:
     )
 
 
+def _check_adversarial(workload: "WorkloadConfig", fabric: str) -> None:
+    """Refuse adversarial probing outside uniform traffic on the Clos."""
+    if workload.token() is not None:
+        raise ValueError(
+            "adversarial probing is defined for uniform traffic only "
+            "(the adversary constructs its own worst-case states); got "
+            f"workload {workload.workload!r}"
+        )
+    if get_fabric(fabric).token() is not None:
+        raise ValueError(
+            "adversarial probing is defined for the Clos fabric only "
+            "(the adversary constructs three-stage worst-case states); "
+            f"got fabric {fabric!r}"
+        )
+
+
 def _blocking_curve(
     spec: CurveSpec,
     m_values: list[int],
@@ -560,18 +577,8 @@ def _blocking_curve(
         raise ValueError(
             "seeds is empty; list at least one seed, e.g. seeds=(0,)"
         )
-    if adversarial and workload.token() is not None:
-        raise ValueError(
-            "adversarial probing is defined for uniform traffic only "
-            "(the adversary constructs its own worst-case states); got "
-            f"workload {workload.workload!r}"
-        )
-    if adversarial and get_fabric(spec.fabric).token() is not None:
-        raise ValueError(
-            "adversarial probing is defined for the Clos fabric only "
-            "(the adversary constructs three-stage worst-case states); "
-            f"got fabric {spec.fabric!r}"
-        )
+    if adversarial:
+        _check_adversarial(workload, spec.fabric)
     traffic_key = _adversary_traffic_key(spec)
     with ParallelSweeper(jobs) as sweeper:
         by_cell = _run_columns(

@@ -270,8 +270,8 @@ def blocking(
     the estimate carries its
     :class:`~repro.analysis.montecarlo.AdaptiveInfo` provenance.
 
-    ``fabric`` (a registry name) swaps the Clos for another registered
-    fabric model -- see :mod:`repro.engine.fabrics`.
+    ``fabric="crossbar"`` swaps the Clos for the single-stage
+    nonblocking crossbar -- see :mod:`repro.engine.fabrics`.
     """
     return _estimates(
         n, r, k, [m], construction, model, x, traffic, execution, search,
@@ -308,9 +308,9 @@ def sweep(
     the fixed ``traffic.seeds`` budget (see
     :class:`ExecConfig.precision`).
 
-    ``fabric`` (a registry name) swaps the Clos for another registered
-    fabric model; adversarial probing is Clos-only and rejected for any
-    other fabric.
+    ``fabric="crossbar"`` swaps the Clos for the single-stage
+    nonblocking crossbar; adversarial probing is Clos-only and rejected
+    on it.
     """
     return _estimates(
         n, r, k, list(m_values), construction, model, x, traffic,

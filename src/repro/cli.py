@@ -16,7 +16,7 @@ Usage (installed as ``wdm-repro``, or ``python -m repro``)::
     wdm-repro workloads
     wdm-repro trace-gen --out burst.jsonl --workload heavytail_fanout \\
         --n 3 --r 3 --k 2 --steps 500
-    wdm-repro blocking --n 3 --r 3 --k 2 --m-max 10 --fabric awg_clos
+    wdm-repro blocking --n 3 --r 3 --k 2 --m-max 10 --fabric crossbar
     wdm-repro fabrics
     wdm-repro fig10
     wdm-repro trace fig10 --trace-out -
@@ -33,6 +33,7 @@ from collections.abc import Sequence
 
 from repro import api, obs
 from repro.analysis.figures import bound_vs_x, capacity_growth, find_crossover
+from repro.analysis.montecarlo import _check_adversarial
 from repro.analysis.rendering import render_table
 from repro.analysis.tables import render_table1, render_table2
 from repro.core.models import (
@@ -300,9 +301,8 @@ def _add_fabric_flag(p: argparse.ArgumentParser) -> None:
         default="clos",
         metavar="NAME",
         help="fabric model simulated: 'clos' (the paper's three-stage "
-        "network, default), 'crossbar' (single-stage nonblocking WDM "
-        "crossbar -- blocking is exactly zero), or 'awg_clos' "
-        "(AWG-constrained middle stage) -- see 'wdm-repro fabrics'",
+        "network, default) or 'crossbar' (single-stage nonblocking WDM "
+        "crossbar -- blocking is exactly zero) -- see 'wdm-repro fabrics'",
     )
 
 
@@ -383,6 +383,11 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 def _cmd_blocking(args: argparse.Namespace) -> str:
     _check_x(args)
     traffic = _traffic(args, replay=True, adversarial=args.adversarial)
+    if args.adversarial:
+        try:
+            _check_adversarial(traffic, args.fabric)
+        except ValueError as exc:
+            raise SystemExit(f"wdm-repro: error: {exc}") from exc
     with obs.capture() as run:
         estimates = api.sweep(
             args.n,
@@ -620,17 +625,12 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
     rows = []
     for name in status:
         spec = get_fabric(name)
-        constructions = (
-            ", ".join(c.name for c in spec.constructions)
-            if spec.constructions
-            else "any"
-        )
         # The nonblocking fast path counts setup ops without replaying
         # any middle-stage state.
         replay = "n/a (no replay)" if spec.nonblocking else "lockstep"
-        rows.append([name, replay, constructions])
+        rows.append([name, replay])
     table = render_table(
-        ["fabric", "batched replay", "constructions"],
+        ["fabric", "batched replay"],
         rows,
         title="Fabric models",
     )
@@ -1036,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fabrics",
-        help="the registered fabric models (topology zoo)",
+        help="the fabric models: the Clos and the crossbar oracle",
     )
     p.set_defaults(func=_cmd_fabrics)
 

@@ -24,11 +24,9 @@ from repro.engine.fabrics import (
     fabric_names,
     fabric_status,
     get_fabric,
-    register_fabric,
 )
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import (
-    ALL_BLOCK_KINDS,
     BLOCK_KINDS,
     block_cause,
     classify_kind,
@@ -39,7 +37,6 @@ from repro.engine.kernel import (
 from repro.engine.state import PythonState
 
 __all__ = [
-    "ALL_BLOCK_KINDS",
     "BLOCK_KINDS",
     "CLOS",
     "CoverSearch",
@@ -57,5 +54,4 @@ __all__ = [
     "mask_of",
     "probe_cover",
     "reach_map",
-    "register_fabric",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.fabrics import FabricSpec, get_fabric
+from repro.engine.fabrics import get_fabric
 
 __all__ = ["FabricGeometry"]
 
@@ -35,8 +35,9 @@ class FabricGeometry:
         construction: MSW-dominant or MAW-dominant middles (Section 3.1).
         model: the endpoint multicast model (output-stage semantics).
         x: routing parameter -- max middle switches per connection.
-        fabric: registered fabric-model name (``"clos"`` is the paper's
-            three-stage network; see :mod:`repro.engine.fabrics`).
+        fabric: fabric-model name -- ``"clos"``, the paper's
+            three-stage network, or ``"crossbar"`` (see
+            :mod:`repro.engine.fabrics`).
     """
 
     n: int
@@ -49,7 +50,7 @@ class FabricGeometry:
     fabric: str = "clos"
 
     def __post_init__(self) -> None:
-        # The k/r guards come first: valid_x_range and the bitplanes
+        # The k/r/n guards come first: valid_x_range and the bitplanes
         # behave nonsensically on degenerate counts, so a zero-wavelength
         # geometry must fail here with the uniform message rather than
         # deep inside a consumer.
@@ -57,6 +58,8 @@ class FabricGeometry:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         legal_x = valid_x_range(self.n, self.r)
         if self.x not in legal_x:
             raise ValueError(
@@ -65,7 +68,7 @@ class FabricGeometry:
             )
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        get_fabric(self.fabric).validate_geometry(self)
+        get_fabric(self.fabric)  # an unknown name fails, listing the fabrics
 
     @property
     def msw_dominant(self) -> bool:
@@ -86,11 +89,6 @@ class FabricGeometry:
     def k_full(self) -> int:
         """Bitmask of a fully busy fiber (all ``k`` wavelengths set)."""
         return (1 << self.k) - 1
-
-    @property
-    def fabric_spec(self) -> FabricSpec:
-        """The registered fabric model this geometry instantiates."""
-        return get_fabric(self.fabric)
 
     def with_m(self, m: int) -> "FabricGeometry":
         """The same fabric resized to ``m`` middle switches."""

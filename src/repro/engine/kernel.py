@@ -29,7 +29,6 @@ from typing import Any
 from repro.engine.cover import find_cover_bits, iter_bits
 
 __all__ = [
-    "ALL_BLOCK_KINDS",
     "BLOCK_KINDS",
     "block_cause",
     "classify_kind",
@@ -46,14 +45,6 @@ BLOCK_KINDS = (
     "full_middles",
     "no_cover",
 )
-
-#: the full taxonomy across registered fabric models: the Clos kinds
-#: plus ``awg_no_path`` -- a destination module that *no* middle switch
-#: can reach on the request's wavelength under a fabric's static
-#: routing constraint (:mod:`repro.engine.fabrics`), however idle the
-#: fabric is.  ``repro.obs`` cause labels index this tuple; Clos-only
-#: consumers keep seeing ``BLOCK_KINDS``.
-ALL_BLOCK_KINDS = BLOCK_KINDS + ("awg_no_path",)
 
 
 def free_middles(all_middles: int, blocked: int, failed: int = 0) -> int:
@@ -112,20 +103,10 @@ def classify_kind(
     coverable: Mapping[int, int],
     dest_mask: int,
     msw_dominant: bool,
-    static_unreachable: int = 0,
 ) -> str:
-    """The blocking-cause kind for one blocked setup (ALL_BLOCK_KINDS).
-
-    ``static_unreachable`` is the fabric model's per-wavelength
-    structural mask (modules no middle can ever reach on the request's
-    wavelength -- zero on the Clos): a blocked request touching it is
-    ``awg_no_path``, checked before ``full_middles`` because the
-    structural explanation subsumes the occupancy one.
-    """
+    """The blocking-cause kind for one blocked setup (BLOCK_KINDS)."""
     if available == 0:
         return "saturated_wavelength" if msw_dominant else "converter_exhaustion"
-    if dest_mask & static_unreachable:
-        return "awg_no_path"
     union = 0
     for reach in coverable.values():
         union |= reach
@@ -145,17 +126,12 @@ def block_cause(
     dest_mask: int,
     msw_dominant: bool,
     failed_mask: int = 0,
-    fabric: str | None = None,
-    static_unreachable: int = 0,
 ) -> dict[str, Any]:
     """The full ``explain_block``-shaped evidence dict for one blocked setup.
 
     Matches ``repro.obs.trace.CAUSE_SCHEMA``: alongside ``kind`` it
     carries the raw evidence masks, the requested modules, the
     unreachable subset, and per-module ``[module, middles_mask]`` pairs.
-    With a non-None ``fabric`` (a non-Clos fabric model) the dict also
-    names the fabric and lists the structurally unreachable destination
-    modules; the Clos dict is unchanged key for key.
     """
     per_destination = []
     reachable_union = 0
@@ -168,10 +144,8 @@ def block_cause(
         if middles:
             reachable_union |= 1 << p
     unreachable = dest_mask & ~reachable_union
-    cause = {
-        "kind": classify_kind(
-            available, coverable, dest_mask, msw_dominant, static_unreachable
-        ),
+    return {
+        "kind": classify_kind(available, coverable, dest_mask, msw_dominant),
         "x": x,
         "input_module": input_module,
         "source_wavelength": source_wavelength,
@@ -182,10 +156,4 @@ def block_cause(
         "unreachable_modules": list(iter_bits(unreachable)),
         "per_destination": per_destination,
     }
-    if fabric is not None:
-        cause["fabric"] = fabric
-        cause["awg_unreachable_modules"] = list(
-            iter_bits(dest_mask & static_unreachable)
-        )
-    return cause
 

@@ -50,42 +50,6 @@ def _check_family(geometries: tuple[FabricGeometry, ...]) -> None:
             )
 
 
-def _static_masks(
-    geometries: tuple[FabricGeometry, ...],
-) -> tuple[list[list[list[int]]], list[list[int]]] | None:
-    """The fabric model's static blocker seed, or None for Clos-like fabrics.
-
-    Returns ``(blocks, unreach)`` where ``blocks[b][sw][j]`` is the
-    module mask middle ``j`` can never reach on wavelength ``sw`` in
-    replication ``b`` (OR-ed into the second-stage blocker planes at
-    construction -- ``allocate``/``free`` only ever touch assigned
-    bits, which are disjoint from the statics, so the seed persists)
-    and ``unreach[b][sw]`` is their intersection over the middles --
-    the ``awg_no_path`` evidence mask.
-    """
-    head = geometries[0]
-    spec = head.fabric_spec
-    if spec.reach_rule is None:
-        return None
-    r, k = head.r, head.k
-    all_modules = (1 << r) - 1
-    blocks: list[list[list[int]]] = []
-    unreach: list[list[int]] = []
-    for geo in geometries:
-        per_sw_blocks: list[list[int]] = []
-        per_sw_unreach: list[int] = []
-        for sw in range(k):
-            row = [spec.reach_rule(j, sw, r, k) for j in range(geo.m)]
-            acc = all_modules
-            for mask in row:
-                acc &= mask
-            per_sw_blocks.append(row)
-            per_sw_unreach.append(acc)
-        blocks.append(per_sw_blocks)
-        unreach.append(per_sw_unreach)
-    return blocks, unreach
-
-
 class PythonState:
     """Int-bitplane fabric state: the serial network's and every batch's.
 
@@ -139,18 +103,6 @@ class PythonState:
             self._in_full = [[0] * batch for _ in range(r)]
             self._out_wave = [[[0] * r for _ in range(m)] for m in m_values]
             self._out_full = [[0] * m for m in m_values]
-        #: ``[b][sw]`` -> modules no middle can reach on that wavelength
-        #: (the fabric model's static routing constraint); None for
-        #: fabrics without one (the Clos: its bitplanes start all-zero).
-        self.static_unreach_masks: list[list[int]] | None = None
-        seed = _static_masks(geos)
-        if seed is not None:
-            blocks, self.static_unreach_masks = seed
-            for b in range(batch):
-                for sw in range(k):
-                    row = self._out_busy[sw][b]
-                    for j, blk in enumerate(blocks[b][sw]):
-                        row[j] |= blk
 
     def busy_planes(self, b: int = 0) -> tuple[list[list[int]], list[list[int]]]:
         """Replication ``b``'s busy channels, one plane per wavelength (a copy).
@@ -159,9 +111,7 @@ class PythonState:
         ``in_planes[g][w]`` says wavelength ``w`` is busy on the fiber
         from input module ``g`` to middle ``j``; bit ``p`` of
         ``out_planes[w][j]`` says it is busy on the fiber from middle
-        ``j`` to output module ``p``.  On a wavelength-routed fabric
-        (MSW-dominant only) ``out_planes`` also carries the static reach
-        blocks seeded at construction.
+        ``j`` to output module ``p``.
         """
         if self.msw_dominant:
             in_planes = [[plane[b] for plane in planes] for planes in self._in_busy]
@@ -183,10 +133,9 @@ class PythonState:
         """Give replication ``dst`` ``src``'s occupancy on ``dst``'s middles.
 
         ``dst`` may not have more middles than ``src``; middles ``j <
-        m_dst`` take ``src``'s planes (static reach blocks included,
-        which depend on ``j``, never on ``m``).  Rows are overwritten in
-        place, so the sub-list references :meth:`setup_views` handed
-        out stay valid.
+        m_dst`` take ``src``'s planes.  Rows are overwritten in place, so
+        the sub-list references :meth:`setup_views` handed out stay
+        valid.
         """
         m = self.geometries[dst].m
         if m > self.geometries[src].m:

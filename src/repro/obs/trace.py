@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO
 
-from repro.engine.kernel import ALL_BLOCK_KINDS
+from repro.engine.kernel import BLOCK_KINDS
 
 __all__ = ["TRACE_SCHEMA", "Tracer", "validate_record"]
 
@@ -94,10 +94,9 @@ CAUSE_SCHEMA: dict[str, type | tuple[type, ...]] = {
 }
 
 #: the closed set of blocking-cause classifications, defined once by the
-#: admission engine (:data:`repro.engine.kernel.ALL_BLOCK_KINDS` -- the
-#: Clos taxonomy plus the fabric-specific kinds) so the trace schema can
-#: never drift from what the kernels actually emit
-CAUSE_KINDS = ALL_BLOCK_KINDS
+#: admission engine (:data:`repro.engine.kernel.BLOCK_KINDS`) so the
+#: trace schema can never drift from what the kernels actually emit
+CAUSE_KINDS = BLOCK_KINDS
 
 
 def validate_record(record: Any) -> None:

@@ -91,8 +91,9 @@ class CurveSpec:
         workload: the traffic model (a :mod:`repro.workloads` config).
             Its ``max_fanout`` caps every request, and its token joins
             every cache and stream key unless the traffic is uniform.
-        fabric: the registered fabric model (:mod:`repro.engine.fabrics`);
-            its token joins every key unless it is the Clos.
+        fabric: the fabric model, ``"clos"`` or ``"crossbar"``
+            (:mod:`repro.engine.fabrics`); its token joins every key
+            unless it is the Clos.
 
     Built, it has passed every check :class:`FabricGeometry` makes
     except the one on ``m``, which each cell's geometry makes.
@@ -227,7 +228,6 @@ def _record_block(
     want_kinds: bool,
     want_causes: bool,
     state: PythonState,
-    b: int,
     g: int,
     sw: int,
     blocked_mask: int,
@@ -238,11 +238,7 @@ def _record_block(
     rep.blocked += 1
     dropped.add(cid)
     if want_kinds:
-        # The fabric model's static reach constraint: None on the Clos.
-        su = state.static_unreach_masks
-        static_unreachable = 0 if su is None else su[b][sw]
         if want_causes:
-            fabric = state.geometries[b].fabric
             cause = block_cause(
                 x=state.x,
                 input_module=g,
@@ -252,15 +248,12 @@ def _record_block(
                 coverable=coverable,
                 dest_mask=dest_mask,
                 msw_dominant=state.msw_dominant,
-                fabric=None if fabric == "clos" else fabric,
-                static_unreachable=static_unreachable,
             )
             rep.causes.append(cause)
             kind = cause["kind"]
         else:
             kind = classify_kind(
-                avail, coverable, dest_mask, state.msw_dominant,
-                static_unreachable,
+                avail, coverable, dest_mask, state.msw_dominant
             )
         rep.kind_counts[kind] = rep.kind_counts.get(kind, 0) + 1
 
@@ -303,13 +296,11 @@ def _replay(
     # it on middles < m_b.  Both scan the same available middles in the
     # same ascending order, so if the smaller lane's scan stops at one
     # middle j < m_b that reaches every requested module, the larger
-    # lane's stops there too, and allocate touches only middle j.
-    # Static reach masks depend on (j, sw, r, k), never on m, so this
-    # holds on the awg_clos fabric as well.  Any other outcome -- a
-    # multi-middle cover, which find_cover_bits only returns once that
-    # scan has failed, or a block -- is where a larger lane may decide
-    # otherwise, so the group's smallest lane forks there.  A group
-    # never blocks, so its dropped set stays empty.
+    # lane's stops there too, and allocate touches only middle j.  Any
+    # other outcome -- a multi-middle cover, which find_cover_bits only
+    # returns once that scan has failed, or a block -- is where a larger
+    # lane may decide otherwise, so the group's smallest lane forks
+    # there.  A group never blocks, so its dropped set stays empty.
     geometries = state.geometries
     group = sorted(range(batch), key=lambda b: geometries[b].m, reverse=True)
     lead = group[0]
@@ -328,7 +319,7 @@ def _replay(
                 if cover is None:
                     _record_block(
                         replications[b], cid, dropped[b], want_kinds,
-                        want_causes, state, b, g, sw, blocked, avail,
+                        want_causes, state, g, sw, blocked, avail,
                         coverable, dest_mask,
                     )
                 else:
@@ -350,7 +341,7 @@ def _replay(
                 if cover is None:
                     _record_block(
                         replications[b], cid, dropped[b], want_kinds,
-                        want_causes, state, b, g, sw, blocked_row[b], avail,
+                        want_causes, state, g, sw, blocked_row[b], avail,
                         coverable, dest_mask,
                     )
                 else:

@@ -217,8 +217,7 @@ def register_workload(cls: type[WorkloadConfig]) -> type[WorkloadConfig]:
 
     The class's ``workload`` tag becomes a valid ``--workload`` name,
     a ``wdm-repro workloads`` row and a ``workload_from_dict`` tag --
-    no consumer changes needed, mirroring
-    :func:`repro.engine.fabrics.register_fabric`.
+    no consumer changes needed.
     """
     tag = cls.workload
     if tag in _REGISTRY:

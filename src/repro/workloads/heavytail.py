@@ -22,9 +22,9 @@ class HeavyTailFanoutConfig(WorkloadConfig):
     Fanouts follow a discrete heavy tail: ``f = floor(Pareto(alpha))``
     with scale 1, clamped to the feasible range ``[1, cap]`` (the
     fabric's free ports and ``max_fanout``).  Small ``alpha`` means
-    frequent fabric-wide multicasts -- the stress regime of the
-    AWG-based Clos comparison, where wide groups exhaust middle-stage
-    cover sets long before uniform traffic would.  Destination ports
+    frequent fabric-wide multicasts -- the stress regime where wide
+    groups exhaust middle-stage cover sets long before uniform traffic
+    would.  Destination ports
     stay uniform; only the group-size law changes, through the
     ``pick_fanout`` hook this model passes to
     :func:`repro.switching.generators.traffic_ops`.

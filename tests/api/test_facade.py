@@ -62,6 +62,15 @@ class TestFrozenConfigs:
     def test_exec_config_accepts_auto_and_ints(self, jobs):
         assert api.ExecConfig(jobs=jobs).jobs == jobs
 
+    @pytest.mark.parametrize("kernel", ["bitmask", "batched"])
+    def test_ports_per_module_below_one_refused(self, kernel):
+        # One message under both kernels, from the geometry guard,
+        # before any stream is drawn.
+        search = api.SearchConfig(kernel=kernel)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+                api.blocking(n, 3, 2, 2, search=search)
+
 
 class TestBlockingEquivalence:
     def test_matches_legacy_call_bit_for_bit(self):

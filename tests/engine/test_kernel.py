@@ -144,11 +144,7 @@ class TestMaskKernels:
         assert cause["per_destination"] == [[0, 0b01], [1, 0b10], [2, 0]]
 
     def test_cause_kinds_are_the_engine_taxonomy(self):
-        from repro.engine.kernel import ALL_BLOCK_KINDS
         from repro.obs.trace import CAUSE_KINDS
 
-        # The trace schema accepts the full fabric-aware taxonomy: the
-        # Clos kinds (a prefix, so Clos consumers are unchanged) plus
-        # the structural kinds other fabrics can produce.
-        assert CAUSE_KINDS == ALL_BLOCK_KINDS
-        assert CAUSE_KINDS[: len(BLOCK_KINDS)] == BLOCK_KINDS
+        # The trace schema accepts exactly the kinds the kernels emit.
+        assert CAUSE_KINDS == BLOCK_KINDS

@@ -72,7 +72,7 @@ class TestRefusals:
     def test_batched_kernel_without_checks_still_builds(self):
         assert SearchConfig(kernel="batched").debug_checks is False
 
-    @pytest.mark.parametrize("fabric", ["crossbar", "awg_clos"])
+    @pytest.mark.parametrize("fabric", ["crossbar"])
     @pytest.mark.parametrize("verb", ["blocking", "sweep"])
     def test_other_fabrics_refused_before_any_cell(
         self, monkeypatch, fabric, verb

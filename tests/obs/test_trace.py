@@ -84,10 +84,13 @@ class TestValidateRecord:
 
     def test_schema_covers_the_emitted_events(self):
         assert set(TRACE_SCHEMA) == {"admit", "block", "release", "summary"}
-        # The four Clos kinds plus the structural awg_no_path of the
-        # AWG-routed fabric (the full ALL_BLOCK_KINDS taxonomy).
-        assert len(CAUSE_KINDS) == 5
-        assert "awg_no_path" in CAUSE_KINDS
+        # The four Clos kinds, and nothing else.
+        assert CAUSE_KINDS == (
+            "saturated_wavelength",
+            "converter_exhaustion",
+            "full_middles",
+            "no_cover",
+        )
 
 
 class TestNetworkEmitsTrace:

@@ -139,18 +139,14 @@ def lane_batches(draw):
     r = draw(st.integers(2, 4))
     k = draw(st.integers(1, 3))
     x = draw(st.sampled_from(list(valid_x_range(n, r))))
-    fabric = draw(st.sampled_from(("clos", "awg_clos")))
-    if fabric == "awg_clos":
-        construction = Construction.MSW_DOMINANT
-    else:
-        construction = draw(st.sampled_from(list(Construction)))
+    construction = draw(st.sampled_from(list(Construction)))
     model = draw(st.sampled_from(list(MulticastModel)))
     seed = draw(st.integers(0, 10_000))
     m_values = draw(
         st.lists(st.integers(1, 10), min_size=2, max_size=6, unique=True)
         .flatmap(st.permutations)
     )
-    return n, r, k, x, fabric, construction, model, seed, m_values
+    return n, r, k, x, construction, model, seed, m_values
 
 
 def lane_results(ops, geometries):
@@ -206,20 +202,20 @@ class TestSharedTrajectories:
     # Streams where a multi-middle cover of the group's smallest lane
     # differs from a larger lane's decision, visibly at the end.
     @example(config=(
-        3, 4, 2, 2, "clos", Construction.MSW_DOMINANT, MulticastModel.MSDW,
+        3, 4, 2, 2, Construction.MSW_DOMINANT, MulticastModel.MSDW,
         9774, [2, 4, 6, 1],
     ))
     @example(config=(
-        4, 4, 1, 3, "awg_clos", Construction.MSW_DOMINANT, MulticastModel.MSW,
+        4, 4, 1, 3, Construction.MSW_DOMINANT, MulticastModel.MSW,
         6507, [9, 2, 4, 7, 8, 10],
     ))
     def test_every_lane_equals_its_one_lane_replay(self, config):
-        n, r, k, x, fabric, construction, model, seed, m_values = config
+        n, r, k, x, construction, model, seed, m_values = config
         ops = compile_stream(curve(n, r, k, model=model, steps=STEPS), seed)
         geometries = tuple(
             FabricGeometry(
                 n=n, r=r, k=k, m=m, construction=construction, model=model,
-                x=x, fabric=fabric,
+                x=x,
             )
             for m in m_values
         )

@@ -1,23 +1,23 @@
-"""Cross-fabric properties of the topology zoo.
+"""Cross-fabric properties of the Clos and the crossbar oracle.
 
-The fabric seam's observable contract, stated as properties rather than
+The two fabrics' observable contract, stated as properties rather than
 pinned numbers (those live in ``tests/engine/test_fabrics.py``):
 
 * the **crossbar is a live zero-blocking oracle**: it admits 100% of
   any legal stream from *every* registered workload model -- a single
-  blocked event anywhere is a seam bug;
-* **attempts are fabric-independent**: every fabric replays the same
+  blocked event anywhere is a bug;
+* **attempts are fabric-independent**: both fabrics replay the same
   compiled stream, so the attempt count never varies across fabrics
   (only admission outcomes may);
-* the **crossbar is the blocking floor**: no fabric blocks less on the
-  identical stream;
+* the **crossbar is the blocking floor**: the Clos never blocks less on
+  the identical stream;
 * **a batch equals its cells per fabric**: a lockstep batch over the
   ``m`` column produces the cells of one-``m`` bitmask units (the
-  serial network on the Clos, a one-lane replay elsewhere), for every
-  workload, model, construction and antithetic side;
+  serial network on the Clos, the nonblocking count on the crossbar),
+  for every workload, model, construction and antithetic side;
 * the **API surface round-trips**: an unknown fabric name is refused
-  before any cell runs, ``api.blocking``/``api.sweep`` take a registry
-  name, and adversarial probing refuses non-Clos fabrics instead of
+  before any cell runs, ``api.blocking``/``api.sweep`` take a fabric
+  name, and adversarial probing refuses the crossbar instead of
   silently probing the wrong topology.
 """
 
@@ -33,7 +33,7 @@ from repro import api
 from repro.analysis import montecarlo
 from repro.analysis.montecarlo import _traffic_column
 from repro.core.models import Construction, MulticastModel
-from repro.engine.fabrics import fabric_names, get_fabric
+from repro.engine.fabrics import fabric_names
 from repro.perf.batch import simulate_batch
 from repro.workloads import generate_trace, workload_names
 from tests.curves import curve
@@ -113,9 +113,8 @@ def test_crossbar_admits_recorded_traces(tmp_path):
         assert blocked == 0
 
 
-@pytest.mark.parametrize("fabric", ["clos", "awg_clos", "crossbar"])
+@pytest.mark.parametrize("fabric", ["clos", "crossbar"])
 def test_batch_equals_per_cell_runs_per_fabric(tmp_path, fabric):
-    constructions = get_fabric(fabric).constructions or tuple(Construction)
     m_values = (1, 2, 3, 4)
     for model in MulticastModel:
         path = str(tmp_path / f"{model.value}.jsonl")
@@ -124,7 +123,7 @@ def test_batch_equals_per_cell_runs_per_fabric(tmp_path, fabric):
         )
         workloads = [api.make_workload(name) for name in GENERATIVE]
         workloads.append(api.make_workload("trace", path=path))
-        for workload, construction in product(workloads, constructions):
+        for workload, construction in product(workloads, Construction):
             spec = curve(
                 3, 3, 2, construction=construction, model=model, steps=120,
                 workload=workload, fabric=fabric,
@@ -176,24 +175,23 @@ def test_api_blocking_accepts_both_spellings():
 def test_api_sweep_threads_fabric():
     traffic = api.UniformConfig(steps=150, seeds=(0,))
     clos = api.sweep(3, 3, 2, [1, 2], model=MSW, traffic=traffic)
-    awg = api.sweep(
-        3, 3, 2, [1, 2], model=MSW, traffic=traffic, fabric="awg_clos"
+    crossbar = api.sweep(
+        3, 3, 2, [1, 2], model=MSW, traffic=traffic, fabric="crossbar"
     )
-    assert [e.attempts for e in clos] == [e.attempts for e in awg]
-    assert all(
-        a.blocked >= c.blocked for a, c in zip(awg, clos)
-    )
+    assert [e.attempts for e in clos] == [e.attempts for e in crossbar]
+    assert any(e.blocked for e in clos)
+    assert all(e.blocked == 0 for e in crossbar)
 
 
 def test_adversarial_probing_is_clos_only():
     traffic = api.UniformConfig(steps=100, seeds=(0,), adversarial=True)
     with pytest.raises(ValueError, match="Clos fabric only"):
         api.sweep(
-            3, 3, 2, [1, 2], model=MSW, traffic=traffic, fabric="awg_clos"
+            3, 3, 2, [1, 2], model=MSW, traffic=traffic, fabric="crossbar"
         )
 
 
 def test_fabric_names_exported():
-    assert api.fabric_names() == ["awg_clos", "clos", "crossbar"]
+    assert api.fabric_names() == ["clos", "crossbar"]
     assert "fabric_names" in api.__all__
     assert "FabricConfig" not in api.__all__

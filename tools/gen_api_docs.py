@@ -52,10 +52,9 @@ the lockstep replay makes.
 ### One state
 
 Every batched replay runs on the int-bitplane `PythonState`, the same
-state the serial network runs on. It also builds a wavelength-routed
-fabric's static reach masks (`static_unreach_masks`), the one place
-they are computed. Python's big ints hold masks of any width, so wide
-fabrics need no packing, and the package imports no numpy.
+state the serial network runs on. Python's big ints hold masks of any
+width, so wide fabrics need no packing, and the package imports no
+numpy.
 `repro.engine.backends` is not re-exported: it keeps `make_state`,
 which `repro.perf.batch` calls once per work unit so the benchmark
 ledger can time it, and `resolve_backend`, which always answers
