@@ -79,6 +79,7 @@ BLOCKABLE_CASES = [
     dict(n=2, r=3, m=2, k=1, x=1, unicast_only=True),
     dict(n=2, r=3, m=3, k=1, x=1, unicast_only=True),
     dict(n=2, r=2, m=2, k=1, x=1, model=MulticastModel.MSDW),
+    dict(n=3, r=2, m=2, k=1, x=2),
 ]
 
 
