@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
-from repro.engine.cover import iter_bits
 from repro.engine.geometry import FabricGeometry
 
 __all__ = ["PythonState"]
@@ -119,14 +118,20 @@ class PythonState:
         k, m = len(self._out_busy), self.geometries[b].m
         in_planes = [[0] * k for _ in self._in_wave]
         out_planes = [[0] * m for _ in range(k)]
+        # Lowest-bit loops inline: the exact search reads these planes
+        # for every state signature it computes.
         for planes, waves in zip(in_planes, self._in_wave):
             for j, mask in enumerate(waves[b]):
-                for w in iter_bits(mask):
-                    planes[w] |= 1 << j
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    planes[low.bit_length() - 1] |= 1 << j
         for j, fiber in enumerate(self._out_wave[b]):
             for p, mask in enumerate(fiber):
-                for w in iter_bits(mask):
-                    out_planes[w][j] |= 1 << p
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    out_planes[low.bit_length() - 1][j] |= 1 << p
         return in_planes, out_planes
 
     def copy_lane(self, src: int, dst: int) -> None:

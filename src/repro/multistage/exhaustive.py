@@ -34,6 +34,18 @@ find the true threshold, which the benchmarks compare against the
 sufficient bounds.  Exponential, of course -- intended for ``N k <= 8``
 and small ``m``.
 
+Most transitions reach a state the search has already seen, so the DFS
+works on ints until a state is new.  Requests are int-coded and covers
+are ``{middle: module mask}`` splits read off the network's admission
+views.  Each (request, cover) successor is applied to the network's
+engine state (``PythonState.allocate`` plus the two endpoint masks) just
+long enough to read its signature, then undone with ``free``.  Only an
+unseen successor is entered, through
+:meth:`~repro.multistage.network.ThreeStageNetwork.connect` with the
+cover forced, and left through ``disconnect``; so a request's
+connection object is built only if one of its successors is new, and
+the victim probe builds one only for the victim it returns.
+
 Symmetry canonicalization (the default, ``canonicalize=True``) attacks
 the exponent on two fronts, neither of which can change the verdict:
 
@@ -57,6 +69,7 @@ which the property tests compare verdicts against.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import TYPE_CHECKING
@@ -66,8 +79,9 @@ from repro.core.models import Construction, MulticastModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.perf.cache import ResultCache
-from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import mask_of
+from repro.engine.kernel import probe_cover, reach_map
+from repro.multistage.network import ThreeStageNetwork, _cover_lists
+from repro.multistage.routing import iter_bits, mask_of
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.switching.requests import Endpoint, MulticastConnection
 
@@ -135,91 +149,161 @@ class ExactMinimal:
     per_m: tuple[BlockableResult, ...]
 
 
+#: an int-coded request: ``(source port, source wavelength, ((port,
+#: wavelength), ...))``, the destinations in ascending port order
+Request = tuple[int, int, tuple[tuple[int, int], ...]]
+#: one witness connection's adversarial route: ``(middle, (modules...))``
+#: per middle, by middle index
+Route = tuple[tuple[int, tuple[int, ...]], ...]
+#: a blocking witness: the live connections, their routes, the victim
+_Witness = tuple[
+    tuple[MulticastConnection, ...], tuple[Route, ...], MulticastConnection
+]
+
+
+def _wavelength_choices(
+    model: MulticastModel, wavelength: int, k: int
+) -> list[tuple[int, ...]]:
+    """The destination-wavelength sets a source on ``wavelength`` may use:
+    its own (MSW), any one (MSDW), or any mix (MAW)."""
+    if model is MulticastModel.MSW:
+        return [(wavelength,)]
+    if model is MulticastModel.MSDW:
+        return [(v,) for v in range(k)]
+    return [tuple(range(k))]
+
+
+def _connection(request: Request) -> MulticastConnection:
+    """The connection object of an int-coded request."""
+    port, wavelength, destinations = request
+    return MulticastConnection(
+        Endpoint(port, wavelength), (Endpoint(p, v) for p, v in destinations)
+    )
+
+
 def _legal_requests(
     net: ThreeStageNetwork,
     *,
     unicast_only: bool = False,
-) -> list[MulticastConnection]:
-    """Every legal request in the network's current state, largest fanout
-    first (supersets block at least as easily, so big ones find
-    witnesses sooner).  With ``unicast_only``, only fanout-1 requests
-    (the classical Clos setting)."""
+    descending: bool = False,
+) -> Iterator[Request]:
+    """Every legal request in the network's current state, int-coded.
+
+    Fanout ascending (the DFS expansion order: blocking states are
+    built from unicast "blockers", so small requests find witnesses
+    sooner), or with ``descending`` largest first (the reference victim
+    probe: supersets block at least as easily).  Within one fanout the
+    order is by source endpoint, wavelength choice, destination ports
+    and their wavelengths.  With ``unicast_only``, only fanout-1
+    requests (the classical Clos setting).
+    """
     topo = net.topology
-    n_ports, k = topo.n_ports, topo.k
-    free_inputs = [
-        Endpoint(p, w)
-        for p in range(n_ports)
-        for w in range(k)
-        if not net._input_used >> (p * k + w) & 1
-    ]
-    free_outputs = [
-        Endpoint(p, w)
-        for p in range(n_ports)
-        for w in range(k)
-        if not net._output_used >> (p * k + w) & 1
-    ]
-    requests: list[MulticastConnection] = []
-    for source in free_inputs:
-        if net.model is MulticastModel.MSW:
-            wavelength_choices = [[source.wavelength]]
-        elif net.model is MulticastModel.MSDW:
-            wavelength_choices = [[w] for w in range(k)]
-        else:
-            wavelength_choices = [list(range(k))]
-        for allowed in wavelength_choices:
-            per_port: dict[int, list[Endpoint]] = {}
-            for endpoint in free_outputs:
-                if endpoint.wavelength in allowed:
-                    per_port.setdefault(endpoint.port, []).append(endpoint)
-            ports = sorted(per_port)
-            max_size = 1 if unicast_only else len(ports)
-            for size in range(max_size, 0, -1):
-                for chosen_ports in combinations(ports, size):
-                    for picks in product(
-                        *(per_port[port] for port in chosen_ports)
-                    ):
-                        requests.append(MulticastConnection(source, picks))
-    requests.sort(key=lambda c: -c.fanout)
-    return requests
+    n_ports, k, model = topo.n_ports, topo.k, net.model
+    input_used, output_used = net._input_used, net._output_used
+    # Per free source endpoint and wavelength set it may use, the free
+    # destination endpoints by port (one dict per wavelength set).
+    free: dict[tuple[int, ...], dict[int, list[tuple[int, int]]]] = {}
+    starts = []
+    for bit in range(n_ports * k):
+        if input_used >> bit & 1:
+            continue
+        port, w = divmod(bit, k)
+        for allowed in _wavelength_choices(model, w, k):
+            per_port = free.get(allowed)
+            if per_port is None:
+                per_port = free[allowed] = {}
+                for p in range(n_ports):
+                    picks = [
+                        (p, v) for v in allowed if not output_used >> (p * k + v) & 1
+                    ]
+                    if picks:
+                        per_port[p] = picks
+            starts.append((port, w, per_port))
+    widest = max((len(per_port) for _, _, per_port in starts), default=0)
+    top = min(widest, 1) if unicast_only else widest
+    for size in range(top, 0, -1) if descending else range(1, top + 1):
+        for port, w, per_port in starts:
+            if len(per_port) < size:
+                continue
+            for chosen in combinations(per_port, size):
+                for picks in product(*[per_port[p] for p in chosen]):
+                    yield port, w, picks
 
 
 def _all_covers(
-    net: ThreeStageNetwork, request: MulticastConnection
-) -> list[dict[int, list[int]]]:
-    """Every distinct <= x-middle split the adversary could have used."""
-    topo = net.topology
-    g = topo.input_module_of(request.source.port)
-    destinations = sorted(
-        {topo.output_module_of(d.port) for d in request.destinations}
-    )
-    coverable_bits = net._coverable_bits(
-        g, request.source.wavelength, mask_of(destinations)
-    )
+    net: ThreeStageNetwork,
+    input_module: int,
+    source_wavelength: int,
+    dest_mask: int,
+) -> list[dict[int, int]]:
+    """Every distinct <= x-middle split the adversary could have used.
+
+    Each split maps middle -> output-module mask, read off the
+    network's admission views.  The order is that of ``product`` over
+    each destination module's reaching middles (modules ascending,
+    middles ascending), keeping the assignments that use at most ``x``
+    middles; a partial assignment that already uses more is pruned.
+    """
+    available, _, blockers = net._available(input_module, source_wavelength)
+    reach = reach_map(available, dest_mask, blockers)
     options = []
-    for p in destinations:
+    for p in iter_bits(dest_mask):
         bit = 1 << p
-        admissible = [j for j, reach in coverable_bits.items() if reach & bit]
-        if not admissible:
+        middles = [j for j, modules in reach.items() if modules & bit]
+        if not middles:
             return []
-        options.append(admissible)
-    covers: set[tuple[tuple[int, tuple[int, ...]], ...]] = set()
-    results = []
-    for assignment in product(*options):
-        groups: dict[int, list[int]] = {}
-        for p, j in zip(destinations, assignment):
-            groups.setdefault(j, []).append(p)
-        if len(groups) > net.x:
-            continue
-        key = tuple(sorted((j, tuple(ps)) for j, ps in groups.items()))
-        if key in covers:
-            continue
-        covers.add(key)
-        results.append(groups)
-    return results
+        options.append((bit, middles))
+    covers: list[dict[int, int]] = []
+    _assign(options, 0, {}, net.x, covers)
+    return covers
 
 
-def _signature(net: ThreeStageNetwork) -> bytes:
-    return net.state_signature()
+def _assign(
+    options: list[tuple[int, list[int]]],
+    index: int,
+    groups: dict[int, int],
+    x: int,
+    covers: list[dict[int, int]],
+) -> None:
+    """Append to ``covers`` every completion of ``groups`` (middle ->
+    module mask) over ``options[index:]`` that uses at most ``x``
+    middles, in ``product`` order.  A module-level function, not a
+    closure: a recursive closure is a reference cycle, which would keep
+    every call's lists alive until the next garbage collection."""
+    if index == len(options):
+        covers.append(dict(groups))
+        return
+    bit, middles = options[index]
+    for j in middles:
+        if j in groups:
+            groups[j] |= bit
+            _assign(options, index + 1, groups, x, covers)
+            groups[j] ^= bit
+        elif len(groups) < x:
+            groups[j] = bit
+            _assign(options, index + 1, groups, x, covers)
+            del groups[j]
+
+
+def _blocks(net: ThreeStageNetwork) -> Callable[[int, int, int], bool]:
+    """``blocks(input module, source wavelength, dest_mask)`` in the
+    network's current state: the engine kernel's ``probe_cover`` on the
+    network's admission views, memoized, so hold it only while the
+    state stands still."""
+    x = net.x
+    verdicts: dict[tuple[int, int, int], bool] = {}
+
+    def blocks(g: int, sw: int, dest_mask: int) -> bool:
+        key = (g, sw, dest_mask)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            available, _, blockers = net._available(g, sw)
+            verdict = verdicts[key] = (
+                probe_cover(available, dest_mask, x, blockers)[0] is None
+            )
+        return verdict
+
+    return blocks
 
 
 def _first_blocked_request(
@@ -234,51 +318,60 @@ def _first_blocked_request(
     wavelength choice) it suffices to probe the *maximal* legal request
     -- it is blocked iff any request from that source is.  In unicast
     mode a singleton is blocked iff its module is coverable by no
-    middle, so one probe per module decides all ports in it.
+    middle, so one probe per module decides all ports in it.  Only the
+    returned victim is built as a connection object.
     """
     topo = net.topology
-    n_ports, k, n = topo.n_ports, topo.k, topo.n
-    input_used = net._input_used
-    output_used = net._output_used
+    n_ports, k, n, model = topo.n_ports, topo.k, topo.n, net.model
+    input_used, output_used = net._input_used, net._output_used
+    blocks = _blocks(net)
+    # Per wavelength set: the first free allowed wavelength of each
+    # output port, and the modules those ports sit in.
+    maximal: dict[tuple[int, ...], tuple[dict[int, int], int]] = {}
     for port in range(n_ports):
+        g = port // n
         for w in range(k):
             if input_used >> (port * k + w) & 1:
                 continue
-            source = Endpoint(port, w)
-            if net.model is MulticastModel.MSW:
-                wavelength_choices = [[w]]
-            elif net.model is MulticastModel.MSDW:
-                wavelength_choices = [[v] for v in range(k)]
-            else:
-                wavelength_choices = [list(range(k))]
-            for allowed in wavelength_choices:
-                per_port: dict[int, Endpoint] = {}
-                for dest_port in range(n_ports):
-                    for v in allowed:
-                        if not output_used >> (dest_port * k + v) & 1:
-                            per_port[dest_port] = Endpoint(dest_port, v)
-                            break
+            for allowed in _wavelength_choices(model, w, k):
+                if allowed not in maximal:
+                    per_port = {}
+                    for p in range(n_ports):
+                        for v in allowed:
+                            if not output_used >> (p * k + v) & 1:
+                                per_port[p] = v
+                                break
+                    maximal[allowed] = per_port, mask_of(p // n for p in per_port)
+                per_port, dest_mask = maximal[allowed]
                 if not per_port:
                     continue
                 if unicast_only:
-                    probed_modules: set[int] = set()
-                    for dest_port in sorted(per_port):
-                        module = dest_port // n
-                        if module in probed_modules:
+                    probed = 0
+                    for p, v in per_port.items():
+                        module = 1 << (p // n)
+                        if probed & module:
                             continue
-                        probed_modules.add(module)
-                        request = MulticastConnection(
-                            source, (per_port[dest_port],)
-                        )
-                        if net.probe_cover(request) is None:
-                            return request
-                else:
-                    request = MulticastConnection(
-                        source,
-                        tuple(per_port[p] for p in sorted(per_port)),
-                    )
-                    if net.probe_cover(request) is None:
-                        return request
+                        probed |= module
+                        if blocks(g, w, module):
+                            return _connection((port, w, ((p, v),)))
+                elif blocks(g, w, dest_mask):
+                    return _connection((port, w, tuple(per_port.items())))
+    return None
+
+
+def _first_blocked_legal_request(
+    net: ThreeStageNetwork, *, unicast_only: bool = False
+) -> MulticastConnection | None:
+    """The reference victim probe: the first blocked legal request,
+    largest fanout first, or None."""
+    n = net.topology.n
+    blocks = _blocks(net)
+    for request in _legal_requests(
+        net, unicast_only=unicast_only, descending=True
+    ):
+        port, w, destinations = request
+        if blocks(port // n, w, mask_of(p // n for p, _ in destinations)):
+            return _connection(request)
     return None
 
 
@@ -318,60 +411,77 @@ def is_blockable(
     net = ThreeStageNetwork(
         n, r, m, k, construction=construction, model=model, x=x
     )
+    engine = net._state
     wavelength_symmetry = canonicalize and model is MulticastModel.MSW
+    first_blocked = (
+        _first_blocked_request if canonicalize else _first_blocked_legal_request
+    )
     seen: set[bytes] = set()
     explored = 0
-    Route = tuple[tuple[int, tuple[int, ...]], ...]
-    live: list[tuple[int, MulticastConnection, Route]] = []
+    live: list[tuple[MulticastConnection, Route]] = []
 
-    def blocked_request() -> MulticastConnection | None:
+    def signature() -> bytes:
         if canonicalize:
-            return _first_blocked_request(net, unicast_only=unicast_only)
-        for request in _legal_requests(net, unicast_only=unicast_only):
-            if net.probe_cover(request) is None:
-                return request
-        return None
-
-    def dfs() -> (
-        tuple[
-            tuple[MulticastConnection, ...],
-            tuple[Route, ...],
-            MulticastConnection,
-        ]
-        | None
-    ):
-        nonlocal explored
-        if canonicalize:
-            signature = net.canonical_signature(
+            return net.canonical_signature(
                 wavelength_symmetry=wavelength_symmetry
             )
-        else:
-            signature = _signature(net)
-        if signature in seen:
-            return None
-        seen.add(signature)
+        return net.state_signature()
+
+    def enter(key: bytes) -> None:
+        """Count a new state; the budget stops the search past it."""
+        nonlocal explored
+        seen.add(key)
         explored += 1
         _obs.inc("exhaustive.states")
         if explored > state_budget:
             raise _BudgetExceeded
-        victim = blocked_request()
+
+    def dfs() -> _Witness | None:
+        """Search on from an entered state; the witness, or None."""
+        victim = first_blocked(net, unicast_only=unicast_only)
         if victim is not None:
             return (
-                tuple(connection for _, connection, _ in live),
-                tuple(route for _, _, route in live),
+                tuple(connection for connection, _ in live),
+                tuple(route for _, route in live),
                 victim,
             )
-        # Expand small-fanout requests first: blocking states are built
-        # from unicast "blockers", so this ordering finds witnesses far
-        # sooner (the full space is still explored when none exists).
-        expansion = _legal_requests(net, unicast_only=unicast_only)
-        for request in sorted(expansion, key=lambda c: c.fanout):
-            for cover in _all_covers(net, request):
-                cid = net.connect(request, force_middles=cover)
-                route: Route = tuple(
-                    sorted((j, tuple(ps)) for j, ps in cover.items())
+        # Each (request, cover) successor is applied on the engine state
+        # and the endpoint masks just long enough to read its signature;
+        # only an unseen one is entered through ``connect``.
+        in_used, out_used = net._input_used, net._output_used
+        covers_of: dict[tuple[int, int, int], list[dict[int, int]]] = {}
+        for request in _legal_requests(net, unicast_only=unicast_only):
+            port, sw, destinations = request
+            g = port // n
+            in_after = in_used | 1 << (port * k + sw)
+            out_after = out_used
+            dest_mask = 0
+            for p, v in destinations:
+                dest_mask |= 1 << (p // n)
+                out_after |= 1 << (p * k + v)
+            covers = covers_of.get((g, sw, dest_mask))
+            if covers is None:
+                covers = covers_of[g, sw, dest_mask] = _all_covers(
+                    net, g, sw, dest_mask
                 )
-                live.append((cid, request, route))
+            connection = None
+            for cover in covers:
+                undo = engine.allocate(0, g, sw, cover)
+                net._input_used, net._output_used = in_after, out_after
+                key = signature()
+                engine.free(0, g, sw, undo)
+                net._input_used, net._output_used = in_used, out_used
+                if key in seen:
+                    continue
+                enter(key)
+                if connection is None:
+                    connection = _connection(request)
+                forced = _cover_lists(cover)
+                cid = net.connect(connection, force_middles=forced)
+                live.append((
+                    connection,
+                    tuple(sorted((j, tuple(ps)) for j, ps in forced.items())),
+                ))
                 result = dfs()
                 live.pop()
                 net.disconnect(cid)
@@ -380,6 +490,7 @@ def is_blockable(
         return None
 
     try:
+        enter(signature())
         witness = dfs()
     except _BudgetExceeded:
         return BlockableResult(

@@ -388,6 +388,7 @@ class ThreeStageNetwork:
         in_planes, out_planes = self._state.busy_planes()
         failed = self._state.failed_mask
         width = (2 * r * k + 8) // 8  # flag bit + 2rk channel bits
+        shift = 8 * width
         ep_bytes = (topo.n_ports * k + 7) // 8
         identity = tuple(range(k))
         if wavelength_symmetry and k > 1:
@@ -396,23 +397,36 @@ class ThreeStageNetwork:
             perms = (identity,)
         best: bytes | None = None
         for perm in perms:
-            # Relabeled wavelength i is old wavelength perm[i].
-            keys = []
-            for j in range(m):
-                key = failed >> j & 1
-                for planes in in_planes:
-                    for w in perm:
-                        key = key << 1 | planes[w] >> j & 1
+            # Relabeled wavelength i is old wavelength perm[i].  Middle
+            # j's key, high bit first: its failure flag, its first-stage
+            # bit per (input module, wavelength), then its second-stage
+            # mask per wavelength.  Each busy first-stage bit is set in
+            # its middle's key, rather than each key read bit by bit.
+            keys = [0] * m
+            bit = 1 << (2 * r * k)
+            for j in iter_bits(failed):
+                keys[j] |= bit
+            for planes in in_planes:
                 for w in perm:
-                    key = key << r | out_planes[w][j]
-                keys.append(key)
+                    bit >>= 1
+                    for j in iter_bits(planes[w]):
+                        keys[j] |= bit
+            offset = r * k
+            for w in perm:
+                offset -= r
+                for j, mask in enumerate(out_planes[w]):
+                    keys[j] |= mask << offset
             keys.sort()
+            # The sorted keys as fixed-width big-endian fields: one int.
+            packed = 0
+            for key in keys:
+                packed = packed << shift | key
             in_used, out_used = self._input_used, self._output_used
             if perm != identity:
                 in_used = self._permute_endpoint_mask(in_used, perm)
                 out_used = self._permute_endpoint_mask(out_used, perm)
             candidate = (
-                b"".join(key.to_bytes(width, "big") for key in keys)
+                packed.to_bytes(width * m, "big")
                 + in_used.to_bytes(ep_bytes, "little")
                 + out_used.to_bytes(ep_bytes, "little")
             )

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.exhaustive import _all_covers
-from repro.multistage.network import ThreeStageNetwork
+from repro.multistage.network import ThreeStageNetwork, _cover_lists
+from repro.multistage.routing import mask_of
 from repro.switching.enumeration import iter_assignments
 from repro.switching.requests import MulticastAssignment, MulticastConnection
 
@@ -84,8 +85,18 @@ def route_assignment(
         if index == len(connections):
             return True
         connection = connections[index]
-        for cover in _all_covers(net, connection):
-            cid = net.connect(connection, force_middles=cover)
+        source = connection.source
+        covers = _all_covers(
+            net,
+            net.topology.input_module_of(source.port),
+            source.wavelength,
+            mask_of(
+                net.topology.output_module_of(d.port)
+                for d in connection.destinations
+            ),
+        )
+        for cover in covers:
+            cid = net.connect(connection, force_middles=_cover_lists(cover))
             routes[connection] = cid
             if backtrack(index + 1):
                 return True
