@@ -213,12 +213,6 @@ def _estimates(
     )
     search.check_fabric(fabric)
     precision = execution.precision
-    if precision is not None and traffic.adversarial:
-        raise ValueError(
-            "adversarial traffic has no precision-targeted mode; "
-            "unset the workload config's adversarial flag or "
-            "ExecConfig.precision"
-        )
     if precision is None:
         return _blocking_curve(
             spec, m_values,

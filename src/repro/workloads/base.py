@@ -191,8 +191,15 @@ class WorkloadConfig:
 
         The adaptive driver assumes every round can draw fresh
         replication streams; models that cannot (trace replay) raise
-        here with a diagnosis.  The default accepts.
+        here with a diagnosis.  The default refuses only the
+        ``adversarial`` flag, which the adaptive driver never runs.
         """
+        if self.adversarial:
+            raise ValueError(
+                "adversarial traffic has no precision-targeted mode; "
+                "unset the workload config's adversarial flag or "
+                "ExecConfig.precision"
+            )
 
     # -- serialization ------------------------------------------------------
 

@@ -773,6 +773,20 @@ class TestWorkloadCommands:
         assert message.startswith("wdm-repro: error:")
         assert "40 events" in message
 
+    def test_adversarial_sweep_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(
+            api, "sweep",
+            lambda *a, **k: pytest.fail("a cell ran before the refusal"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", "2", "--workload-param", "adversarial=true"])
+        message = str(excinfo.value)
+        assert message.startswith(
+            "wdm-repro: error: adversarial traffic has no precision-targeted mode"
+        )
+        assert "\n" not in message
+
 
 class TestFabricCommands:
     def test_fabrics_matrix_lists_registry(self, capsys):
