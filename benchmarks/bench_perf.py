@@ -109,19 +109,28 @@ def _best_interleaved(fns, reps: int) -> list[tuple[float, object]]:
     return [(min(side), value) for side, value in zip(times, values)]
 
 
-def _interleaved_times(fns, reps: int) -> tuple[list[list[float]], list]:
+def _interleaved_times(
+    fns, reps: int, settle: tuple[bool, ...] | None = None
+) -> tuple[list[list[float]], list]:
     """Every rep's wall time of each ``fn`` (A, B, A, B, ...), and results.
 
     One untimed call per ``fn`` first fixes its result; each timed call
-    must reproduce it.  The collector is paused and pre-collected.
+    must reproduce it.  The collector is paused and pre-collected.  A
+    ``fn`` whose ``settle`` flag is set makes one more untimed call
+    right before each timed one, so every timed call starts from the
+    allocator state its own kind of call leaves, not the one the other
+    side's call left.
     """
     values = [fn() for fn in fns]
     times: list[list[float]] = [[] for _ in fns]
+    settles = settle or (False,) * len(fns)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(reps):
-            for fn, value, side in zip(fns, values, times):
+            for fn, value, side, warm in zip(fns, values, times, settles):
+                if warm:
+                    fn()
                 gc.collect()
                 start = time.perf_counter()
                 again = fn()
@@ -542,7 +551,8 @@ def bench_wide(quick: bool, reps: int) -> dict:
       ``batched`` kernel against the pure-python serial ``bitmask``
       kernel the gate used to force wide sweeps onto, the two sides
       timed interleaved and ``bitmask_s`` / ``python_s`` summed over
-      ``timed_reps`` reps each.  The guarded ``speedup`` declares a 3x
+      ``timed_reps`` reps each, every timed batched rep right after an
+      untimed one.  The guarded ``speedup`` declares a 3x
       ``min_speedup`` floor.
     """
     from repro.perf.batch import _simulate
@@ -618,11 +628,14 @@ def bench_wide(quick: bool, reps: int) -> dict:
     # ...) at least 10 times and each side's times are summed, so both
     # sides average over the same host-speed phases: one ~20 ms batched
     # rep is too short to guard, and best-of-10 still let the ratio
-    # read 19x and 28x on unchanged code.
+    # read 19x and 28x on unchanged code.  Each timed batched rep
+    # follows an untimed one: right after a bitmask rep, which frees
+    # one large event list per seed, its time depended on that rep.
     timed_reps = max(reps, 10)
     (bitmask_times, python_times), (bitmask_out, python_out) = (
         _interleaved_times(
             (lambda: run("bitmask"), lambda: run("batched")), timed_reps,
+            settle=(False, True),
         )
     )
     bitmask_s, python_s = sum(bitmask_times), sum(python_times)

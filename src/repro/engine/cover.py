@@ -90,34 +90,9 @@ def _exact_bits(
     # Keep only useful candidates, largest coverage first (helps pruning).
     useful = [j for j in candidates if coverable[j] & dest_mask]
     useful.sort(key=lambda j: -(coverable[j] & dest_mask).bit_count())
-
-    def recurse(uncovered: int, start: int, picked: list[int]) -> list[int] | None:
-        stats.exact_nodes += 1
-        if not uncovered:
-            return picked
-        if len(picked) == max_switches:
-            return None
-        remaining_slots = max_switches - len(picked)
-        # Bound: even taking the largest remaining coverages can't finish.
-        best_possible = sum(
-            sorted(
-                ((coverable[j] & uncovered).bit_count() for j in useful[start:]),
-                reverse=True,
-            )[:remaining_slots]
-        )
-        if best_possible < uncovered.bit_count():
-            return None
-        for index in range(start, len(useful)):
-            j = useful[index]
-            gain = coverable[j] & uncovered
-            if not gain:
-                continue
-            result = recurse(uncovered & ~gain, index + 1, [*picked, j])
-            if result is not None:
-                return result
-        return None
-
-    picked = recurse(dest_mask, 0, [])
+    picked = _exact_pick(
+        dest_mask, 0, [], useful, coverable, max_switches, stats
+    )
     if picked is None:
         return None
     # Assign each destination to the first picked switch that covers it.
@@ -129,6 +104,51 @@ def _exact_bits(
                 cover[j] |= bit
                 break
     return {j: bits for j, bits in cover.items() if bits}
+
+
+def _exact_pick(
+    uncovered: int,
+    start: int,
+    picked: list[int],
+    useful: Sequence[int],
+    coverable: Mapping[int, int],
+    max_switches: int,
+    stats: CoverSearch,
+) -> list[int] | None:
+    """The first ``picked`` extension from ``useful[start:]`` that covers
+    ``uncovered`` within ``max_switches`` middles, depth first, or None.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep every search's lists alive until
+    the next garbage collection.
+    """
+    stats.exact_nodes += 1
+    if not uncovered:
+        return picked
+    if len(picked) == max_switches:
+        return None
+    remaining_slots = max_switches - len(picked)
+    # Bound: even taking the largest remaining coverages can't finish.
+    best_possible = sum(
+        sorted(
+            ((coverable[j] & uncovered).bit_count() for j in useful[start:]),
+            reverse=True,
+        )[:remaining_slots]
+    )
+    if best_possible < uncovered.bit_count():
+        return None
+    for index in range(start, len(useful)):
+        j = useful[index]
+        gain = coverable[j] & uncovered
+        if not gain:
+            continue
+        result = _exact_pick(
+            uncovered & ~gain, index + 1, [*picked, j],
+            useful, coverable, max_switches, stats,
+        )
+        if result is not None:
+            return result
+    return None
 
 
 def find_cover_bits(

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import TYPE_CHECKING
 
@@ -411,107 +412,125 @@ def is_blockable(
     net = ThreeStageNetwork(
         n, r, m, k, construction=construction, model=model, x=x
     )
-    engine = net._state
-    wavelength_symmetry = canonicalize and model is MulticastModel.MSW
+    signature: Callable[[], bytes]
+    if canonicalize:
+        signature = partial(
+            net.canonical_signature,
+            wavelength_symmetry=model is MulticastModel.MSW,
+        )
+    else:
+        signature = net.state_signature
     first_blocked = (
         _first_blocked_request if canonicalize else _first_blocked_legal_request
     )
     seen: set[bytes] = set()
-    explored = 0
-    live: list[tuple[MulticastConnection, Route]] = []
-
-    def signature() -> bytes:
-        if canonicalize:
-            return net.canonical_signature(
-                wavelength_symmetry=wavelength_symmetry
-            )
-        return net.state_signature()
-
-    def enter(key: bytes) -> None:
-        """Count a new state; the budget stops the search past it."""
-        nonlocal explored
-        seen.add(key)
-        explored += 1
-        _obs.inc("exhaustive.states")
-        if explored > state_budget:
-            raise _BudgetExceeded
-
-    def dfs() -> _Witness | None:
-        """Search on from an entered state; the witness, or None."""
-        victim = first_blocked(net, unicast_only=unicast_only)
-        if victim is not None:
-            return (
-                tuple(connection for connection, _ in live),
-                tuple(route for _, route in live),
-                victim,
-            )
-        # Each (request, cover) successor is applied on the engine state
-        # and the endpoint masks just long enough to read its signature;
-        # only an unseen one is entered through ``connect``.
-        in_used, out_used = net._input_used, net._output_used
-        covers_of: dict[tuple[int, int, int], list[dict[int, int]]] = {}
-        for request in _legal_requests(net, unicast_only=unicast_only):
-            port, sw, destinations = request
-            g = port // n
-            in_after = in_used | 1 << (port * k + sw)
-            out_after = out_used
-            dest_mask = 0
-            for p, v in destinations:
-                dest_mask |= 1 << (p // n)
-                out_after |= 1 << (p * k + v)
-            covers = covers_of.get((g, sw, dest_mask))
-            if covers is None:
-                covers = covers_of[g, sw, dest_mask] = _all_covers(
-                    net, g, sw, dest_mask
-                )
-            connection = None
-            for cover in covers:
-                undo = engine.allocate(0, g, sw, cover)
-                net._input_used, net._output_used = in_after, out_after
-                key = signature()
-                engine.free(0, g, sw, undo)
-                net._input_used, net._output_used = in_used, out_used
-                if key in seen:
-                    continue
-                enter(key)
-                if connection is None:
-                    connection = _connection(request)
-                forced = _cover_lists(cover)
-                cid = net.connect(connection, force_middles=forced)
-                live.append((
-                    connection,
-                    tuple(sorted((j, tuple(ps)) for j, ps in forced.items())),
-                ))
-                result = dfs()
-                live.pop()
-                net.disconnect(cid)
-                if result is not None:
-                    return result
-        return None
-
     try:
-        enter(signature())
-        witness = dfs()
+        _enter(seen, signature(), state_budget)
+        witness = _dfs(
+            net, seen, [], signature, first_blocked, unicast_only, state_budget
+        )
     except _BudgetExceeded:
         return BlockableResult(
             n=n, r=r, m=m, k=k,
             construction=construction, model=model, x=x,
-            blockable=None, states_explored=explored,
+            blockable=None, states_explored=len(seen),
         )
     if witness is None:
         return BlockableResult(
             n=n, r=r, m=m, k=k,
             construction=construction, model=model, x=x,
-            blockable=False, states_explored=explored,
+            blockable=False, states_explored=len(seen),
         )
     state, routes, request = witness
     return BlockableResult(
         n=n, r=r, m=m, k=k,
         construction=construction, model=model, x=x,
-        blockable=True, states_explored=explored,
+        blockable=True, states_explored=len(seen),
         witness_state=state, witness_request=request,
         witness_routes=routes,
     )
+
+
+def _enter(seen: set[bytes], key: bytes, state_budget: int) -> None:
+    """Count a new state; the budget stops the search past it."""
+    seen.add(key)
+    _obs.inc("exhaustive.states")
+    if len(seen) > state_budget:
+        raise _BudgetExceeded
+
+
+def _dfs(
+    net: ThreeStageNetwork,
+    seen: set[bytes],
+    live: list[tuple[MulticastConnection, Route]],
+    signature: Callable[[], bytes],
+    first_blocked: Callable[..., MulticastConnection | None],
+    unicast_only: bool,
+    state_budget: int,
+) -> _Witness | None:
+    """Search on from an entered state; the witness, or None.
+
+    ``live`` holds the connections (and routes) that built the state.
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep the network and the whole
+    ``seen`` set of every search alive until the next garbage
+    collection.
+    """
+    victim = first_blocked(net, unicast_only=unicast_only)
+    if victim is not None:
+        return (
+            tuple(connection for connection, _ in live),
+            tuple(route for _, route in live),
+            victim,
+        )
+    # Each (request, cover) successor is applied on the engine state
+    # and the endpoint masks just long enough to read its signature;
+    # only an unseen one is entered through ``connect``.
+    engine = net._state
+    n, k = net.topology.n, net.topology.k
+    in_used, out_used = net._input_used, net._output_used
+    covers_of: dict[tuple[int, int, int], list[dict[int, int]]] = {}
+    for request in _legal_requests(net, unicast_only=unicast_only):
+        port, sw, destinations = request
+        g = port // n
+        in_after = in_used | 1 << (port * k + sw)
+        out_after = out_used
+        dest_mask = 0
+        for p, v in destinations:
+            dest_mask |= 1 << (p // n)
+            out_after |= 1 << (p * k + v)
+        covers = covers_of.get((g, sw, dest_mask))
+        if covers is None:
+            covers = covers_of[g, sw, dest_mask] = _all_covers(
+                net, g, sw, dest_mask
+            )
+        connection = None
+        for cover in covers:
+            undo = engine.allocate(0, g, sw, cover)
+            net._input_used, net._output_used = in_after, out_after
+            key = signature()
+            engine.free(0, g, sw, undo)
+            net._input_used, net._output_used = in_used, out_used
+            if key in seen:
+                continue
+            _enter(seen, key, state_budget)
+            if connection is None:
+                connection = _connection(request)
+            forced = _cover_lists(cover)
+            cid = net.connect(connection, force_middles=forced)
+            live.append((
+                connection,
+                tuple(sorted((j, tuple(ps)) for j, ps in forced.items())),
+            ))
+            result = _dfs(
+                net, seen, live, signature, first_blocked,
+                unicast_only, state_budget,
+            )
+            live.pop()
+            net.disconnect(cid)
+            if result is not None:
+                return result
+    return None
 
 
 class _BudgetExceeded(Exception):

@@ -339,18 +339,33 @@ class ThreeStageNetwork:
         every fiber wavelength and endpoint channel has the same busy
         status -- the reference dedup key of the exhaustive checker.
         """
-        k = self.topology.k
-        nbytes = (k + 7) // 8
-        ep_bytes = (self.topology.n_ports * k + 7) // 8
-        parts = [
-            mask.to_bytes(nbytes, "little")
-            for rows in self.fiber_masks()
-            for row in rows
-            for mask in row
-        ]
-        parts.append(self._input_used.to_bytes(ep_bytes, "little"))
-        parts.append(self._output_used.to_bytes(ep_bytes, "little"))
-        return b"".join(parts)
+        topo = self.topology
+        m, r, k = topo.m, topo.r, topo.k
+        field = 8 * ((k + 7) // 8)  # one fiber's wavelength bits, padded
+        ep_bytes = (topo.n_ports * k + 7) // 8
+        in_planes, out_planes = self._state.busy_planes()
+        # Fixed-width little-endian fields, lowest first: per (input
+        # module, middle) fiber, then per (middle, output module) fiber,
+        # bit w of each = wavelength w busy; then the two endpoint
+        # masks.  Each busy bit goes straight into the one int.
+        packed = 0
+        for g, planes in enumerate(in_planes):
+            for w, plane in enumerate(planes):
+                while plane:
+                    low = plane & -plane
+                    plane ^= low
+                    packed |= 1 << ((g * m + low.bit_length() - 1) * field + w)
+        for w, plane in enumerate(out_planes):
+            for j, mask in enumerate(plane):
+                base = r * m + j * r
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    packed |= 1 << ((base + low.bit_length() - 1) * field + w)
+        fibers = 2 * r * m * field
+        packed |= self._input_used << fibers
+        packed |= self._output_used << (fibers + 8 * ep_bytes)
+        return packed.to_bytes(fibers // 8 + 2 * ep_bytes, "little")
 
     def _permute_endpoint_mask(self, mask: int, perm: tuple[int, ...]) -> int:
         """Apply a wavelength relabeling to an endpoint-usage mask."""

@@ -74,46 +74,66 @@ def route_assignment(
     connections = sorted(
         assignment.connections, key=lambda c: -c.fanout
     )
-    explored = 0
     routes: dict[MulticastConnection, int] = {}
-
-    def backtrack(index: int) -> bool:
-        nonlocal explored
-        explored += 1
-        if explored > node_budget:
-            raise _BudgetExceeded
-        if index == len(connections):
-            return True
-        connection = connections[index]
-        source = connection.source
-        covers = _all_covers(
-            net,
-            net.topology.input_module_of(source.port),
-            source.wavelength,
-            mask_of(
-                net.topology.output_module_of(d.port)
-                for d in connection.destinations
-            ),
-        )
-        for cover in covers:
-            cid = net.connect(connection, force_middles=_cover_lists(cover))
-            routes[connection] = cid
-            if backtrack(index + 1):
-                return True
-            del routes[connection]
-            net.disconnect(cid)
-        return False
-
+    explored = [0]
     try:
-        success = backtrack(0)
+        success = _backtrack(
+            net, connections, 0, routes, explored, node_budget
+        )
     except _BudgetExceeded:
         net.disconnect_all()
-        return OfflineResult(realizable=None, nodes_explored=explored, routes=None)
+        return OfflineResult(
+            realizable=None, nodes_explored=explored[0], routes=None
+        )
     if not success:
-        return OfflineResult(realizable=False, nodes_explored=explored, routes=None)
+        return OfflineResult(
+            realizable=False, nodes_explored=explored[0], routes=None
+        )
     return OfflineResult(
-        realizable=True, nodes_explored=explored, routes=dict(routes)
+        realizable=True, nodes_explored=explored[0], routes=dict(routes)
     )
+
+
+def _backtrack(
+    net: ThreeStageNetwork,
+    connections: list[MulticastConnection],
+    index: int,
+    routes: dict[MulticastConnection, int],
+    explored: list[int],
+    node_budget: int,
+) -> bool:
+    """Route ``connections[index:]`` on top of ``routes``; True on success.
+
+    ``explored[0]`` counts the search nodes.  A module-level function,
+    not a closure: a recursive closure is a reference cycle, which
+    would keep the network alive until the next garbage collection.
+    """
+    explored[0] += 1
+    if explored[0] > node_budget:
+        raise _BudgetExceeded
+    if index == len(connections):
+        return True
+    connection = connections[index]
+    source = connection.source
+    covers = _all_covers(
+        net,
+        net.topology.input_module_of(source.port),
+        source.wavelength,
+        mask_of(
+            net.topology.output_module_of(d.port)
+            for d in connection.destinations
+        ),
+    )
+    for cover in covers:
+        cid = net.connect(connection, force_middles=_cover_lists(cover))
+        routes[connection] = cid
+        if _backtrack(
+            net, connections, index + 1, routes, explored, node_budget
+        ):
+            return True
+        del routes[connection]
+        net.disconnect(cid)
+    return False
 
 
 def minimal_rearrangeable_m(

@@ -16,11 +16,16 @@ the caller, so every test and benchmark is reproducible.
 Dynamic traffic is produced once, at the int level: :func:`traffic_ops`
 yields ``(tag, connection_id, source_code, ports, waves)`` ops, drawing
 each setup with :func:`draw_connection` over one :class:`FreeEndpoints`
-index that every event updates.  A setup attempt therefore costs its
-RNG draws, and an event a few ``bisect`` list updates per endpoint it
-takes or releases; nothing rebuilds or re-sorts the fabric's ``N * k``
-endpoints, and nothing builds an object per endpoint.  The stream has
-two readers: the batched stream compiler
+index that every event updates.  The index keeps only the lists its
+multicast model's draws read, and a draw spends its random bits
+through the stdlib's own rejection loop on ``getrandbits``, without
+the ``choice``/``randrange`` frames around it.  A setup attempt
+therefore costs its RNG draws, and an event either a ``bisect`` list
+update per endpoint it takes or releases, or -- when an MSW/MSDW
+connection holds a large share of its wavelength's free ports -- one
+pass over that wavelength's port list; nothing rebuilds or re-sorts
+the fabric's ``N * k`` endpoints, and nothing builds an object per
+endpoint.  The stream has two readers: the batched stream compiler
 (:func:`repro.perf.batch.compile_stream`) folds the ops straight into
 replay ops, and :func:`traffic_events` turns them into the
 :class:`TrafficEvent` objects the serial simulator, the trace writer and
@@ -190,35 +195,75 @@ class TrafficEvent:
     connection_id: int
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` for ``n >= 1``: ``Random._randbelow``.
+
+    The same rejection loop over ``getrandbits(n.bit_length())`` the
+    stdlib's ``choice``, ``randrange`` and ``randint`` run, so it
+    consumes the same bits and returns the same value, on a plain
+    ``Random`` and on an :class:`AntitheticRandom` alike; the pinned
+    streams were drawn through those methods.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _in_one_pass(count: int, size: int) -> bool:
+    """Whether ``count`` ports of a ``size``-long port list update in one pass.
+
+    Per port, a ``bisect`` and a list delete or insert cost about as
+    much as one pass spends on seven list entries, plus a fixed price
+    for the pass's set; so one pass wins once the connection's ports
+    are more than a seventh of the list, past a few ports.
+    """
+    return 7 * count > size + 21
+
+
 class FreeEndpoints:
     """The free endpoints of an ``N x N``, ``k``-wavelength fabric.
 
     Input endpoints are int codes ``port * k + wavelength`` (numeric
-    order equals ``Endpoint`` order); output endpoints are indexed by
-    port and by wavelength.  Every list is ascending and kept so by
-    :meth:`take`/:meth:`release` with ``bisect``, so
-    :func:`draw_connection` can hand the lists straight to
-    ``rng.choice`` and ``rng.sample``: the pinned streams draw from
-    the ascending free populations.  Both methods take one connection
-    as the ints of a :data:`TrafficOp`: its source code, and its
-    destination ports with one wavelength each.
+    order equals ``Endpoint`` order).  Output endpoints are kept only
+    in the lists ``model``'s draws read: under MSW and MSDW, per
+    wavelength the ports free on it (``ports_on``); under MAW, per
+    port its free wavelengths (``waves_at``) and the ports with any
+    free wavelength (``ports_any``).  The other lists are never built:
+    reading one raises AttributeError.  Every list is ascending, so
+    :func:`draw_connection` can hand the lists straight to the RNG:
+    the pinned streams draw from the ascending free populations.
+
+    :meth:`take` and :meth:`release` take one connection as the ints
+    of a :data:`TrafficOp`: its source code, and its destination ports
+    with one wavelength each (under MSW and MSDW, one wavelength for
+    every port, as the model requires).  An MSW/MSDW connection's
+    ports all sit on one wavelength's list, so when they are a large
+    share of it (:func:`_in_one_pass`) that list is rebuilt in one
+    pass, and otherwise updated port by port with ``bisect``; MAW
+    always updates port by port.
 
     Attributes:
         k: wavelengths per fiber.
+        model: the multicast model whose draws read the index.
         inputs: free input endpoint codes.
-        ports_on: per wavelength, the output ports free on it.
-        waves_at: per output port, its free wavelengths.
-        ports_any: output ports with at least one free wavelength.
+        ports_on: MSW/MSDW: per wavelength, the output ports free on it.
+        waves_at: MAW: per output port, its free wavelengths.
+        ports_any: MAW: output ports with at least one free wavelength.
     """
 
-    __slots__ = ("k", "inputs", "ports_on", "waves_at", "ports_any")
+    __slots__ = ("k", "model", "inputs", "ports_on", "waves_at", "ports_any")
 
-    def __init__(self, n_ports: int, k: int):
+    def __init__(self, n_ports: int, k: int, model: MulticastModel):
         self.k = k
+        self.model = model
         self.inputs = list(range(n_ports * k))
-        self.ports_on = [list(range(n_ports)) for _ in range(k)]
-        self.waves_at = [list(range(k)) for _ in range(n_ports)]
-        self.ports_any = list(range(n_ports))
+        if model is MulticastModel.MAW:
+            self.waves_at = [list(range(k)) for _ in range(n_ports)]
+            self.ports_any = list(range(n_ports))
+        else:
+            self.ports_on = [list(range(n_ports)) for _ in range(k)]
 
     def take(
         self, source: int, ports: Sequence[int], waves: Sequence[int]
@@ -236,22 +281,36 @@ class FreeEndpoints:
                 f"input endpoint {divmod(source, self.k)} is not free"
             )
         del inputs[index]
-        ports_on, waves_at = self.ports_on, self.waves_at
-        for port, wavelength in zip(ports, waves):
-            # waves_at and ports_on describe the same endpoints, so
-            # checking one of them checks both
-            free_waves = waves_at[port]
-            index = bisect_left(free_waves, wavelength)
-            if index == len(free_waves) or free_waves[index] != wavelength:
+        if self.model is MulticastModel.MAW:
+            waves_at = self.waves_at
+            for port, wavelength in zip(ports, waves):
+                free_waves = waves_at[port]
+                index = bisect_left(free_waves, wavelength)
+                if index == len(free_waves) or free_waves[index] != wavelength:
+                    raise ValueError(
+                        f"output endpoint {(port, wavelength)} is not free"
+                    )
+                del free_waves[index]
+                if not free_waves:
+                    ports_any = self.ports_any
+                    del ports_any[bisect_left(ports_any, port)]
+            return
+        wavelength = waves[0]
+        free_ports = self.ports_on[wavelength]
+        if _in_one_pass(len(ports), len(free_ports)):
+            taken = set(ports)
+            kept = [port for port in free_ports if port not in taken]
+            if len(kept) + len(ports) == len(free_ports):
+                self.ports_on[wavelength] = kept
+                return
+            # a port is repeated or not free: the loop below raises
+        for port in ports:
+            index = bisect_left(free_ports, port)
+            if index == len(free_ports) or free_ports[index] != port:
                 raise ValueError(
                     f"output endpoint {(port, wavelength)} is not free"
                 )
-            del free_waves[index]
-            if not free_waves:
-                ports_any = self.ports_any
-                del ports_any[bisect_left(ports_any, port)]
-            free_ports = ports_on[wavelength]
-            del free_ports[bisect_left(free_ports, port)]
+            del free_ports[index]
 
     def release(
         self, source: int, ports: Sequence[int], waves: Sequence[int]
@@ -268,23 +327,38 @@ class FreeEndpoints:
                 f"input endpoint {divmod(source, self.k)} is already free"
             )
         inputs.insert(index, source)
-        ports_on, waves_at = self.ports_on, self.waves_at
-        for port, wavelength in zip(ports, waves):
-            free_waves = waves_at[port]
-            index = bisect_left(free_waves, wavelength)
-            if index < len(free_waves) and free_waves[index] == wavelength:
+        if self.model is MulticastModel.MAW:
+            waves_at = self.waves_at
+            for port, wavelength in zip(ports, waves):
+                free_waves = waves_at[port]
+                index = bisect_left(free_waves, wavelength)
+                if index < len(free_waves) and free_waves[index] == wavelength:
+                    raise ValueError(
+                        f"output endpoint {(port, wavelength)} is already free"
+                    )
+                if not free_waves:
+                    insort(self.ports_any, port)
+                free_waves.insert(index, wavelength)
+            return
+        wavelength = waves[0]
+        free_ports = self.ports_on[wavelength]
+        if _in_one_pass(len(ports), len(free_ports)):
+            merged = sorted({*free_ports, *ports})
+            if len(merged) == len(free_ports) + len(ports):
+                self.ports_on[wavelength] = merged
+                return
+            # a port is repeated or already free: the loop below raises
+        for port in ports:
+            index = bisect_left(free_ports, port)
+            if index < len(free_ports) and free_ports[index] == port:
                 raise ValueError(
                     f"output endpoint {(port, wavelength)} is already free"
                 )
-            if not free_waves:
-                insort(self.ports_any, port)
-            free_waves.insert(index, wavelength)
-            insort(ports_on[wavelength], port)
+            free_ports.insert(index, port)
 
 
 def draw_connection(
     rng: random.Random,
-    model: MulticastModel,
     free: FreeEndpoints,
     cap: int,
     pick_fanout: FanoutPicker | None = None,
@@ -294,21 +368,27 @@ def draw_connection(
 
     The single draw sequence every traffic model shares (source
     endpoint, admissible wavelength, fanout, destination ports,
-    per-port wavelength); :func:`traffic_ops` and the continuous-time
-    Poisson/Erlang workload both route through it, so endpoint
-    feasibility is stated once.  It returns the connection as ints,
-    ``(source_code, ports, waves)``: the source endpoint's code
-    ``port * k + wavelength``, the destination ports in draw order and
-    one wavelength per port.  It leaves ``free`` unchanged; the caller
-    passes the connection it keeps to :meth:`FreeEndpoints.take`.
+    per-port wavelength), under the multicast model of ``free``;
+    :func:`traffic_ops` and the continuous-time Poisson/Erlang
+    workload both route through it, so endpoint feasibility is stated
+    once.  It returns the connection as ints, ``(source_code, ports,
+    waves)``: the source endpoint's code ``port * k + wavelength``,
+    the destination ports in draw order and one wavelength per port.
+    It leaves ``free`` unchanged; the caller passes the connection it
+    keeps to :meth:`FreeEndpoints.take`.
 
     Each draw reads a stored list of ``free`` -- the free input codes,
     the ports free on the allowed wavelength (MSW/MSDW) or with any
-    free wavelength (MAW), and each chosen port's free wavelengths --
-    so a call costs its RNG draws, independent of ``N * k``.  MSW/MSDW
-    destinations draw their one admissible wavelength with
-    ``rng.choice`` too: that call consumes random bits, and the streams
-    are pinned with it.
+    free wavelength (MAW), and each chosen port's free wavelengths
+    (MAW) -- so a call costs its random bits, independent of
+    ``N * k``.  Every bounded draw (source, MSDW wavelength, fanout,
+    MAW per-port wavelength) runs the stdlib's own rejection loop,
+    :func:`_below`, on ``rng.getrandbits``, and an MSW/MSDW
+    destination's one admissible wavelength spends the bits
+    ``rng.choice`` spends on a one-element list; the port sample stays
+    ``rng.sample``.  So each draw consumes and returns exactly what the
+    ``choice``/``randrange``/``randint`` calls the streams were pinned
+    with did.
 
     The two hooks are the workload seam: ``pick_fanout`` replaces the
     uniform fanout draw (heavy-tail group sizes), ``pick_ports`` the
@@ -328,11 +408,13 @@ def draw_connection(
     inputs = free.inputs
     if not inputs:
         return None
-    source = rng.choice(inputs)
+    getrandbits = rng.getrandbits
+    source = inputs[_below(getrandbits, len(inputs))]
+    model = free.model
     if model is MulticastModel.MSW:
         allowed: int | None = source % free.k
     elif model is MulticastModel.MSDW:
-        allowed = rng.randrange(free.k)
+        allowed = _below(getrandbits, free.k)
     else:
         allowed = None  # MAW: every wavelength admissible
     eligible = free.ports_any if allowed is None else free.ports_on[allowed]
@@ -340,7 +422,7 @@ def draw_connection(
         return None
     fanout_cap = min(cap, len(eligible))
     if pick_fanout is None:
-        fanout = rng.randint(1, fanout_cap)
+        fanout = 1 + _below(getrandbits, fanout_cap)
     else:
         fanout = max(1, min(fanout_cap, pick_fanout(rng, fanout_cap)))
     if pick_ports is None:
@@ -358,11 +440,16 @@ def draw_connection(
             )
     if allowed is None:
         waves_at = free.waves_at
-        waves = [rng.choice(waves_at[port]) for port in ports]
-    else:
-        only = (allowed,)
-        waves = [rng.choice(only) for _ in ports]
-    return source, ports, waves
+        waves = []
+        for port in ports:
+            free_waves = waves_at[port]
+            waves.append(free_waves[_below(getrandbits, len(free_waves))])
+        return source, ports, waves
+    for _ in range(fanout):
+        # the bits rng.choice((allowed,)) spends: _below(getrandbits, 1)
+        while getrandbits(1):
+            pass
+    return source, ports, [allowed] * fanout
 
 
 def traffic_ops(
@@ -410,9 +497,10 @@ def traffic_ops(
     if cap < 1:
         raise ValueError(f"max_fanout must allow at least one destination, got {cap}")
 
-    free = FreeEndpoints(n_ports, k)
+    free = FreeEndpoints(n_ports, k, model)
+    getrandbits = rng.getrandbits
     # Live setups in ascending id order (ids are issued ascending and
-    # appended): popping index randrange(len) draws the same bits as
+    # appended): popping index _below(len) draws the same bits as
     # rng.choice over the sorted live-id list, which the pinned streams
     # were drawn with.
     live: list[TrafficOp] = []
@@ -420,7 +508,7 @@ def traffic_ops(
 
     def teardown() -> TrafficOp:
         _, connection_id, source, ports, waves = live.pop(
-            rng.randrange(len(live))
+            _below(getrandbits, len(live))
         )
         free.release(source, ports, waves)
         return TEARDOWN, connection_id, source, ports, waves
@@ -429,9 +517,7 @@ def traffic_ops(
         if live and (rng.random() < teardown_probability or not free.inputs):
             yield teardown()
             continue
-        drawn = draw_connection(
-            rng, model, free, cap, pick_fanout, pick_ports
-        )
+        drawn = draw_connection(rng, free, cap, pick_fanout, pick_ports)
         if drawn is None:
             if not live:
                 return  # nothing to do in either direction

@@ -84,7 +84,7 @@ class PoissonErlangConfig(WorkloadConfig):
         arrival_rate = self.offered_erlangs / self.mean_holding
         departure_rate = 1.0 / self.mean_holding
 
-        free = FreeEndpoints(n_ports, k)
+        free = FreeEndpoints(n_ports, k, model)
         live: dict[int, TrafficOp] = {}
         departures: list[tuple[float, int]] = []
         now = 0.0
@@ -102,7 +102,7 @@ class PoissonErlangConfig(WorkloadConfig):
                 yield TEARDOWN, connection_id, source, ports, waves
             if emitted >= steps:
                 return
-            drawn = draw_connection(rng, model, free, cap)
+            drawn = draw_connection(rng, free, cap)
             if drawn is None:
                 if not live:
                     return  # degenerate fabric: nothing can ever connect

@@ -127,43 +127,98 @@ class TestDynamicTraffic:
                 del live_sources[event.connection_id]
 
 
+#: the index lists each model's draws read; the others are never built
+OWN_LISTS = {
+    MulticastModel.MSW: ("inputs", "ports_on"),
+    MulticastModel.MSDW: ("inputs", "ports_on"),
+    MulticastModel.MAW: ("inputs", "waves_at", "ports_any"),
+}
+ALL_LISTS = ("inputs", "ports_on", "waves_at", "ports_any")
+
+
+def _absent(free, model):
+    """Whether the index keeps none of the lists ``model`` does not read."""
+    return not any(
+        hasattr(free, name)
+        for name in ALL_LISTS
+        if name not in OWN_LISTS[model]
+    )
+
+
 class TestFreeEndpoints:
     """Endpoints go in as ints: the source code ``port * k + wavelength``
     and the destination ports with one wavelength each."""
 
     def test_starts_all_free(self):
-        free = FreeEndpoints(3, 2)
+        for model in (MulticastModel.MSW, MulticastModel.MSDW):
+            free = FreeEndpoints(3, 2, model)
+            assert free.model is model
+            assert free.inputs == list(range(6))
+            assert free.ports_on == [[0, 1, 2], [0, 1, 2]]
+            assert _absent(free, model)
+        free = FreeEndpoints(3, 2, MulticastModel.MAW)
         assert free.inputs == list(range(6))
-        assert free.ports_on == [[0, 1, 2], [0, 1, 2]]
         assert free.waves_at == [[0, 1], [0, 1], [0, 1]]
         assert free.ports_any == [0, 1, 2]
+        assert _absent(free, MulticastModel.MAW)
 
     def test_take_then_release_restores_every_list(self):
-        free = FreeEndpoints(3, 2)
-        fresh = FreeEndpoints(3, 2)
-        # source (1, 1) -> destinations (0, 1) and (2, 0)
-        free.take(3, [0, 2], [1, 0])
-        assert free.inputs == [0, 1, 2, 4, 5]
-        assert free.ports_on == [[0, 1], [1, 2]]
-        assert free.waves_at == [[0], [0, 1], [1]]
-        free.take(0, [0], [0])
-        assert free.ports_any == [1, 2]
-        free.release(0, [0], [0])
-        free.release(3, [0, 2], [1, 0])
-        for name in FreeEndpoints.__slots__:
-            assert getattr(free, name) == getattr(fresh, name)
+        for model in MulticastModel:
+            free = FreeEndpoints(3, 2, model)
+            fresh = FreeEndpoints(3, 2, model)
+            if model is MulticastModel.MAW:
+                # source (1, 1) -> destinations (0, 1) and (2, 0)
+                free.take(3, [0, 2], [1, 0])
+                assert free.waves_at == [[0], [0, 1], [1]]
+                free.take(0, [0], [0])
+                assert free.ports_any == [1, 2]
+                free.release(0, [0], [0])
+                free.release(3, [0, 2], [1, 0])
+            else:
+                # source (1, 1) -> destinations (0, 1) and (2, 1)
+                free.take(3, [2, 0], [1, 1])
+                assert free.ports_on == [[0, 1, 2], [1]]
+                free.take(0, [0], [0])
+                assert free.ports_on == [[1, 2], [1]]
+                free.release(0, [0], [0])
+                free.release(3, [2, 0], [1, 1])
+            assert free.inputs == fresh.inputs
+            for name in OWN_LISTS[model]:
+                assert getattr(free, name) == getattr(fresh, name)
 
     def test_double_take_and_double_release_are_rejected(self):
-        free = FreeEndpoints(3, 2)
-        with pytest.raises(ValueError, match="already free"):
-            free.release(3, [0], [1])
-        free.take(3, [0], [1])
-        with pytest.raises(ValueError, match="not free"):
+        for model in MulticastModel:
+            free = FreeEndpoints(3, 2, model)
+            with pytest.raises(ValueError, match="already free"):
+                free.release(3, [0], [1])
             free.take(3, [0], [1])
-        with pytest.raises(ValueError, match="not free"):
-            free.take(2, [0], [1])
-        with pytest.raises(ValueError, match="already free"):
-            free.release(2, [1], [0])
+            with pytest.raises(ValueError, match="not free"):
+                free.take(3, [0], [1])
+            with pytest.raises(ValueError, match="not free"):
+                free.take(2, [0], [1])
+            with pytest.raises(ValueError, match="already free"):
+                free.release(2, [1], [1])
+
+    def test_one_pass_update_rejects_what_port_by_port_does(self):
+        """A connection's ports past a seventh of its wavelength's list
+        update it in one pass; a busy, free or repeated port still
+        raises the port-by-port error naming that endpoint."""
+        model = MulticastModel.MSW
+        free = FreeEndpoints(8, 1, model)
+        free.take(0, [5, 1, 3, 2, 4], [0] * 5)
+        assert free.ports_on == [[0, 6, 7]]
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not free"):
+            FreeEndpoints(8, 1, model).take(0, [1, 2, 3, 1, 4], [0] * 5)
+        with pytest.raises(ValueError, match=r"\(3, 0\) is not free"):
+            free.take(1, [0, 6, 3, 7], [0] * 4)
+        free = FreeEndpoints(8, 1, model)
+        free.take(0, [5, 1, 3, 2, 4], [0] * 5)
+        with pytest.raises(ValueError, match=r"\(0, 0\) is already free"):
+            free.release(0, [5, 1, 0, 2, 4], [0] * 5)
+        free = FreeEndpoints(8, 1, model)
+        free.take(0, [5, 1, 3, 2, 4], [0] * 5)
+        free.release(0, [4, 2, 3, 1, 5], [0] * 5)
+        assert free.ports_on == [list(range(8))]
 
 
 class TestPortPickerContract:
@@ -198,11 +253,11 @@ class TestPortPickerContract:
 
     def test_busy_port_rejected(self):
         """An in-range port whose wavelength is taken is not eligible."""
-        free = FreeEndpoints(3, 1)
+        free = FreeEndpoints(3, 1, MulticastModel.MSW)
         free.take(0, [1], [0])
         with pytest.raises(ValueError, match="pick_ports must return"):
             draw_connection(
-                random.Random(0), MulticastModel.MSW, free, 1,
+                random.Random(0), free, 1,
                 pick_ports=lambda rng, eligible, fanout: [1],
             )
 
@@ -232,8 +287,8 @@ def _recorded_indexes(monkeypatch):
     class Recording(FreeEndpoints):
         __slots__ = ()
 
-        def __init__(self, n_ports, k):
-            super().__init__(n_ports, k)
+        def __init__(self, n_ports, k, model):
+            super().__init__(n_ports, k, model)
             made.append(self)
 
     monkeypatch.setattr(generators, "FreeEndpoints", Recording)
@@ -246,7 +301,10 @@ class TestIndexMatchesPlainSets:
 
     Long streams reach saturated and draining states the pinned
     digests never see, and a ``pick_ports`` hook that mutates the live
-    list it is handed shows up as a list that no longer matches.
+    list it is handed shows up as a list that no longer matches.  The
+    v(3,70,m,63) endpoint space runs at full fanout, where most setups
+    and teardowns rebuild their wavelength's port list in one pass,
+    and at ``max_fanout=2``, where every one updates port by port.
     """
 
     @pytest.mark.parametrize(
@@ -255,38 +313,59 @@ class TestIndexMatchesPlainSets:
          PoissonErlangConfig(offered_erlangs=6.0)],
         ids=lambda c: c.workload,
     )
-    @pytest.mark.parametrize("shape", [(9, 2, None), (12, 3, 2), (16, 1, None)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(9, 2, None, 2000), (12, 3, 2, 2000), (16, 1, None, 2000),
+         (210, 63, None, 80), (210, 63, 2, 80)],
+    )
     def test_lists_equal_sorted_sets_after_every_event(
         self, model, config, shape, monkeypatch
     ):
-        n_ports, k, max_fanout = shape
+        n_ports, k, max_fanout, steps = shape
         made = _recorded_indexes(monkeypatch)
         free_inputs = set(range(n_ports * k))
-        free_outputs = {(p, w) for p in range(n_ports) for w in range(k)}
+        # the free output endpoints (port, wavelength), by each key
+        ports_on = [set(range(n_ports)) for _ in range(k)]
+        waves_at = [set(range(k)) for _ in range(n_ports)]
         events = 0
         for event in config.events(
             model, n_ports, k,
-            steps=2000, rng=stream_rng(5), max_fanout=max_fanout,
+            steps=steps, rng=stream_rng(5), max_fanout=max_fanout,
         ):
             connection = event.connection
             source = connection.source.port * k + connection.source.wavelength
-            outputs = {(d.port, d.wavelength) for d in connection.destinations}
             if event.kind == "setup":
                 free_inputs.remove(source)
-                free_outputs -= outputs
+                for d in connection.destinations:
+                    ports_on[d.wavelength].remove(d.port)
+                    waves_at[d.port].remove(d.wavelength)
             else:
                 free_inputs.add(source)
-                free_outputs |= outputs
+                for d in connection.destinations:
+                    ports_on[d.wavelength].add(d.port)
+                    waves_at[d.port].add(d.wavelength)
             (free,) = made
             assert free.inputs == sorted(free_inputs)
-            assert free.ports_on == [
-                sorted(p for p, w in free_outputs if w == wavelength)
-                for wavelength in range(k)
-            ]
-            assert free.waves_at == [
-                sorted(w for p, w in free_outputs if p == port)
-                for port in range(n_ports)
-            ]
-            assert free.ports_any == sorted({p for p, _ in free_outputs})
+            if model is MulticastModel.MAW:
+                assert free.waves_at == [sorted(w) for w in waves_at]
+                assert free.ports_any == [
+                    p for p, waves in enumerate(waves_at) if waves
+                ]
+            else:
+                assert free.ports_on == [sorted(p) for p in ports_on]
+            assert _absent(free, model)
             events += 1
-        assert events == 2000
+        assert events == steps
+
+
+class TestBelow:
+    """``_below`` is ``Random._randbelow``: the value ``randrange``
+    returns, and the same bits consumed."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 13230])
+    def test_matches_randrange_and_leaves_the_same_state(self, n, antithetic):
+        rng, twin = stream_rng(11, antithetic), stream_rng(11, antithetic)
+        for _ in range(200):
+            assert generators._below(rng.getrandbits, n) == twin.randrange(n)
+        assert rng.getstate() == twin.getstate()
