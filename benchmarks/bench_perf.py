@@ -46,7 +46,7 @@ what the slow path computes before reporting any speedup:
   the serial ones, and the resolved :class:`repro.perf.ExecutionPlan`
   is recorded.  Its ``speedup`` is unguarded.  A serial fallback
   reports 1.0 by construction, but a real pool can lose to serial on
-  this small grid: the committed ``BENCH_perf.json`` reads 0.70x on a
+  this small grid: the committed ``BENCH_perf.json`` reads 0.28x on a
   2-CPU host;
 * ``obs`` -- a serial routing replay and an end-to-end sweep with the
   :mod:`repro.obs` layer off (the default) and on, asserting

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.engine.cover import find_cover_bits, iter_bits
+from repro.engine.cover import CoverSearch, find_cover_bits, iter_bits
 
 __all__ = [
     "BLOCK_KINDS",
@@ -69,18 +69,29 @@ def reach_map(
 
 
 def probe_cover(
-    available: int, dest_mask: int, x: int, blockers: Sequence[int]
+    available: int,
+    dest_mask: int,
+    x: int,
+    blockers: Sequence[int],
+    stats: CoverSearch | None = None,
 ) -> tuple[dict[int, int] | None, dict[int, int]]:
     """One setup's routing decision: ``(cover, partial reach map)``.
 
     Scans available middles in ascending order; if one reaches every
     requested module, greedy would pick exactly that lowest ``j`` with
     the full gain, so the scan short-circuits to ``{j: dest_mask}``
-    without calling the cover search.  Otherwise the accumulated reach
-    map (equal to :func:`reach_map` when the scan completes) feeds
-    :func:`~repro.engine.cover.find_cover_bits`.  ``cover`` is None when
-    the request blocks; the reach map is then complete and is exactly
-    the evidence :func:`block_cause` needs.
+    without calling the cover search (``stats.greedy_hit`` is set, as
+    the search would set it).  Otherwise the accumulated reach map
+    (equal to :func:`reach_map` when the scan completes) feeds
+    :func:`~repro.engine.cover.find_cover_bits`, with ``stats``.
+    ``cover`` is None when the request blocks; the reach map is then
+    complete and is exactly the evidence :func:`block_cause` needs.
+    When no middle reaches any requested module the search is not run
+    at all, so ``stats.exact_nodes`` stays 0 where ``find_cover_bits``
+    on the empty reach map would count its one root node.  ``stats`` is
+    a plain positional parameter, not keyword-only: the batched replay
+    calls this once per setup without it, and filling a keyword-only
+    default costs a dict lookup per call.
     """
     coverable: dict[int, int] = {}
     scan = available
@@ -90,11 +101,13 @@ def probe_cover(
         j = low.bit_length() - 1
         reach = dest_mask & ~blockers[j]
         if reach == dest_mask:
+            if stats is not None:
+                stats.greedy_hit = True
             return {j: dest_mask}, coverable
         if reach:
             coverable[j] = reach
     if coverable:
-        return find_cover_bits(dest_mask, coverable, x), coverable
+        return find_cover_bits(dest_mask, coverable, x, stats=stats), coverable
     return None, coverable
 
 

@@ -18,16 +18,21 @@ contention lives on the inter-stage fibers.
 
 The fiber occupancy is one B = 1 :class:`repro.engine.state.PythonState`
 -- the same bitplanes the batched replay runs on, so the serial
-simulator is a batch of one.  Admission reads its ``setup_views``
-through the engine's mask-level kernels (``free_middles``,
-``reach_map``), ``connect``/``disconnect`` commit and release through
-its ``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is
-the engine's ``block_cause`` on those views, and
+simulator is a batch of one.  Admission is one call of the engine's
+``probe_cover`` on that state's ``setup_views`` (after
+``free_middles``), the same call the batched replay makes per setup;
+``connect``/``disconnect`` commit and release through its
+``allocate``/``free``, :meth:`ThreeStageNetwork.explain_block` is the
+engine's ``block_cause`` on those views, and
 :meth:`ThreeStageNetwork.fiber_masks` reads it back per fiber.
 Endpoint usage is two plain int masks (bit ``port * k + wavelength``).
-The network itself keeps only connection bookkeeping: the
-routed-connection ledger, forced covers, failure/repair and
-signatures.
+The network itself keeps only connection bookkeeping: one record per
+live connection -- the request, its input module, the engine's undo
+branches and its destination-endpoint bits -- plus forced covers,
+failure/repair and signatures.  :class:`RoutedConnection` objects are
+built from a record only when something reads them
+(:attr:`~ThreeStageNetwork.active_connections`, the conversion counts,
+the invariant check, ``fail_middle`` and the obs admit hook).
 
 Wavelength discipline
 ---------------------
@@ -44,7 +49,9 @@ Wavelength discipline
   convert -- exactly the distinction Fig. 10 illustrates.
 
 Routing uses the x-middle-switch strategy via
-:func:`repro.multistage.routing.find_cover_bits`; a request raises
+:func:`repro.engine.kernel.probe_cover` (Lemma 4's cover search,
+:func:`repro.multistage.routing.find_cover_bits`, unless one middle
+reaches every requested module); a request raises
 :class:`BlockedError` only when *no* set of at most ``x`` available
 middle switches can reach all requested output modules, so a network
 sized by Theorem 1/2 must never raise under legal traffic.  Routing
@@ -60,21 +67,18 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
+from typing import NoReturn
 
 from repro import obs as _obs
 from repro.combinatorics.multiset import DestinationMultiset
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import is_nonblocking, valid_x_range
 from repro.engine.geometry import FabricGeometry
-from repro.engine.kernel import block_cause, free_middles, reach_map
-from repro.engine.state import PythonState
-from repro.multistage.routing import (
-    CoverSearch,
-    find_cover_bits,
-    iter_bits,
-    mask_of,
-)
+from repro.engine.kernel import block_cause, free_middles, probe_cover, reach_map
+from repro.engine.state import Branches, PythonState
+from repro.multistage.routing import CoverSearch, iter_bits, mask_of
 from repro.multistage.topology import ThreeStageTopology
 from repro.switching.requests import Endpoint, MulticastConnection
 from repro.switching.validity import ValidityError, check_connection
@@ -93,6 +97,15 @@ def _permute_wavelengths(mask: int, perm: tuple[int, ...]) -> int:
         if mask >> w & 1:
             out |= 1 << i
     return out
+
+
+@cache
+def _spread_table(field: int) -> tuple[int, ...]:
+    """Per byte value, its bits moved to stride ``field``: bit ``i`` to ``i * field``."""
+    return tuple(
+        sum(1 << (i * field) for i in range(8) if byte >> i & 1)
+        for byte in range(256)
+    )
 
 
 def _cover_lists(cover: dict[int, int]) -> dict[int, list[int]]:
@@ -181,9 +194,9 @@ class ThreeStageNetwork:
         self._state = PythonState((self.geometry,))
         self._input_used = 0
         self._output_used = 0
-        self._active: dict[int, RoutedConnection] = {}
-        # The engine's undo branches per live connection id.
-        self._undo: dict[int, tuple] = {}
+        # Per live connection id: (request, input module, the engine's
+        # undo branches, destination-endpoint bits).
+        self._live: dict[int, tuple[MulticastConnection, int, Branches, int]] = {}
         self._next_id = 0
         self.setups = 0
         self.teardowns = 0
@@ -193,8 +206,26 @@ class ThreeStageNetwork:
 
     @property
     def active_connections(self) -> dict[int, RoutedConnection]:
-        """Live connections by id (a copy)."""
-        return dict(self._active)
+        """Live connections by id, each built from its record on this read.
+
+        A new dict of new :class:`RoutedConnection` objects per read;
+        repeated reads of an unchanged network compare equal.
+        """
+        return {cid: self._routed(cid) for cid in self._live}
+
+    def _routed(self, connection_id: int) -> RoutedConnection:
+        """The live connection ``connection_id`` as a :class:`RoutedConnection`."""
+        request, g, undo, _ = self._live[connection_id]
+        sw = request.source.wavelength
+        if self._state.msw_dominant:
+            # The carrier is pinned to the source wavelength end to end.
+            branches = tuple(
+                RoutedBranch(j, sw, tuple([(p, sw) for p in iter_bits(assigned)]))
+                for j, assigned in undo
+            )
+        else:
+            branches = tuple(RoutedBranch(*branch) for branch in undo)
+        return RoutedConnection(connection_id, request, g, branches)
 
     def is_provably_nonblocking(self, *, corrected: bool = True) -> bool:
         """Does this network's ``m`` meet the sufficient bound at this ``x``?
@@ -290,7 +321,7 @@ class ThreeStageNetwork:
         stronger models spend converters for their flexibility -- the
         trade-off Section 2.3.2 prices.
         """
-        routed = self._active[connection_id]
+        routed = self._routed(connection_id)
         source_wavelength = routed.request.source.wavelength
         by_module: dict[int, list[int]] = defaultdict(list)
         for destination in routed.request.destinations:
@@ -311,7 +342,7 @@ class ThreeStageNetwork:
 
     def total_conversions(self) -> int:
         """Sum of :meth:`conversions_of` over all live connections."""
-        return sum(self.conversions_of(cid) for cid in self._active)
+        return sum(self.conversions_of(cid) for cid in self._live)
 
     def link_utilization(self) -> dict[str, float]:
         """Fraction of busy wavelength channels per inter-stage gap."""
@@ -347,21 +378,25 @@ class ThreeStageNetwork:
         # Fixed-width little-endian fields, lowest first: per (input
         # module, middle) fiber, then per (middle, output module) fiber,
         # bit w of each = wavelength w busy; then the two endpoint
-        # masks.  Each busy bit goes straight into the one int.
+        # masks.  Per wavelength, the planes laid end to end hold its
+        # bit of every fiber in field order, and the table places them
+        # a byte at a time: the bits land ``field`` apart, offset by w.
+        spread = _spread_table(field)
+        stride = 8 * field
         packed = 0
-        for g, planes in enumerate(in_planes):
-            for w, plane in enumerate(planes):
-                while plane:
-                    low = plane & -plane
-                    plane ^= low
-                    packed |= 1 << ((g * m + low.bit_length() - 1) * field + w)
-        for w, plane in enumerate(out_planes):
-            for j, mask in enumerate(plane):
-                base = r * m + j * r
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    packed |= 1 << ((base + low.bit_length() - 1) * field + w)
+        for w in range(k):
+            bits = 0
+            for g, planes in enumerate(in_planes):
+                bits |= planes[w] << (g * m)
+            offset = r * m
+            for mask in out_planes[w]:
+                bits |= mask << offset
+                offset += r
+            shift = w
+            while bits:
+                packed |= spread[bits & 255] << shift
+                bits >>= 8
+                shift += stride
         fibers = 2 * r * m * field
         packed |= self._input_used << fibers
         packed |= self._output_used << (fibers + 8 * ep_bytes)
@@ -452,54 +487,52 @@ class ThreeStageNetwork:
 
     # -- request admission --------------------------------------------------
 
-    def _fast_validate(self, request: MulticastConnection) -> bool:
-        """True iff ``request`` is a legal addition, checked via the masks.
+    def _fast_validate(self, request: MulticastConnection) -> tuple[int, int] | None:
+        """A legal addition's ``(destination-endpoint bits, module mask)``.
 
-        Exact (never accepts what :meth:`_validate_request`'s slow path
-        rejects), so a False return only means "take the slow path to
-        raise the properly worded error".  The bitmask kernel's
-        admission check on the Monte-Carlo hot path.
+        Checked via the masks, and exact (never accepts what
+        :meth:`_validate_request` rejects), so None only means "take the
+        slow path to raise the properly worded error".  The admission
+        check on the Monte-Carlo hot path; the endpoint bits are what
+        ``connect`` marks busy and ``disconnect`` clears.
         """
         topology = self.topology
         k = topology.k
+        n = topology.n
         n_ports = topology.n_ports
         source = request.source
         source_wavelength = source.wavelength
         if not (0 <= source.port < n_ports and 0 <= source_wavelength < k):
-            return False
+            return None
         if self._input_used >> (source.port * k + source_wavelength) & 1:
-            return False
+            return None
         destinations = request.destinations
         if not destinations:
-            return False
-        model = self.model
-        output_used = self._output_used
-        ports_seen = 0
-        first_wavelength = -1
+            return None
+        ports = endpoints = modules = wavelengths = 0
         for destination in destinations:
             port = destination.port
             wavelength = destination.wavelength
             if not (0 <= port < n_ports and 0 <= wavelength < k):
-                return False
-            bit = 1 << port
-            if ports_seen & bit:
-                return False
-            ports_seen |= bit
-            if output_used >> (port * k + wavelength) & 1:
-                return False
-            if first_wavelength < 0:
-                first_wavelength = wavelength
-            elif wavelength != first_wavelength and model is not MulticastModel.MAW:
-                return False
-        if model is MulticastModel.MSW and first_wavelength != source_wavelength:
-            return False
-        return True
+                return None
+            ports |= 1 << port
+            endpoints |= 1 << (port * k + wavelength)
+            modules |= 1 << (port // n)
+            wavelengths |= 1 << wavelength
+        # One port per destination, every destination endpoint free, and
+        # the model's wavelength rule: one destination wavelength unless
+        # MAW, the source's under MSW.
+        if ports.bit_count() != len(destinations) or self._output_used & endpoints:
+            return None
+        model = self.model
+        if model is not MulticastModel.MAW and wavelengths & (wavelengths - 1):
+            return None
+        if model is MulticastModel.MSW and wavelengths != 1 << source_wavelength:
+            return None
+        return endpoints, modules
 
-    def _validate_request(self, request: MulticastConnection) -> None:
-        if self._fast_validate(request):
-            return
-        # Slow path: a request the fast path refused, re-checked here so
-        # the error names what is wrong with it.
+    def _validate_request(self, request: MulticastConnection) -> NoReturn:
+        """Raise the worded error for a request :meth:`_fast_validate` refused."""
         try:
             check_connection(
                 request, self.model, self.topology.n_ports, self.topology.k
@@ -515,6 +548,9 @@ class ThreeStageNetwork:
                 raise ValidityError(
                     f"output endpoint {destination} already in use"
                 )
+        # Only a request without destinations gets here, which
+        # ``MulticastConnection`` refuses to build.
+        raise ValidityError(f"illegal request: {request} has no destinations")
 
     # -- routing -----------------------------------------------------------
 
@@ -533,54 +569,6 @@ class ThreeStageNetwork:
         )
         return available, blocked[0], blockers[0]
 
-    def _coverable_bits(
-        self,
-        input_module: int,
-        source_wavelength: int,
-        dest_mask: int,
-    ) -> dict[int, int]:
-        """Per available middle, the destination modules it can reach.
-
-        The engine kernel's ``reach_map`` on this network's state: keys
-        iterate in ascending middle index (the cover search's candidate
-        order); values are bitmasks over output modules.
-        """
-        available, _, blockers = self._available(input_module, source_wavelength)
-        return reach_map(available, dest_mask, blockers)
-
-    def _cover_for(
-        self,
-        request: MulticastConnection,
-        *,
-        stats: CoverSearch | None = None,
-        force_middles: dict[int, list[int]] | None = None,
-    ) -> tuple[int, dict[int, int] | None]:
-        """Run the cover search for ``request`` against the current state.
-
-        Returns ``(input_module, cover)`` without mutating any state;
-        ``cover`` maps each chosen middle to its bitmask of output
-        modules, or is None when the request has no <= x-middle cover.
-        """
-        # Ports were range-checked at admission, so the module mapping
-        # inlines the ``port // n`` arithmetic instead of going through
-        # the re-validating topology accessors.
-        n = self.topology.n
-        g = request.source.port // n
-        dest_mask = 0
-        for destination in request.destinations:
-            dest_mask |= 1 << (destination.port // n)
-        coverable_bits = self._coverable_bits(
-            g, request.source.wavelength, dest_mask
-        )
-        if force_middles is not None:
-            return g, self._validated_forced_cover(
-                force_middles, dest_mask, coverable_bits
-            )
-        cover = find_cover_bits(dest_mask, coverable_bits, self.x, stats=stats)
-        if stats is not None:
-            stats.cover = None if cover is None else _cover_lists(cover)
-        return g, cover
-
     def probe_cover(
         self, request: MulticastConnection, *, stats: CoverSearch | None = None
     ) -> dict[int, list[int]] | None:
@@ -590,7 +578,14 @@ class ThreeStageNetwork:
         request would block -- the primitive the exhaustive model checker
         probes reachable states with.
         """
-        cover = self._cover_for(request, stats=stats)[1]
+        n = self.topology.n
+        available, _, blockers = self._available(
+            request.source.port // n, request.source.wavelength
+        )
+        dest_mask = mask_of(d.port // n for d in request.destinations)
+        cover = probe_cover(available, dest_mask, self.x, blockers, stats)[0]
+        if stats is not None:
+            stats.cover = None if cover is None else _cover_lists(cover)
         return None if cover is None else _cover_lists(cover)
 
     def explain_block(self, request: MulticastConnection) -> dict:
@@ -671,10 +666,23 @@ class ThreeStageNetwork:
             ValueError: a ``force_middles`` split is malformed or
                 infeasible.
         """
-        self._validate_request(request)
-        g, cover = self._cover_for(
-            request, stats=stats, force_middles=force_middles
-        )
+        legal = self._fast_validate(request)
+        if legal is None:
+            self._validate_request(request)
+        endpoints, dest_mask = legal
+        source = request.source
+        sw = source.wavelength
+        # Ports were range-checked, so ``port // n`` is the input module.
+        g = source.port // self.topology.n
+        available, _, blockers = self._available(g, sw)
+        if force_middles is None:
+            cover = probe_cover(available, dest_mask, self.x, blockers, stats)[0]
+            if stats is not None:
+                stats.cover = None if cover is None else _cover_lists(cover)
+        else:
+            cover = self._validated_forced_cover(
+                force_middles, dest_mask, reach_map(available, dest_mask, blockers)
+            )
         if cover is None:
             self.blocks += 1
             if _obs.enabled():
@@ -684,36 +692,15 @@ class ThreeStageNetwork:
                 "among the available middles"
             )
 
-        source = request.source
-        sw = source.wavelength
         undo = self._state.allocate(0, g, sw, cover)
-        if self._state.msw_dominant:
-            # The carrier is pinned to the source wavelength end to end.
-            branches = tuple(
-                RoutedBranch(j, sw, tuple([(p, sw) for p in iter_bits(assigned)]))
-                for j, assigned in undo
-            )
-        else:
-            branches = tuple(RoutedBranch(*branch) for branch in undo)
-
-        k = self.topology.k
-        self._input_used |= 1 << (source.port * k + sw)
-        for destination in request.destinations:
-            self._output_used |= 1 << (destination.port * k + destination.wavelength)
-
+        self._input_used |= 1 << (source.port * self.topology.k + sw)
+        self._output_used |= endpoints
         connection_id = self._next_id
-        self._next_id += 1
-        routed = RoutedConnection(
-            connection_id=connection_id,
-            request=request,
-            input_module=g,
-            branches=branches,
-        )
-        self._active[connection_id] = routed
-        self._undo[connection_id] = undo
+        self._next_id = connection_id + 1
+        self._live[connection_id] = (request, g, undo, endpoints)
         self.setups += 1
         if _obs.enabled():
-            _obs.on_admit(self, routed, stats)
+            _obs.on_admit(self, self._routed(connection_id), stats)
         if self.debug_checks:
             self.check_invariants()
         return connection_id
@@ -749,10 +736,11 @@ class ThreeStageNetwork:
         margin.
         """
         self._check_index("middle", middle, self.topology.m)
+        # Every undo branch, under either construction, starts with its middle.
         victims = [
             cid
-            for cid, routed in self._active.items()
-            if middle in routed.middles_used
+            for cid, (_, _, undo, _) in self._live.items()
+            if any(branch[0] == middle for branch in undo)
         ]
         if victims and not drain:
             raise ValueError(
@@ -761,7 +749,7 @@ class ThreeStageNetwork:
             )
         drained = []
         for cid in victims:
-            drained.append(self._active[cid].request)
+            drained.append(self._live[cid][0])
             self.disconnect(cid)
         self._state.failed_mask |= 1 << middle
         return drained
@@ -818,19 +806,15 @@ class ThreeStageNetwork:
 
     def disconnect(self, connection_id: int) -> None:
         """Tear down a live connection and release its resources."""
-        routed = self._active.pop(connection_id, None)
-        if routed is None:
+        record = self._live.pop(connection_id, None)
+        if record is None:
             raise KeyError(f"no active connection with id {connection_id}")
-        source = routed.request.source
-        self._state.free(
-            0, routed.input_module, source.wavelength, self._undo.pop(connection_id)
-        )
-        k = self.topology.k
-        self._input_used &= ~(1 << (source.port * k + source.wavelength))
-        for destination in routed.request.destinations:
-            self._output_used &= ~(
-                1 << (destination.port * k + destination.wavelength)
-            )
+        request, g, undo, endpoints = record
+        source = request.source
+        sw = source.wavelength
+        self._state.free(0, g, sw, undo)
+        self._input_used &= ~(1 << (source.port * self.topology.k + sw))
+        self._output_used &= ~endpoints
         self.teardowns += 1
         if _obs.enabled():
             _obs.on_release(self, connection_id)
@@ -839,7 +823,7 @@ class ThreeStageNetwork:
 
     def disconnect_all(self) -> None:
         """Tear everything down (returns the network to idle)."""
-        for connection_id in list(self._active):
+        for connection_id in list(self._live):
             self.disconnect(connection_id)
 
     # -- invariants ----------------------------------------------------------
@@ -848,7 +832,8 @@ class ThreeStageNetwork:
         """Verify the engine state equals the sum of active connections.
 
         Rebuilds the per-fiber and endpoint masks from the connection
-        ledger and compares them with the live state, then checks every
+        records (and each record's endpoint bits from its request) and
+        compares them with the live state, then checks every
         ``setup_views(g, sw)`` -- the admission rows the kernels read --
         against the rebuilt fibers.  Used by the fuzz tests after every
         event: any leak or double-booking in setup/teardown shows up
@@ -860,16 +845,20 @@ class ThreeStageNetwork:
         out_wave = [[0] * r for _ in range(m)]
         input_mask = 0
         output_mask = 0
-        for routed in self._active.values():
+        for cid, (_, _, _, endpoints) in self._live.items():
+            routed = self._routed(cid)
             g = routed.input_module
             source = routed.request.source
             bit = 1 << (source.port * k + source.wavelength)
             assert not input_mask & bit
             input_mask |= bit
+            bits = 0
             for destination in routed.request.destinations:
                 bit = 1 << (destination.port * k + destination.wavelength)
                 assert not output_mask & bit
                 output_mask |= bit
+                bits |= bit
+            assert bits == endpoints, "recorded endpoint bits out of sync"
             for branch in routed.branches:
                 wbit = 1 << branch.in_wavelength
                 assert not in_wave[g][branch.middle] & wbit, (

@@ -28,8 +28,9 @@ thread sees nothing another thread does (each thread starts with no
 capture).  :func:`active` returns the active capture or None.
 
 **Zero cost when off.**  Every hook site in the simulator guards on
-:func:`enabled` -- one call of the context variable's getter, bound at
-import -- and the disabled hook functions return before touching
+``enabled()`` -- the bound getter of a boolean context variable that
+:func:`capture` sets beside the capture, so a read is one C call and
+no Python frame -- and the disabled hook functions return before touching
 anything, allocating nothing.  ``benchmarks/bench_perf.py`` bounds the
 obs-off overhead of the routing replay at 2%, and ``tests/obs``
 asserts the disabled admit path performs zero allocations.
@@ -99,13 +100,14 @@ class Capture:
 
 #: the active capture of the current context, None outside every capture
 _RUN: ContextVar[Capture | None] = ContextVar("repro_obs_capture", default=None)
-#: the getter, bound once: the hot-path guard calls it without a lookup
+#: the getter, bound once: the hooks call it without a lookup
 _active = _RUN.get
-
-
-def enabled() -> bool:
-    """Is a capture active?  The hot-path guard."""
-    return _active() is not None
+#: True exactly while ``_RUN`` holds a capture; :func:`capture` sets and
+#: resets the two together
+_ON: ContextVar[bool] = ContextVar("repro_obs_enabled", default=False)
+#: Is a capture active?  The hot-path guard: the flag's bound getter,
+#: so a read is one C call that returns a real bool for this context.
+enabled = _ON.get
 
 
 def active() -> Capture | None:
@@ -123,9 +125,11 @@ def capture(*, tracer: Tracer | None = None) -> Iterator[Capture]:
     """
     run = Capture(metrics=MetricsRegistry(), tracer=tracer)
     token = _RUN.set(run)
+    on = _ON.set(True)
     try:
         yield run
     finally:
+        _ON.reset(on)
         _RUN.reset(token)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.models import Construction, MulticastModel
-from repro.engine.cover import find_cover_bits, mask_of
+from repro.engine.cover import CoverSearch, find_cover_bits, mask_of
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import (
     BLOCK_KINDS,
@@ -96,17 +96,26 @@ class TestMaskKernels:
     def test_probe_cover_equals_reach_map_plus_cover_search(
         self, m, x, dest_bits, data
     ):
-        """The greedy full-reach shortcut never changes the chosen cover."""
+        """The greedy full-reach shortcut never changes the chosen cover,
+        and reports the search statistics the composition would."""
         dest_mask = mask_of(dest_bits)
         blockers = [
             data.draw(st.integers(0, 31), label=f"blockers[{j}]")
             for j in range(m)
         ]
         available = data.draw(st.integers(0, (1 << m) - 1), label="available")
-        cover, _ = probe_cover(available, dest_mask, x, blockers)
+        probed, composed = CoverSearch(), CoverSearch()
+        cover, _ = probe_cover(available, dest_mask, x, blockers, probed)
         full = reach_map(available, dest_mask, blockers)
-        expected = find_cover_bits(dest_mask, full, x) if full else None
+        expected = find_cover_bits(dest_mask, full, x, stats=composed)
         assert cover == expected
+        assert probed.greedy_hit == composed.greedy_hit
+        if full:
+            assert probed.exact_nodes == composed.exact_nodes
+        else:
+            # No middle reaches a destination: the probe runs no search,
+            # where the composition counts its one root node.
+            assert (probed.exact_nodes, composed.exact_nodes) == (0, 1)
 
     def test_classify_kind_all_four(self):
         assert classify_kind(0, {}, 0b1, True) == "saturated_wavelength"

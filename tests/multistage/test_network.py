@@ -5,12 +5,17 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.combinatorics.multiset import DestinationMultiset
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.network import ThreeStageNetwork
+from repro.engine.cover import CoverSearch, find_cover_bits, iter_bits, mask_of
+from repro.engine.kernel import reach_map
+from repro.multistage.network import BlockedError, ThreeStageNetwork
+from repro.switching.generators import dynamic_traffic
 from repro.switching.requests import Endpoint, MulticastConnection
-from repro.switching.validity import ValidityError
+from repro.switching.validity import ValidityError, is_valid_connection
 
 
 def conn(source, *destinations):
@@ -268,3 +273,107 @@ class TestAccessorIndexChecks:
         net.connect(conn((0, 0), (2, 0)))
         with pytest.raises(ValueError, match=re.escape(message)):
             getattr(net, method)(*args)
+
+
+class TestLiveRecords:
+    """Each live connection is one record; its objects are built on read."""
+
+    @pytest.mark.parametrize(
+        "construction", [Construction.MSW_DOMINANT, Construction.MAW_DOMINANT]
+    )
+    def test_active_connections_equal_on_repeated_reads(self, construction):
+        net = network(n=3, construction=construction, model=MulticastModel.MAW, x=2)
+        net.connect(conn((0, 0), (0, 1), (3, 0)))
+        net.connect(conn((1, 1), (4, 1), (6, 0)))
+        gone = net.connect(conn((2, 0), (7, 0)))
+        net.disconnect(gone)
+        first = net.active_connections
+        first.clear()  # a copy: the network keeps its connections
+        first, second = net.active_connections, net.active_connections
+        assert first == second and len(first) == 2 and gone not in first
+
+    def test_drain_takes_exactly_the_connections_through_the_middle(self):
+        """MAW-dominant undo branches are ``(middle, carrier, deliveries)``:
+        only the middle decides, never a carrier index equal to it."""
+        net = network(
+            r=2, m=3, construction=Construction.MAW_DOMINANT, model=MulticastModel.MAW
+        )
+        first = conn((0, 0), (0, 0))
+        second = conn((0, 1), (2, 1))  # carrier 1 on middle 0's fiber
+        third = conn((2, 0), (3, 0))
+        net.connect(first, force_middles={0: [0]})
+        kept = net.connect(second, force_middles={0: [1]})
+        net.connect(third, force_middles={1: [1]})
+        [branch] = net.active_connections[kept].branches
+        assert (branch.middle, branch.in_wavelength) == (0, 1)
+        assert net.fail_middle(1, drain=True) == [third]
+        live = net.active_connections.values()
+        assert [routed.request for routed in live] == [first, second]
+        net.check_invariants()
+        assert net.fail_middle(0, drain=True) == [first, second]
+        assert net.active_connections == {}
+        net.check_invariants()
+
+    @pytest.mark.parametrize("model", list(MulticastModel))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_validation_is_exact(self, model, data):
+        """The mask check accepts exactly the legal additions, and returns
+        their destination-endpoint bits and output-module mask."""
+        net = network(model=model, m=6, k=2)
+        net.connect(conn((0, 0), (1, 0), (3, 0)))
+        net.connect(conn((4, 1), (0, 1)))
+        endpoint = st.tuples(st.integers(0, 7), st.integers(0, 2))
+        source = data.draw(endpoint, label="source")
+        ports = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
+        waves = data.draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        request = conn(source, *zip(sorted(ports), waves))
+        live = [routed.request for routed in net.active_connections.values()]
+        legal = (
+            is_valid_connection(request, model, 6, 2)
+            and all(request.source != c.source for c in live)
+            and all(not request.destinations & c.destinations for c in live)
+        )
+        got = net._fast_validate(request)
+        assert (got is not None) == legal
+        if legal:
+            assert got == (
+                mask_of(d.port * 2 + d.wavelength for d in request.destinations),
+                mask_of(d.port // 2 for d in request.destinations),
+            )
+        else:
+            with pytest.raises(ValidityError):
+                net.connect(request)
+
+    def test_connect_reports_the_cover_search(self):
+        """``connect(stats=...)`` records what the reach map plus cover
+        search would: greedy hit, the cover, and the exact-search nodes
+        whenever some middle reaches a destination."""
+        net = ThreeStageNetwork(3, 3, 3, 2, x=2)
+        live, greedy, searched = {}, 0, 0
+        for event in dynamic_traffic(MulticastModel.MSW, 9, 2, steps=400, seed=4):
+            if event.kind != "setup":
+                if event.connection_id in live:
+                    net.disconnect(live.pop(event.connection_id))
+                continue
+            request = event.connection
+            g = request.source.port // 3
+            dest_mask = mask_of(d.port // 3 for d in request.destinations)
+            available, _, blockers = net._available(g, request.source.wavelength)
+            full = reach_map(available, dest_mask, blockers)
+            composed, stats = CoverSearch(), CoverSearch()
+            cover = find_cover_bits(dest_mask, full, net.x, stats=composed)
+            try:
+                live[event.connection_id] = net.connect(request, stats=stats)
+            except BlockedError:
+                assert cover is None
+            expected = None if cover is None else {
+                j: sorted(iter_bits(bits)) for j, bits in cover.items()
+            }
+            assert stats.cover == expected
+            assert stats.greedy_hit == composed.greedy_hit
+            if full:
+                assert stats.exact_nodes == composed.exact_nodes
+            greedy += stats.greedy_hit
+            searched += stats.exact_nodes > 0
+        assert greedy and searched  # both search phases ran

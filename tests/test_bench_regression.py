@@ -87,6 +87,24 @@ class TestVerdicts:
         assert code == 0
         assert diff["sections"]["batched"]["baseline_speedup"] is None
 
+    def test_diff_shows_both_sides_when_the_slow_side_got_faster(
+        self, tmp_path, capsys
+    ):
+        """A ratio that fell because its reference side sped up: the
+        verdict is unchanged, and the diff names which side moved."""
+        baseline = report(**GUARDED)
+        baseline["workloads"].update(serial_s=2.078, batched_s=0.155)
+        fresh = report(**dict(GUARDED, workloads=5.76))
+        fresh["workloads"].update(serial_s=0.892, batched_s=0.155, note_s="x")
+        code, diff = run(tmp_path, baseline, fresh)
+        assert code == 1 and diff["regressions"] == ["workloads"]
+        entry = diff["sections"]["workloads"]
+        assert entry["baseline_s"] == {"serial_s": 2.078, "batched_s": 0.155}
+        assert entry["fresh_s"] == {"serial_s": 0.892, "batched_s": 0.155}
+        assert diff["sections"]["engine"]["fresh_s"] == {}
+        out = capsys.readouterr().out
+        assert "serial_s 2.078 -> 0.892s  batched_s 0.155 -> 0.155s" in out
+
     def test_mode_mismatch_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="mode mismatch"):
             run(tmp_path, report(quick=True, **GUARDED),

@@ -16,7 +16,11 @@ the job of ``bench/run.py``.)
 
 Writes a ``BENCH_diff.json`` report with per-section baseline/fresh
 speedups and relative deltas (all sections, guarded or not), suitable
-for uploading as a CI artifact.
+for uploading as a CI artifact.  Each entry also carries both reports'
+top-level ``*_s`` timings of its section (``baseline_s``/``fresh_s``),
+which the summary prints beside the ratio: a ratio that fell because
+its reference side got faster reads differently from one whose fast
+path got slower.
 
 Usage::
 
@@ -64,6 +68,15 @@ def load_report(path: Path) -> dict:
         sys.exit(f"error: {path} is not valid JSON: {exc}")
 
 
+def section_timings(result: dict) -> dict[str, float]:
+    """A section's top-level ``*_s`` timings (its two sides, and any total)."""
+    return {
+        name: value
+        for name, value in result.items()
+        if name.endswith("_s") and isinstance(value, (int, float))
+    }
+
+
 def diff_reports(
     baseline: dict, fresh: dict, guarded: tuple[str, ...], threshold: float
 ) -> dict:
@@ -80,6 +93,7 @@ def diff_reports(
             "fresh_speedup": result["speedup"],
             "identical": result.get("identical"),
             "guarded": name in guarded,
+            "fresh_s": section_timings(result),
         }
         # A section may declare an absolute floor its speedup must meet
         # regardless of the baseline (the ``adaptive`` section floors
@@ -93,6 +107,7 @@ def diff_reports(
         base = baseline.get(name)
         if isinstance(base, dict) and "speedup" in base:
             entry["baseline_speedup"] = base["speedup"]
+            entry["baseline_s"] = section_timings(base)
             entry["relative_change"] = (
                 result["speedup"] / base["speedup"] - 1.0
             )
@@ -103,6 +118,7 @@ def diff_reports(
             # A section the baseline predates cannot regress; record it
             # so the baseline refresh is visible in the artifact.
             entry["baseline_speedup"] = None
+            entry["baseline_s"] = None
             entry["relative_change"] = None
             entry["regressed"] = False
         if entry["regressed"]:
@@ -178,17 +194,23 @@ def main(argv: list[str] | None = None) -> int:
         base = entry["baseline_speedup"]
         change = entry["relative_change"]
         mark = "GUARD" if entry["guarded"] else "     "
+        base_s = entry["baseline_s"] or {}
+        sides = "".join(
+            f"  {side} {base_s[side]:.4g} -> {fresh:.4g}s" if side in base_s
+            else f"  {side} {fresh:.4g}s"
+            for side, fresh in entry["fresh_s"].items()
+        )
         if base is None:
             print(
                 f"{mark} {name:15s} {entry['fresh_speedup']:6.2f}x "
-                "(no baseline)"
+                f"(no baseline){sides}"
             )
         else:
             flag = "REGRESSED" if entry["regressed"] else "ok"
             print(
                 f"{mark} {name:15s} {base:6.2f}x -> "
                 f"{entry['fresh_speedup']:6.2f}x "
-                f"({change:+.1%})  [{flag}]"
+                f"({change:+.1%})  [{flag}]{sides}"
             )
     print(f"wrote {args.output}")
     if diff["missing_guarded_sections"]:

@@ -311,8 +311,9 @@ whole traffic configuration as well as `m`, so two sweeps sharing an
     "repro.obs": """\
 ### Zero cost when off
 
-Every hot-path hook guards on `obs.enabled()` -- one call of a
-context variable's getter, bound at import -- and the disabled hooks
+Every hot-path hook guards on `obs.enabled()` -- the bound getter of
+a boolean context variable that `capture()` sets and resets beside the
+capture, so a guard read is one C call -- and the disabled hooks
 return before allocating anything (`tests/obs/test_overhead.py`
 asserts zero allocations; `benchmarks/bench_perf.py` bounds the
 obs-off overhead at <= 2% of a serial routing replay).
