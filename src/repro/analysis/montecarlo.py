@@ -90,9 +90,7 @@ class AdaptiveInfo:
         rounds: sampling rounds this cell ran before stopping.
         replications: independent replications pooled (antithetic twins
             count individually).
-        events: total traffic events simulated
-            (``replications x steps``) -- the budget the fixed-budget
-            comparison in ``bench_perf.py`` measures against.
+        events: traffic events simulated (``replications x steps``).
         converged: whether the CI target was met (False means the
             round cap stopped the cell first).
         target_half_width: the requested half-width.

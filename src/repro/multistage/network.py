@@ -87,7 +87,16 @@ __all__ = ["BlockedError", "RoutedBranch", "RoutedConnection", "ThreeStageNetwor
 
 
 class BlockedError(RuntimeError):
-    """No admissible set of middle switches can realize the request."""
+    """No admissible set of middle switches can realize the request.
+
+    ``args`` is ``(request, x)``; the message is built only when read,
+    since :meth:`ThreeStageNetwork.try_connect` discards it.
+    """
+
+    def __str__(self) -> str:
+        request, x = self.args
+        cover = f"no <= {x}-middle cover among the available middles"
+        return f"request {request} blocked: {cover}"
 
 
 def _permute_wavelengths(mask: int, perm: tuple[int, ...]) -> int:
@@ -687,10 +696,7 @@ class ThreeStageNetwork:
             self.blocks += 1
             if _obs.enabled():
                 _obs.on_block(self, request, self.explain_block(request), stats)
-            raise BlockedError(
-                f"request {request} blocked: no <= {self.x}-middle cover "
-                "among the available middles"
-            )
+            raise BlockedError(request, self.x)
 
         undo = self._state.allocate(0, g, sw, cover)
         self._input_used |= 1 << (source.port * self.topology.k + sw)

@@ -30,10 +30,8 @@ capture).  :func:`active` returns the active capture or None.
 **Zero cost when off.**  Every hook site in the simulator guards on
 ``enabled()`` -- the bound getter of a boolean context variable that
 :func:`capture` sets beside the capture, so a read is one C call and
-no Python frame -- and the disabled hook functions return before touching
-anything, allocating nothing.  ``benchmarks/bench_perf.py`` bounds the
-obs-off overhead of the routing replay at 2%, and ``tests/obs``
-asserts the disabled admit path performs zero allocations.
+no Python frame -- and the disabled hooks return before touching
+anything (``tests/obs`` counts the guard reads and the allocations).
 
 Typical use::
 

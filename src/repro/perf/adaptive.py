@@ -9,8 +9,7 @@ replication count with a **sequential stopping rule**: every cell runs
 pooled :class:`~repro.analysis.montecarlo.BlockingEstimate` reaches a
 requested half-width (absolute or relative), then stops.  On a typical
 curve most cells stop at the round floor and the event budget
-concentrates where the variance is -- the whole-curve cost drops by the
-ratio ``bench_perf.py``'s ``adaptive`` section guards.
+concentrates where the variance is.
 
 Three layers make the rounds cheap, low-variance and resumable:
 

@@ -35,10 +35,9 @@ admission kernels of :mod:`repro.engine` (``probe_cover`` for routing,
 :class:`~repro.engine.state.PythonState` -- the same state the serial
 network runs on.  The traffic generator's RNG stream, first-fit
 wavelength assignment and ascending-middle allocation order are all
-properties of those kernels, and the property tests plus
-``bench_perf.py`` assert per-replication equality of ``(attempts,
-blocked)`` and causes against the bitmask kernel, and of every lane's
-end planes against a one-lane replay.
+properties of those kernels; the property tests assert per-replication
+equality of ``(attempts, blocked)`` and causes against the bitmask
+kernel, and of every lane's end planes against a one-lane replay.
 
 The engine is wired in as the ``"batched"`` kernel (the estimators'
 ``kernel`` argument, ``SearchConfig.kernel`` on the facade):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import pytest
@@ -72,6 +73,32 @@ class TestAdmission:
         net = network()
         with pytest.raises(ValidityError):
             net.connect(conn((0, 0), (9, 0)))
+
+    def test_blocked_message_survives_pickling(self):
+        net = network(r=2, m=1, k=1)
+        net.connect(conn((0, 0), (0, 0)))
+        with pytest.raises(BlockedError) as blocked:
+            net.connect(conn((1, 0), (2, 0), (3, 0)))
+        message = (
+            "request (port 1, lambda_0) -> {(port 2, lambda_0), "
+            "(port 3, lambda_0)} blocked: no <= 1-middle cover among the "
+            "available middles"
+        )
+        assert str(blocked.value) == message
+        assert str(pickle.loads(pickle.dumps(blocked.value))) == message
+
+    def test_blocked_try_connect_formats_no_message(self, monkeypatch):
+        """``try_connect`` discards the error, so nothing formats it."""
+        formatted = []
+        monkeypatch.setattr(
+            MulticastConnection, "__str__",
+            lambda self: formatted.append(self) or "",
+        )
+        net = network(r=2, m=1, k=1)
+        net.connect(conn((0, 0), (0, 0)))
+        assert net.try_connect(conn((1, 0), (2, 0), (3, 0))) is None
+        assert net.blocks == 1
+        assert formatted == []
 
 
 class TestLifecycle:

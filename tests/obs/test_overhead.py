@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
 from repro import api, obs
+from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import BlockedError, ThreeStageNetwork
+from repro.perf.batch import simulate_batch
 from repro.switching.requests import Endpoint, MulticastConnection
+from tests.curves import curve
 
 
 def conn(source, *destinations):
@@ -76,6 +80,43 @@ class TestDisabledPathDoesNoWork:
                                 traffic=api.UniformConfig(steps=50, seeds=(0,)))
         assert recorded == []
         assert estimate.meta.obs is None
+
+
+class TestDisabledGuardReads:
+    """With obs off, each hook site costs one ``enabled()`` read.
+
+    Counted rather than timed: a read costs about 100 ns against about
+    5 us per replayed event, too small a share to time reliably on a
+    shared host.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, result=None):
+            def hook(*args, **kwargs):
+                calls[name] += 1
+                return result
+            return hook
+
+        monkeypatch.setattr(obs, "enabled", counting("enabled", False))
+        for name in ("inc", "observe", "on_admit", "on_block", "on_release"):
+            monkeypatch.setattr(obs, name, counting(name))
+        return calls
+
+    def test_serial_cell_reads_one_guard_per_setup_and_admitted_teardown(
+        self, calls
+    ):
+        # 1,000 events: 503 setups, 18 of them blocked, and 479
+        # teardowns of admitted connections.
+        assert _traffic_cell(curve(4, 4, 2, x=2, steps=1000), 4, 0) == (503, 18)
+        assert calls == {"enabled": 503 + 479, "inc": 1}
+
+    @pytest.mark.parametrize("steps", [200, 1000])
+    def test_batch_unit_reads_two_guards_at_any_length(self, calls, steps):
+        simulate_batch(curve(4, 4, 2, x=2, steps=steps), 0, (2, 4, 8))
+        assert calls == {"enabled": 2}
 
 
 class TestObsOnDoesNotChangeResults:

@@ -222,6 +222,26 @@ class TestAdaptiveSweep:
         assert knee.probability > tail.probability
         assert knee.adaptive.rounds > tail.adaptive.rounds
 
+    def test_curve_costs_under_half_the_fixed_budget(self):
+        """A fixed budget must give every cell the widest cell's rounds.
+
+        At equal half-width it spends 111,600 events here against the
+        adaptive curve's 44,400 (2.51x).  The rounds depend only on the
+        stopping rule and the seeded streams, so they are pinned exactly.
+        """
+        target = PrecisionConfig(half_width=0.01, min_rounds=2, max_rounds=64)
+        estimates = adaptive_sweep(
+            curve(3, 3, 1, steps=150), list(range(1, 7)), precision=target,
+            kernel="batched",
+        )
+        rounds = [e.adaptive.rounds for e in estimates]
+        assert rounds == [31, 26, 11, 2, 2, 2]
+        assert all(e.adaptive.converged for e in estimates)
+        adaptive = sum(e.adaptive.events for e in estimates)
+        per_round = target.replications_per_round() * 150
+        fixed = max(rounds) * per_round * len(estimates)
+        assert fixed / adaptive >= 2.0
+
     def test_max_rounds_caps_and_flags(self):
         impossible = PrecisionConfig(
             half_width=1e-6, min_rounds=1, max_rounds=2

@@ -314,9 +314,9 @@ whole traffic configuration as well as `m`, so two sweeps sharing an
 Every hot-path hook guards on `obs.enabled()` -- the bound getter of
 a boolean context variable that `capture()` sets and resets beside the
 capture, so a guard read is one C call -- and the disabled hooks
-return before allocating anything (`tests/obs/test_overhead.py`
-asserts zero allocations; `benchmarks/bench_perf.py` bounds the
-obs-off overhead at <= 2% of a serial routing replay).
+return before allocating anything. `tests/obs/test_overhead.py`
+asserts zero allocations and counts the guard reads: one per setup and
+one per admitted teardown in a serial cell, two per batched work unit.
 
 ### One capture per block
 
