@@ -194,6 +194,12 @@ class PythonState:
         if self.msw_dominant:
             row = self._out_busy[sw][b]
             busy_row = self._in_busy[g][sw]
+            if len(cover) == 1:
+                # almost every cover: one middle, one branch
+                ((j, assigned),) = cover.items()
+                busy_row[b] |= 1 << j
+                row[j] |= assigned
+                return ((j, assigned),)
             busy = busy_row[b]
             for j in sorted(cover):
                 assigned = cover[j]

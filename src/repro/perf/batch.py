@@ -262,7 +262,7 @@ def _replay(
     state: PythonState,
     want_kinds: bool,
     want_causes: bool,
-) -> tuple[int, list[_Replication]]:
+) -> tuple[int, list[_Replication], list[int]]:
     """The lockstep replay of one compiled stream.
 
     Every routing decision is one
@@ -274,8 +274,16 @@ def _replay(
     diverged share one state slot and one probe per setup (the *group*);
     a lane forks onto its own slot at the first setup where its
     decision can differ from the larger lanes', and replays alone from
-    there.  Every lane's counts, causes and end planes equal a
-    one-lane replay of its ``m``.
+    there.  Every lane's counts and causes equal a one-lane replay of
+    its ``m``, and so do its end planes once settled.
+
+    Returns ``(attempts, replications, unforked)``: ``unforked`` lists
+    the lanes that never forked, the lead (largest ``m``) first.  Their
+    end planes are the lead's, and only the lead's slot holds them: the
+    estimators read counts alone, so the replay copies no planes at the
+    end of the stream.  A caller that reads the end planes settles them
+    first, with ``state.copy_lane(unforked[0], b)`` for each other
+    unforked lane ``b``.
     """
     batch = state.batch
     x = state.x
@@ -357,9 +365,8 @@ def _replay(
                 free(lead, g, sw, shared.pop(cid))
                 lead_rep.releases += 1
     for b in group[1:]:
-        copy_lane(lead, b)
         replications[b].releases = lead_rep.releases
-    return attempts, replications
+    return attempts, replications, group
 
 
 def _simulate(
@@ -390,7 +397,7 @@ def _simulate(
             replications.append(rep)
     else:
         state = make_state(geometries)
-        attempts, replications = _replay(
+        attempts, replications, _ = _replay(
             ops, state, want_kinds, record_causes
         )
     if _obs.enabled():

@@ -17,10 +17,15 @@ Dynamic traffic is produced once, at the int level: :func:`traffic_ops`
 yields ``(tag, connection_id, source_code, ports, waves)`` ops, drawing
 each setup with :func:`draw_connection` over one :class:`FreeEndpoints`
 index that every event updates.  The index keeps only the lists its
-multicast model's draws read, and a draw spends its random bits
-through the stdlib's own rejection loop on ``getrandbits``, without
-the ``choice``/``randrange`` frames around it.  A setup attempt
-therefore costs its RNG draws, and an event either a ``bisect`` list
+multicast model's draws read, and a draw spends its random words
+straight from ``getrandbits``: each bounded value through the
+stdlib's own rejection loop, without the ``choice``/``randrange``
+frames around it, the destination ports through an inline copy of
+``Random.sample`` (:func:`_sample`), and the wavelength bits of an
+MSW/MSDW connection's destinations in a few multi-word
+``getrandbits`` calls (:func:`_below_one`).  A setup attempt therefore
+costs the Mersenne words its draws consume, not a Python call per
+destination, and an event either a ``bisect`` list
 update per endpoint it takes or releases, or -- when an MSW/MSDW
 connection holds a large share of its wavelength's free ports -- one
 pass over that wavelength's port list; nothing rebuilds or re-sorts
@@ -38,6 +43,7 @@ import random
 from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from math import ceil, log
 from typing import Literal
 
 from repro.core.models import MulticastModel
@@ -79,6 +85,11 @@ FanoutPicker = Callable[[random.Random, int], int]
 #: list: read it, never mutate it.
 PortPicker = Callable[[random.Random, Sequence[int], int], list[int]]
 
+# The plain draws the mirror complements, looked up once: a
+# zero-argument super() per draw costs more than the draw.
+_plain_random = random.Random.random
+_plain_getrandbits = random.Random.getrandbits
+
 
 class AntitheticRandom(random.Random):
     """The antithetic mirror of a seeded :class:`random.Random` stream.
@@ -97,13 +108,13 @@ class AntitheticRandom(random.Random):
     """
 
     def random(self) -> float:
-        value = 1.0 - super().random()
-        # super().random() is in [0, 1), so the mirror is in (0, 1];
+        value = 1.0 - _plain_random(self)
+        # the plain draw is in [0, 1), so the mirror is in (0, 1];
         # fold the measure-zero endpoint back to keep the contract.
         return value if value < 1.0 else 0.0
 
     def getrandbits(self, k: int) -> int:
-        return (1 << k) - 1 - super().getrandbits(k)
+        return (1 << k) - 1 - _plain_getrandbits(self, k)
 
 
 def stream_rng(seed: int, antithetic: bool = False) -> random.Random:
@@ -209,6 +220,70 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def _sample(
+    getrandbits: Callable[[int], int], population: Sequence[int], k: int
+) -> list[int]:
+    """``Random.sample(population, k)``: the same list from the same bits.
+
+    The stdlib's algorithm for a sequence population (its source is
+    the same in Python 3.10 through 3.13): while a ``k``-entry set's
+    table would outweigh the population, draw from a pool list that
+    moves its last unchosen member into each vacancy; otherwise draw
+    indices into the population and redraw the ones already chosen.
+    Each index is the rejection loop of :func:`_below`, inlined, so a
+    destination costs its ``getrandbits`` words and no frame of its own.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    result = [0] * k
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            size = n - i
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[size - 1]
+    else:
+        selected: set[int] = set()
+        selected_add = selected.add
+        bits = n.bit_length()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected_add(j)
+            result[i] = population[j]
+    return result
+
+
+#: bit 31 of each of the lowest ``_TOP_WORDS`` 32-bit words
+_TOP_WORDS = 1024
+_TOP_BITS = int("80000000" * _TOP_WORDS, 16)
+
+
+def _below_one(getrandbits: Callable[[int], int], count: int) -> None:
+    """Spend the words of ``count`` ``_below(getrandbits, 1)`` calls.
+
+    Each call draws ``getrandbits(1)`` -- the top bit of one 32-bit
+    Mersenne word -- until it reads 0.  ``getrandbits(32 * c)`` returns
+    the next ``c`` words, the first in the lowest 32 bits, so drawing
+    as many words as zeros are still missing and counting their set top
+    bits leaves the number still missing.  That never draws a word the
+    calls would not: each missing zero needs at least one more word.
+    So the calls' words are spent in about ``log2(count)`` draws.
+    """
+    while count:
+        words = count if count <= _TOP_WORDS else _TOP_WORDS
+        count -= words - (getrandbits(32 * words) & _TOP_BITS).bit_count()
 
 
 def _in_one_pass(count: int, size: int) -> bool:
@@ -383,12 +458,14 @@ def draw_connection(
     (MAW) -- so a call costs its random bits, independent of
     ``N * k``.  Every bounded draw (source, MSDW wavelength, fanout,
     MAW per-port wavelength) runs the stdlib's own rejection loop,
-    :func:`_below`, on ``rng.getrandbits``, and an MSW/MSDW
-    destination's one admissible wavelength spends the bits
-    ``rng.choice`` spends on a one-element list; the port sample stays
-    ``rng.sample``.  So each draw consumes and returns exactly what the
-    ``choice``/``randrange``/``randint`` calls the streams were pinned
-    with did.
+    :func:`_below`, on ``rng.getrandbits``; the port sample is
+    ``rng.sample``'s algorithm on the same loop (:func:`_sample`); and
+    the bits ``rng.choice`` spends on each MSW/MSDW destination's
+    one-element wavelength list are spent for all destinations at once
+    (:func:`_below_one`).  So each draw consumes and returns exactly
+    what the ``choice``/``randrange``/``randint``/``sample`` calls the
+    streams were pinned with did, and a call costs the words it
+    consumes rather than a Python call per destination.
 
     The two hooks are the workload seam: ``pick_fanout`` replaces the
     uniform fanout draw (heavy-tail group sizes), ``pick_ports`` the
@@ -426,7 +503,7 @@ def draw_connection(
     else:
         fanout = max(1, min(fanout_cap, pick_fanout(rng, fanout_cap)))
     if pick_ports is None:
-        ports = rng.sample(eligible, fanout)
+        ports = _sample(getrandbits, eligible, fanout)
     else:
         ports = pick_ports(rng, eligible, fanout)
         # fanout distinct eligible ports share fanout ports with eligible
@@ -445,10 +522,8 @@ def draw_connection(
             free_waves = waves_at[port]
             waves.append(free_waves[_below(getrandbits, len(free_waves))])
         return source, ports, waves
-    for _ in range(fanout):
-        # the bits rng.choice((allowed,)) spends: _below(getrandbits, 1)
-        while getrandbits(1):
-            pass
+    # the bits rng.choice((allowed,)) spends per destination
+    _below_one(getrandbits, fanout)
     return source, ports, [allowed] * fanout
 
 

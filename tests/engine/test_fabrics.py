@@ -188,7 +188,10 @@ def test_clos_numpy_bitplanes_unchanged():
         for m in m_values
     )
     state = PythonState(geometries)
-    attempts, replications = _replay(ops, state, False, False)
+    attempts, replications, unforked = _replay(ops, state, False, False)
+    # lanes that never forked end in the lead's planes, held only there
+    for b in unforked[1:]:
+        state.copy_lane(unforked[0], b)
     assert attempts == 154
     assert [rep.blocked for rep in replications] == [85, 39, 9, 1, 0]
     planes = [state.busy_planes(b) for b in range(len(m_values))]

@@ -149,10 +149,21 @@ def lane_batches(draw):
     return n, r, k, x, construction, model, seed, m_values
 
 
+def settle(state, unforked):
+    """Give each lane that never forked the lead's end planes.
+
+    ``_replay`` leaves those planes in the lead's slot alone; the
+    end-plane checks read every lane's own slot.
+    """
+    for b in unforked[1:]:
+        state.copy_lane(unforked[0], b)
+
+
 def lane_results(ops, geometries):
     """Per lane: attempts, blocked, releases, kinds, causes, end planes."""
     state = PythonState(geometries)
-    attempts, replications = _replay(ops, state, True, True)
+    attempts, replications, unforked = _replay(ops, state, True, True)
+    settle(state, unforked)
     return [
         (
             attempts, rep.blocked, rep.releases, rep.kind_counts, rep.causes,
@@ -179,8 +190,10 @@ class TestSharedTrajectories:
         assert setups == 202
         probes: list[int] = []
         allocates: list[int] = []
+        copies: list[int] = []
         probe_cover = batch_module.probe_cover
         allocate = PythonState.allocate
+        copy_lane = PythonState.copy_lane
 
         def counting_probe(*args):
             probes.append(1)
@@ -190,12 +203,20 @@ class TestSharedTrajectories:
             allocates.append(1)
             return allocate(self, *args, **kwargs)
 
+        def counting_copy_lane(self, *args):
+            copies.append(1)
+            return copy_lane(self, *args)
+
         monkeypatch.setattr(batch_module, "probe_cover", counting_probe)
         monkeypatch.setattr(PythonState, "allocate", counting_allocate)
+        monkeypatch.setattr(PythonState, "copy_lane", counting_copy_lane)
         cells = simulate_batch(spec, seed, m_values)
         assert cells == [(m, (setups, 0)) for m in m_values]
         assert len(probes) == setups
         assert len(allocates) == setups
+        # no lane forks, and the counts need no end planes: nothing is
+        # copied, not even at the end of the stream
+        assert copies == []
 
     @settings(max_examples=60, deadline=None)
     @given(config=lane_batches())
@@ -283,12 +304,45 @@ class TestEndStateIdentity:
         )
         state = PythonState(geometries)
         ops = compile_stream(curve(3, 3, 2, model=model, steps=200), 1)
-        attempts, replications = _replay(ops, state, True, False)
+        attempts, replications, unforked = _replay(ops, state, True, False)
+        settle(state, unforked)
         for b, (m, rep) in enumerate(zip(m_values, replications)):
             serial_attempts, blocked, _, net = serial_cell_with_causes(
                 3, 3, m, 2, construction, model, 1, 200, 1, with_net=True
             )
             assert (attempts, rep.blocked) == (serial_attempts, blocked)
+            assert state.busy_planes(b) == net._state.busy_planes()
+
+    def test_unforked_lanes_settle_to_serial_planes(self):
+        """Lanes that never fork end in the lead's planes once settled.
+
+        At x = 1 above Theorem 1's bound no lane forks, so the replay
+        leaves every lane but the lead on its start planes; settling
+        gives each the serial net's end planes on its own middles.
+        """
+        n, r, k, x, seed, steps = 2, 2, 1, 1, 5, 400
+        construction, model = Construction.MSW_DOMINANT, MulticastModel.MSW
+        m_values = (7, 4, 5, 11)
+        geometries = tuple(
+            FabricGeometry(
+                n=n, r=r, k=k, m=m, construction=construction, model=model,
+                x=x,
+            )
+            for m in m_values
+        )
+        state = PythonState(geometries)
+        ops = compile_stream(curve(n, r, k, model=model, steps=steps), seed)
+        attempts, replications, unforked = _replay(ops, state, False, False)
+        assert unforked == [3, 0, 2, 1]
+        assert state.busy_planes(1) == PythonState(geometries).busy_planes(1)
+        settle(state, unforked)
+        for b, m in enumerate(m_values):
+            serial_attempts, blocked, _, net = serial_cell_with_causes(
+                n, r, m, k, construction, model, x, steps, seed, with_net=True
+            )
+            assert (attempts, replications[b].blocked) == (
+                serial_attempts, blocked,
+            )
             assert state.busy_planes(b) == net._state.busy_planes()
 
 

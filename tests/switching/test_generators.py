@@ -369,3 +369,49 @@ class TestBelow:
         for _ in range(200):
             assert generators._below(rng.getrandbits, n) == twin.randrange(n)
         assert rng.getstate() == twin.getstate()
+
+
+class TestSample:
+    """``_sample`` is ``Random.sample``: the same list, the same bits spent.
+
+    Every ``k`` from 0 to ``n`` crosses both of the stdlib's branches
+    where ``n`` allows: ``n = 22`` samples by rejection at ``k = 5``
+    and from a pool at ``k = 6``, where the set's table size jumps;
+    ``n = 63`` and ``64`` switch at the same ``k``, and ``n = 210`` at
+    ``k = 22``.
+    """
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("n", [1, 21, 22, 63, 64, 210])
+    def test_matches_random_sample_and_leaves_the_same_state(
+        self, n, antithetic
+    ):
+        population = list(range(5, 3 * n + 5, 3))
+        for k in range(n + 1):
+            rng, twin = stream_rng(k, antithetic), stream_rng(k, antithetic)
+            for _ in range(3):
+                assert generators._sample(
+                    rng.getrandbits, population, k
+                ) == twin.sample(population, k)
+            assert rng.getstate() == twin.getstate()
+
+    def test_rejects_what_random_sample_rejects(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="Sample larger"):
+                generators._sample(random.Random(0).getrandbits, [1, 2, 3], k)
+
+
+class TestBelowOne:
+    """``_below_one`` spends the bits of ``count`` ``choice`` calls on a
+    one-element list, however many words each call reads."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_leaves_the_state_a_per_bit_loop_leaves(self, antithetic):
+        top = generators._TOP_WORDS
+        for count in [*range(257), top, top + 1, 2 * top + 7]:
+            rng = stream_rng(count, antithetic)
+            twin = stream_rng(count, antithetic)
+            generators._below_one(rng.getrandbits, count)
+            for _ in range(count):
+                twin.choice((0,))
+            assert rng.getstate() == twin.getstate()
