@@ -8,7 +8,9 @@ blocking probability; it must start positive and reach exactly zero.
 from __future__ import annotations
 
 from repro import api
+from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import min_middle_switches_msw_dominant
+from repro.multistage import scan_witnesses
 
 
 def test_blocking_curve(benchmark):
@@ -38,24 +40,41 @@ def test_blocking_curve(benchmark):
 
 
 def test_adversarial_curve(benchmark):
-    """With the randomized adversary, blocking persists closer to the bound."""
+    """The randomized adversary finds blocking states below the bound.
+
+    A witness proves that a legal blocking state exists at its ``m``.
+    It is not a traffic sample, so the blocking estimates keep the
+    counts random traffic produced.
+    """
     n, r, k, x = 3, 3, 1, 1
     bound = min_middle_switches_msw_dominant(n, r, k, x=x)
+    m_values = [1, 2, 3, 4, bound]
+    traffic = api.UniformConfig(steps=300, seeds=(0,))
+    estimates = api.sweep(n, r, k, m_values, x=x, traffic=traffic)
 
-    estimates = benchmark(
-        api.sweep,
+    witnesses = benchmark(
+        scan_witnesses,
         n,
         r,
         k,
-        [1, 2, 3, 4, bound],
+        m_values,
+        construction=Construction.MSW_DOMINANT,
+        model=MulticastModel.MSW,
         x=x,
-        traffic=api.UniformConfig(
-            steps=300, seeds=(0,), adversarial=True, adversary_seeds=25
-        ),
+        restarts=25,
     )
-    # Blocking found at the starved points; never at the bound itself.
-    assert estimates[0].blocked > 0
-    assert estimates[-1].blocked == 0
-    witnessed = [e.m for e in estimates if e.blocked > 0]
+    # Witnesses at the starved points; never at the bound itself.
+    assert witnesses[1] is not None and witnesses[2] is not None
+    assert witnesses[bound] is None
+    for witness in witnesses.values():
+        if witness is not None:
+            witness.replay()
+    assert api.sweep(n, r, k, m_values, x=x, traffic=traffic) == estimates
     print()
-    print(f"adversarial blocking witnesses at m = {witnessed}; none at m={bound}")
+    print(f"adversary witnesses (n=r=3, k=1, x=1, 25 restarts; bound m={bound}):")
+    for estimate in estimates:
+        found = "witness" if witnesses[estimate.m] is not None else "none"
+        print(
+            f"  m={estimate.m:2d}: {found:7s} random traffic blocked "
+            f"{estimate.blocked}/{estimate.attempts}"
+        )

@@ -25,18 +25,20 @@ interleaved.
 
 Because every cell is a pure function of its arguments, cells are also
 *cacheable*: pass a :class:`repro.perf.cache.ResultCache` and each
-(seed, m, config) replication -- and, in adversarial mode, each
-(m, adversary-seed) search -- is looked up before being computed and
+(seed, m, config) replication is looked up before being computed and
 stored afterwards.  A re-run of an interrupted or repeated sweep then
 recomputes only the missing cells, with results bit-identical to a
 cold run.
+
+Every estimate counts random traffic only.  Whether a blocking state
+*exists* at some ``m`` is a different question, answered by a search:
+:func:`repro.multistage.adversary.scan_witnesses`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Any
@@ -48,21 +50,18 @@ from repro.core.models import (
     parse_construction,
     parse_multicast_model,
 )
-from repro.engine.fabrics import get_fabric
-from repro.multistage.adversary import search_blocking_state
 from repro.multistage.network import ThreeStageNetwork
 from repro.obs.meta import ResultMeta
 from repro.perf.batch import CurveSpec, simulate_batch
 from repro.perf.sweeper import ParallelSweeper, SweepResult, WorkUnit
 from repro.switching.generators import stream_rng
-from repro.workloads.keys import key_fragment, require_distinct
+from repro.workloads.keys import require_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from collections.abc import Iterator, Sequence
 
     from repro.perf.cache import ResultCache
     from repro.switching.generators import TrafficEvent
-    from repro.workloads.base import WorkloadConfig
 
 __all__ = [
     "AdaptiveInfo",
@@ -127,20 +126,6 @@ def _traffic_key(
 ) -> str:
     return cache.key(
         "traffic_cell", spec.key_params(m=m, seed=seed), kernel=kernel
-    )
-
-
-def _adversary_key(
-    cache: "ResultCache", spec: CurveSpec, m: int, seed: int, kernel: str
-) -> str:
-    return cache.key(
-        "adversary_cell",
-        dict(
-            n=spec.n, r=spec.r, m=m, k=spec.k,
-            construction=spec.construction, model=spec.model, x=spec.x,
-            seed=seed,
-        ),
-        kernel=kernel,
     )
 
 
@@ -482,49 +467,10 @@ def _run_columns(
     return results
 
 
-def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
-    """The deterministic adversary-seed schedule for one ``m`` point.
-
-    Derived from the *whole* configuration (``traffic_key``, see
-    :func:`_adversary_traffic_key`) as well as ``m``, so two sweeps with
-    equal ``m`` but different topology/model/x get independent
-    adversary streams.
-    """
-    rng = random.Random(f"{traffic_key}|m={m}")
-    return [rng.randrange(10**9) for _ in range(count)]
-
-
-def _adversary_traffic_key(spec: CurveSpec) -> str:
-    """Configuration fingerprint mixed into the adversary-seed schedule."""
-    return key_fragment(
-        dict(
-            n=spec.n, r=spec.r, k=spec.k, construction=spec.construction,
-            model=spec.model, x=spec.x,
-        )
-    )
-
-
-def _check_adversarial(workload: "WorkloadConfig", fabric: str) -> None:
-    """Refuse adversarial probing outside uniform traffic on the Clos."""
-    if workload.token() is not None:
-        raise ValueError(
-            "adversarial probing is defined for uniform traffic only "
-            "(the adversary constructs its own worst-case states); got "
-            f"workload {workload.workload!r}"
-        )
-    if get_fabric(fabric).token() is not None:
-        raise ValueError(
-            "adversarial probing is defined for the Clos fabric only "
-            "(the adversary constructs three-stage worst-case states); "
-            f"got fabric {fabric!r}"
-        )
-
-
 def _blocking_curve(
     spec: CurveSpec,
     m_values: list[int],
     *,
-    adversarial: bool = False,
     jobs: int | str = 1,
     cache: "ResultCache | None" = None,
     debug_checks: bool = False,
@@ -536,28 +482,15 @@ def _blocking_curve(
     (a seed owns one RNG stream end-to-end, so the curve is
     deterministic for any ``jobs``).
 
-    With ``adversarial=True``, each point additionally runs
-    ``spec.workload.adversary_seeds`` restarts of the randomized
-    adversary of :func:`repro.multistage.adversary.search_blocking_state`;
-    if the adversary finds a witness at an ``m`` where random traffic
-    saw no blocking, one synthetic blocked attempt is recorded so the
-    curve reflects *worst-case* rather than average-case behaviour.
-
     Each seed's column of pending ``m`` values is one work unit fanned
     out through the sweep engine (:func:`_run_columns`): the seed's
     stream is drawn once and replayed against every ``m``, in lockstep
     through :mod:`repro.perf.batch` under ``kernel="batched"`` or on
     one serial network per ``m`` under ``"bitmask"`` -- per-cell
-    results and the adversarial stage are bit-identical either way.
+    results are bit-identical either way.
     With ``jobs > 1`` (or ``"auto"``) the columns run concurrently and
     merge in input order, so the curve is bit-identical to ``jobs=1``.
-    In adversarial mode each unblocked
-    ``m`` then runs its adversary restarts as one ordered scan that
-    stops at the first witness: a serial plan (``jobs=1`` or any
-    fallback) runs no restart after it, and a pool runs them all but
-    keeps the same first witness.  Both stages share one sweeper, so a
-    parallel run pays the pool spawn cost once, and the estimates'
-    ``meta.plan`` is the traffic stage's.  With ``cache``, every cell
+    With ``cache``, every cell
     is content-addressed in the given
     :class:`~repro.perf.cache.ResultCache`, so re-runs only compute
     cells missing from the cache; a serial run stores each column's
@@ -575,9 +508,6 @@ def _blocking_curve(
         raise ValueError(
             "seeds is empty; list at least one seed, e.g. seeds=(0,)"
         )
-    if adversarial:
-        _check_adversarial(workload, spec.fabric)
-    traffic_key = _adversary_traffic_key(spec)
     with ParallelSweeper(jobs) as sweeper:
         by_cell = _run_columns(
             sweeper, cache, spec, m_values, kernel, debug_checks
@@ -599,47 +529,6 @@ def _blocking_curve(
                     blocked=blocked,
                 )
             )
-        # The estimates report the traffic stage's plan, not the
-        # adversary stage's.
         plan = sweeper.last_plan
-        if adversarial:
-            for index, estimate in enumerate(estimates):
-                if estimate.blocked:
-                    continue
-                # One ordered scan of this m's restarts, up to the first
-                # witness.  Ids are restart indices because the schedule
-                # may draw the same seed twice.
-                restarts = sweeper.run(
-                    (
-                        WorkUnit(
-                            unit_id=attempt,
-                            fn=search_blocking_state,
-                            args=(spec.n, spec.r, estimate.m, spec.k),
-                            kwargs=dict(
-                                construction=spec.construction,
-                                model=spec.model, x=spec.x, seed=seed,
-                            ),
-                            cache_key=(
-                                None
-                                if cache is None
-                                else _adversary_key(
-                                    cache, spec, estimate.m, seed, kernel
-                                )
-                            ),
-                        )
-                        for attempt, seed in enumerate(
-                            _adversary_seeds(
-                                estimate.m, workload.adversary_seeds,
-                                traffic_key,
-                            )
-                        )
-                    ),
-                    cache=cache,
-                    until=lambda witness: witness is not None,
-                )
-                if any(result.value is not None for result in restarts):
-                    estimates[index] = replace(
-                        estimate, attempts=estimate.attempts + 1, blocked=1
-                    )
     meta = ResultMeta.capture(plan, kernel=kernel, workload=workload)
     return [replace(estimate, meta=meta) for estimate in estimates]

@@ -114,8 +114,7 @@ class ExecConfig:
             samples antithetic/stratified rounds until its Wilson
             interval meets the configured half-width.  ``traffic.seeds``
             is ignored in this mode (the round schedule derives its own
-            seeds); ``traffic.adversarial`` is rejected.  With
-            ``cache_dir`` set, completed rounds persist and an
+            seeds).  With ``cache_dir`` set, completed rounds persist and an
             interrupted sweep resumes bit-identically.
     """
 
@@ -199,13 +198,8 @@ def _estimates(
     fabric: str,
     *,
     default_steps: int,
-    probe: bool,
 ) -> list[BlockingEstimate]:
-    """Route a run to the fixed-budget curve or the adaptive engine.
-
-    ``probe`` says whether the verb runs the adversary when
-    ``traffic.adversarial`` asks for it.
-    """
+    """Route a run to the fixed-budget curve or the adaptive engine."""
     traffic = _as_workload(traffic)
     spec = CurveSpec(
         n, r, k, construction, model, x,
@@ -216,7 +210,6 @@ def _estimates(
     if precision is None:
         return _blocking_curve(
             spec, m_values,
-            adversarial=probe and traffic.adversarial,
             jobs=execution.jobs,
             cache=execution.cache(),
             debug_checks=search.debug_checks,
@@ -250,8 +243,7 @@ def blocking(
 
     The one-point curve: ``sweep(..., [m], ...)[0]`` (same cells, cache
     addresses and ``meta``), except that the default budget is 2000
-    steps per replication instead of 1500 and ``traffic.adversarial``
-    is ignored (adversarial probing is a curve feature).  ``traffic``
+    steps per replication instead of 1500.  ``traffic``
     accepts any :mod:`repro.workloads` config -- the uniform default
     reproduces the historical generator, the others reshape the offered
     traffic while keeping every kernel bit-identical per
@@ -269,7 +261,7 @@ def blocking(
     """
     return _estimates(
         n, r, k, [m], construction, model, x, traffic, execution, search,
-        fabric, default_steps=2000, probe=False,
+        fabric, default_steps=2000,
     )[0]
 
 
@@ -290,12 +282,10 @@ def sweep(
     """The blocking-probability-vs-``m`` curve (implied figure X3).
 
     ``traffic`` accepts any :mod:`repro.workloads` config (see
-    :func:`blocking`).  With ``traffic.adversarial``, the adversary-seed
-    schedule is derived from the whole configuration (topology,
-    construction, model, x) as well as ``m``, so two sweeps sharing an
-    ``m`` value never reuse identical adversary streams.  Adversarial
-    probing is only meaningful for uniform traffic and is rejected
-    otherwise.  Each ``m`` may appear once in ``m_values``.
+    :func:`blocking`).  Each ``m`` may appear once in ``m_values``.
+    Every estimate counts random traffic only; whether a blocking state
+    exists at some ``m`` is a search, not a sample
+    (:func:`repro.multistage.adversary.scan_witnesses`).
 
     With ``execution.precision`` set, every curve point samples until
     its Wilson interval meets the precision target instead of running
@@ -303,12 +293,11 @@ def sweep(
     :class:`ExecConfig.precision`).
 
     ``fabric="crossbar"`` swaps the Clos for the single-stage
-    nonblocking crossbar; adversarial probing is Clos-only and rejected
-    on it.
+    nonblocking crossbar.
     """
     return _estimates(
         n, r, k, list(m_values), construction, model, x, traffic,
-        execution, search, fabric, default_steps=1500, probe=True,
+        execution, search, fabric, default_steps=1500,
     )
 
 

@@ -33,7 +33,6 @@ from collections.abc import Sequence
 
 from repro import api, obs
 from repro.analysis.figures import bound_vs_x, capacity_growth, find_crossover
-from repro.analysis.montecarlo import _check_adversarial
 from repro.analysis.rendering import render_table
 from repro.analysis.tables import render_table1, render_table2
 from repro.core.models import (
@@ -43,7 +42,7 @@ from repro.core.models import (
     parse_multicast_model,
 )
 from repro.core.multistage import optimal_design, valid_x_range
-from repro.multistage.adversary import fig10_scenario
+from repro.multistage.adversary import fig10_scenario, scan_witnesses
 from repro.multistage.recursive import best_recursive_design
 from repro.workloads import load_trace
 
@@ -382,12 +381,14 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 
 def _cmd_blocking(args: argparse.Namespace) -> str:
     _check_x(args)
-    traffic = _traffic(args, replay=True, adversarial=args.adversarial)
-    if args.adversarial:
-        try:
-            _check_adversarial(traffic, args.fabric)
-        except ValueError as exc:
-            raise SystemExit(f"wdm-repro: error: {exc}") from exc
+    traffic = _traffic(args, replay=True)
+    if args.adversarial and args.fabric != "clos":
+        raise SystemExit(
+            "wdm-repro: error: adversarial probing is defined for the Clos "
+            "fabric only (the adversary constructs three-stage worst-case "
+            f"states); got fabric {args.fabric!r}"
+        )
+    execution = _exec_config(args)
     with obs.capture() as run:
         estimates = api.sweep(
             args.n,
@@ -399,16 +400,45 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
             x=args.x,
             traffic=traffic,
             fabric=args.fabric,
-            execution=_exec_config(args),
+            execution=execution,
             search=_search_config(args),
         )
+        # A search for a blocking state where traffic blocked nothing:
+        # its answer is a column of its own, never a count.
+        restarts = 20
+        witnesses = (
+            scan_witnesses(
+                args.n, args.r, args.k,
+                [e.m for e in estimates if not e.blocked],
+                construction=args.construction, model=args.model, x=args.x,
+                restarts=restarts, jobs=args.jobs, cache=execution.cache(),
+            )
+            if args.adversarial
+            else None
+        )
+    headers = ["m", "attempts", "blocked", "P(block)", "CI95"]
     rows = [
         [e.m, e.attempts, e.blocked, f"{e.probability:.4f}", _ci_cell(e)]
         for e in estimates
     ]
+    footer = []
+    if witnesses is not None:
+        headers.append("witness")
+        for row, e in zip(rows, estimates):
+            row.append(
+                "traffic" if e.blocked
+                else "adversary" if witnesses[e.m] is not None
+                else f"none in {restarts}"
+            )
+        footer.append(
+            f"witness: 'none in {restarts}' is no proof of nonblocking; "
+            f"for one, run wdm-repro exact --n {args.n} --r {args.r} "
+            f"--k {args.k} --x {args.x} --model {args.model.value} "
+            f"--construction {args.construction.value}"
+        )
     fabric_note = "" if args.fabric == "clos" else f", {args.fabric} fabric"
     table = render_table(
-        ["m", "attempts", "blocked", "P(block)", "CI95"],
+        headers,
         rows,
         title=(
             f"Blocking probability -- n={args.n}, r={args.r}, k={args.k}, "
@@ -416,7 +446,6 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
             f"{traffic.workload} traffic{fabric_note}"
         ),
     )
-    footer = []
     plan = estimates[0].meta.plan if estimates and estimates[0].meta else None
     if plan is not None and args.jobs != 1:
         note = f" ({plan['reason']})" if plan["reason"] else ""
@@ -849,7 +878,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=1)
     p.add_argument("--model", type=_model, default=MulticastModel.MSW)
     p.add_argument("--construction", type=_construction, default=Construction.MSW_DOMINANT)
-    p.add_argument("--adversarial", action="store_true")
+    p.add_argument(
+        "--adversarial",
+        action="store_true",
+        help="also search for a blocking state at each m where random "
+        "traffic blocked nothing (20 randomized adversary restarts), "
+        "shown in a witness column; the estimates are unchanged",
+    )
     _add_fabric_flag(p)
     _add_workload_flags(p)
     p.add_argument(

@@ -10,7 +10,9 @@
   both the MSW-dominant and MAW-dominant constructions and any output
   stage model.
 * :mod:`repro.multistage.adversary` -- worst-case traffic that blocks
-  under-provisioned networks, including the Fig. 10 scenario.
+  under-provisioned networks, including the Fig. 10 scenario, and
+  :func:`scan_witnesses`, the randomized search for a blocking state
+  at each ``m`` of a curve.
 * :mod:`repro.multistage.recursive` -- recursive (5-, 7-, ...-stage)
   constructions and their cost (the paper's "any odd number of stages"
   remark).
@@ -21,6 +23,7 @@ from repro.multistage.adversary import (
     Theorem1GapResult,
     demonstrate_theorem1_gap,
     fig10_scenario,
+    scan_witnesses,
 )
 from repro.multistage.exhaustive import (
     BlockableResult,
@@ -77,4 +80,5 @@ __all__ = [
     "mask_of",
     "minimal_rearrangeable_m",
     "route_assignment",
+    "scan_witnesses",
 ]

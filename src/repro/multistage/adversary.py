@@ -11,21 +11,30 @@ strategies.  This module provides the blocking side of the story:
 * :func:`minimal_blocking_scenario` -- the smallest deterministic
   blocking witness: with ``m`` below the bound, a legal request the
   MSW-dominant network must refuse.
-* :func:`search_blocking_state` -- randomized multi-restart adversary:
-  drives a network with fanout-heavy traffic until a legal request
-  blocks, returning the witness (or None).  Used by the Monte-Carlo
-  analysis and by tests that map how far below the bound blocking
-  actually appears.
+* :func:`search_blocking_state` -- randomized adversary: drives a
+  network with fanout-heavy traffic until a legal request blocks,
+  returning the witness (or None).
+* :func:`scan_witnesses` -- restarts of that adversary at each ``m``
+  of a curve, up to the first witness.  A witness proves that a
+  blocking state exists; it is not a traffic sample, so no blocking
+  estimate counts it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import BlockedError, ThreeStageNetwork
+from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.switching.requests import Endpoint, MulticastConnection
+from repro.workloads.keys import key_fragment, require_distinct
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.perf.cache import ResultCache
 
 __all__ = [
     "BlockingWitness",
@@ -34,6 +43,7 @@ __all__ = [
     "demonstrate_theorem1_gap",
     "fig10_scenario",
     "minimal_blocking_scenario",
+    "scan_witnesses",
     "search_blocking_state",
 ]
 
@@ -347,43 +357,34 @@ def search_blocking_state(
     net = ThreeStageNetwork(
         n, r, m, k, construction=construction, model=model, x=x
     )
-    n_ports = n * r
+    # Endpoint ``port * k + wavelength`` of the fabric, and whether no
+    # live connection holds it as its source / as a destination.
+    endpoints = [Endpoint(p, w) for p in range(n * r) for w in range(k)]
+    source_free = [True] * len(endpoints)
+    output_free = [True] * len(endpoints)
     live: dict[int, MulticastConnection] = {}
-    history: list[MulticastConnection] = []
 
-    def free_inputs() -> list[Endpoint]:
-        used = {c.source for c in live.values()}
-        return [
-            Endpoint(p, w)
-            for p in range(n_ports)
-            for w in range(k)
-            if Endpoint(p, w) not in used
-        ]
-
-    def free_outputs() -> list[Endpoint]:
-        used = {d for c in live.values() for d in c.destinations}
-        return [
-            Endpoint(p, w)
-            for p in range(n_ports)
-            for w in range(k)
-            if Endpoint(p, w) not in used
-        ]
+    def mark(connection: MulticastConnection, free: bool) -> None:
+        source = connection.source
+        source_free[source.port * k + source.wavelength] = free
+        for d in connection.destinations:
+            output_free[d.port * k + d.wavelength] = free
 
     def sample_request() -> MulticastConnection | None:
-        sources = free_inputs()
+        sources = [e for e, free in zip(endpoints, source_free) if free]
         if not sources:
             return None
         source = rng.choice(sources)
         if model is MulticastModel.MSW:
-            allowed = [e for e in free_outputs() if e.wavelength == source.wavelength]
+            band = slice(source.wavelength, None, k)
         elif model is MulticastModel.MSDW:
-            wavelength = rng.randrange(k)
-            allowed = [e for e in free_outputs() if e.wavelength == wavelength]
+            band = slice(rng.randrange(k), None, k)
         else:
-            allowed = free_outputs()
+            band = slice(None)
         per_port: dict[int, list[Endpoint]] = {}
-        for endpoint in allowed:
-            per_port.setdefault(endpoint.port, []).append(endpoint)
+        for endpoint, free in zip(endpoints[band], output_free[band]):
+            if free:
+                per_port.setdefault(endpoint.port, []).append(endpoint)
         if not per_port:
             return None
         max_fanout = len(per_port)
@@ -397,19 +398,20 @@ def search_blocking_state(
             source, [rng.choice(per_port[port]) for port in ports]
         )
 
+    def release_one() -> None:
+        victim = rng.choice(sorted(live))
+        net.disconnect(victim)
+        mark(live.pop(victim), True)
+
     for _ in range(max_events):
         if live and rng.random() < 0.25:
-            victim = rng.choice(sorted(live))
-            net.disconnect(victim)
-            del live[victim]
+            release_one()
             continue
         request = sample_request()
         if request is None:
             if not live:
                 return None
-            victim = rng.choice(sorted(live))
-            net.disconnect(victim)
-            del live[victim]
+            release_one()
             continue
         try:
             connection_id = net.connect(request)
@@ -434,5 +436,82 @@ def search_blocking_state(
                 continue
             return witness
         live[connection_id] = request
-        history.append(request)
+        mark(request, False)
     return None
+
+
+def _adversary_traffic_key(
+    n: int, r: int, k: int, construction: Construction, model: MulticastModel, x: int
+) -> str:
+    """Configuration fingerprint mixed into the adversary-seed schedule."""
+    return key_fragment(
+        dict(n=n, r=r, k=k, construction=construction, model=model, x=x)
+    )
+
+
+def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
+    """The deterministic adversary-seed schedule for one ``m`` point.
+
+    Derived from the *whole* configuration (``traffic_key``, see
+    :func:`_adversary_traffic_key`) as well as ``m``, so two scans with
+    equal ``m`` but different topology/model/x get independent
+    adversary streams.
+    """
+    rng = random.Random(f"{traffic_key}|m={m}")
+    return [rng.randrange(10**9) for _ in range(count)]
+
+
+def scan_witnesses(
+    n: int,
+    r: int,
+    k: int,
+    m_values: Sequence[int],
+    *,
+    construction: Construction,
+    model: MulticastModel,
+    x: int,
+    restarts: int = 20,
+    jobs: int | str = 1,
+    cache: "ResultCache | None" = None,
+) -> dict[int, BlockingWitness | None]:
+    """Each ``m``'s first blocking witness in ``restarts`` adversary runs.
+
+    Each ``m`` is one ordered scan of :func:`search_blocking_state`
+    restarts, seeded from the configuration and ``m``, that stops at
+    the first witness: a serial plan (``jobs=1`` or any fallback) runs
+    no restart after it, and a pool runs them all but keeps the same
+    one.  With ``cache``, each restart is stored under the
+    ``adversary_cell`` namespace and the default kernel tag (the search
+    never depends on a run's kernel).  Each ``m`` may appear once.
+
+    None means no restart blocked, not that ``m`` is nonblocking; the
+    exact model checker (:func:`repro.api.exact_m`) decides that on
+    small fabrics.
+    """
+    require_distinct("m_values", m_values)
+    traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
+    config = dict(construction=construction, model=model, x=x)
+    witnesses: dict[int, BlockingWitness | None] = {}
+    with ParallelSweeper(jobs) as sweeper:
+        for m in m_values:
+            seeds = _adversary_seeds(m, restarts, traffic_key)
+            # Ids are restart indices: the schedule may draw a seed twice.
+            scanned = sweeper.run(
+                (
+                    WorkUnit(
+                        unit_id=attempt,
+                        fn=search_blocking_state,
+                        args=(n, r, m, k),
+                        kwargs=dict(config, seed=seed),
+                        cache_key=None if cache is None else cache.key(
+                            "adversary_cell",
+                            dict(n=n, r=r, m=m, k=k, **config, seed=seed),
+                        ),
+                    )
+                    for attempt, seed in enumerate(seeds)
+                ),
+                cache=cache,
+                until=lambda witness: witness is not None,
+            )
+            witnesses[m] = scanned[-1].value if scanned else None
+    return witnesses

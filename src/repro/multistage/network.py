@@ -706,7 +706,7 @@ class ThreeStageNetwork:
         self._live[connection_id] = (request, g, undo, endpoints)
         self.setups += 1
         if _obs.enabled():
-            _obs.on_admit(self, self._routed(connection_id), stats)
+            _obs.on_admit(self, connection_id, stats)
         if self.debug_checks:
             self.check_invariants()
         return connection_id

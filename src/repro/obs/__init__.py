@@ -57,11 +57,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE_SCHEMA, Tracer, validate_record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.multistage.network import (
-        MulticastConnection,
-        RoutedConnection,
-        ThreeStageNetwork,
-    )
+    from repro.multistage.network import MulticastConnection, ThreeStageNetwork
     from repro.multistage.routing import CoverSearch
 
 __all__ = [
@@ -168,10 +164,14 @@ def _record_cover_stats(metrics: MetricsRegistry, stats: "CoverSearch | None") -
 
 def on_admit(
     net: "ThreeStageNetwork",
-    routed: "RoutedConnection",
+    connection_id: int,
     stats: "CoverSearch | None" = None,
 ) -> None:
-    """Record one admitted connection (and trace it if tracing)."""
+    """Record one admitted connection (and trace it if tracing).
+
+    Only the tracer reads the connection's routed view, so a
+    metrics-only capture never builds it.
+    """
     run = _active()
     if run is None:
         return
@@ -179,6 +179,7 @@ def on_admit(
     run.metrics.inc("net.admit.admitted")
     _record_cover_stats(run.metrics, stats)
     if run.tracer is not None:
+        routed = net._routed(connection_id)
         request = routed.request
         run.tracer.emit(
             {

@@ -53,7 +53,9 @@ class ResultMeta:
             results predating the workload library (or paths that
             bypass it); ``repro.workloads.workload_from_dict`` rebuilds
             the config, so a result names exactly the traffic that
-            produced it.
+            produced it.  Records written while the adversary was a
+            workload field also hold ``adversarial`` and
+            ``adversary_seeds``, which the rebuild drops.
     """
 
     code_version: str

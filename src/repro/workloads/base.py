@@ -14,9 +14,9 @@ content-addressed caches without those layers knowing it exists.
 
 Two invariants keep the existing golden values intact:
 
-* the base fields (``steps``/``seeds``/``max_fanout``/``adversarial``/
-  ``adversary_seeds``) are the uniform generator's original knobs, so
-  the uniform member of the family reproduces it exactly;
+* the base fields (``steps``/``seeds``/``max_fanout``) are the uniform
+  generator's original knobs, so the uniform member of the family
+  reproduces it exactly;
 * :meth:`WorkloadConfig.token` is the workload's cache/stream-key
   identity.  Uniform traffic returns ``None`` -- it contributes
   nothing, so keys, warm caches and adaptive schedules predating the
@@ -74,19 +74,14 @@ class WorkloadConfig:
             each seed may appear once.
         max_fanout: cap on destinations per request (None = fabric
             size).
-        adversarial: in ``sweep``, also run the randomized adversary at
-            every ``m`` where random traffic saw no blocking.  Only
-            meaningful for uniform traffic (the adversary constructs
-            its own worst-case states; a traffic shape has nothing to
-            add), so non-uniform workloads reject it.
-        adversary_seeds: adversary restarts per ``m`` point.
+
+    Traffic is only random traffic: the worst case is a search, not a
+    workload (:func:`repro.multistage.adversary.scan_witnesses`).
     """
 
     steps: int | None = None
     seeds: tuple[int, ...] = (0, 1, 2)
     max_fanout: int | None = None
-    adversarial: bool = False
-    adversary_seeds: int = 20
 
     #: registry tag of the model; class-level, not a field, so it never
     #: collides with the parameter surface
@@ -191,15 +186,8 @@ class WorkloadConfig:
 
         The adaptive driver assumes every round can draw fresh
         replication streams; models that cannot (trace replay) raise
-        here with a diagnosis.  The default refuses only the
-        ``adversarial`` flag, which the adaptive driver never runs.
+        here with a diagnosis.  Every other model supports them.
         """
-        if self.adversarial:
-            raise ValueError(
-                "adversarial traffic has no precision-targeted mode; "
-                "unset the workload config's adversarial flag or "
-                "ExecConfig.precision"
-            )
 
     # -- serialization ------------------------------------------------------
 
@@ -303,8 +291,15 @@ def make_workload(name: str, **params: Any) -> WorkloadConfig:
 
 
 def workload_from_dict(data: dict[str, Any]) -> WorkloadConfig:
-    """Rebuild a config from its :meth:`WorkloadConfig.as_dict` form."""
+    """Rebuild a config from its :meth:`WorkloadConfig.as_dict` form.
+
+    Dicts written while the adversary was a workload field still carry
+    ``adversarial`` and ``adversary_seeds``; they name no traffic, so
+    they are dropped and the same traffic config is rebuilt.
+    """
     payload = dict(data)
+    payload.pop("adversarial", None)
+    payload.pop("adversary_seeds", None)
     try:
         tag = payload.pop("workload")
     except KeyError:

@@ -77,19 +77,6 @@ class TestBlockingVsM:
         half = len(probabilities) // 2
         assert sum(probabilities[:half]) >= sum(probabilities[half:])
 
-    def test_adversarial_mode_marks_witnessed_points(self):
-        estimates = api.sweep(
-            3, 3, 1, [4], x=1,
-            traffic=api.UniformConfig(
-                steps=200, seeds=(0,), adversarial=True, adversary_seeds=30
-            ),
-        )
-        # At m=4 random traffic rarely blocks but the adversary finds a
-        # witness (demonstrated in test_adversary); either way the field
-        # is well-formed.
-        [estimate] = estimates
-        assert estimate.blocked in (0, 1) or estimate.blocked > 1
-
     def test_respects_configuration(self):
         estimates = api.sweep(
             2, 2, 2, [1, 4],

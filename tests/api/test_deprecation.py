@@ -8,6 +8,8 @@ import warnings
 import pytest
 
 from repro import api
+from repro.core.models import Construction, MulticastModel
+from repro.multistage import scan_witnesses
 
 
 class TestFacadeIsClean:
@@ -18,10 +20,9 @@ class TestFacadeIsClean:
                              traffic=api.UniformConfig(steps=30, seeds=(0,))),
         lambda: api.sweep(2, 2, 1, [1, 2], x=1,
                           traffic=api.UniformConfig(steps=30, seeds=(0,))),
-        lambda: api.sweep(2, 2, 1, [1, 2], x=1,
-                          traffic=api.UniformConfig(
-                              steps=30, seeds=(0,), adversarial=True,
-                              adversary_seeds=3)),
+        lambda: scan_witnesses(2, 2, 1, [1, 2], x=1,
+                               construction=Construction.MSW_DOMINANT,
+                               model=MulticastModel.MSW, restarts=3),
         lambda: api.blocking(2, 2, 2, 1, x=1,
                              traffic=api.HotspotConfig(steps=30, seeds=(0,))),
         lambda: api.blocking(2, 2, 2, 1, x=1,

@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.core.models import Construction, MulticastModel
+from repro.multistage import scan_witnesses
+from repro.perf.cache import ResultCache
 
 KERNELS = ("bitmask", "batched")
 
@@ -25,10 +28,10 @@ TRAFFIC = {
     "bitmask": "70d11f2195f03bb3ca821fe0227dcf3675f506bea99fa8416e5d4e3d4d00624b",
     "batched": "ddf34d1bedf5a7db5ba782d5eb1e945445f42e8e7260f75148b37aa06717883d",
 }
-#: ``adversary_cell``: the same point's single adversary restart
+#: ``adversary_cell``: the same point's single adversary restart, which
+#: the search keys under the default kernel whatever kernel ran the traffic
 ADVERSARY = {
     "bitmask": "1ba19a48a10b8c64fb2cba919e9ed86c3a2b910c684bfa31c739490b7919246e",
-    "batched": "56265373d8b24b694c5890b9ccf35035b005d541afc5574979db4fa0ef853a4b",
 }
 #: ``adaptive_round``: round 0 of the same point under ``ROUND_ONLY``
 ROUND = {
@@ -49,8 +52,8 @@ def entries(directory: Path) -> set[str]:
     return {path.stem for path in directory.glob("*.pkl")}
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestCacheAddresses:
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_sweep_traffic_cell(self, tmp_path, kernel):
         [estimate] = api.sweep(
             2, 2, 1, [3], x=1, traffic=FIXED,
@@ -60,6 +63,7 @@ class TestCacheAddresses:
         assert entries(tmp_path) == {TRAFFIC[kernel]}
         assert (estimate.attempts, estimate.blocked) == (31, 0)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_blocking_traffic_cell(self, tmp_path, kernel):
         api.blocking(
             2, 2, 3, 1, x=1, traffic=FIXED,
@@ -68,17 +72,17 @@ class TestCacheAddresses:
         )
         assert entries(tmp_path) == {TRAFFIC[kernel]}
 
+    @pytest.mark.parametrize("kernel", ADVERSARY)
     def test_adversary_cell(self, tmp_path, kernel):
-        api.sweep(
-            2, 2, 1, [3], x=1,
-            traffic=api.UniformConfig(
-                steps=60, seeds=(0,), adversarial=True, adversary_seeds=1
-            ),
-            execution=api.ExecConfig(cache_dir=str(tmp_path)),
-            search=api.SearchConfig(kernel=kernel),
+        witnesses = scan_witnesses(
+            2, 2, 1, [3], construction=Construction.MSW_DOMINANT,
+            model=MulticastModel.MSW, x=1, restarts=1,
+            cache=ResultCache(tmp_path),
         )
-        assert entries(tmp_path) == {TRAFFIC[kernel], ADVERSARY[kernel]}
+        assert entries(tmp_path) == {ADVERSARY[kernel]}
+        assert list(witnesses) == [3]
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("verb", ["sweep", "blocking"])
     def test_adaptive_round(self, tmp_path, kernel, verb):
         execution = api.ExecConfig(cache_dir=str(tmp_path), precision=ROUND_ONLY)
@@ -97,6 +101,7 @@ class TestCacheAddresses:
         assert entries(tmp_path) == {ROUND[kernel]}
         assert (estimate.attempts, estimate.blocked) == (126, 0)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_is_blockable_cell(self, tmp_path, kernel):
         """:class:`ExactMinimal` carries no ``meta`` envelope, so this
         address is where ``exact_m`` records the kernel it ran under."""

@@ -12,13 +12,16 @@ import random
 
 import pytest
 
-from repro.analysis.montecarlo import _adversary_seeds, _adversary_traffic_key
-from repro.core.models import Construction
-from tests.curves import curve
+from repro.core.models import Construction, MulticastModel
+from repro.multistage import scan_witnesses
+from repro.multistage.adversary import _adversary_seeds, _adversary_traffic_key
 
-
-KEY_A = _adversary_traffic_key(curve(3, 3, 1))
-KEY_B = _adversary_traffic_key(curve(4, 2, 2))
+KEY_A = _adversary_traffic_key(
+    3, 3, 1, Construction.MSW_DOMINANT, MulticastModel.MSW, 1
+)
+KEY_B = _adversary_traffic_key(
+    4, 2, 2, Construction.MSW_DOMINANT, MulticastModel.MSW, 1
+)
 
 
 class TestKeyedSchedule:
@@ -41,18 +44,24 @@ class TestKeyedSchedule:
                       "model=MSW", "x=1"):
             assert field in KEY_A
 
+    def test_schedule_is_pinned(self):
+        """The seeds the adversary has always drawn: a moved key or
+        schedule would orphan every cached restart."""
+        assert KEY_A == "n=3|r=3|k=1|construction=MSW_DOMINANT|model=MSW|x=1"
+        assert _adversary_seeds(5, 8, KEY_A) == [
+            549773262, 174659348, 658189538, 777305161,
+            405095762, 268461729, 853247919, 687586730,
+        ]
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("construction", [
         Construction.MSW_DOMINANT, Construction.MAW_DOMINANT])
     def test_adversarial_sweep_remains_deterministic(self, construction):
-        from repro import api
+        def scan():
+            return scan_witnesses(
+                2, 2, 1, [1, 2], construction=construction,
+                model=MulticastModel.MSW, x=1, restarts=4,
+            )
 
-        traffic = api.UniformConfig(steps=80, seeds=(0,), adversarial=True,
-                                    adversary_seeds=4)
-        first = api.sweep(2, 2, 1, [1, 2], construction=construction, x=1,
-                          traffic=traffic)
-        second = api.sweep(2, 2, 1, [1, 2], construction=construction, x=1,
-                           traffic=traffic)
-        assert [(e.m, e.blocked) for e in first] == [
-            (e.m, e.blocked) for e in second]
+        assert scan() == scan()

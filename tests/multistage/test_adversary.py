@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from itertools import product
+
 import pytest
 
 from repro.core.models import Construction, MulticastModel
@@ -9,9 +12,11 @@ from repro.core.multistage import min_middle_switches_msw_dominant
 from repro.multistage.adversary import (
     fig10_scenario,
     minimal_blocking_scenario,
+    scan_witnesses,
     search_blocking_state,
 )
 from repro.multistage.network import BlockedError
+from repro.multistage.serialization import dumps
 
 
 class TestFig10:
@@ -89,6 +94,53 @@ class TestAdversarySearch:
             pytest.skip("no witness for this tiny MAW configuration")
         assert witness.model is MulticastModel.MAW
         assert witness.blocked_request not in witness.prior
+
+
+class TestWitnessPins:
+    #: sha256 over every search of the grid below (each witness as
+    #: compact JSON, or "None"), computed before the search kept its
+    #: free-endpoint lists incrementally: 108 searches, 33 witnesses
+    DIGEST = "b0603b4d363ef9556d10717d8a89d7732fa30fa433fb0fe65617c95f7260b696"
+
+    def test_witnesses_are_pinned(self):
+        """Every draw of the search is pinned through its witnesses."""
+        digest = hashlib.sha256()
+        found = 0
+        shapes = [(2, 2, 2), (3, 3, 1), (2, 3, 2)]
+        for (n, r, k), model, construction, m, seed in product(
+            shapes, MulticastModel, Construction, range(2, 5), range(2)
+        ):
+            witness = search_blocking_state(
+                n, r, m, k, construction=construction, model=model, x=1,
+                seed=seed, max_events=300,
+            )
+            found += witness is not None
+            text = "None" if witness is None else dumps(witness, indent=None)
+            digest.update(text.encode() + b"\n")
+        assert found == 33
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestScanWitnesses:
+    @pytest.mark.parametrize("model", list(MulticastModel))
+    def test_every_witness_replays(self, model):
+        witnesses = scan_witnesses(
+            2, 3, 2, [1, 2, 3, 4], construction=Construction.MSW_DOMINANT,
+            model=model, x=1, restarts=5,
+        )
+        assert list(witnesses) == [1, 2, 3, 4]
+        found = {m: w for m, w in witnesses.items() if w is not None}
+        assert 1 in found
+        for m, witness in found.items():
+            assert witness.m == m and witness.model is model
+            assert witness.replay().blocks == 1
+
+    def test_repeated_m_refused(self):
+        with pytest.raises(ValueError, match="m_values repeats 2"):
+            scan_witnesses(
+                2, 2, 1, [2, 2], construction=Construction.MSW_DOMINANT,
+                model=MulticastModel.MSW, x=1,
+            )
 
 
 class TestBlockedErrorPath:

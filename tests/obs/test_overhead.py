@@ -119,6 +119,26 @@ class TestDisabledGuardReads:
         assert calls == {"enabled": 2}
 
 
+class TestMetricsOnlyCapture:
+    def test_admits_build_no_routed_view(self, monkeypatch):
+        """Only a tracer reads an admitted connection's routed view, so
+        a metrics-only capture (every ``wdm-repro blocking`` run sits in
+        one) never builds it."""
+        routed_calls = Counter()
+        routed = ThreeStageNetwork._routed
+
+        def counting(self, connection_id):
+            routed_calls["_routed"] += 1
+            return routed(self, connection_id)
+
+        monkeypatch.setattr(ThreeStageNetwork, "_routed", counting)
+        with obs.capture() as run:
+            cell = _traffic_cell(curve(4, 4, 2, x=2, steps=1000), 4, 0)
+        assert cell == (503, 18)
+        assert run.metrics.snapshot()["counters"]["net.admit.admitted"] == 485
+        assert routed_calls["_routed"] == 0
+
+
 class TestObsOnDoesNotChangeResults:
     def test_estimates_bit_identical_on_vs_off(self):
         traffic = api.UniformConfig(steps=150, seeds=(0, 1))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import api, obs
 from repro.obs.meta import ResultMeta
 from repro.perf.cache import CODE_VERSION
@@ -58,26 +56,3 @@ class TestSharedEnvelopeOnResults:
         plans = {e.meta.plan_json for e in estimates}
         assert len(plans) == 1
         assert estimates[0].meta.plan["units"] == 1
-
-    @pytest.mark.parametrize("m_values,steps,seeds,restarts", [
-        # Every cell blocks, so no adversary runs.
-        ([1, 2], 200, (0, 1), 5),
-        # Cells at m = 2, 3 see no blocking, so the adversary runs there.
-        ([1, 2, 3], 20, (0,), 20),
-    ])
-    def test_adversarial_sweep_reports_the_traffic_plan(
-        self, m_values, steps, seeds, restarts
-    ):
-        def plan(adversarial):
-            estimates = api.sweep(
-                3, 3, 1, m_values, x=1,
-                traffic=api.UniformConfig(
-                    steps=steps, seeds=seeds, adversarial=adversarial,
-                    adversary_seeds=restarts,
-                ),
-                execution=api.ExecConfig(jobs=2),
-            )
-            return estimates[0].meta.plan
-
-        assert plan(True) == plan(False)
-        assert plan(True)["units"] == len(seeds)

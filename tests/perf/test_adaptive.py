@@ -370,16 +370,6 @@ class TestApiIntegration:
         assert estimate.adaptive is not None
         assert estimate.meta is not None
 
-    def test_adversarial_precision_rejected(self):
-        from repro import api
-
-        with pytest.raises(ValueError, match="adversarial"):
-            api.sweep(
-                3, 3, 2, [1, 2],
-                traffic=api.UniformConfig(adversarial=True),
-                execution=api.ExecConfig(precision=QUICK),
-            )
-
 
 # -- pinned adaptive runs ------------------------------------------------------
 #

@@ -498,20 +498,6 @@ class TestApiIntegration:
         )
         assert batched.meta is not None and batched.meta.kernel == "batched"
 
-    def test_adversarial_sweep_matches_bitmask(self):
-        traffic = api.UniformConfig(steps=150, seeds=(0, 1), adversarial=True)
-        bitmask = api.sweep(
-            2, 2, 1, [2, 3, 4], traffic=traffic,
-            search=api.SearchConfig(kernel="bitmask"),
-        )
-        batched = api.sweep(
-            2, 2, 1, [2, 3, 4], traffic=traffic,
-            search=api.SearchConfig(kernel="batched"),
-        )
-        assert [(e.attempts, e.blocked) for e in bitmask] == [
-            (e.attempts, e.blocked) for e in batched
-        ]
-
     def test_obs_counters_merge_to_serial_totals(self):
         """The acceptance contract: batched counters == serial bitmask's.
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import api, obs
 from repro.core.models import Construction, MulticastModel
+from repro.multistage import scan_witnesses
 from repro.perf.cache import CODE_VERSION, ResultCache
 
 
@@ -242,18 +243,16 @@ class TestSweepIntegration:
         assert resumed == full == nocache
 
     def test_adversarial_curve_cached(self, cache):
-        traffic = api.UniformConfig(
-            steps=120, seeds=(0, 1), adversarial=True, adversary_seeds=3
-        )
-
         def run():
-            return api.sweep(
-                2, 2, 1, [3, 4], traffic=traffic, execution=self._cached(cache)
+            return scan_witnesses(
+                2, 2, 1, [2, 3, 4], construction=Construction.MSW_DOMINANT,
+                model=MulticastModel.MSW, x=1, restarts=3, cache=cache,
             )
 
         cold = run()
-        warm = run()
+        warm, warm_counts = _counted(run)
         assert warm == cold
+        assert warm_counts.get("cache.misses", 0) == 0
 
     def test_exact_minimal_m_cached(self, cache):
         def run():

@@ -8,6 +8,8 @@ so the assertions here compare full result structures for equality.
 from __future__ import annotations
 
 from repro import api
+from repro.core.models import Construction, MulticastModel
+from repro.multistage import scan_witnesses
 
 SERIAL = api.ExecConfig(jobs=1)
 PARALLEL = api.ExecConfig(jobs=2)
@@ -56,11 +58,13 @@ class TestBlockingVsMEquivalence:
         )
 
     def test_serial_vs_parallel_adversarial_curve(self):
-        args = (3, 3, 1, [2, 4])
-        traffic = _traffic(steps=150, seeds=(0,), adversarial=True, adversary_seeds=6)
-        assert _key(api.sweep(*args, x=1, traffic=traffic, execution=SERIAL)) == _key(
-            api.sweep(*args, x=1, traffic=traffic, execution=PARALLEL)
-        )
+        def scan(jobs):
+            return scan_witnesses(
+                3, 3, 1, [2, 4], construction=Construction.MSW_DOMINANT,
+                model=MulticastModel.MSW, x=1, restarts=6, jobs=jobs,
+            )
+
+        assert scan(SERIAL.jobs) == scan(PARALLEL.jobs)
 
 
 class TestExactMinimalMEquivalence:

@@ -16,9 +16,8 @@ pinned numbers (those live in ``tests/engine/test_fabrics.py``):
   serial network on the Clos, the nonblocking count on the crossbar),
   for every workload, model, construction and antithetic side;
 * the **API surface round-trips**: an unknown fabric name is refused
-  before any cell runs, ``api.blocking``/``api.sweep`` take a fabric
-  name, and adversarial probing refuses the crossbar instead of
-  silently probing the wrong topology.
+  before any cell runs, and ``api.blocking``/``api.sweep`` take a
+  fabric name.
 """
 
 from __future__ import annotations
@@ -181,14 +180,6 @@ def test_api_sweep_threads_fabric():
     assert [e.attempts for e in clos] == [e.attempts for e in crossbar]
     assert any(e.blocked for e in clos)
     assert all(e.blocked == 0 for e in crossbar)
-
-
-def test_adversarial_probing_is_clos_only():
-    traffic = api.UniformConfig(steps=100, seeds=(0,), adversarial=True)
-    with pytest.raises(ValueError, match="Clos fabric only"):
-        api.sweep(
-            3, 3, 2, [1, 2], model=MSW, traffic=traffic, fabric="crossbar"
-        )
 
 
 def test_fabric_names_exported():

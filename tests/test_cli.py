@@ -619,11 +619,8 @@ class TestWorkloadCommands:
             (["trace-gen", "--out", "OUT"],
              "max_fanout", "--max-fanout", "1"),
             (["sweep", "--m-max", "2"], "steps", "--steps", "5"),
-            (["blocking", "--m-max", "2"],
-             "adversarial", "--adversarial", "true"),
         ],
-        ids=["trace-gen-steps", "trace-gen-max-fanout", "sweep-steps",
-             "blocking-adversarial"],
+        ids=["trace-gen-steps", "trace-gen-max-fanout", "sweep-steps"],
     )
     def test_workload_param_shadowing_a_flag_rejected_in_one_line(
         self, tmp_path, argv, key, flag, value
@@ -783,7 +780,33 @@ class TestWorkloadCommands:
                   "--m-max", "2", "--workload-param", "adversarial=true"])
         message = str(excinfo.value)
         assert message.startswith(
-            "wdm-repro: error: adversarial traffic has no precision-targeted mode"
+            "wdm-repro: error: workload 'uniform' has no parameter "
+            "'adversarial'"
+        )
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("command, param", [
+        ("blocking", "adversarial=true"),
+        ("blocking", "adversary_seeds=3"),
+        ("sweep", "adversary_seeds=3"),
+    ])
+    def test_adversary_is_no_workload_parameter(
+        self, monkeypatch, command, param
+    ):
+        """The adversary is a search, not traffic: no workload takes
+        its settings, on either command, for any traffic model."""
+        monkeypatch.setattr(
+            api, "sweep",
+            lambda *a, **k: pytest.fail("a cell ran before the refusal"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n", "2", "--r", "2", "--k", "1",
+                  "--m-max", "2", "--workload", "hotspot",
+                  "--workload-param", param])
+        message = str(excinfo.value)
+        key = param.split("=")[0]
+        assert message.startswith(
+            f"wdm-repro: error: workload 'hotspot' has no parameter '{key}'"
         )
         assert "\n" not in message
 
@@ -861,9 +884,42 @@ class TestFabricCommands:
         assert "for the Clos fabric only" in message
         assert message.endswith("got fabric 'crossbar'")
 
-    def test_adversarial_non_uniform_rejected(self, monkeypatch):
-        message = self.adversarial_refusal(
-            monkeypatch, "--workload", "hotspot"
+    ADVERSARIAL = ("blocking", "--n", "3", "--r", "3", "--k", "1",
+                   "--m-max", "4", "--workload-param", "steps=60",
+                   "--workload-param", "seeds=0")
+
+    @staticmethod
+    def rows(out):
+        """The table's ``m`` rows, split into cells."""
+        return [
+            line.split(maxsplit=5) for line in out.splitlines()
+            if line[:1].isdigit()
+        ]
+
+    def test_adversarial_witness_column_leaves_the_estimates(self, capsys):
+        """``--adversarial`` adds a witness column and changes no count:
+        random traffic blocks nothing at m = 3 or 4, the adversary finds
+        a blocking state at m = 3 and none in its 20 restarts at m = 4."""
+        plain = run_cli(capsys, *self.ADVERSARIAL)
+        adversarial = run_cli(capsys, *self.ADVERSARIAL, "--adversarial")
+        rows = self.rows(adversarial)
+        assert [row[:5] for row in rows] == self.rows(plain)
+        assert [row[5] for row in rows] == [
+            "traffic", "traffic", "adversary", "none in 20",
+        ]
+        assert rows[2][:3] == ["3", "30", "0"]
+        footer = adversarial.splitlines()[-1]
+        assert footer.startswith("witness: 'none in 20' is no proof")
+        assert footer.endswith(
+            "wdm-repro exact --n 3 --r 3 --k 1 --x 1 --model MSW "
+            "--construction MSW-dominant"
         )
-        assert "for uniform traffic only" in message
-        assert message.endswith("got workload 'hotspot'")
+
+    def test_adversarial_runs_beside_any_workload(self, capsys):
+        """A witness does not depend on the traffic, so skewed traffic
+        gets the same search and keeps its own estimates."""
+        argv = [*self.ADVERSARIAL, "--workload", "hotspot"]
+        plain = run_cli(capsys, *argv)
+        adversarial = run_cli(capsys, *argv, "--adversarial")
+        assert "hotspot traffic" in adversarial
+        assert [row[:5] for row in self.rows(adversarial)] == self.rows(plain)

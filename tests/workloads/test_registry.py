@@ -66,12 +66,22 @@ class TestRegistry:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.zipf_s = 2.0
 
+    def test_the_adversary_is_no_traffic_field(self):
+        """The worst case is a search
+        (:func:`repro.multistage.adversary.scan_witnesses`), not a
+        workload: no config takes the adversary's settings."""
+        with pytest.raises(TypeError):
+            UniformConfig(adversarial=True)
+        for name in workload_names():
+            fields = {f.name for f in dataclasses.fields(workload_class(name))}
+            assert not fields & {"adversarial", "adversary_seeds"}
+
 
 class TestMakeWorkload:
     def test_coerces_cli_strings(self):
         config = make_workload(
             "hotspot", zipf_s="1.5", hot_fraction="0.5", steps="300",
-            seeds="0,2,4", adversarial="false",
+            seeds="0,2,4",
         )
         assert config == HotspotConfig(
             zipf_s=1.5, hot_fraction=0.5, steps=300, seeds=(0, 2, 4)
@@ -92,7 +102,7 @@ class TestTaggedDictRoundTrip:
     CONFIGS = [
         UniformConfig(steps=77, seeds=(1, 2)),
         HotspotConfig(zipf_s=1.7, hot_fraction=0.5, max_fanout=2),
-        HeavyTailFanoutConfig(alpha=0.8, adversary_seeds=3),
+        HeavyTailFanoutConfig(alpha=0.8),
         PoissonErlangConfig(offered_erlangs=9.5, mean_holding=0.5),
     ]
 
@@ -106,6 +116,33 @@ class TestTaggedDictRoundTrip:
         path.write_text("")
         config = TraceConfig(path=str(path))
         assert workload_from_dict(config.as_dict()) == config
+
+    def test_payload_from_before_the_adversary_split_rebuilds(self):
+        """A ``BlockingEstimate.to_json()`` saved while ``adversarial``
+        and ``adversary_seeds`` were workload fields (this literal is
+        ``api.blocking(2, 2, 2, 1, traffic=HotspotConfig(steps=20,
+        seeds=(0,)))`` at that version) still names its traffic."""
+        from repro.analysis.montecarlo import BlockingEstimate
+
+        payload = (
+            '{"adaptive":null,"attempts":11,"blocked":1,"ci95":'
+            '[0.016232172885884827,0.3773584364515956],"construction":'
+            '"MSW_DOMINANT","half_width95":0.18056313178285538,"k":1,"m":2,'
+            '"meta":"{\\"code_version\\":\\"2\\",\\"kernel\\":\\"bitmask\\",'
+            '\\"obs_json\\":null,\\"plan_json\\":\\"{\\\\\\"cache_hits\\\\\\":0,'
+            '\\\\\\"dispatched\\\\\\":1,\\\\\\"executor\\\\\\":\\\\\\"serial\\\\\\",'
+            '\\\\\\"reason\\\\\\":\\\\\\"\\\\\\",\\\\\\"requested_jobs\\\\\\":1,'
+            '\\\\\\"resolved_jobs\\\\\\":1,\\\\\\"units\\\\\\":1}\\",'
+            '\\"workload_json\\":\\"{\\\\\\"adversarial\\\\\\":false,'
+            '\\\\\\"adversary_seeds\\\\\\":20,\\\\\\"hot_fraction\\\\\\":0.25,'
+            '\\\\\\"max_fanout\\\\\\":null,\\\\\\"seeds\\\\\\":[0],'
+            '\\\\\\"steps\\\\\\":20,\\\\\\"workload\\\\\\":\\\\\\"hotspot\\\\\\",'
+            '\\\\\\"zipf_s\\\\\\":1.2}\\"}","model":"MSW","n":2,"r":2,'
+            '"stderr":0.08667841720414475,"x":1}'
+        )
+        record = BlockingEstimate.from_json(payload).meta.workload
+        assert "adversarial" in record
+        assert workload_from_dict(record) == HotspotConfig(steps=20, seeds=(0,))
 
     def test_dict_without_tag_rejected(self):
         with pytest.raises(ValueError, match="workload"):
@@ -129,7 +166,7 @@ class TestTokens:
         }
 
     def test_tokens_exclude_sampling_surface(self):
-        # seeds/steps/adversarial address the *sample*, not the model;
+        # seeds/steps address the *sample*, not the model;
         # they are already in every key, so the token must not repeat
         # them (identical shapes share warm cache cells across budgets).
         token = HotspotConfig(steps=999, seeds=(7, 8), zipf_s=1.5).token()

@@ -74,6 +74,22 @@ batched kernel or a non-Clos fabric, since neither builds the checked
 network. Explicit `check_invariants()` calls always run regardless of
 the flag; the fuzz tests enable it, the hot paths leave it off.
 
+### Witnesses, not samples
+
+`scan_witnesses(n, r, k, m_values, construction=..., model=..., x=...,
+restarts=20)` runs up to `restarts` seeded `search_blocking_state`
+restarts at each `m`, as one ordered scan that stops at the first
+witness, and returns each `m`'s `BlockingWitness` or None. The seeds
+derive from the whole configuration as well as `m`, so two
+configurations sharing an `m` never replay identical adversary
+streams; `jobs` and `cache` work as in the estimators, and the cache
+key does not depend on a run's kernel. A witness proves that a legal
+state blocks a legal request and replays through
+`BlockingWitness.replay()`; None is no proof of nonblocking, which
+`is_blockable` / `repro.api.exact_m` decide on small fabrics. No
+blocking estimate counts a witness (`wdm-repro blocking --adversarial`
+prints them in a column of their own).
+
 ### Canonicalized exhaustive search
 
 `is_blockable` and `repro.api.exact_m` default to canonicalization
@@ -124,8 +140,9 @@ threshold stops at the first `m` that is not blockable, and each
 `m`'s adversary restarts at the first witness. A serial plan --
 `jobs=1` or any fallback, a refused pool included -- runs nothing
 after the stopping unit; a pool runs every unit and keeps the same
-prefix, so every `jobs` value returns the same list. An adversarial
-curve's `meta.plan` is its traffic stage's plan.
+prefix, so every `jobs` value returns the same list. The adversary's
+restarts run on a sweeper of their own, so an estimate's `meta.plan`
+describes its traffic cells only.
 
 A fixed-budget curve's unit is one seed's `m` column, which has one
 cache entry per cell, so the curve looks its cells up itself, stores a
@@ -270,10 +287,10 @@ fixed recording, so combining them with a precision target raises.
 ### Typed configs over kwargs sprawl
 
 The three verbs take frozen config dataclasses grouped by concern:
-a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
-cap, adversarial probing on the base surface, model shape on each
-subclass), `ExecConfig` (jobs, cache directory, precision) and
-`SearchConfig` (routing kernel, canonicalization, debug checks).
+a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds and
+fanout cap on the base surface, model shape on each subclass),
+`ExecConfig` (jobs, cache directory, precision) and `SearchConfig`
+(routing kernel, canonicalization, debug checks).
 Results carry a `repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
 identity) on `.meta`; the envelope and `BlockingEstimate` both
@@ -301,12 +318,10 @@ repeated seed raises `ValueError` naming the value, and
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
 `sweep` from the fixed seed list to the adaptive sequential-stopping
 driver (`repro.perf.adaptive`): replication rounds continue until the
-Wilson interval meets the requested half-width.  Adversarial traffic
-has no precision-targeted mode and is rejected with a `ValueError`.
+Wilson interval meets the requested half-width.
 
-With adversarial traffic, `sweep` derives adversary seeds from the
-whole traffic configuration as well as `m`, so two sweeps sharing an
-`m` value never replay identical adversary streams.
+Every estimate counts random traffic only. Whether a blocking state
+exists is a search, not a sample: `repro.multistage.scan_witnesses`.
 """,
     "repro.obs": """\
 ### Zero cost when off
