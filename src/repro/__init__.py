@@ -13,8 +13,12 @@ Yang, Wang, Qiao (ICPP 2000 / IEEE TPDS).  The package provides:
   (:mod:`repro.analysis`);
 * a typed public facade over the analysis entry points
   (:mod:`repro.api`) and a zero-cost-when-off observability layer
-  (:mod:`repro.obs`) -- both reachable as lazy attributes
-  (``from repro import api, obs``).
+  (:mod:`repro.obs`).
+
+Every export below and every subpackage (``from repro import api,
+obs``) is a lazy attribute (:mod:`repro._lazy`): ``import repro``
+loads no submodule, and each name imports its own module on first
+use.
 
 Quickstart::
 
@@ -25,25 +29,44 @@ Quickstart::
     print(cap.log10_full, design.m, design.cost.crosspoints)
 """
 
-from repro.core import (
-    CapacityResult,
-    Construction,
-    CrossbarCost,
-    MultistageDesign,
-    MulticastModel,
-    NonblockingBound,
-    any_multicast_capacity,
-    crossbar_cost,
-    full_multicast_capacity,
-    min_middle_switches,
-    multistage_cost,
-    optimal_design,
-)
-from repro.switching import (
-    Endpoint,
-    MulticastAssignment,
-    MulticastConnection,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro import (  # the subpackages; redundant aliases re-export
+        analysis as analysis,
+        api as api,
+        combinatorics as combinatorics,
+        core as core,
+        engine as engine,
+        fabric as fabric,
+        multistage as multistage,
+        obs as obs,
+        perf as perf,
+        scheduling as scheduling,
+        switching as switching,
+        workloads as workloads,
+    )
+    from repro.core import (
+        CapacityResult,
+        Construction,
+        CrossbarCost,
+        MultistageDesign,
+        MulticastModel,
+        NonblockingBound,
+        any_multicast_capacity,
+        crossbar_cost,
+        full_multicast_capacity,
+        min_middle_switches,
+        multistage_cost,
+        optimal_design,
+    )
+    from repro.switching import (
+        Endpoint,
+        MulticastAssignment,
+        MulticastConnection,
+    )
 
 __version__ = "1.0.0"
 
@@ -66,17 +89,4 @@ __all__ = [
     "optimal_design",
 ]
 
-#: subpackages loaded on first attribute access -- ``repro.api`` pulls
-#: in the analysis stack and ``repro.obs`` is imported by the hot-path
-#: modules themselves, so neither belongs in the eager import graph
-_LAZY_MODULES = ("api", "obs")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_MODULES:
-        import importlib
-
-        module = importlib.import_module(f"repro.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = attach(__name__)

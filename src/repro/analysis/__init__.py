@@ -13,17 +13,22 @@
   by the CLI and the benchmarks.
 """
 
-from repro.analysis.montecarlo import BlockingEstimate
-from repro.analysis.rendering import render_table
-from repro.analysis.sensitivity import AspectPoint, aspect_ratio_study
-from repro.analysis.tables import (
-    Table1Row,
-    Table2Row,
-    table1,
-    table1_symbolic,
-    table2,
-    table2_symbolic,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.analysis.montecarlo import BlockingEstimate
+    from repro.analysis.rendering import render_table
+    from repro.analysis.sensitivity import AspectPoint, aspect_ratio_study
+    from repro.analysis.tables import (
+        Table1Row,
+        Table2Row,
+        table1,
+        table1_symbolic,
+        table2,
+        table2_symbolic,
+    )
 
 __all__ = [
     "AspectPoint",
@@ -37,3 +42,5 @@ __all__ = [
     "table2",
     "table2_symbolic",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -50,7 +50,6 @@ from repro.core.models import (
     parse_construction,
     parse_multicast_model,
 )
-from repro.multistage.network import ThreeStageNetwork
 from repro.obs.meta import ResultMeta
 from repro.perf.batch import CurveSpec, simulate_batch
 from repro.perf.sweeper import ParallelSweeper, SweepResult, WorkUnit
@@ -342,6 +341,8 @@ def _traffic_cell(
     below *is* the Clos admission program: :func:`_traffic_column`
     hands any other fabric to the batch engine.
     """
+    from repro.multistage.network import ThreeStageNetwork
+
     _obs.inc("mc.cells")
     net = ThreeStageNetwork(
         spec.n, spec.r, m, spec.k, construction=spec.construction,

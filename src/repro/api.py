@@ -41,13 +41,13 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro._lazy import attach
 from repro.analysis.montecarlo import BlockingEstimate, _blocking_curve
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import fabric_names
-from repro.multistage.exhaustive import ExactMinimal, _exact_threshold
 from repro.multistage.routing import _KERNELS
-from repro.perf.adaptive import PrecisionConfig, adaptive_sweep
 from repro.perf.batch import CurveSpec
 from repro.perf.cache import ResultCache
 from repro.workloads import (
@@ -61,6 +61,10 @@ from repro.workloads import (
     workload_from_dict,
     workload_names,
 )
+
+if TYPE_CHECKING:
+    from repro.multistage.exhaustive import ExactMinimal
+    from repro.perf.adaptive import PrecisionConfig
 
 __all__ = [
     "BlockingEstimate",
@@ -82,6 +86,10 @@ __all__ = [
     "workload_from_dict",
     "workload_names",
 ]
+
+# The exact search and the adaptive driver load with the branch that
+# runs them; their public names resolve on first use.
+__getattr__, __dir__ = attach(__name__)
 
 
 def _as_workload(traffic: WorkloadConfig) -> WorkloadConfig:
@@ -215,6 +223,8 @@ def _estimates(
             debug_checks=search.debug_checks,
             kernel=search.kernel,
         )
+    from repro.perf.adaptive import adaptive_sweep
+
     return adaptive_sweep(
         spec, m_values,
         precision=precision,
@@ -322,6 +332,8 @@ def exact_m(
     """
     if search.debug_checks:
         raise _debug_checks_refusal("exact_m")
+    from repro.multistage.exhaustive import _exact_threshold
+
     return _exact_threshold(
         n, r, k,
         construction=construction,

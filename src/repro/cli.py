@@ -32,9 +32,7 @@ import sys
 from collections.abc import Sequence
 
 from repro import api, obs
-from repro.analysis.figures import bound_vs_x, capacity_growth, find_crossover
 from repro.analysis.rendering import render_table
-from repro.analysis.tables import render_table1, render_table2
 from repro.core.models import (
     Construction,
     MulticastModel,
@@ -42,9 +40,6 @@ from repro.core.models import (
     parse_multicast_model,
 )
 from repro.core.multistage import optimal_design, valid_x_range
-from repro.multistage.adversary import fig10_scenario, scan_witnesses
-from repro.multistage.recursive import best_recursive_design
-from repro.workloads import load_trace
 
 __all__ = ["main"]
 
@@ -195,6 +190,8 @@ def _traffic(
                 ):
                     pass
             else:
+                from repro.workloads.trace import load_trace
+
                 load_trace(traffic.path)
     except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"wdm-repro: error: {exc}") from exc
@@ -331,14 +328,20 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
+    from repro.analysis.tables import render_table1
+
     return render_table1(args.n_ports, args.k)
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
+    from repro.analysis.tables import render_table2
+
     return render_table2(args.n_ports, args.k, args.construction)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
+    from repro.analysis.figures import bound_vs_x
+
     rows = []
     for construction in Construction:
         for x, m in bound_vs_x(args.n, args.r, args.k, construction):
@@ -351,6 +354,8 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> str:
+    from repro.analysis.figures import find_crossover
+
     lines = []
     for model in MulticastModel:
         crossover = find_crossover(args.k, model)
@@ -362,6 +367,8 @@ def _cmd_crossover(args: argparse.Namespace) -> str:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> str:
+    from repro.analysis.figures import capacity_growth
+
     points = capacity_growth(args.n_ports, list(range(1, args.k_max + 1)))
     rows = []
     for point in points:
@@ -406,16 +413,16 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
         # A search for a blocking state where traffic blocked nothing:
         # its answer is a column of its own, never a count.
         restarts = 20
-        witnesses = (
-            scan_witnesses(
+        witnesses = None
+        if args.adversarial:
+            from repro.multistage.adversary import scan_witnesses
+
+            witnesses = scan_witnesses(
                 args.n, args.r, args.k,
                 [e.m for e in estimates if not e.blocked],
                 construction=args.construction, model=args.model, x=args.x,
                 restarts=restarts, jobs=args.jobs, cache=execution.cache(),
             )
-            if args.adversarial
-            else None
-        )
     headers = ["m", "attempts", "blocked", "P(block)", "CI95"]
     rows = [
         [e.m, e.attempts, e.blocked, f"{e.probability:.4f}", _ci_cell(e)]
@@ -535,6 +542,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig10(args: argparse.Namespace) -> str:
+    from repro.multistage.adversary import fig10_scenario
+
     outcome = fig10_scenario()
     lines = [
         "Fig. 10 scenario -- v(n=2, r=2, m=2, k=2), MAW model, x=1",
@@ -561,6 +570,8 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     tracer = obs.Tracer(sink)
     with obs.capture(tracer=tracer):
         if args.scenario == "fig10":
+            from repro.multistage.adversary import fig10_scenario
+
             fig10_scenario()
         else:
             api.blocking(
@@ -735,6 +746,8 @@ def _cmd_trace_gen(args: argparse.Namespace) -> str:
 
 
 def _cmd_design(args: argparse.Namespace) -> str:
+    from repro.multistage.recursive import best_recursive_design
+
     design = optimal_design(args.n_ports, args.k, args.model, args.construction)
     recursive = best_recursive_design(args.n_ports, args.k, args.model)
     lines = [

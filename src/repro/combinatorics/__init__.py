@@ -16,21 +16,26 @@ with exact Python integers:
   of the paper's equations (2)-(5).
 """
 
-from repro.combinatorics.integers import (
-    binomial,
-    falling_factorial,
-    integer_root,
-    min_base_exceeding,
-    power_exceeds,
-)
-from repro.combinatorics.multiset import DestinationMultiset
-from repro.combinatorics.partitions import (
-    count_partitions_into,
-    iter_set_partitions,
-    iter_set_partitions_into,
-)
-from repro.combinatorics.polynomials import IntPolynomial
-from repro.combinatorics.stirling import bell_number, stirling2
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.combinatorics.integers import (
+        binomial,
+        falling_factorial,
+        integer_root,
+        min_base_exceeding,
+        power_exceeds,
+    )
+    from repro.combinatorics.multiset import DestinationMultiset
+    from repro.combinatorics.partitions import (
+        count_partitions_into,
+        iter_set_partitions,
+        iter_set_partitions_into,
+    )
+    from repro.combinatorics.polynomials import IntPolynomial
+    from repro.combinatorics.stirling import bell_number, stirling2
 
 __all__ = [
     "DestinationMultiset",
@@ -46,3 +51,5 @@ __all__ = [
     "power_exceeds",
     "stirling2",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -17,32 +17,37 @@ The fabrics serve two purposes in the reproduction:
   meaning of "nonblocking".
 """
 
-from repro.fabric.components import (
-    Combiner,
-    CombinerConflictError,
-    Component,
-    Demux,
-    InputTerminal,
-    Mux,
-    MuxConflictError,
-    OutputTerminal,
-    SOAGate,
-    Splitter,
-    WavelengthConverter,
-)
-from repro.fabric.dot import to_dot
-from repro.fabric.modules import WDMModule, build_wdm_module
-from repro.fabric.network import OpticalFabric, PropagationResult
-from repro.fabric.power import LossBudget, PowerReport, analyze_power
-from repro.fabric.signal import OpticalSignal
-from repro.fabric.space_crossbar import SpaceCrossbar
-from repro.fabric.wdm_crossbar import (
-    MAWCrossbar,
-    MSDWCrossbar,
-    MSWCrossbar,
-    WDMCrossbar,
-    build_crossbar,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.fabric.components import (
+        Combiner,
+        CombinerConflictError,
+        Component,
+        Demux,
+        InputTerminal,
+        Mux,
+        MuxConflictError,
+        OutputTerminal,
+        SOAGate,
+        Splitter,
+        WavelengthConverter,
+    )
+    from repro.fabric.dot import to_dot
+    from repro.fabric.modules import WDMModule, build_wdm_module
+    from repro.fabric.network import OpticalFabric, PropagationResult
+    from repro.fabric.power import LossBudget, PowerReport, analyze_power
+    from repro.fabric.signal import OpticalSignal
+    from repro.fabric.space_crossbar import SpaceCrossbar
+    from repro.fabric.wdm_crossbar import (
+        MAWCrossbar,
+        MSDWCrossbar,
+        MSWCrossbar,
+        WDMCrossbar,
+        build_crossbar,
+    )
 
 __all__ = [
     "Combiner",
@@ -72,3 +77,5 @@ __all__ = [
     "to_dot",
     "build_wdm_module",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -18,41 +18,46 @@
   remark).
 """
 
-from repro.multistage.adversary import (
-    BlockingWitness,
-    Theorem1GapResult,
-    demonstrate_theorem1_gap,
-    fig10_scenario,
-    scan_witnesses,
-)
-from repro.multistage.exhaustive import (
-    BlockableResult,
-    ExactMinimal,
-    is_blockable,
-)
-from repro.multistage.fabric_backed import FabricBackedThreeStage
-from repro.multistage.network import (
-    BlockedError,
-    RoutedBranch,
-    RoutedConnection,
-    ThreeStageNetwork,
-)
-from repro.multistage.offline import (
-    OfflineResult,
-    minimal_rearrangeable_m,
-    route_assignment,
-)
-from repro.multistage.recursive import RecursiveDesign, best_recursive_design
-from repro.multistage.routing import (
-    CoverSearch,
-    find_cover,
-    find_cover_bits,
-    iter_bits,
-    mask_of,
-)
-from repro.multistage.serialization import dumps as artifact_dumps
-from repro.multistage.serialization import loads as artifact_loads
-from repro.multistage.topology import ThreeStageTopology
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.multistage.adversary import (
+        BlockingWitness,
+        Theorem1GapResult,
+        demonstrate_theorem1_gap,
+        fig10_scenario,
+        scan_witnesses,
+    )
+    from repro.multistage.exhaustive import (
+        BlockableResult,
+        ExactMinimal,
+        is_blockable,
+    )
+    from repro.multistage.fabric_backed import FabricBackedThreeStage
+    from repro.multistage.network import (
+        BlockedError,
+        RoutedBranch,
+        RoutedConnection,
+        ThreeStageNetwork,
+    )
+    from repro.multistage.offline import (
+        OfflineResult,
+        minimal_rearrangeable_m,
+        route_assignment,
+    )
+    from repro.multistage.recursive import RecursiveDesign, best_recursive_design
+    from repro.multistage.routing import (
+        CoverSearch,
+        find_cover,
+        find_cover_bits,
+        iter_bits,
+        mask_of,
+    )
+    from repro.multistage.serialization import dumps as artifact_dumps
+    from repro.multistage.serialization import loads as artifact_loads
+    from repro.multistage.topology import ThreeStageTopology
 
 __all__ = [
     "BlockableResult",
@@ -82,3 +87,5 @@ __all__ = [
     "route_assignment",
     "scan_witnesses",
 ]
+
+__getattr__, __dir__ = attach(__name__)

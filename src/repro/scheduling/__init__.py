@@ -20,13 +20,18 @@ The benchmark ``bench_scheduling.py`` measures the resulting round
 compression (up to ``k``-fold), the intro's claim in numbers.
 """
 
-from repro.scheduling.demands import Demand, random_demand_batch, video_fanout_batch
-from repro.scheduling.electronic import (
-    conflict_graph,
-    electronic_rounds,
-    exact_chromatic_rounds,
-)
-from repro.scheduling.wdm import wdm_rounds
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.scheduling.demands import Demand, random_demand_batch, video_fanout_batch
+    from repro.scheduling.electronic import (
+        conflict_graph,
+        electronic_rounds,
+        exact_chromatic_rounds,
+    )
+    from repro.scheduling.wdm import wdm_rounds
 
 __all__ = [
     "Demand",
@@ -37,3 +42,5 @@ __all__ = [
     "video_fanout_batch",
     "wdm_rounds",
 ]
+
+__getattr__, __dir__ = attach(__name__)

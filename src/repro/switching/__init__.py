@@ -11,35 +11,40 @@
   dynamic-traffic generators for simulation and fuzzing.
 """
 
-from repro.switching.requests import (
-    Endpoint,
-    MulticastAssignment,
-    MulticastConnection,
-)
-from repro.switching.validity import (
-    ValidityError,
-    check_assignment,
-    check_connection,
-    is_valid_assignment,
-    is_valid_connection,
-)
-from repro.switching.enumeration import (
-    count_assignments,
-    iter_assignments,
-)
-from repro.switching.generators import (
-    AssignmentGenerator,
-    TrafficEvent,
-    dynamic_traffic,
-)
-from repro.switching.patterns import (
-    bit_reversal,
-    broadcast,
-    identity,
-    perfect_shuffle,
-    ring_multicast,
-    saturating_multicast,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.switching.requests import (
+        Endpoint,
+        MulticastAssignment,
+        MulticastConnection,
+    )
+    from repro.switching.validity import (
+        ValidityError,
+        check_assignment,
+        check_connection,
+        is_valid_assignment,
+        is_valid_connection,
+    )
+    from repro.switching.enumeration import (
+        count_assignments,
+        iter_assignments,
+    )
+    from repro.switching.generators import (
+        AssignmentGenerator,
+        TrafficEvent,
+        dynamic_traffic,
+    )
+    from repro.switching.patterns import (
+        bit_reversal,
+        broadcast,
+        identity,
+        perfect_shuffle,
+        ring_multicast,
+        saturating_multicast,
+    )
 
 __all__ = [
     "AssignmentGenerator",
@@ -62,3 +67,5 @@ __all__ = [
     "ring_multicast",
     "saturating_multicast",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -47,7 +47,6 @@ from math import ceil, log
 from typing import Literal
 
 from repro.core.models import MulticastModel
-from repro.switching.enumeration import _compatible
 from repro.switching.requests import Endpoint, MulticastAssignment, MulticastConnection
 
 __all__ = [
@@ -165,6 +164,8 @@ class AssignmentGenerator:
                 same-wavelength input free -- so 0.0 yields full
                 assignments).
         """
+        from repro.switching.enumeration import _compatible
+
         outputs = [
             Endpoint(port, wavelength)
             for port in range(self.n_ports)

@@ -8,6 +8,7 @@ from repro import api
 from repro.api import SearchConfig, UniformConfig
 from repro.multistage import exhaustive
 from repro.multistage.network import ThreeStageNetwork
+from repro.perf import adaptive
 from repro.switching.requests import Endpoint, MulticastConnection
 
 
@@ -81,7 +82,7 @@ class TestRefusals:
             pytest.fail("a cell ran before the refusal")
 
         monkeypatch.setattr(api, "_blocking_curve", no_cells)
-        monkeypatch.setattr(api, "adaptive_sweep", no_cells)
+        monkeypatch.setattr(adaptive, "adaptive_sweep", no_cells)
         search = SearchConfig(debug_checks=True)
         with pytest.raises(ValueError, match="bitmask kernel on the clos fabric"):
             if verb == "blocking":
@@ -93,7 +94,7 @@ class TestRefusals:
 
     def test_adaptive_run_on_another_fabric_refused(self, monkeypatch):
         monkeypatch.setattr(
-            api, "adaptive_sweep",
+            adaptive, "adaptive_sweep",
             lambda *a, **k: pytest.fail("a cell ran before the refusal"),
         )
         with pytest.raises(ValueError, match="bitmask kernel on the clos fabric"):

@@ -3,7 +3,8 @@
 
 Walks every subpackage's ``__all__``, pulls the first docstring line of
 each exported item, and writes a compact API reference.  Run after
-changing public APIs::
+changing public APIs, from any directory (the script puts the repo's
+``src`` on its own import path)::
 
     python tools/gen_api_docs.py
 """
@@ -13,6 +14,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 PACKAGES = [
     "repro",
@@ -403,7 +408,7 @@ def main() -> None:
     ]
     for package in PACKAGES:
         out.extend(describe_package(package))
-    target = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+    target = ROOT / "docs" / "API.md"
     target.write_text("\n".join(out) + "\n", encoding="utf-8")
     print(f"wrote {target}")
 
